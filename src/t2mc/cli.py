@@ -461,7 +461,6 @@ def main(argv=None) -> int:
                        metavar="'(k,l,m,n);...'")
     p_chk.add_argument("--variant", choices=("s1", "s2"), default=None,
                        help="restrict informational sections to one variant")
-    p_chk.add_argument("--bound", type=int, default=8)
     p_chk.add_argument("--out", default=None)
     p_chk.set_defaults(func=cmd_verify)
 

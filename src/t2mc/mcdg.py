@@ -541,17 +541,9 @@ def _poly_monomials(bound):
     return out
 
 
-def _flatten_f2(tag, mat, into, sign=1):
-    for p, row in enumerate(mat):
-        for q, form in enumerate(row):
-            for key, coeff in form.terms.items():
-                c = coeff.coeffs.get((), Fraction(0))
-                if c:
-                    k = (tag, p, q, key)
-                    into[k] = into.get(k, Fraction(0)) + sign * c
-
-
-def _flatten_f1(tag, mat, into, sign=1):
+def _flatten(tag, mat, into, sign=1):
+    """Add sign times the constant coefficients of a matrix of Form1s or
+    Form2s into `into`, keyed by (tag, row, column, form basis key)."""
     for p, row in enumerate(mat):
         for q, form in enumerate(row):
             for key, coeff in form.terms.items():
@@ -601,9 +593,9 @@ class _ChainProblem:
                                     e1=mono[0], e2=mono[1])
         h = HomElement(unit, 0)
         img = {}
-        _flatten_f2("eq", twisted_d(h, self.src, self.dst).entries, img)
+        _flatten("eq", twisted_d(h, self.src, self.dst).entries, img)
         for i, diff in global_section_defects(h, self.src, self.dst) or []:
-            _flatten_f1(("gs", i), diff, img)
+            _flatten(("gs", i), diff, img)
         return unit, img
 
     def add_chain_vars(self, skip_constant_on=frozenset()):
@@ -624,16 +616,16 @@ class _ChainProblem:
                                             SCALAR_ALGEBRA.scalar(1), mask=mask)
                 h = HomElement(unit, 1)
                 img = {}
-                _flatten_f2("eq", unit, img)
+                _flatten("eq", unit, img)
                 for i, diff in global_section_defects(
                         h, self.src, self.dst) or []:
-                    _flatten_f1(("gs", i), diff, img)
+                    _flatten(("gs", i), diff, img)
                 self.vars.append(("k", axis, p, q, unit))
                 self.images.append(img)
 
     def solve(self, target_entries):
         rhs = {}
-        _flatten_f2("eq", target_entries, rhs)
+        _flatten("eq", target_entries, rhs)
         return _solve_sparse(self.images, rhs)
 
     def assemble(self, coeffs, kind):
@@ -1015,7 +1007,7 @@ def _splitting_corner(top: TorusRep, bottom: TorusRep, corners, bound: int):
                 f1m_scalar_mul(top.g(cross), fm_restrict(unit, i, 0)),
                 bottom.g_inv(cross))
             rhs = fm_restrict(unit, i, 1)
-            _flatten_f1(("cond", i), f1m_sub(lhs, rhs), img)
+            _flatten(("cond", i), f1m_sub(lhs, rhs), img)
         images.append(img)
     rhs_total = {}
     for i in (1, 2):
@@ -1025,7 +1017,7 @@ def _splitting_corner(top: TorusRep, bottom: TorusRep, corners, bound: int):
                           SCALAR_ALGEBRA.scalar(corners[cross - 1][(p, q)]))
               for q in range(nb)] for p in range(nt)],
             bottom.g_inv(cross))
-        _flatten_f1(("cond", i), const, rhs_total, sign=-1)
+        _flatten(("cond", i), const, rhs_total, sign=-1)
     sol = _solve_sparse(images, rhs_total)
     if sol is None:
         raise StraighteningFailedError(

@@ -2,9 +2,10 @@
 
 Everything downstream (monomial bases, cochain complexes, intertwiner
 searches, lattice membership) reduces to the routines here.  All entries are
-`fractions.Fraction`; elimination uses leftmost-pivot row reduction with
-first-nonzero row selection, so identical inputs always produce identical
-outputs.
+`fractions.Fraction`.  Every rational elimination (rank, kernel, solve,
+inverse) goes through `Matrix.rref`, a sparse Gauss-Jordan reduction whose
+output is the unique reduced row echelon form, so identical inputs always
+produce identical outputs.
 """
 
 from __future__ import annotations
@@ -154,33 +155,67 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form; returns (rref rows, pivot column tuple).
 
-        Pivots are chosen leftmost-first, with the first nonzero row below the
-        current one, so the result is reproducible bit for bit.
+        The rows are dense lists with the zero rows at the bottom.  The
+        elimination is sparse Gauss-Jordan on dict rows: pivot columns are
+        taken leftmost-first and, among the rows that can supply a pivot, the
+        one with the fewest nonzeros is used.  The reduced row echelon form of
+        a matrix is unique, so the pivot-row choice cannot change the result
+        and identical inputs give identical outputs bit for bit.
         """
-        rows = self.to_rows()
         n, m = self.rows, self.cols
+        rows = [{j: e for j, e in enumerate(self.row(i)) if e}
+                for i in range(n)]
+        free = [r for r in rows if r]  # rows not yet used as a pivot row
+        done = []                      # pivot rows, in pivot-column order
         pivots = []
-        r = 0
         for c in range(m):
-            pr = None
-            for i in range(r, n):
-                if rows[i][c] != 0:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            inv = Fraction(1) / rows[r][c]
-            rows[r] = [e * inv for e in rows[r]]
-            for i in range(n):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == n:
+            if not free:
                 break
-        return rows, tuple(pivots)
+            cands = [r for r in free if c in r]
+            if not cands:
+                continue
+            prow = min(cands, key=len)
+            free = [r for r in free if r is not prow]
+            inv = 1 / prow.pop(c)
+            for j in prow:
+                prow[j] *= inv
+            for r in (*done, *cands):
+                if r is prow or c not in r:
+                    continue
+                f = r.pop(c)
+                for j, v in prow.items():
+                    x = r.get(j)
+                    if x is None:
+                        r[j] = -f * v
+                    else:
+                        x -= f * v
+                        if x:
+                            r[j] = x
+                        else:
+                            del r[j]
+            prow[c] = Fraction(1)
+            done.append(prow)
+            pivots.append(c)
+        zero = Fraction(0)
+        out = [[r.get(j, zero) for j in range(m)] for r in done]
+        out += [[zero] * m for _ in range(n - len(done))]
+        return out, tuple(pivots)
+
+
+def _kernel(rows, pivots, cols):
+    """Kernel basis of the first `cols` columns of an RREF: one vector per
+    non-pivot column below `cols`, with that free coordinate set to 1."""
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(tuple(v))
+    return basis
 
 
 def rank_kernel(m: Matrix):
@@ -190,16 +225,7 @@ def rank_kernel(m: Matrix):
     per non-pivot column, with that free coordinate set to 1.
     """
     rows, pivots = m.rref()
-    rank = len(pivots)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(tuple(v))
-    return rank, basis
+    return len(pivots), _kernel(rows, pivots, m.cols)
 
 
 def solve(a: Matrix, b):
@@ -207,6 +233,8 @@ def solve(a: Matrix, b):
 
     Returns (particular solution tuple, kernel basis) or None when the system
     is inconsistent.  The particular solution sets all free variables to 0.
+    One reduction of [a | b] gives both: when column a.cols holds no pivot,
+    the left block of rref([a | b]) is rref(a).
     """
     b = [frac(v) for v in b]
     if len(b) != a.rows:
@@ -219,8 +247,7 @@ def solve(a: Matrix, b):
     x = [Fraction(0)] * a.cols
     for r, pc in enumerate(pivots):
         x[pc] = rows[r][a.cols]
-    _, kernel = rank_kernel(a)
-    return tuple(x), kernel
+    return tuple(x), _kernel(rows, pivots, a.cols)
 
 
 def invert(m: Matrix):
@@ -238,7 +265,7 @@ def invert(m: Matrix):
 
 
 def det(m: Matrix) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination."""
+    """Determinant by Gaussian elimination over Q, tracking row swaps."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     rows = m.to_rows()

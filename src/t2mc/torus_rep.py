@@ -541,7 +541,7 @@ def parse_rep(text: str) -> TorusRep:
             raise ParseError(f"matrix is not {dim}x{dim}")
         try:
             return Matrix.from_rows([[frac(e) for e in row] for row in data])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad matrix entry: {exc}") from exc
 
     return TorusRep(load(blocks[0]), load(blocks[1]))

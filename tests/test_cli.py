@@ -58,6 +58,12 @@ def test_ssify_parse_error_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_t2_cohomology_zero_denominator_exits_3(tmp_path, capsys):
+    path = _write(tmp_path, "zero_den.rep", '1\n[["1/0"]]\n[["1"]]\n')
+    assert main(["t2-cohomology", path]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_t2_cohomology_trivial(tmp_path, capsys):
     path = _write(tmp_path, "triv.rep", '1\n[["1"]]\n[["1"]]\n')
     assert main(["t2-cohomology", path]) == 0

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from t2mc.qlinalg import (IntMatrix, Matrix, det, frac, frac_str, in_lattice,
                           integer_kernel, invert, rank_kernel,
                           smith_normal_form, solve, solve_integer)
@@ -168,3 +170,104 @@ def test_solve_integer():
     a = IntMatrix.from_rows([[2, 0], [0, 3]])
     assert solve_integer(a, [4, 9]) == (2, 3)
     assert solve_integer(a, [1, 0]) is None
+
+
+def _sparse_matrix(rng, rows, cols, density):
+    return Matrix(rows, cols,
+                  [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                            rng.randint(1, 5))
+                   if rng.random() < density else Fraction(0)
+                   for _ in range(rows * cols)])
+
+
+def _oracle_cases():
+    """Seeded matrices from 3 % to 100 % dense, up to 40x20, plus zero rows,
+    zero columns, duplicate rows and empty shapes."""
+    rng = random.Random(23)
+    cases = [Matrix.zero(0, 4), Matrix.zero(4, 0), Matrix.zero(0, 0),
+             Matrix.zero(3, 5)]
+    for density in (0.03, 0.08, 0.2, 0.5, 1.0):
+        for _ in range(6):
+            cases.append(_sparse_matrix(rng, rng.randint(1, 40),
+                                        rng.randint(1, 20), density))
+    for _ in range(6):
+        m = _sparse_matrix(rng, rng.randint(2, 12), rng.randint(2, 12), 0.4)
+        rows = m.to_rows()
+        rows[rng.randrange(len(rows))] = [0] * m.cols        # zero row
+        dead = rng.randrange(m.cols)
+        rows = [r[:dead] + [0] + r[dead + 1:] for r in rows]  # zero column
+        rows.append(list(rows[rng.randrange(len(rows))]))   # duplicate row
+        cases.append(Matrix.from_rows(rows))
+    return cases
+
+
+def _sympy_rref(sympy, m):
+    """(rows, pivots) of m's RREF as computed by sympy, rows as Fractions."""
+    sm = sympy.Matrix(m.rows, m.cols,
+                      [sympy.Rational(e.numerator, e.denominator)
+                       for e in m.entries])
+    reduced, pivots = sm.rref()
+    rows = [[Fraction(int(reduced[i, j].p), int(reduced[i, j].q))
+             for j in range(m.cols)] for i in range(m.rows)]
+    return rows, tuple(pivots)
+
+
+def test_rref_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in _oracle_cases():
+        assert m.rref() == _sympy_rref(sympy, m)
+
+
+def test_solve_and_rank_kernel_follow_sympy_rref():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(29)
+    outcomes = set()
+    for a in _oracle_cases():
+        if rng.random() < 0.5:
+            b = a.apply([rng.randint(-3, 3) for _ in range(a.cols)])
+        else:
+            b = [Fraction(rng.randint(-3, 3)) for _ in range(a.rows)]
+        rows, pivots = _sympy_rref(sympy, a)
+        kernel = []
+        for fc in range(a.cols):
+            if fc not in pivots:
+                v = [Fraction(0)] * a.cols
+                v[fc] = Fraction(1)
+                for r, pc in enumerate(pivots):
+                    v[pc] = -rows[r][fc]
+                kernel.append(tuple(v))
+        assert rank_kernel(a) == (len(pivots), kernel)
+        aug = Matrix(a.rows, a.cols + 1,
+                     [e for i in range(a.rows) for e in (*a.row(i), b[i])])
+        aug_rows, aug_pivots = _sympy_rref(sympy, aug)
+        if a.cols in aug_pivots:
+            expected = None
+        else:
+            x = [Fraction(0)] * a.cols
+            for r, pc in enumerate(aug_pivots):
+                x[pc] = aug_rows[r][a.cols]
+            expected = (tuple(x), kernel)
+        assert solve(a, b) == expected
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+def test_solve_reduces_once(monkeypatch):
+    calls = []
+    original = Matrix.rref
+
+    def counting(self):
+        calls.append((self.rows, self.cols))
+        return original(self)
+
+    monkeypatch.setattr(Matrix, "rref", counting)
+    rng = random.Random(31)
+    systems = [(Matrix.identity(3), [1, 2, 3]),
+               (Matrix.from_rows([[0, 0]]), [1]),
+               (Matrix.from_rows([[1, 1]]), [2])]
+    systems += [(a, [rng.randint(-2, 2) for _ in range(a.rows)])
+                for a in _oracle_cases()[4:12]]
+    for a, b in systems:
+        calls.clear()
+        solve(a, b)
+        assert calls == [(a.rows, a.cols + 1)]
