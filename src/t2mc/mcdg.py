@@ -120,33 +120,43 @@ def fm_dt_matrix(m1: Matrix, m2: Matrix):
 
 
 def fm_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    """Entrywise sum; a zero form on either side is not added."""
+    return [[(x + y if x.terms else y) if y.terms else x
+             for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def fm_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def fm_neg(a):
-    return [[-x for x in row] for row in a]
+    """Entrywise difference of square- or interval-form matrices; a zero
+    form on the right is not subtracted."""
+    return [[x - y if y.terms else x for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
 
 
 def fm_scale(a, c):
     return [[x.scale(c) for x in row] for row in a]
 
 
-def fm_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    if a and len(a[0]) != inner:
-        raise ValueError("shape mismatch in form-matrix product")
-    out = fm_zero(rows, cols)
-    for i in range(rows):
-        for j in range(cols):
-            acc = Form2.zero(SCALAR_ALGEBRA)
-            for k in range(inner):
-                acc = acc + a[i][k] * b[k][j]
-            out[i][j] = acc
+def _accumulate(addends_by_row, cols, zero):
+    """Rows of a form matrix from (column, form) addends, each entry summed
+    in the order its addends come; entries with none are `zero`."""
+    out = []
+    for addends in addends_by_row:
+        acc = [None] * cols
+        for j, f in addends:
+            acc[j] = f if acc[j] is None else acc[j] + f
+        out.append([zero if f is None else f for f in acc])
     return out
+
+
+def fm_mul(a, b):
+    """Form-matrix product, row by row over nonzero forms only; each entry
+    is summed over k in increasing order."""
+    if a and len(a[0]) != len(b):
+        raise ValueError("shape mismatch in form-matrix product")
+    return _accumulate(([(j, x * y) for x, b_row in zip(a_row, b) if x.terms
+                         for j, y in enumerate(b_row) if y.terms]
+                        for a_row in a),
+                       len(b[0]) if b else 0, Form2.zero(SCALAR_ALGEBRA))
 
 
 def fm_d(a):
@@ -168,61 +178,27 @@ def fm_shape(a):
 
 
 def fm_restrict(a, i, j):
-    return [[x.restrict_edge(i, j) for x in row] for row in a]
+    return [[x.restrict_edge(i, j) if x.terms else Form1.zero(SCALAR_ALGEBRA)
+             for x in row] for row in a]
 
 
 def f1m_scalar_mul(m: Matrix, a):
-    """Rational matrix times interval-form matrix."""
-    rows, cols = m.rows, len(a[0]) if a else 0
-    out = [[Form1.zero(SCALAR_ALGEBRA) for _ in range(cols)]
-           for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            acc = Form1.zero(SCALAR_ALGEBRA)
-            for k in range(m.cols):
-                acc = acc + a[k][j].scale(m[(i, k)])
-            out[i][j] = acc
-    return out
+    """Rational matrix times interval-form matrix, over nonzeros only."""
+    a_rows = [[(j, f) for j, f in enumerate(row) if f.terms] for row in a]
+    return _accumulate(([(j, f if c == 1 else f.scale(c))
+                         for k, c in m_row for j, f in a_rows[k]]
+                        for m_row in m.sparse_rows()),
+                       len(a[0]) if a else 0, Form1.zero(SCALAR_ALGEBRA))
 
 
 def f1m_mul_scalar(a, m: Matrix):
-    rows = len(a)
-    out = [[Form1.zero(SCALAR_ALGEBRA) for _ in range(m.cols)]
-           for _ in range(rows)]
-    for i in range(rows):
-        for j in range(m.cols):
-            acc = Form1.zero(SCALAR_ALGEBRA)
-            for k in range(m.rows):
-                acc = acc + a[i][k].scale(m[(k, j)])
-            out[i][j] = acc
-    return out
-
-
-def f1m_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def f1m_is_zero(a):
-    return all(x.is_zero() for row in a for x in row)
-
-
-def fm_constant_part(a):
-    """The (t-free, dt-free) coefficient matrix, or None if some entry has a
-    non-constant 0-form component."""
-    rows, cols = fm_shape(a)
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            c = Fraction(0)
-            for (mask, e1, e2), coeff in a[i][j].terms.items():
-                if mask == 0:
-                    if (e1, e2) != (0, 0):
-                        return None
-                    c = coeff.coeffs.get((), Fraction(0))
-            row.append(c)
-        out.append(row)
-    return Matrix.from_rows(out) if rows and cols else Matrix(rows, cols, [])
+    """Interval-form matrix times rational matrix, over nonzeros only."""
+    m_rows = m.sparse_rows()
+    return _accumulate(([(j, f if c == 1 else f.scale(c))
+                         for f, m_row in zip(row, m_rows) if f.terms
+                         for j, c in m_row]
+                        for row in a),
+                       m.cols, Form1.zero(SCALAR_ALGEBRA))
 
 
 def fm_dt_parts(a):
@@ -372,14 +348,10 @@ def global_section_defects(f: HomElement, source, target):
             f1m_scalar_mul(dst.base.g(cross), fm_restrict(f.entries, i, 0)),
             src.base.g_inv(cross))
         rhs = fm_restrict(f.entries, i, 1)
-        diff = f1m_sub(lhs, rhs)
-        if not f1m_is_zero(diff):
+        diff = fm_sub(lhs, rhs)
+        if not fm_is_zero(diff):
             defects.append((i, diff))
     return defects
-
-
-def is_global_section_hom(f: HomElement, source, target) -> bool:
-    return not global_section_defects(f, source, target)
 
 
 class McReport:
@@ -563,11 +535,12 @@ def _solve_sparse(images, rhs):
     for img in images:
         keys.update(img)
     keys = sorted(keys, key=repr)
-    rows = [[img.get(k, Fraction(0)) for img in images] for k in keys]
-    b = [rhs.get(k, Fraction(0)) for k in keys]
-    if not rows:
+    if not keys:
         return tuple(Fraction(0) for _ in images), []
-    return solve(Matrix.from_rows(rows), b)
+    zero = Fraction(0)
+    a = Matrix._exact(len(keys), len(images),
+                      [img.get(k, zero) for k in keys for img in images])
+    return solve(a, [rhs.get(k, zero) for k in keys])
 
 
 class _ChainProblem:
@@ -969,12 +942,8 @@ def rep_extension(r: TorusRep, split: int, bound: int = 4) -> ExtensionData:
 
 def _splitting_corner(top: TorusRep, bottom: TorusRep, corners, bound: int):
     """Solve the face-compatibility conditions for the splitting corner."""
-    h = []
+    h = [(top.g_inv(i) * corners[i - 1]).scale(-1) for i in (1, 2)]
     fast = True
-    for i in (1, 2):
-        hi = invert(top.g(i)) * corners[i - 1]
-        hi = hi.scale(-1)
-        h.append(hi)
     for i in (1, 2):
         cross = 3 - i
         if top.g(cross) * h[i - 1] * bottom.g_inv(cross) != h[i - 1]:
@@ -1007,7 +976,7 @@ def _splitting_corner(top: TorusRep, bottom: TorusRep, corners, bound: int):
                 f1m_scalar_mul(top.g(cross), fm_restrict(unit, i, 0)),
                 bottom.g_inv(cross))
             rhs = fm_restrict(unit, i, 1)
-            _flatten(("cond", i), f1m_sub(lhs, rhs), img)
+            _flatten(("cond", i), fm_sub(lhs, rhs), img)
         images.append(img)
     rhs_total = {}
     for i in (1, 2):

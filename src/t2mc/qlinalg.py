@@ -2,10 +2,11 @@
 
 Everything downstream (monomial bases, cochain complexes, intertwiner
 searches, lattice membership) reduces to the routines here.  All entries are
-`fractions.Fraction`.  Every rational elimination (rank, kernel, solve,
-inverse) goes through `Matrix.rref`, a sparse Gauss-Jordan reduction whose
-output is the unique reduced row echelon form, so identical inputs always
-produce identical outputs.
+`fractions.Fraction`, stored densely; products (row-wise sparse, after
+Gustavson) and eliminations touch only the nonzeros.  Every rational
+elimination (rank, kernel, solve, inverse) goes through `Matrix.rref`, a
+sparse Gauss-Jordan reduction whose output is the unique reduced row echelon
+form, so identical inputs always produce identical outputs.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_ZERO = Fraction(0)
+
+
 class Matrix:
     """Immutable dense matrix over Q, row-major."""
 
@@ -46,6 +50,14 @@ class Matrix:
         self.entries = entries
 
     @classmethod
+    def _exact(cls, rows: int, cols: int, entries) -> "Matrix":
+        """A matrix from rows*cols entries that are already Fractions (the
+        results of exact arithmetic), stored without coercion."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.entries = rows, cols, tuple(entries)
+        return m
+
+    @classmethod
     def from_rows(cls, rows) -> "Matrix":
         rows = [list(r) for r in rows]
         n = len(rows)
@@ -56,23 +68,22 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+        return cls.diagonal([Fraction(1)] * n)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
+        return cls._exact(rows, cols, [_ZERO] * (rows * cols))
 
     @classmethod
     def diagonal(cls, diag) -> "Matrix":
         diag = [frac(d) for d in diag]
         n = len(diag)
-        return cls(n, n, [diag[i] if i == j else Fraction(0)
-                          for i in range(n) for j in range(n)])
+        return cls._exact(n, n, [diag[i] if i == j else _ZERO
+                                 for i in range(n) for j in range(n)])
 
     @classmethod
     def column(cls, vec) -> "Matrix":
-        vec = [frac(v) for v in vec]
-        return cls(len(vec), 1, vec)
+        return cls._exact(len(vec), 1, [frac(v) for v in vec])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -101,49 +112,65 @@ class Matrix:
 
     def __add__(self, other):
         self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self.entries, other.entries)])
+        return Matrix._exact(self.rows, self.cols,
+                             [a + b for a, b in zip(self.entries,
+                                                    other.entries)])
 
     def __sub__(self, other):
         self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      [a - b for a, b in zip(self.entries, other.entries)])
+        return Matrix._exact(self.rows, self.cols,
+                             [a - b for a, b in zip(self.entries,
+                                                    other.entries)])
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols, [-a for a in self.entries])
+        return Matrix._exact(self.rows, self.cols, [-a for a in self.entries])
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self.entries])
+        return Matrix._exact(self.rows, self.cols,
+                             [c * a for a in self.entries])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return self.scale(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((ri[k] * other.entries[k * other.cols + j]
-                                for k in range(self.cols)), Fraction(0)))
-        return Matrix(self.rows, other.cols, out)
+        return Matrix._exact(self.rows, other.cols,
+                             self._times(other.sparse_rows(), other.cols))
 
     def __rmul__(self, other):
         return self.scale(other)
 
+    def sparse_rows(self):
+        """Each row as a list of its (column, nonzero entry) pairs."""
+        return [[(j, e) for j, e in enumerate(self.row(i)) if e]
+                for i in range(self.rows)]
+
+    def _times(self, b_rows, width):
+        """Entries of self times the matrix with these sparse rows: each
+        nonzero a_ik adds a_ik times row k, so zeros on either side are free."""
+        out = []
+        for i in range(self.rows):
+            acc = [_ZERO] * width
+            for a, b_row in zip(self.row(i), b_rows):
+                if a:
+                    for j, b in b_row:
+                        acc[j] += a * b
+            out += acc
+        return out
+
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [self.entries[i * self.cols + j]
-                       for j in range(self.cols) for i in range(self.rows)])
+        return Matrix._exact(self.cols, self.rows,
+                             [self.entries[i * self.cols + j]
+                              for j in range(self.cols)
+                              for i in range(self.rows)])
 
     def apply(self, vec):
         """Matrix times column vector (a sequence), returned as a tuple."""
         vec = [frac(v) for v in vec]
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum((self.row(i)[k] * vec[k] for k in range(self.cols)),
-                         Fraction(0)) for i in range(self.rows))
+        return tuple(self._times([[(0, v)] if v else [] for v in vec], 1))
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
@@ -163,8 +190,7 @@ class Matrix:
         and identical inputs give identical outputs bit for bit.
         """
         n, m = self.rows, self.cols
-        rows = [{j: e for j, e in enumerate(self.row(i)) if e}
-                for i in range(n)]
+        rows = [dict(r) for r in self.sparse_rows()]
         free = [r for r in rows if r]  # rows not yet used as a pivot row
         done = []                      # pivot rows, in pivot-column order
         pivots = []
@@ -239,8 +265,8 @@ def solve(a: Matrix, b):
     b = [frac(v) for v in b]
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
-    aug = Matrix(a.rows, a.cols + 1,
-                 [e for i in range(a.rows) for e in (*a.row(i), b[i])])
+    aug = Matrix._exact(a.rows, a.cols + 1,
+                        [e for i in range(a.rows) for e in (*a.row(i), b[i])])
     rows, pivots = aug.rref()
     if a.cols in pivots:
         return None
@@ -255,13 +281,14 @@ def invert(m: Matrix):
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    aug = Matrix(n, 2 * n,
-                 [e for i in range(n)
-                  for e in (*m.row(i), *Matrix.identity(n).row(i))])
+    ident = Matrix.identity(n)
+    aug = Matrix._exact(n, 2 * n, [e for i in range(n)
+                                   for e in (*m.row(i), *ident.row(i))])
     rows, pivots = aug.rref()
     if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
         return None
-    return Matrix(n, n, [rows[i][n + j] for i in range(n) for j in range(n)])
+    return Matrix._exact(n, n, [rows[i][n + j]
+                                for i in range(n) for j in range(n)])
 
 
 def det(m: Matrix) -> Fraction:

@@ -281,19 +281,17 @@ class Form2:
         (1-j, t) for i = 2; kills the crossing dt and renames the parameter."""
         if i not in (1, 2) or j not in (0, 1):
             raise ValueError("edge index i in {1,2}, vertex index j in {0,1}")
-        value = Fraction(1 - j)
         cross_bit = 2 if i == 1 else 1
         out = {}
         for (mask, e1, e2), a in self.terms.items():
             if mask & cross_bit:
                 continue
             par_e, cross_e = (e1, e2) if i == 1 else (e2, e1)
-            coeff = a.scale(value ** cross_e)
-            if coeff.is_zero():
-                continue
+            if j and cross_e:
+                continue  # the crossing coordinate is 0 on this edge
             key = (1 if mask else 0, par_e)
             cur = out.get(key)
-            out[key] = coeff if cur is None else cur + coeff
+            out[key] = a if cur is None else cur + a
         return Form1(self.alg, out)
 
     def degrees(self):
@@ -351,10 +349,6 @@ def restrict_edge(x: Form2, i: int, j: int) -> Form1:
 # scalar form shorthands
 def sq(coeff=1, e1=0, e2=0, mask=0, alg=SCALAR_ALGEBRA) -> Form2:
     return Form2.monomial(alg, alg.scalar(coeff), e1, e2, mask)
-
-
-def iv(coeff=1, e=0, dt=0, alg=SCALAR_ALGEBRA) -> Form1:
-    return Form1.monomial(alg, alg.scalar(coeff), e, dt)
 
 
 def algebra_map_element(pres: AlgebraPresentation, images: dict, x: Element):

@@ -33,9 +33,13 @@ class IrrationalSpectrumError(DomainError):
 
 
 class TorusRep:
-    """A pair of commuting invertible matrices acting on Q^dim."""
+    """A pair of commuting invertible matrices acting on Q^dim.
 
-    __slots__ = ("dim", "g1", "g2")
+    The rep is immutable, so each generator inverse is computed once, on
+    first use, and kept.
+    """
+
+    __slots__ = ("dim", "g1", "g2", "_inverses")
 
     def __init__(self, g1: Matrix, g2: Matrix):
         if g1.rows != g1.cols or g2.rows != g2.cols or g1.rows != g2.rows:
@@ -43,6 +47,7 @@ class TorusRep:
         self.dim = g1.rows
         self.g1 = g1
         self.g2 = g2
+        self._inverses = {}
 
     @classmethod
     def from_rows(cls, rows1, rows2) -> "TorusRep":
@@ -70,9 +75,12 @@ class TorusRep:
         raise ValueError("generator index must be 1 or 2")
 
     def g_inv(self, i: int) -> Matrix:
-        inv = invert(self.g(i))
+        inv = self._inverses.get(i)
         if inv is None:
-            raise SingularError(f"g{i} is singular")
+            inv = invert(self.g(i))
+            if inv is None:
+                raise SingularError(f"g{i} is singular")
+            self._inverses[i] = inv
         return inv
 
     def __eq__(self, other):

@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from t2mc.gca import SCALAR_ALGEBRA
 from t2mc.mcdg import (HomElement, MCObject, NoGammaAtBoundError,
                        NotEquivariantError, build_extension,
-                       extension_class, fm_dt_parts, fm_is_zero,
+                       extension_class, f1m_mul_scalar, f1m_scalar_mul,
+                       fm_dt_parts, fm_is_zero, fm_mul, fm_restrict,
                        fm_zero, extension_iso, mc_check, mc_to_s,
                        realize_mc, realize_rep, rep_extension,
-                       rep_to_mc, s_element, twisted_d)
+                       rep_to_mc, s_element, straighten, twisted_d)
 from t2mc.qlinalg import Matrix
-from t2mc.t2forms import sq
+from t2mc.t2forms import Form1, Form2, sq
 from t2mc.torus_rep import TorusRep, is_isomorphic
 
 
@@ -90,6 +92,95 @@ def test_twisted_d_squares_to_zero_random():
             f = HomElement(entries, deg)
             ddf = twisted_d(twisted_d(f, src, dst), src, dst)
             assert ddf.is_zero()
+
+
+# -- form-matrix products -----------------------------------------------------
+
+def _random_square_form(rng):
+    """Zero about a third of the time, else a few random square-form terms."""
+    if rng.random() < 0.35:
+        return Form2.zero(SCALAR_ALGEBRA)
+    out = Form2.zero(SCALAR_ALGEBRA)
+    for _ in range(rng.randint(1, 3)):
+        out = out + sq(rng.randint(-3, 3), e1=rng.randint(0, 2),
+                       e2=rng.randint(0, 2), mask=rng.choice([0, 0, 1, 2, 3]))
+    return out
+
+
+def _random_interval_form(rng):
+    if rng.random() < 0.35:
+        return Form1.zero(SCALAR_ALGEBRA)
+    out = Form1.zero(SCALAR_ALGEBRA)
+    for _ in range(rng.randint(1, 3)):
+        out = out + Form1.monomial(SCALAR_ALGEBRA,
+                                   SCALAR_ALGEBRA.scalar(rng.randint(-3, 3)),
+                                   e=rng.randint(0, 2), dt=rng.choice([0, 1]))
+    return out
+
+
+def _random_rational_matrix(rng, rows, cols):
+    return Matrix(rows, cols, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                               if rng.random() < 0.5 else 0
+                               for _ in range(rows * cols)])
+
+
+def _terms(matrix):
+    """Every form's terms in insertion order, so order differences show."""
+    return [[list(f.terms.items()) for f in row] for row in matrix]
+
+
+def _dense_sum(zero, addends):
+    acc = zero
+    for x in addends:
+        acc = acc + x
+    return acc
+
+
+def _dense_restrict(x, i, j):
+    """Face substitution with every coefficient scaled by t_cross := 1 - j
+    to its power."""
+    value = Fraction(1 - j)
+    cross_bit = 2 if i == 1 else 1
+    out = {}
+    for (mask, e1, e2), a in x.terms.items():
+        if mask & cross_bit:
+            continue
+        par_e, cross_e = (e1, e2) if i == 1 else (e2, e1)
+        coeff = a.scale(value ** cross_e)
+        if coeff.is_zero():
+            continue
+        key = (1 if mask else 0, par_e)
+        out[key] = coeff if key not in out else out[key] + coeff
+    return Form1(SCALAR_ALGEBRA, out)
+
+
+def test_form_matrix_products_match_dense_reference():
+    rng = random.Random(97)
+    zero1 = Form1.zero(SCALAR_ALGEBRA)
+    zero2 = Form2.zero(SCALAR_ALGEBRA)
+    for _ in range(25):
+        n, k, m = (rng.randint(1, 4) for _ in range(3))
+        a = [[_random_square_form(rng) for _ in range(k)] for _ in range(n)]
+        b = [[_random_square_form(rng) for _ in range(m)] for _ in range(k)]
+        expected = [[_dense_sum(zero2, (a[i][kk] * b[kk][j]
+                                        for kk in range(k)))
+                     for j in range(m)] for i in range(n)]
+        assert _terms(fm_mul(a, b)) == _terms(expected)
+        for i in (1, 2):
+            for j in (0, 1):
+                assert _terms(fm_restrict(a, i, j)) == _terms(
+                    [[_dense_restrict(x, i, j) for x in row] for row in a])
+        f = [[_random_interval_form(rng) for _ in range(m)] for _ in range(k)]
+        r = _random_rational_matrix(rng, n, k)
+        expected = [[_dense_sum(zero1, (f[kk][j].scale(r[(i, kk)])
+                                        for kk in range(k)))
+                     for j in range(m)] for i in range(n)]
+        assert _terms(f1m_scalar_mul(r, f)) == _terms(expected)
+        r = _random_rational_matrix(rng, m, n)
+        expected = [[_dense_sum(zero1, (f[i][kk].scale(r[(kk, j)])
+                                        for kk in range(m)))
+                     for j in range(n)] for i in range(k)]
+        assert _terms(f1m_mul_scalar(f, r)) == _terms(expected)
 
 
 # -- MC checks -----------------------------------------------------------------
@@ -277,6 +368,30 @@ def test_realized_pair_commutes_whenever_precondition_holds():
 
 # -- the pipeline -------------------------------------------------------------------
 
+def test_straighten_unipotent_j4_last_stage_pinned():
+    # the last stage of rep_to_mc on the unipotent J4 at bound 4: the pushed
+    # extension class of the fourth basis vector over the twisted J3 part
+    partial_eta = fm_zero(3, 3)
+    partial_eta[0][1] = sq(-1, mask=1)
+    partial_eta[0][2] = sq(Fraction(1, 2), mask=1)
+    partial_eta[1][2] = sq(-1, mask=1)
+    partial = MCObject.semisimple([(1, 1)] * 3, partial_eta)
+    bottom = MCObject.semisimple([(1, 1)])
+    omega = HomElement([[sq(-1, mask=1) + sq(Fraction(3, 2), e1=1, mask=1)
+                         + sq(Fraction(-1, 2), e1=2, mask=1)],
+                        [sq(1, mask=1) + sq(-1, e1=1, mask=1)],
+                        [sq(-1, mask=1)]], 1)
+    k1, k2, chain = straighten(omega, bottom, partial, 4)
+    assert k1 == Matrix.from_rows([[Fraction(-1, 3)], [Fraction(1, 2)], [-1]])
+    assert k2 == Matrix.zero(3, 1)
+    expected = [[sq(Fraction(-2, 3), e1=1) + sq(1, e1=2)
+                 + sq(Fraction(-1, 3), e1=3)],
+                [sq(Fraction(1, 2), e1=1) + sq(Fraction(-1, 2), e1=2)],
+                [Form2.zero(SCALAR_ALGEBRA)]]
+    assert chain.degree == 0
+    assert _terms(chain.entries) == _terms(expected)
+
+
 def test_rep_to_mc_semisimple_input():
     mc = rep_to_mc(TorusRep.diagonal([(2, 1), (3, 5)])).mc
     assert fm_is_zero(mc.eta)
@@ -390,3 +505,32 @@ def test_rep_to_mc_mixed_characters_supported_on_equal_pairs():
                 assert res.mc.characters[i] == res.mc.characters[j]
     realized = realize_mc(res.mc)
     assert is_isomorphic(v, realized).status == "isomorphic"
+
+
+def test_rep_to_mc_unipotent_j5_elimination_counts(monkeypatch):
+    """Regression bounds on the exact eliminations behind rep_to_mc on the
+    unipotent J5 at bound 4; the generator inverses are computed once per
+    representation."""
+    import t2mc.mcdg as mcdg
+    import t2mc.qlinalg as qlinalg
+    import t2mc.torus_rep as torus_rep
+
+    calls = {"invert": 0, "rref": 0}
+    invert, rref = qlinalg.invert, Matrix.rref
+
+    def counting_invert(m):
+        calls["invert"] += 1
+        return invert(m)
+
+    def counting_rref(self):
+        calls["rref"] += 1
+        return rref(self)
+
+    for module in (qlinalg, torus_rep, mcdg):
+        monkeypatch.setattr(module, "invert", counting_invert)
+    monkeypatch.setattr(Matrix, "rref", counting_rref)
+    n = 5
+    j5 = rep([[int(j in (i, i + 1)) for j in range(n)] for i in range(n)])
+    rep_to_mc(j5, bound=4)
+    assert calls["invert"] <= 42
+    assert calls["rref"] <= 80

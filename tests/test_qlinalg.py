@@ -271,3 +271,83 @@ def test_solve_reduces_once(monkeypatch):
         calls.clear()
         solve(a, b)
         assert calls == [(a.rows, a.cols + 1)]
+
+
+def _naive_product(a, b):
+    """The dense triple loop: entry (i, j) is sum_k a_ik b_kj."""
+    return Matrix(a.rows, b.cols,
+                  [sum((a[(i, k)] * b[(k, j)] for k in range(a.cols)),
+                       Fraction(0))
+                   for i in range(a.rows) for j in range(b.cols)])
+
+
+def _product_cases():
+    """Seeded factor pairs from 0 % to 100 % dense, with zero rows and
+    columns on either side, and the empty inner and outer shapes."""
+    rng = random.Random(37)
+    cases = [(Matrix.zero(0, 3), Matrix.zero(3, 0)),   # 0xk · kx0
+             (Matrix.zero(4, 0), Matrix.zero(0, 5)),   # nx0 · 0xm
+             (Matrix.zero(0, 0), Matrix.zero(0, 0)),
+             (Matrix.zero(2, 3), Matrix.zero(3, 4))]
+    for density in (0.0, 0.05, 0.2, 0.5, 1.0):
+        for _ in range(5):
+            n, k, m = (rng.randint(1, 12) for _ in range(3))
+            cases.append((_sparse_matrix(rng, n, k, density),
+                           _sparse_matrix(rng, k, m, density)))
+    for _ in range(5):
+        n, k, m = (rng.randint(2, 9) for _ in range(3))
+        a = _sparse_matrix(rng, n, k, 0.6).to_rows()
+        b = _sparse_matrix(rng, k, m, 0.6).to_rows()
+        a[rng.randrange(n)] = [0] * k                       # zero row of a
+        dead = rng.randrange(k)
+        a = [r[:dead] + [0] + r[dead + 1:] for r in a]      # zero column of a
+        b[rng.randrange(k)] = [0] * m                       # zero row of b
+        dead = rng.randrange(m)
+        b = [r[:dead] + [0] + r[dead + 1:] for r in b]      # zero column of b
+        cases.append((Matrix.from_rows(a), Matrix.from_rows(b)))
+    return cases
+
+
+def test_product_and_apply_match_naive_reference():
+    rng = random.Random(41)
+    for a, b in _product_cases():
+        prod = a * b
+        assert (prod.rows, prod.cols) == (a.rows, b.cols)
+        assert prod == _naive_product(a, b)
+        assert all(type(e) is Fraction for e in prod.entries)
+        vec = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if
+               rng.random() < 0.5 else 0 for _ in range(a.cols)]
+        assert a.apply(vec) == tuple(
+            _naive_product(a, Matrix.column(vec)).entries)
+
+
+def test_product_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(m):
+        return sympy.Matrix(m.rows, m.cols,
+                            [sympy.Rational(e.numerator, e.denominator)
+                             for e in m.entries])
+
+    for a, b in _product_cases():
+        expected = to_sympy(a) * to_sympy(b)
+        assert (a * b).entries == tuple(
+            Fraction(int(expected[i, j].p), int(expected[i, j].q))
+            for i in range(a.rows) for j in range(b.cols))
+
+
+def test_product_shape_mismatch_raises():
+    with pytest.raises(ValueError):
+        Matrix.zero(2, 3) * Matrix.zero(2, 3)
+    with pytest.raises(ValueError):
+        Matrix.zero(2, 3).apply([1, 2])
+
+
+def test_scalar_product_unchanged():
+    m = Matrix.from_rows([[1, Fraction(-2, 3)], [0, 5]])
+    expected = Matrix.from_rows([[Fraction(3, 2), -1], [0, Fraction(15, 2)]])
+    assert m * Fraction(3, 2) == expected
+    assert Fraction(3, 2) * m == expected
+    assert m * "3/2" == expected
+    assert 0 * m == Matrix.zero(2, 2)
+    assert (-1) * m == -m

@@ -110,6 +110,53 @@ def test_hom_rep_action_formula():
                            for l in range(2)]
 
 
+def test_g_inv_is_computed_once(monkeypatch):
+    import t2mc.torus_rep as torus_rep
+
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return invert(m)
+
+    monkeypatch.setattr(torus_rep, "invert", counting)
+    v = rep([[1, 2], [0, Fraction(1, 2)]], [[3, 0], [0, 3]])
+    first = v.g_inv(1)
+    assert first == invert(v.g1)
+    assert v.g_inv(1) is first
+    assert v.g_inv(2) == invert(v.g2)
+    assert v.g_inv(2) is v.g_inv(2)
+    assert calls == [v.g1, v.g2]
+
+
+def test_g_inv_singular_raises_on_every_call(monkeypatch):
+    import t2mc.torus_rep as torus_rep
+
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return invert(m)
+
+    monkeypatch.setattr(torus_rep, "invert", counting)
+    singular = rep([[0, 0], [0, 1]])
+    for _ in range(3):
+        with pytest.raises(SingularError):
+            singular.g_inv(1)
+    assert len(calls) == 3
+    assert singular.g_inv(2) == Matrix.identity(2)
+
+
+def test_rep_equality_ignores_cached_inverses():
+    a = rep([[1, 2], [0, 1]])
+    b = rep([[1, 2], [0, 1]])
+    a.g_inv(1)
+    a.g_inv(2)
+    assert a == b and b == a
+    assert a != rep([[1, 3], [0, 1]])
+    assert a != rep([[1, 2], [0, 1]], [[2, 0], [0, 2]])
+
+
 def test_cellular_pinned():
     assert cellular_complex(TorusRep.trivial(1)).betti(range(3)) == (1, 2, 1)
     assert cellular_complex(TorusRep.character(2, 1)).betti(
