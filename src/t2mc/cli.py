@@ -35,6 +35,8 @@ from .xmodel import (ParameterSpec, build_total_model, build_torus_model,
                      twisted_invariants_complex, verify_chain_map)
 
 SCHEMA_VERSION = 1
+# error class -> exit code, matched in this order
+_EXIT_CODES = {ParseError: 3, DomainError: 2, CrossCheckError: 4}
 
 
 def matrix_json(m: Matrix):
@@ -423,10 +425,7 @@ def cmd_verify(args) -> int:
                     line += f" via {sec[v]['conjugator']}"
                 print(line)
     print("overall:", "ok" if report["pass"] else "FAIL")
-    if args.out:
-        _emit(report, args.out)
-    else:
-        _emit(report, None)
+    _emit(report, args.out)
     return 0 if report["pass"] else 4
 
 
@@ -467,15 +466,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CrossCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for cls, code in _EXIT_CODES.items()
+                    if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -95,6 +95,8 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if not isinstance(other, Element):
+            return NotImplemented  # e.g. a form: its __rmul__ takes over
         other = self.pres.coerce(other)
         out = {}
         for m1, c1 in self.coeffs.items():

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .gca import SCALAR_ALGEBRA, AlgebraPresentation, Element
 from .qlinalg import Matrix, frac, invert, solve
-from .t2forms import Form1, Form2
+from .t2forms import Form1, Form2, sq
 from .torus_rep import TorusRep, require_valid
 
 
@@ -93,6 +93,16 @@ def s_coefficients(e: Element):
 
 
 # -- matrices of scalar square forms ----------------------------------------
+#
+# A form matrix is a list of rows of scalar Form2s (Form1s after a face
+# restriction).  Rational matrices enter through two builders:
+# `fm_from_matrix` (constant 0-forms) and `fm_dt_matrix`, the pair
+# m1·u1 + m2·u2 over the units DT = (dt1, dt2) or T = (t1, t2).  Every split
+# extension is assembled by `_splitting` from its block sizes and corner.
+
+DT = ({"mask": 1}, {"mask": 2})
+T = ({"e1": 1}, {"e2": 1})
+
 
 def fm_zero(rows, cols):
     return [[Form2.zero(SCALAR_ALGEBRA) for _ in range(cols)]
@@ -100,23 +110,15 @@ def fm_zero(rows, cols):
 
 
 def fm_from_matrix(m: Matrix):
-    return [[Form2.const(SCALAR_ALGEBRA, SCALAR_ALGEBRA.scalar(m[(i, j)]))
-             for j in range(m.cols)] for i in range(m.rows)]
+    return [[sq(m[(i, j)]) for j in range(m.cols)] for i in range(m.rows)]
 
 
-def fm_dt_matrix(m1: Matrix, m2: Matrix):
-    """Constant 1-form matrix m1 dt1 + m2 dt2."""
-    rows, cols = m1.rows, m1.cols
-    out = fm_zero(rows, cols)
-    for i in range(rows):
-        for j in range(cols):
-            out[i][j] = (Form2.monomial(SCALAR_ALGEBRA,
-                                        SCALAR_ALGEBRA.scalar(m1[(i, j)]),
-                                        mask=1)
-                         + Form2.monomial(SCALAR_ALGEBRA,
-                                          SCALAR_ALGEBRA.scalar(m2[(i, j)]),
-                                          mask=2))
-    return out
+def fm_dt_matrix(m1: Matrix, m2: Matrix, units=DT):
+    """The form matrix m1·u1 + m2·u2 for units (u1, u2): DT gives the
+    constant 1-forms m1 dt1 + m2 dt2, T the linear 0-forms m1 t1 + m2 t2."""
+    u1, u2 = units
+    return [[sq(m1[(i, j)], **u1) + sq(m2[(i, j)], **u2)
+             for j in range(m1.cols)] for i in range(m1.rows)]
 
 
 def fm_add(a, b):
@@ -264,16 +266,10 @@ class MCObject:
         """The twist as a matrix of square forms (s1 -> dt1, s2 -> dt2)."""
         if self.ambient == FORMS:
             return self.eta
-        n = self.dim
-        out = fm_zero(n, n)
-        for i in range(n):
-            for j in range(n):
-                c1, c2 = s_coefficients(self.eta[i][j])
-                out[i][j] = (Form2.monomial(SCALAR_ALGEBRA,
-                                            SCALAR_ALGEBRA.scalar(c1), mask=1)
-                             + Form2.monomial(SCALAR_ALGEBRA,
-                                              SCALAR_ALGEBRA.scalar(c2), mask=2))
-        return out
+        coeffs = [[s_coefficients(x) for x in row] for row in self.eta]
+        return fm_dt_matrix(*(Matrix.from_rows([[c[k] for c in row]
+                                                for row in coeffs])
+                              for k in (0, 1)))
 
 
 def as_object(x) -> MCObject:
@@ -370,12 +366,11 @@ def mc_check(o: MCObject) -> McReport:
     failures = []
     n = o.dim
     if o.ambient == FORMS:
-        eta = HomElement(o.eta, 1)
         defect = fm_add(fm_d(o.eta), fm_mul(o.eta, o.eta))
         if not fm_is_zero(defect):
             failures.append("mc_equation")
-        if global_section_defects(eta, MCObject.from_rep(o.base),
-                                  MCObject.from_rep(o.base)):
+        base = MCObject.from_rep(o.base)
+        if global_section_defects(HomElement(o.eta, 1), base, base):
             failures.append("equivariance")
     elif o.ambient == SALGEBRA:
         for i in range(n):
@@ -483,15 +478,20 @@ def build_extension(omega: HomElement, top, bottom) -> ExtensionData:
         for j in range(nb):
             eta[nt + i][nt + j] = bottom.eta[i][j]
     total = MCObject.semisimple(chars, eta)
-    p = HomElement.from_matrix(Matrix.from_rows(
-        [[Fraction(int(i == j)) for j in range(nt)] for i in range(n)]))
-    q = HomElement.from_matrix(Matrix.from_rows(
-        [[Fraction(int(j == nt + i)) for j in range(n)] for i in range(nb)]))
-    alpha = HomElement.from_matrix(Matrix.from_rows(
-        [[Fraction(int(i == j)) for j in range(n)] for i in range(nt)]))
-    beta = HomElement.from_matrix(Matrix.from_rows(
-        [[Fraction(int(nt + j == i)) for j in range(nb)] for i in range(n)]))
-    return ExtensionData(top, bottom, total, p, q, alpha, beta).validate()
+    return ExtensionData(top, bottom, total,
+                         *_splitting(nt, nb, fm_zero(nt, nb))).validate()
+
+
+def _splitting(nt, nb, psi):
+    """(p, q, alpha, beta) of a block extension with nt x nb corner psi: p
+    and q are the constant block inclusion and projection, and the
+    splitting is alpha = [id, -psi], beta = [psi; id]."""
+    eye = fm_from_matrix(Matrix.identity(nt + nb))
+    alpha = [row[:nt] + [-x if x.terms else x for x in corner]
+             for row, corner in zip(eye, psi)]
+    return (HomElement([row[:nt] for row in eye], 0), HomElement(eye[nt:], 0),
+            HomElement(alpha, 0),
+            HomElement(psi + [row[nt:] for row in eye[nt:]], 0))
 
 
 def extension_class(ext: ExtensionData) -> HomElement:
@@ -562,12 +562,11 @@ class _ChainProblem:
     def _image_of_chain(self, p, q, mono):
         rows, cols = self.dst.dim, self.src.dim
         unit = fm_zero(rows, cols)
-        unit[p][q] = Form2.monomial(SCALAR_ALGEBRA, SCALAR_ALGEBRA.scalar(1),
-                                    e1=mono[0], e2=mono[1])
+        unit[p][q] = sq(1, *mono)
         h = HomElement(unit, 0)
         img = {}
         _flatten("eq", twisted_d(h, self.src, self.dst).entries, img)
-        for i, diff in global_section_defects(h, self.src, self.dst) or []:
+        for i, diff in global_section_defects(h, self.src, self.dst):
             _flatten(("gs", i), diff, img)
         return unit, img
 
@@ -585,13 +584,11 @@ class _ChainProblem:
         for axis, mask in ((1, 1), (2, 2)):
             for (p, q) in allowed:
                 unit = fm_zero(self.dst.dim, self.src.dim)
-                unit[p][q] = Form2.monomial(SCALAR_ALGEBRA,
-                                            SCALAR_ALGEBRA.scalar(1), mask=mask)
+                unit[p][q] = sq(1, mask=mask)
                 h = HomElement(unit, 1)
                 img = {}
                 _flatten("eq", unit, img)
-                for i, diff in global_section_defects(
-                        h, self.src, self.dst) or []:
+                for i, diff in global_section_defects(h, self.src, self.dst):
                     _flatten(("gs", i), diff, img)
                 self.vars.append(("k", axis, p, q, unit))
                 self.images.append(img)
@@ -818,33 +815,8 @@ def realize_rep(top: TorusRep, bottom: TorusRep, f1: Matrix,
         mats.append(Matrix.from_rows(rows))
     rep = TorusRep(mats[0], mats[1])
     require_valid(rep)
-    n = nt + nb
-    psi = fm_zero(nt, nb)
-    for i in range(nt):
-        for j in range(nb):
-            psi[i][j] = (Form2.monomial(SCALAR_ALGEBRA,
-                                        SCALAR_ALGEBRA.scalar(f1[(i, j)]), e1=1)
-                         + Form2.monomial(SCALAR_ALGEBRA,
-                                          SCALAR_ALGEBRA.scalar(f2[(i, j)]),
-                                          e2=1))
-    p = HomElement.from_matrix(Matrix.from_rows(
-        [[Fraction(int(i == j)) for j in range(nt)] for i in range(n)]))
-    q = HomElement.from_matrix(Matrix.from_rows(
-        [[Fraction(int(j == nt + i)) for j in range(n)] for i in range(nb)]))
-    alpha_entries = fm_zero(nt, n)
-    beta_entries = fm_zero(n, nb)
-    for i in range(nt):
-        alpha_entries[i][i] = Form2.const(SCALAR_ALGEBRA,
-                                          SCALAR_ALGEBRA.scalar(1))
-        for j in range(nb):
-            alpha_entries[i][nt + j] = -psi[i][j]
-            beta_entries[i][j] = psi[i][j]
-    for j in range(nb):
-        beta_entries[nt + j][j] = Form2.const(SCALAR_ALGEBRA,
-                                              SCALAR_ALGEBRA.scalar(1))
-    ext = ExtensionData(top, bottom, rep, p, q,
-                        HomElement(alpha_entries, 0),
-                        HomElement(beta_entries, 0)).validate()
+    ext = ExtensionData(top, bottom, rep, *_splitting(
+        nt, nb, fm_dt_matrix(f1, f2, T))).validate()
     return RealizeResult(rep, ext)
 
 
@@ -920,24 +892,8 @@ def rep_extension(r: TorusRep, split: int, bound: int = 4) -> ExtensionData:
                       sub(r.g2, split, n, split, n))
     corners = [sub(r.g1, 0, split, split, n), sub(r.g2, 0, split, split, n)]
     psi = _splitting_corner(top, bottom, corners, bound)
-    nt, nb = split, n - split
-    p = HomElement.from_matrix(Matrix.from_rows(
-        [[Fraction(int(i == j)) for j in range(nt)] for i in range(n)]))
-    q = HomElement.from_matrix(Matrix.from_rows(
-        [[Fraction(int(j == nt + i)) for j in range(n)] for i in range(nb)]))
-    alpha_entries = fm_zero(nt, n)
-    beta_entries = fm_zero(n, nb)
-    for i in range(nt):
-        alpha_entries[i][i] = Form2.const(SCALAR_ALGEBRA,
-                                          SCALAR_ALGEBRA.scalar(1))
-        for j in range(nb):
-            alpha_entries[i][nt + j] = -psi[i][j]
-            beta_entries[i][j] = psi[i][j]
-    for j in range(nb):
-        beta_entries[nt + j][j] = Form2.const(SCALAR_ALGEBRA,
-                                              SCALAR_ALGEBRA.scalar(1))
-    return ExtensionData(top, bottom, r, p, q, HomElement(alpha_entries, 0),
-                         HomElement(beta_entries, 0)).validate()
+    return ExtensionData(top, bottom, r,
+                         *_splitting(split, n - split, psi)).validate()
 
 
 def _splitting_corner(top: TorusRep, bottom: TorusRep, corners, bound: int):
@@ -949,36 +905,23 @@ def _splitting_corner(top: TorusRep, bottom: TorusRep, corners, bound: int):
         if top.g(cross) * h[i - 1] * bottom.g_inv(cross) != h[i - 1]:
             fast = False
             break
-    nt, nb = top.dim, bottom.dim
     if fast:
-        psi = fm_zero(nt, nb)
-        for i in range(nt):
-            for j in range(nb):
-                psi[i][j] = (
-                    Form2.monomial(SCALAR_ALGEBRA,
-                                   SCALAR_ALGEBRA.scalar(h[0][(i, j)]), e1=1)
-                    + Form2.monomial(SCALAR_ALGEBRA,
-                                     SCALAR_ALGEBRA.scalar(h[1][(i, j)]), e2=1))
-        return psi
-    # general case: linear solve for a polynomial corner
-    monos = _poly_monomials(bound)
+        return fm_dt_matrix(h[0], h[1], T)
+    # general case: linear solve for a polynomial corner; each unknown's
+    # image is its pair of face-compatibility defects
+    nt, nb = top.dim, bottom.dim
+    src, dst = MCObject.from_rep(bottom), MCObject.from_rep(top)
     variables = [(p, q, mono) for p in range(nt) for q in range(nb)
-                 for mono in monos]
+                 for mono in _poly_monomials(bound)]
     images = []
     for (p, q, mono) in variables:
-        img = {}
         unit = fm_zero(nt, nb)
-        unit[p][q] = Form2.monomial(SCALAR_ALGEBRA, SCALAR_ALGEBRA.scalar(1),
-                                    e1=mono[0], e2=mono[1])
-        for i in (1, 2):
-            cross = 3 - i
-            lhs = f1m_mul_scalar(
-                f1m_scalar_mul(top.g(cross), fm_restrict(unit, i, 0)),
-                bottom.g_inv(cross))
-            rhs = fm_restrict(unit, i, 1)
-            _flatten(("cond", i), fm_sub(lhs, rhs), img)
+        unit[p][q] = sq(1, *mono)
+        img = {}
+        for i, diff in global_section_defects(HomElement(unit, 0), src, dst):
+            _flatten(("gs", i), diff, img)
         images.append(img)
-    rhs_total = {}
+    rhs = {}
     for i in (1, 2):
         cross = 3 - i
         const = f1m_mul_scalar(
@@ -986,19 +929,23 @@ def _splitting_corner(top: TorusRep, bottom: TorusRep, corners, bound: int):
                           SCALAR_ALGEBRA.scalar(corners[cross - 1][(p, q)]))
               for q in range(nb)] for p in range(nt)],
             bottom.g_inv(cross))
-        _flatten(("cond", i), const, rhs_total, sign=-1)
-    sol = _solve_sparse(images, rhs_total)
+        _flatten(("gs", i), const, rhs, sign=-1)
+    sol = _solve_sparse(images, rhs)
     if sol is None:
         raise StraighteningFailedError(
             f"no polynomial splitting within degree {bound}")
-    coeffs, _ = sol
     psi = fm_zero(nt, nb)
-    for c, (p, q, mono) in zip(coeffs, variables):
+    for c, (p, q, mono) in zip(sol[0], variables):
         if c:
-            psi[p][q] = psi[p][q] + Form2.monomial(
-                SCALAR_ALGEBRA, SCALAR_ALGEBRA.scalar(c), e1=mono[0],
-                e2=mono[1])
+            psi[p][q] = psi[p][q] + sq(c, *mono)
     return psi
+
+
+def _bordered(a, column, corner):
+    """[[a, column], [0, corner]] for an m x m form matrix a and an m x 1
+    column."""
+    return ([row + col for row, col in zip(a, column)]
+            + [[sq(0)] * len(a) + [corner]])
 
 
 class RepToMcResult:
@@ -1042,26 +989,12 @@ def rep_to_mc(r: TorusRep, bound: int = 4) -> RepToMcResult:
         partial = MCObject.semisimple(chars[:m], eta)
         bottom = MCObject.semisimple([chars[m]])
         k1, k2, chain = straighten(pushed, bottom, partial, bound)
-        new_eta = fm_zero(m + 1, m + 1)
-        for i in range(m):
-            for j in range(m):
-                new_eta[i][j] = eta[i][j]
-            new_eta[i][m] = (
-                Form2.monomial(SCALAR_ALGEBRA,
-                               SCALAR_ALGEBRA.scalar(k1[(i, 0)]), mask=1)
-                + Form2.monomial(SCALAR_ALGEBRA,
-                                 SCALAR_ALGEBRA.scalar(k2[(i, 0)]), mask=2))
-        eta = new_eta
+        # eta_{m+1} = [[eta, k1 dt1 + k2 dt2], [0, 0]]
+        eta = _bordered(eta, fm_dt_matrix(k1, k2), sq(0))
         # phi_{m+1} = [[phi, chain - phi·psi], [0, 1]]
-        psi = [[ext.beta.entries[i][0]] for i in range(m)]
-        corner = fm_sub(chain.entries, fm_mul(phi.entries, psi))
-        new_phi = fm_zero(m + 1, m + 1)
-        for i in range(m):
-            for j in range(m):
-                new_phi[i][j] = phi.entries[i][j]
-            new_phi[i][m] = corner[i][0]
-        new_phi[m][m] = Form2.const(SCALAR_ALGEBRA, SCALAR_ALGEBRA.scalar(1))
-        phi = HomElement(new_phi, 0)
+        psi = ext.beta.entries[:m]
+        phi = HomElement(_bordered(phi.entries, fm_sub(
+            chain.entries, fm_mul(phi.entries, psi)), sq(1)), 0)
     mc = MCObject.semisimple(chars, eta)
     report = mc_check(mc)
     if not report.ok:

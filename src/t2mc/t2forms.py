@@ -6,7 +6,9 @@ sigma2 = {(0, t2)}) and one square cell tau.  Forms carry coefficients in a
 presented graded algebra (use the scalar algebra for plain forms); a term is
 a polynomial in t1, t2 times dt-monomial times coefficient, and the
 differential includes the internal differential of the coefficient algebra
-with the usual Koszul sign.
+with the usual Koszul sign.  `Form1` and `Form2` share one term-dict algebra
+(sums, negation, scaling, equality) in a private base class and differ only
+in their term keys: (dt, e) on the interval, (mask, e1, e2) on the square.
 
 A local system assigns the value algebra to every cell and records the
 twisted face maps d0 (the d1 faces are identities composed with the
@@ -37,8 +39,11 @@ def _popcount(mask: int) -> int:
     return (mask & 1) + ((mask >> 1) & 1)
 
 
-class Form1:
-    """Polynomial form on the interval: sum of t^e * (dt?) * coefficient."""
+class _Form:
+    """The term-dict algebra shared by interval and square forms: `terms`
+    maps a basis key (dt-monomial and t-exponents) to a nonzero coefficient
+    in `alg`.  Subclasses supply the key layout: `monomial`, `__mul__`, `d`,
+    the face restrictions, the degrees and `__repr__`."""
 
     __slots__ = ("alg", "terms")
 
@@ -55,11 +60,6 @@ class Form1:
         return cls(alg)
 
     @classmethod
-    def monomial(cls, alg, coeff, e: int = 0, dt: int = 0):
-        coeff = alg.coerce(coeff)
-        return cls(alg, {(dt, e): coeff})
-
-    @classmethod
     def const(cls, alg, coeff):
         return cls.monomial(alg, coeff)
 
@@ -67,31 +67,54 @@ class Form1:
         return not self.terms
 
     def __eq__(self, other):
-        return (isinstance(other, Form1) and self.alg is other.alg
+        return (type(other) is type(self) and self.alg is other.alg
                 and self.terms == other.terms)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Form1.const(self.alg, self.alg.scalar(other))
+            other = self.const(self.alg, self.alg.scalar(other))
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             cur = out.get(key)
             out[key] = coeff if cur is None else cur + coeff
-        return Form1(self.alg, out)
-
-    __radd__ = __add__
+        return type(self)(self.alg, out)
 
     def __neg__(self):
-        return Form1(self.alg, {k: -c for k, c in self.terms.items()})
+        return type(self)(self.alg, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Form1.const(self.alg, self.alg.scalar(other))
+            other = self.const(self.alg, self.alg.scalar(other))
         return self + (-other)
 
     def scale(self, c):
         c = frac(c)
-        return Form1(self.alg, {k: v.scale(c) for k, v in self.terms.items()})
+        return type(self)(self.alg,
+                          {k: v.scale(c) for k, v in self.terms.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if isinstance(other, Element):
+            return self.const(self.alg, other) * self
+        return NotImplemented
+
+
+class Form1(_Form):
+    """Polynomial form on the interval: sum of t^e * (dt?) * coefficient."""
+
+    __slots__ = ()
+    # bound in the class body, not only inherited: bench/tracer.py counts
+    # these operators through each class's own __dict__
+    __add__ = __radd__ = _Form.__add__
+    __neg__ = _Form.__neg__
+    __sub__ = _Form.__sub__
+    __rmul__ = _Form.__rmul__
+
+    @classmethod
+    def monomial(cls, alg, coeff, e: int = 0, dt: int = 0):
+        coeff = alg.coerce(coeff)
+        return cls(alg, {(dt, e): coeff})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -117,13 +140,6 @@ class Form1:
                 cur = out.get(key)
                 out[key] = prod if cur is None else cur + prod
         return Form1(self.alg, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, Element):
-            return Form1.const(self.alg, other) * self
-        return NotImplemented
 
     def d(self):
         out = Form1.zero(self.alg)
@@ -164,62 +180,20 @@ class Form1:
         return " + ".join(bits)
 
 
-class Form2:
+class Form2(_Form):
     """Polynomial form on the square: terms (mask, e1, e2) -> coefficient,
     where mask bit 1 is dt1 and bit 2 is dt2."""
 
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg: AlgebraPresentation, terms=None):
-        self.alg = alg
-        self.terms = {}
-        if terms:
-            for key, coeff in terms.items():
-                if not coeff.is_zero():
-                    self.terms[key] = coeff
-
-    @classmethod
-    def zero(cls, alg):
-        return cls(alg)
+    __slots__ = ()
+    __add__ = __radd__ = _Form.__add__
+    __neg__ = _Form.__neg__
+    __sub__ = _Form.__sub__
+    __rmul__ = _Form.__rmul__
 
     @classmethod
     def monomial(cls, alg, coeff, e1: int = 0, e2: int = 0, mask: int = 0):
         coeff = alg.coerce(coeff)
         return cls(alg, {(mask, e1, e2): coeff})
-
-    @classmethod
-    def const(cls, alg, coeff):
-        return cls.monomial(alg, coeff)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, Form2) and self.alg is other.alg
-                and self.terms == other.terms)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Form2.const(self.alg, self.alg.scalar(other))
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            cur = out.get(key)
-            out[key] = coeff if cur is None else cur + coeff
-        return Form2(self.alg, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Form2(self.alg, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Form2.const(self.alg, self.alg.scalar(other))
-        return self + (-other)
-
-    def scale(self, c):
-        c = frac(c)
-        return Form2(self.alg, {k: v.scale(c) for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -246,13 +220,6 @@ class Form2:
                 cur = out.get(key)
                 out[key] = prod if cur is None else cur + prod
         return Form2(self.alg, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, Element):
-            return Form2.const(self.alg, other) * self
-        return NotImplemented
 
     def d(self):
         """De Rham differential plus the internal coefficient differential:
@@ -308,9 +275,6 @@ class Form2:
         if len(degs) > 1:
             raise ValueError("form is not homogeneous")
         return degs.pop()
-
-    def poly_degree(self):
-        return max((e1 + e2 for (_m, e1, e2) in self.terms), default=0)
 
     def __repr__(self):
         if not self.terms:

@@ -134,11 +134,6 @@ class ParameterSpec:
             return self.evaluate(char) == (1, 1)
         return in_lattice(self.relations, char)
 
-    def relation_lattice(self):
-        if self.values is not None:
-            return relation_lattice_from_values(self.values)
-        return [tuple(r) for r in self.relations]
-
     def __repr__(self):
         if self.values is None:
             return f"ParameterSpec(generic, relations={self.relations})"

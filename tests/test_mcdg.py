@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import t2mc.mcdg as mcdg
 from t2mc.gca import SCALAR_ALGEBRA
 from t2mc.mcdg import (HomElement, MCObject, NoGammaAtBoundError,
                        NotEquivariantError, build_extension,
@@ -364,6 +365,68 @@ def test_realized_pair_commutes_whenever_precondition_holds():
              for i in range(n)])
         result = realize_rep(top, bottom, f1, f2)
         assert result.rep.g1 * result.rep.g2 == result.rep.g2 * result.rep.g1
+
+
+# The split-extension data (p, q, alpha, beta) of each builder, entry by
+# entry, as recorded before the builders were merged into one.
+SPLITTING_PINS = {
+    "fast": {
+        "p": [["(1)", "0"], ["0", "(1)"], ["0", "0"]],
+        "q": [["0", "0", "(1)"]],
+        "alpha": [["(1)", "0", "t1(-1)"], ["0", "(1)", "t1(1)"]],
+        "beta": [["t1(1)"], ["t1(-1)"], ["(1)"]],
+    },
+    "general": {
+        "p": [["(1)", "0"], ["0", "(1)"], ["0", "0"]],
+        "q": [["0", "0", "(1)"]],
+        "alpha": [["(1)", "0", "t2(-1) + t1t2(-1)"],
+                  ["0", "(1)", "t2(1) + t1(1)"]],
+        "beta": [["t2(1) + t1t2(1)"], ["t2(-1) + t1(-1)"], ["(1)"]],
+    },
+    "realize": {
+        "p": [["(1)", "0"], ["0", "(1)"], ["0", "0"]],
+        "q": [["0", "0", "(1)"]],
+        "alpha": [["(1)", "0", "t2(1/2) + t1(-1)"],
+                  ["0", "(1)", "t2(-3) + t1(-2)"]],
+        "beta": [["t2(-1/2) + t1(1)"], ["t2(3) + t1(2)"], ["(1)"]],
+    },
+    "build": {
+        "p": [["(1)"], ["0"], ["0"]],
+        "q": [["0", "(1)", "0"], ["0", "0", "(1)"]],
+        "alpha": [["(1)", "0", "0"]],
+        "beta": [["0", "0"], ["(1)", "0"], ["0", "(1)"]],
+    },
+}
+
+
+def _splitting_for(case):
+    if case == "fast":  # unipotent J3: the corner is linear in t
+        return rep_extension(rep([[1, 1, 0], [0, 1, 1], [0, 0, 1]]), 2)
+    if case == "general":  # the corner needs the polynomial solve
+        return rep_extension(rep([[1, 1, 1], [0, 1, 1], [0, 0, 1]],
+                                 [[1, 1, 0], [0, 1, 1], [0, 0, 1]]), 2)
+    if case == "realize":
+        return realize_rep(TorusRep.trivial(2), TorusRep.trivial(1),
+                           Matrix.from_rows([[1], [2]]),
+                           Matrix.from_rows([[Fraction(-1, 2)], [3]])
+                           ).extension
+    omega = HomElement([[sq(-2, mask=1), sq(-3, mask=2)]], 1)
+    return build_extension(omega, MCObject.semisimple([(1, 1)]),
+                           MCObject.semisimple([(1, 1), (1, 1)]))
+
+
+@pytest.mark.parametrize("case", sorted(SPLITTING_PINS))
+def test_splitting_data_pinned(case, monkeypatch):
+    solves = []
+    real = mcdg._solve_sparse
+    monkeypatch.setattr(mcdg, "_solve_sparse",
+                        lambda *a: solves.append(1) or real(*a))
+    ext = _splitting_for(case)
+    got = {name: [[repr(x) for x in row] for row in getattr(ext, name).entries]
+           for name in ("p", "q", "alpha", "beta")}
+    assert got == SPLITTING_PINS[case]
+    # only the general rep_extension case reaches the corner solve
+    assert len(solves) == (case == "general")
 
 
 # -- the pipeline -------------------------------------------------------------------

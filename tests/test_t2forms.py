@@ -251,3 +251,31 @@ def test_degree_bookkeeping(ls, fiber):
     with pytest.raises(ValueError):
         (Form2.const(fiber, fiber.generator("x"))
          + Form2.const(fiber, fiber.generator("u"))).degree()
+
+
+@pytest.mark.parametrize("cls", [Form1, Form2])
+def test_shared_term_algebra(cls, fiber):
+    x, y = fiber.generator("x"), fiber.generator("y")
+    one = cls.const(fiber, fiber.unit())
+    f = cls.monomial(fiber, x, 1) + one  # t x + 1 (t1 x + 1 on the square)
+    # rational constants add to and subtract from the constant term
+    assert f + 2 == 2 + f == f + one.scale(2)
+    assert f - Fraction(1, 2) == f + one.scale(Fraction(-1, 2))
+    assert f - 1 == cls.monomial(fiber, x, 1)
+    # coefficients multiply on either side, with the graded sign
+    assert cls.monomial(fiber, x, 1) * y == cls.monomial(fiber, x * y, 1)
+    assert y * cls.monomial(fiber, x, 1) == cls.monomial(fiber, y * x, 1)
+    assert y * x == -(x * y)
+    # negation and scaling by zero reach the zero form
+    assert (f + (-f)).is_zero() and f - f == cls.zero(fiber)
+    assert f.scale(0).is_zero() and 0 * f == cls.zero(fiber)
+    assert -f == f.scale(-1)
+    # zero coefficients are dropped by the constructor
+    key = next(iter(cls.monomial(fiber, x, 1).terms))
+    g = cls(fiber, {key: x, (0,) * len(key): fiber.zero()})
+    assert g.terms == {key: x}
+    # equality is strict about the class
+    terms = {(0, 0): x}
+    other = Form2 if cls is Form1 else Form1
+    assert cls(fiber, terms) != other(fiber, terms)
+    assert cls(fiber, terms) == cls(fiber, dict(terms))
