@@ -910,7 +910,9 @@ def _splitting_corner(top: TorusRep, bottom: TorusRep, corners, bound: int):
     # general case: linear solve for a polynomial corner; each unknown's
     # image is its pair of face-compatibility defects
     nt, nb = top.dim, bottom.dim
-    src, dst = MCObject.from_rep(bottom), MCObject.from_rep(top)
+    # the diagonal blocks of a valid pair are valid: wrap them unchecked
+    src = MCObject(FORMS, bottom, fm_zero(nb, nb))
+    dst = MCObject(FORMS, top, fm_zero(nt, nt))
     variables = [(p, q, mono) for p in range(nt) for q in range(nb)
                  for mono in _poly_monomials(bound)]
     images = []

@@ -6,12 +6,16 @@ searches, lattice membership) reduces to the routines here.  All entries are
 Gustavson) and eliminations touch only the nonzeros.  Every rational
 elimination (rank, kernel, solve, inverse) goes through `Matrix.rref`, a
 sparse Gauss-Jordan reduction whose output is the unique reduced row echelon
-form, so identical inputs always produce identical outputs.
+form, so identical inputs always produce identical outputs.  Determinants
+(and with them every invertibility test) are taken over Z: `det` clears each
+row's denominators and runs fraction-free Bareiss elimination, whose
+divisions are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def frac(x) -> Fraction:
@@ -292,30 +296,39 @@ def invert(m: Matrix):
 
 
 def det(m: Matrix) -> Fraction:
-    """Determinant by Gaussian elimination over Q, tracking row swaps."""
+    """Determinant by fraction-free (Bareiss) elimination over Z.
+
+    Each row is scaled by the lcm of its denominators, so the elimination
+    runs on integers and every Bareiss division is exact; the result is the
+    integer determinant over the product of the row scales.  A zero pivot is
+    replaced by the first row below it with a nonzero entry in that column,
+    flipping the sign.  Integer entries are read as they are.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    rows = m.to_rows()
-    n = m.rows
-    d = Fraction(1)
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pr = i
+    rows = []
+    scale = 1
+    for i in range(m.rows):
+        row = m.row(i)
+        s = lcm(*[e.denominator for e in row])
+        scale *= s
+        rows.append([e.numerator * (s // e.denominator) for e in row])
+    sign, prev = 1, 1
+    while rows:  # rows[i] holds the columns from the current pivot on
+        for k, r in enumerate(rows):
+            if r[0]:
                 break
-        if pr is None:
+        else:
             return Fraction(0)
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            d = -d
-        d *= rows[c][c]
-        inv = Fraction(1) / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return d
+        if k:
+            rows[0], rows[k] = rows[k], rows[0]
+            sign = -sign
+        top = rows[0]
+        p = top[0]
+        rows = [[(p * x - r[0] * y) // prev for x, y in zip(r[1:], top[1:])]
+                for r in rows[1:]]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 class IntMatrix:

@@ -4,7 +4,11 @@ A representation is a commuting pair of invertible rational matrices (the
 images of the two generators g1, g2).  The module provides simultaneous
 triangularization over Q (semi-simplification), hom/tensor/dual
 constructions, the 3-term cellular cochain complex of the torus computing
-H*(T^2, V), and an exact isomorphism test with a certified negative answer.
+H*(T^2, V), and an exact isomorphism test.  Its negative answers are
+certified three ways: the intertwiner space Hom(V, W) is zero, its dimension
+differs from dim End(V) or dim End(W), or the determinant vanishes on a
+coefficient grid large enough to show it vanishes identically.  Its
+determinants are taken over Z (`qlinalg.det`, on integer grid candidates).
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .cochain import TwistedComplex
 from .errors import DomainError, ParseError
@@ -63,9 +68,18 @@ class TorusRep:
 
     @classmethod
     def diagonal(cls, characters) -> "TorusRep":
-        """Semisimple rep from a list of (g1-scalar, g2-scalar) pairs."""
-        return cls(Matrix.diagonal([c[0] for c in characters]),
-                   Matrix.diagonal([c[1] for c in characters]))
+        """Semisimple rep from a list of (g1-scalar, g2-scalar) pairs.
+
+        A generator whose diagonal has no zero gets its inverse, the
+        reciprocal diagonal, without an elimination.
+        """
+        r = cls(Matrix.diagonal([c[0] for c in characters]),
+                Matrix.diagonal([c[1] for c in characters]))
+        for i in (1, 2):
+            diag = [r.g(i)[(j, j)] for j in range(r.dim)]
+            if all(diag):
+                r._inverses[i] = Matrix.diagonal([1 / d for d in diag])
+        return r
 
     def g(self, i: int) -> Matrix:
         if i == 1:
@@ -405,8 +419,10 @@ class IsoResult:
     """Outcome of the intertwiner search.
 
     status is 'isomorphic' (with a verified invertible conjugator),
-    'not_isomorphic' (intertwiner space zero, or provably all-singular), or
-    'inconclusive' (nonzero space, no invertible point within budget).
+    'not_isomorphic', or 'inconclusive' (nonzero space, no invertible point
+    within budget).  'not_isomorphic' is reached three ways: the intertwiner
+    space is zero; its dimension differs from dim End(V) or dim End(W); or
+    the determinant vanishes on the whole coefficient grid.
     """
 
     __slots__ = ("status", "conjugator", "space_dim")
@@ -443,11 +459,12 @@ def intertwiner_space(v: TorusRep, w: TorusRep):
     return [Matrix(n, n, k) for k in kernel]
 
 
-def _candidate_key(t: Matrix):
-    entries = t.entries
-    return (max(abs(e) for e in entries),
-            sum(1 for e in entries if e != 0),
-            sum(1 for e in entries if e < 0),
+def _candidate_key(entries):
+    # integer entries over one positive denominator order exactly like the
+    # rationals they stand for
+    return (max(map(abs, entries)),
+            len(entries) - entries.count(0),
+            len([e for e in entries if e < 0]),
             entries)
 
 
@@ -457,11 +474,17 @@ GRID_CAP = 120_000
 def is_isomorphic(v: TorusRep, w: TorusRep, seed: int = 20260808) -> IsoResult:
     """Search for an invertible intertwiner; exact negative certificates.
 
-    The solution space of the intertwiner equations is computed exactly.  On
-    a small-integer coefficient grid large enough to detect a vanishing
-    determinant polynomial (degree <= dim per coefficient) the search is a
-    decision procedure; past that size it falls back to seeded random
-    sampling and may report 'inconclusive'.
+    The solution space Hom(V, W) of the intertwiner equations is computed
+    exactly.  It is 'not_isomorphic' when it is zero, or when its dimension
+    differs from dim End(V) or dim End(W) (V ≅ W would make all three
+    equal).  Otherwise its basis, scaled by one common denominator to
+    integer matrices, is combined over a small-integer coefficient grid large
+    enough to detect a vanishing determinant polynomial (degree <= dim per
+    coefficient): among the invertible grid points the one with the least
+    `_candidate_key` is the conjugator, and a candidate whose key cannot win
+    costs no determinant.  A grid that is singular everywhere proves
+    'not_isomorphic'.  Past GRID_CAP points the search falls back to seeded
+    random sampling and may report 'inconclusive'.
     """
     require_valid(v)
     require_valid(w)
@@ -473,40 +496,48 @@ def is_isomorphic(v: TorusRep, w: TorusRep, seed: int = 20260808) -> IsoResult:
     k = len(space)
     if k == 0:
         return IsoResult("not_isomorphic", None, 0)
+    if k != len(intertwiner_space(v, v)) or k != len(intertwiner_space(w, w)):
+        return IsoResult("not_isomorphic", None, k)
     n = v.dim
-    values = [Fraction(0)]
+    den = lcm(*(e.denominator for t in space for e in t.entries))
+    # coeffs[j]: entry j of each basis matrix, times den
+    coeffs = list(zip(*([e.numerator * (den // e.denominator)
+                         for e in t.entries] for t in space)))
+
+    def candidate(lam):
+        return tuple([sum(map(mul, lam, c)) for c in coeffs])
+
+    def invertible(entries):
+        return det(Matrix._exact(n, n, entries)) != 0
+
+    def found(entries):
+        t = Matrix._exact(n, n, [Fraction(e, den) for e in entries])
+        assert t * v.g1 == w.g1 * t and t * v.g2 == w.g2 * t
+        return IsoResult("isomorphic", t, k)
+
+    values = [0]
     step = 1
     while len(values) < n + 1:
-        values.extend((Fraction(step), Fraction(-step)))
+        values.extend((step, -step))
         step += 1
     values = values[:max(n + 1, 5)]
     if len(values) ** k <= GRID_CAP:
         best = None
         for lam in itertools.product(values, repeat=k):
-            t = space[0].scale(lam[0])
-            for i in range(1, k):
-                t = t + space[i].scale(lam[i])
-            if det(t) == 0:
-                continue
-            key = _candidate_key(t)
-            if best is None or key < best[0]:
-                best = (key, t)
+            entries = candidate(lam)
+            key = _candidate_key(entries)
+            if (best is None or key < best[0]) and invertible(entries):
+                best = (key, entries)
         if best is None:
             # det vanishes on a full grid, hence identically: no invertible
             # intertwiner exists.
             return IsoResult("not_isomorphic", None, k)
-        t = best[1]
-        assert t * v.g1 == w.g1 * t and t * v.g2 == w.g2 * t
-        return IsoResult("isomorphic", t, k)
+        return found(best[1])
     rng = random.Random(seed)
     for _ in range(500):
-        lam = [Fraction(rng.randint(-5, 5)) for _ in range(k)]
-        t = space[0].scale(lam[0])
-        for i in range(1, k):
-            t = t + space[i].scale(lam[i])
-        if det(t) != 0:
-            assert t * v.g1 == w.g1 * t and t * v.g2 == w.g2 * t
-            return IsoResult("isomorphic", t, k)
+        entries = candidate([rng.randint(-5, 5) for _ in range(k)])
+        if invertible(entries):
+            return found(entries)
     return IsoResult("inconclusive", None, k)
 
 

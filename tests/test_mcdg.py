@@ -429,6 +429,24 @@ def test_splitting_data_pinned(case, monkeypatch):
     assert len(solves) == (case == "general")
 
 
+def test_splitting_corner_does_not_revalidate_blocks(monkeypatch):
+    import t2mc.torus_rep as torus_rep
+
+    calls = []
+    real = torus_rep.validate
+    monkeypatch.setattr(torus_rep, "validate",
+                        lambda r: calls.append(r) or real(r))
+    # the diagonal blocks and corners of the general case above
+    top = rep([[1, 1], [0, 1]], [[1, 1], [0, 1]])
+    bottom = TorusRep.trivial(1)
+    corners = [Matrix.from_rows([[1], [1]]), Matrix.from_rows([[0], [1]])]
+    psi = mcdg._splitting_corner(top, bottom, corners, 4)
+    assert calls == []
+    # beta = [psi; id]: its top rows are the pinned corner
+    assert ([[repr(x) for x in row] for row in psi]
+            == SPLITTING_PINS["general"]["beta"][:2])
+
+
 # -- the pipeline -------------------------------------------------------------------
 
 def test_straighten_unipotent_j4_last_stage_pinned():

@@ -351,3 +351,99 @@ def test_scalar_product_unchanged():
     assert m * "3/2" == expected
     assert 0 * m == Matrix.zero(2, 2)
     assert (-1) * m == -m
+
+
+# -- determinants ---------------------------------------------------------------
+
+def _reference_det(m):
+    """Gaussian elimination over Q, tracking row swaps: the Fraction loop
+    `det` used before the integer Bareiss elimination."""
+    rows = m.to_rows()
+    n = m.rows
+    d = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            d = -d
+        d *= rows[c][c]
+        inv = Fraction(1) / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return d
+
+
+def _det_cases():
+    """Seeded square matrices from 0x0 to 12x12 at 0-100 % density with
+    mixed denominators up to 10**6 and negative entries, plus singular and
+    rank-deficient matrices, a zero first pivot that needs a row swap, and a
+    zero first column."""
+    rng = random.Random(41)
+
+    def entry():
+        return Fraction(rng.randint(-999, 999),
+                        rng.choice((1, 2, 7, rng.randint(1, 10 ** 6))))
+
+    def square(n, density):
+        return [[entry() if rng.random() < density else Fraction(0)
+                 for _ in range(n)] for _ in range(n)]
+
+    cases = []
+    for n in range(13):
+        for density in (0.0, 0.1, 0.3, 0.6, 1.0):
+            cases.append(Matrix.from_rows(square(n, density)))
+    for n in range(2, 9):
+        rows = square(n, 0.8)
+        rows[-1] = list(rows[0])                                 # singular
+        cases.append(Matrix.from_rows(rows))
+        if n >= 4:
+            rows = square(n, 0.8)
+            a, b = entry(), entry()
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+            rows[-2] = [b * x - y for x, y in zip(rows[0], rows[1])]
+            cases.append(Matrix.from_rows(rows))              # rank n - 2
+        rows = square(n, 1.0)
+        rows[0][0] = Fraction(0)                      # swap at the first pivot
+        cases.append(Matrix.from_rows(rows))
+        rows = square(n, 1.0)
+        for r in rows:
+            r[0] = Fraction(0)                        # zero first column
+        cases.append(Matrix.from_rows(rows))
+    return cases
+
+
+def test_det_matches_fraction_elimination():
+    cases = _det_cases()
+    values = [det(m) for m in cases]
+    assert values == [_reference_det(m) for m in cases]
+    assert any(v == 0 for v in values) and any(v != 0 for v in values)
+    assert any(v.denominator > 10 ** 6 for v in values)
+    assert det(Matrix.zero(0, 0)) == 1
+
+
+def test_det_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in _det_cases():
+        sm = sympy.Matrix(m.rows, m.cols,
+                          [sympy.Rational(e.numerator, e.denominator)
+                           for e in m.entries])
+        expected = sm.det() if m.rows else sympy.Integer(1)
+        assert det(m) == Fraction(int(expected.p), int(expected.q))
+
+
+def test_det_reads_integer_entries():
+    # the isomorphism grid passes matrices of plain ints
+    for m in _det_cases():
+        ints = [e.numerator for e in m.entries]
+        assert det(Matrix._exact(m.rows, m.cols, ints)) == det(
+            Matrix(m.rows, m.cols, ints))
+
+
+def test_det_non_square_raises():
+    for m in (Matrix.zero(2, 3), Matrix.zero(0, 1), Matrix.zero(3, 0)):
+        with pytest.raises(ValueError):
+            det(m)

@@ -1,14 +1,23 @@
+import importlib.util
+import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import t2mc.torus_rep as torus_rep
 from t2mc.qlinalg import Matrix, det, invert
-from t2mc.torus_rep import (IrrationalSpectrumError, NonCommutingError,
-                            SingularError, TorusRep, cellular_complex,
-                            char_poly, dual_rep, hom_rep, is_isomorphic,
-                            parse_rep, rational_roots, rep_to_text,
-                            require_valid, semisimplify, tensor_rep, validate)
+from t2mc.torus_rep import (GRID_CAP, IrrationalSpectrumError, IsoResult,
+                            NonCommutingError, SingularError, TorusRep,
+                            _candidate_key, cellular_complex, char_poly,
+                            dual_rep, hom_rep, intertwiner_space,
+                            is_isomorphic, parse_rep, rational_roots,
+                            rep_to_text, require_valid, semisimplify,
+                            tensor_rep, validate)
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
 
 
 def rep(rows1, rows2=None):
@@ -111,8 +120,6 @@ def test_hom_rep_action_formula():
 
 
 def test_g_inv_is_computed_once(monkeypatch):
-    import t2mc.torus_rep as torus_rep
-
     calls = []
 
     def counting(m):
@@ -130,8 +137,6 @@ def test_g_inv_is_computed_once(monkeypatch):
 
 
 def test_g_inv_singular_raises_on_every_call(monkeypatch):
-    import t2mc.torus_rep as torus_rep
-
     calls = []
 
     def counting(m):
@@ -145,6 +150,31 @@ def test_g_inv_singular_raises_on_every_call(monkeypatch):
             singular.g_inv(1)
     assert len(calls) == 3
     assert singular.g_inv(2) == Matrix.identity(2)
+
+
+def test_diagonal_rep_inverses_need_no_elimination(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return invert(m)
+
+    monkeypatch.setattr(torus_rep, "invert", counting)
+    d = TorusRep.diagonal([(2, Fraction(-1, 3)), (Fraction(5, 7), 1)])
+    assert d.g_inv(1) == Matrix.diagonal([Fraction(1, 2), Fraction(7, 5)])
+    assert d.g_inv(2) == Matrix.diagonal([-3, 1])
+    assert d.g_inv(1) * d.g1 == Matrix.identity(2)
+    assert calls == []
+    # a zero character leaves that generator to invert(), on every call
+    singular = TorusRep.diagonal([(0, 2), (1, 3)])
+    for _ in range(3):
+        with pytest.raises(SingularError):
+            singular.g_inv(1)
+    assert len(calls) == 3
+    assert singular.g_inv(2) == Matrix.diagonal([Fraction(1, 2),
+                                                 Fraction(1, 3)])
+    assert len(calls) == 3
+    assert TorusRep.diagonal([]).g_inv(1) == Matrix.identity(0)
 
 
 def test_rep_equality_ignores_cached_inverses():
@@ -248,6 +278,195 @@ def test_is_isomorphic_conjugate_pair():
     t = result.conjugator
     assert t * v.g1 == w.g1 * t and t * v.g2 == w.g2 * t
     assert det(t) != 0
+
+
+def _reference_is_isomorphic(v, w, seed=20260808):
+    """The grid search as it stood before the dimension certificate and the
+    integer candidates: Fraction combinations of the intertwiner basis, a
+    determinant for every grid point, the least `_candidate_key` among the
+    invertible ones."""
+    if v.g1 == w.g1 and v.g2 == w.g2:
+        return IsoResult("isomorphic", Matrix.identity(v.dim), None)
+    space = intertwiner_space(v, w)
+    k = len(space)
+    if k == 0:
+        return IsoResult("not_isomorphic", None, 0)
+    n = v.dim
+    values = [Fraction(0)]
+    step = 1
+    while len(values) < n + 1:
+        values.extend((Fraction(step), Fraction(-step)))
+        step += 1
+    values = values[:max(n + 1, 5)]
+
+    def combine(lam):
+        t = space[0].scale(lam[0])
+        for i in range(1, k):
+            t = t + space[i].scale(lam[i])
+        return t
+
+    if len(values) ** k <= GRID_CAP:
+        best = None
+        for lam in itertools.product(values, repeat=k):
+            t = combine(lam)
+            if det(t) == 0:
+                continue
+            key = _candidate_key(t.entries)
+            if best is None or key < best[0]:
+                best = (key, t)
+        if best is None:
+            return IsoResult("not_isomorphic", None, k)
+        return IsoResult("isomorphic", best[1], k)
+    rng = random.Random(seed)
+    for _ in range(500):
+        t = combine([Fraction(rng.randint(-5, 5)) for _ in range(k)])
+        if det(t) != 0:
+            return IsoResult("isomorphic", t, k)
+    return IsoResult("inconclusive", None, k)
+
+
+def _random_triangular(rng, n):
+    """A commuting upper-triangular pair: g1 with characters from {1, 2, 3}
+    and small strictly upper entries, g2 a polynomial in g1."""
+    diag = [rng.choice((1, 2, 3)) for _ in range(n)]
+    g1 = Matrix.from_rows([[diag[i] if i == j else
+                            (rng.choice((0, 0, 1, -1, 2)) if j > i else 0)
+                            for j in range(n)] for i in range(n)])
+    g2 = rng.choice((Matrix.identity(n), g1 * g1, g1.scale(2)))
+    return TorusRep(g1, g2)
+
+
+def _random_unimodular(rng, n):
+    upper = Matrix.from_rows([[1 if i == j else
+                               (rng.randint(-2, 2) if j > i else 0)
+                               for j in range(n)] for i in range(n)])
+    return upper.transpose() * upper
+
+
+def _iso_pairs():
+    """Seeded pairs with n <= 4: conjugates, diagonal parts and pairs with
+    one perturbed entry.  The reference makes a Fraction determinant per
+    grid point, so pairs whose grid has more than 5**4 points but fits under
+    GRID_CAP are left out to keep its running time short; pairs past GRID_CAP
+    reach the seeded random fallback and are kept."""
+    rng = random.Random(43)
+    pairs = []
+    while len(pairs) < 12:
+        n = rng.randint(2, 4)
+        v = _random_triangular(rng, n)
+        kind = len(pairs) % 3
+        if kind == 0:
+            w = v.conjugate(_random_unimodular(rng, n))
+        elif kind == 1:
+            w = TorusRep.diagonal([(v.g1[(i, i)], v.g2[(i, i)])
+                                   for i in range(n)])
+        else:
+            rows = v.g1.to_rows()
+            i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+            rows[i][j] += rng.choice((1, -1))
+            g1 = Matrix.from_rows(rows)
+            if validate(TorusRep(g1, g1 * g1)).problems:
+                continue
+            w = TorusRep(g1, g1 * g1)
+            v = TorusRep(v.g1, v.g1 * v.g1)
+        k = len(intertwiner_space(v, w))
+        if v == w or 5 ** 4 < 5 ** k <= GRID_CAP:
+            continue
+        pairs.append((v, w))
+    return pairs
+
+
+def test_is_isomorphic_matches_reference_grid_search():
+    statuses = set()
+    for v, w in _iso_pairs():
+        got = is_isomorphic(v, w)
+        ref = _reference_is_isomorphic(v, w)
+        statuses.add((ref.status, got.status))
+        assert got.space_dim == ref.space_dim
+        if ref.status == "inconclusive":
+            assert got.status in ("not_isomorphic", "inconclusive")
+            continue
+        assert got.status == ref.status
+        assert got.conjugator == ref.conjugator
+        if got.conjugator is not None:
+            assert repr(got.conjugator) == repr(ref.conjugator)
+    assert {"isomorphic", "not_isomorphic", "inconclusive"} == {
+        s for s, _ in statuses}
+
+
+def test_is_isomorphic_random_fallback_matches_reference():
+    # End(V) has dimension 10, so 5**10 grid points exceed GRID_CAP and both
+    # searches draw the same seeded random coefficients
+    v = rep([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
+    w = v.conjugate(Matrix.from_rows([[1, 1, 0, 0], [0, 1, 2, 0],
+                                      [0, 0, 1, -1], [0, 0, 0, 1]]))
+    got, ref = is_isomorphic(v, w), _reference_is_isomorphic(v, w)
+    assert got.space_dim == ref.space_dim == 10
+    assert got.status == ref.status == "isomorphic"
+    assert got.conjugator == ref.conjugator
+
+
+def test_is_isomorphic_singular_grid():
+    # V = Q[x, y]/(x, y)^2 with g1 = 2 + x, g2 = 3 + y, against its
+    # transpose (the dual module up to inversion): Hom(V, W), End(V) and
+    # End(W) all have dimension 3, and every intertwiner is singular
+    v = rep([[2, 0, 0], [1, 2, 0], [0, 0, 2]],
+            [[3, 0, 0], [0, 3, 0], [1, 0, 3]])
+    w = TorusRep(v.g1.transpose(), v.g2.transpose())
+    assert [len(intertwiner_space(a, b))
+            for a, b in ((v, w), (v, v), (w, w))] == [3, 3, 3]
+    result = is_isomorphic(v, w)
+    assert result.status == "not_isomorphic"
+    assert result.space_dim == 3
+    ref = _reference_is_isomorphic(v, w)
+    assert (ref.status, ref.space_dim) == (result.status, result.space_dim)
+
+
+def test_is_isomorphic_dimension_certificate():
+    # J2 + I3 against I5: Hom has dimension 20 and End(I5) 25, so no
+    # isomorphism exists; the grid search alone could not decide this
+    v = rep([[1 if i == j or (i, j) == (0, 1) else 0 for j in range(5)]
+             for i in range(5)])
+    result = is_isomorphic(v, TorusRep.trivial(5))
+    assert result.status == "not_isomorphic"
+    assert result.conjugator is None
+    assert result.space_dim == 20
+
+
+def _bench_iso_pair(tmp_path, seed, name):
+    spec = importlib.util.spec_from_file_location("_bench_inputs",
+                                                  BENCH_INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    items = {item["name"]: item
+             for item in module.dense_hom_inputs(seed, str(tmp_path))}
+    item = items[name]
+    return (parse_rep(Path(item["v"]).read_text()),
+            parse_rep(Path(item["w"]).read_text()))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_is_isomorphic_grid_determinant_count(tmp_path, monkeypatch, seed):
+    """Operation count instead of timing: on the n = 4 pairs of the dense_hom
+    benchmark the grid takes a determinant only for a candidate whose key
+    could still win (625 grid points), and the diagonal pair is decided by
+    the dimension certificate alone."""
+    callers = []
+    real = torus_rep.det
+
+    def counting(m):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(m)
+
+    monkeypatch.setattr(torus_rep, "det", counting)
+    v, w = _bench_iso_pair(tmp_path, seed, "iso_conjugate")
+    assert is_isomorphic(v, w).status == "isomorphic"
+    grid = [c for c in callers if c != "validate"]
+    assert 0 < len(grid) <= 160
+    callers.clear()
+    v, d = _bench_iso_pair(tmp_path, seed, "iso_diagonal")
+    assert is_isomorphic(v, d).status == "not_isomorphic"
+    assert [c for c in callers if c != "validate"] == []
 
 
 def test_tensor_is_kronecker_product():
