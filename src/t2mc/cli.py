@@ -129,7 +129,9 @@ def cmd_t2_cohomology(args) -> int:
         payload["agree"] = agree
     _emit(payload, args.out)
     if not agree:
-        raise CrossCheckError("cellular and model Betti numbers disagree")
+        raise CrossCheckError(
+            "cellular and model Betti numbers disagree: cellular "
+            f"{payload['betti_cellular']}, model {payload['betti_model']}")
     return 0
 
 

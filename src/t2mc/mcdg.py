@@ -20,6 +20,12 @@ representative supported on equal-character entry pairs.  The gauge is fixed
 by forbidding constant terms of the straightening chain on equal-character
 entries, which pins the same representative the step-by-step hand
 computation produces.
+
+The straightening, comparison and splitting-corner solves run over
+elementary unknowns E_pq·t^a.  Each unknown's image (its twisted
+differential and face-compatibility defects) is written straight from its
+one-entry support, row p and column q, into sparse coordinates: O(n) terms
+per unknown, never a full form-matrix product.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ from .gca import SCALAR_ALGEBRA, AlgebraPresentation, Element
 from .qlinalg import Matrix, frac, invert, solve
 from .t2forms import Form1, Form2, sq
 from .torus_rep import TorusRep, require_valid
+
+_ZERO = Fraction(0)
 
 
 class AmbientMismatchError(DomainError):
@@ -50,7 +58,18 @@ class NonConstantCoefficientsError(DomainError):
 
 
 class StraighteningFailedError(DomainError):
-    """No straightening chain within the polynomial-degree bound."""
+    """No straightening chain or splitting corner within the polynomial
+    degree bound; names the bound, the (rows, columns) shape of the
+    unsolvable system and, from `rep_to_mc`, the stage m."""
+
+    def __init__(self, what, bound, shape, stage=None):
+        self.what, self.bound, self.shape = what, bound, shape
+        self.stage = stage
+        where = "" if stage is None else f"stage {stage}: "
+        rows, cols = shape
+        super().__init__(f"{where}{what} within polynomial degree {bound} "
+                         f"(the {rows} x {cols} linear system has no "
+                         f"solution)")
 
 
 class NoGammaAtBoundError(DomainError):
@@ -513,97 +532,154 @@ def _poly_monomials(bound):
     return out
 
 
-def _flatten(tag, mat, into, sign=1):
-    """Add sign times the constant coefficients of a matrix of Form1s or
-    Form2s into `into`, keyed by (tag, row, column, form basis key)."""
-    for p, row in enumerate(mat):
-        for q, form in enumerate(row):
-            for key, coeff in form.terms.items():
-                c = coeff.coeffs.get((), Fraction(0))
-                if c:
-                    k = (tag, p, q, key)
-                    into[k] = into.get(k, Fraction(0)) + sign * c
+def _flatten(mat):
+    """The nonzero constant coefficients of a form matrix as sparse
+    coordinates, keyed by ("eq", row, column, form basis key)."""
+    return {("eq", p, q, key): c
+            for p, row in enumerate(mat) for q, form in enumerate(row)
+            for key, coeff in form.terms.items()
+            if (c := coeff.coeffs.get((), _ZERO))}
 
 
 def _solve_sparse(images, rhs):
     """Solve sum_k x_k · images[k] = rhs over shared sparse coordinates.
 
-    Returns (particular, kernel) or None; the particular solution zeroes all
-    free variables (leftmost-pivot reduction, deterministic).
+    Each coordinate gets a row in first-seen order (rows never change the
+    reduced row echelon form) and the matrix is filled from the nonzeros of
+    the images.  Returns (particular, kernel) or None; the particular
+    solution zeroes all free variables (leftmost-pivot reduction,
+    deterministic).
     """
-    keys = set(rhs)
+    index = {}
     for img in images:
-        keys.update(img)
-    keys = sorted(keys, key=repr)
-    if not keys:
+        for k in img:
+            index.setdefault(k, len(index))
+    for k in rhs:
+        index.setdefault(k, len(index))
+    if not index:
         return tuple(Fraction(0) for _ in images), []
-    zero = Fraction(0)
-    a = Matrix._exact(len(keys), len(images),
-                      [img.get(k, zero) for k in keys for img in images])
-    return solve(a, [rhs.get(k, zero) for k in keys])
+    cols = len(images)
+    entries = [_ZERO] * (len(index) * cols)
+    for j, img in enumerate(images):
+        for k, v in img.items():
+            entries[index[k] * cols + j] = v
+    a = Matrix._exact(len(index), cols, entries)
+    del entries  # `a` holds its own tuple: free the list before reducing
+    b = [_ZERO] * len(index)
+    for k, v in rhs.items():
+        b[index[k]] = v
+    return solve(a, b)
+
+
+def _constant_terms(form):
+    return [(key, coeff.coeffs.get((), _ZERO))
+            for key, coeff in form.terms.items()]
 
 
 class _ChainProblem:
-    """Shared assembly for the gamma- and straightening solves.
+    """Shared assembly for the gamma-, straightening and splitting solves.
 
-    Unknowns are elementary degree-0 chains (entry position times t-monomial)
-    plus, optionally, constant dt1/dt2 unknowns on selected entries.  Each
-    unknown contributes its twisted differential to the main equation and its
-    two face-compatibility defects to the constraint block.
+    Unknowns are elementary degree-0 chains E_pq·t^a (entry position times
+    t-monomial) plus, optionally, constant dt1/dt2 unknowns on selected
+    entries; each is recorded as (kind, p, q, form key).  An unknown's image
+    is built straight from its one-entry support, as sparse coordinates:
+
+    * under "eq", its contribution to the main equation: for a chain
+      d(t^a) at (p, q), plus eta_dst[r][p]·t^a at (r, q), minus
+      t^a·eta_src[q][s] at (p, s) (its twisted differential); for a dt
+      unit the unit itself;
+    * under ("gs", i), its face-compatibility defect along edge i:
+      G[r][p]·Ginv[q][s] on the restricted key at (r, s) with
+      G = dst.g(3-i), Ginv = src.g(3-i)^{-1}, minus the plain restriction
+      at (p, q), which vanishes when the crossing exponent is nonzero.
+
+    Zero coordinates are dropped after summing, so an image equals the
+    flattened twisted differential and defects of the unit form matrix.
     """
 
     def __init__(self, src: MCObject, dst: MCObject, bound: int):
         self.src = src
         self.dst = dst
         self.bound = bound
-        self.vars = []     # ("chain", p, q, (e1, e2)) or ("k", axis, p, q)
+        self.vars = []     # (kind, p, q, key): kind "chain" or "k"
         self.images = []
+        eta_dst, eta_src = dst.eta_forms(), src.eta_forms()
+        self._eta_cols = [[(r, _constant_terms(row[p]))
+                           for r, row in enumerate(eta_dst) if row[p].terms]
+                          for p in range(dst.dim)]
+        self._eta_rows = [[(s, _constant_terms(f))
+                           for s, f in enumerate(row) if f.terms]
+                          for row in eta_src]
+        self._faces = []
+        for i in (1, 2):
+            g = dst.base.g(3 - i)
+            g_cols = [[(r, c) for r, c in enumerate(g.col(p)) if c]
+                      for p in range(g.cols)]
+            self._faces.append((i, g_cols,
+                                src.base.g_inv(3 - i).sparse_rows()))
 
-    def _image_of_chain(self, p, q, mono):
-        rows, cols = self.dst.dim, self.src.dim
-        unit = fm_zero(rows, cols)
-        unit[p][q] = sq(1, *mono)
-        h = HomElement(unit, 0)
+    def image(self, p, q, key, eq=True):
+        """Sparse image of the unit E_pq carrying the form monomial `key`
+        (mask, e1, e2); with eq False only its face defects."""
+        mask, e1, e2 = key
         img = {}
-        _flatten("eq", twisted_d(h, self.src, self.dst).entries, img)
-        for i, diff in global_section_defects(h, self.src, self.dst):
-            _flatten(("gs", i), diff, img)
-        return unit, img
+        if eq and mask:
+            img[("eq", p, q, key)] = Fraction(1)
+        elif eq:
+            if e1:
+                img[("eq", p, q, (1, e1 - 1, e2))] = Fraction(e1)
+            if e2:
+                img[("eq", p, q, (2, e1, e2 - 1))] = Fraction(e2)
+            for r, terms in self._eta_cols[p]:
+                for (m, f1, f2), c in terms:
+                    k = ("eq", r, q, (m, f1 + e1, f2 + e2))
+                    img[k] = img.get(k, _ZERO) + c
+            for s, terms in self._eta_rows[q]:
+                for (m, f1, f2), c in terms:
+                    k = ("eq", p, s, (m, e1 + f1, e2 + f2))
+                    img[k] = img.get(k, _ZERO) - c
+        for i, g_cols, g_inv_rows in self._faces:
+            if mask & (3 - i):
+                continue  # the crossing dt restricts to zero on both faces
+            par_e, cross_e = (e1, e2) if i == 1 else (e2, e1)
+            fkey = (1 if mask else 0, par_e)
+            tag = ("gs", i)
+            for r, a in g_cols[p]:
+                for s, b in g_inv_rows[q]:
+                    img[(tag, r, s, fkey)] = a * b
+            if not cross_e:
+                k = (tag, p, q, fkey)
+                img[k] = img.get(k, _ZERO) - 1
+        return {k: v for k, v in img.items() if v}
 
-    def add_chain_vars(self, skip_constant_on=frozenset()):
+    def _add(self, kind, p, q, key, eq=True):
+        self.vars.append((kind, p, q, key))
+        self.images.append(self.image(p, q, key, eq))
+
+    def add_chain_vars(self, skip_constant_on=frozenset(), eq=True):
         for p in range(self.dst.dim):
             for q in range(self.src.dim):
-                for mono in _poly_monomials(self.bound):
-                    if mono == (0, 0) and (p, q) in skip_constant_on:
+                for e1, e2 in _poly_monomials(self.bound):
+                    if (e1, e2) == (0, 0) and (p, q) in skip_constant_on:
                         continue
-                    unit, img = self._image_of_chain(p, q, mono)
-                    self.vars.append(("chain", p, q, mono, unit))
-                    self.images.append(img)
+                    self._add("chain", p, q, (0, e1, e2), eq)
 
     def add_constant_dt_vars(self, allowed):
-        for axis, mask in ((1, 1), (2, 2)):
+        for axis in (1, 2):
             for (p, q) in allowed:
-                unit = fm_zero(self.dst.dim, self.src.dim)
-                unit[p][q] = sq(1, mask=mask)
-                h = HomElement(unit, 1)
-                img = {}
-                _flatten("eq", unit, img)
-                for i, diff in global_section_defects(h, self.src, self.dst):
-                    _flatten(("gs", i), diff, img)
-                self.vars.append(("k", axis, p, q, unit))
-                self.images.append(img)
+                self._add("k", p, q, (axis, 0, 0))
 
-    def solve(self, target_entries):
-        rhs = {}
-        _flatten("eq", target_entries, rhs)
-        return _solve_sparse(self.images, rhs)
+    def failure(self, what, rhs):
+        """The error for a system against `rhs` that has no solution."""
+        rows = len(set(rhs).union(*self.images))
+        return StraighteningFailedError(what, self.bound,
+                                        (rows, len(self.images)))
 
     def assemble(self, coeffs, kind):
-        rows, cols = self.dst.dim, self.src.dim
-        out = fm_zero(rows, cols)
-        for c, var in zip(coeffs, self.vars):
-            if c and var[0] == kind:
-                out = fm_add(out, fm_scale(var[-1], c))
+        out = fm_zero(self.dst.dim, self.src.dim)
+        for c, (k, p, q, (mask, e1, e2)) in zip(coeffs, self.vars):
+            if c and k == kind:
+                out[p][q] = out[p][q] + sq(c, e1, e2, mask)
         return out
 
 
@@ -613,7 +689,7 @@ def solve_gamma(delta: HomElement, source, target, bound: int = 4):
     dst = as_object(target)
     problem = _ChainProblem(src, dst, bound)
     problem.add_chain_vars()
-    sol = problem.solve(delta.entries)
+    sol = _solve_sparse(problem.images, _flatten(delta.entries))
     if sol is None:
         return None
     coeffs, _ = sol
@@ -636,10 +712,10 @@ def straighten(omega: HomElement, src: MCObject, dst: MCObject,
     problem = _ChainProblem(src, dst, bound)
     problem.add_constant_dt_vars(allowed)
     problem.add_chain_vars(skip_constant_on=frozenset(allowed))
-    sol = problem.solve(omega.entries)
+    rhs = _flatten(omega.entries)
+    sol = _solve_sparse(problem.images, rhs)
     if sol is None:
-        raise StraighteningFailedError(
-            f"no constant representative within polynomial degree {bound}")
+        raise problem.failure("no constant representative", rhs)
     coeffs, kernel = sol
     coeffs = list(coeffs)
     k_idx = [idx for idx, var in enumerate(problem.vars) if var[0] == "k"]
@@ -669,7 +745,7 @@ def straighten(omega: HomElement, src: MCObject, dst: MCObject,
     k2 = [[Fraction(0)] * src.dim for _ in range(dst.dim)]
     for c, var in zip(coeffs, problem.vars):
         if var[0] == "k" and c:
-            _, axis, p, q, _unit = var
+            _, p, q, (axis, _, _) = var
             (k1 if axis == 1 else k2)[p][q] = c
     chain = HomElement(problem.assemble(coeffs, "chain"), 0)
     return Matrix.from_rows(k1), Matrix.from_rows(k2), chain
@@ -911,36 +987,21 @@ def _splitting_corner(top: TorusRep, bottom: TorusRep, corners, bound: int):
     # image is its pair of face-compatibility defects
     nt, nb = top.dim, bottom.dim
     # the diagonal blocks of a valid pair are valid: wrap them unchecked
-    src = MCObject(FORMS, bottom, fm_zero(nb, nb))
-    dst = MCObject(FORMS, top, fm_zero(nt, nt))
-    variables = [(p, q, mono) for p in range(nt) for q in range(nb)
-                 for mono in _poly_monomials(bound)]
-    images = []
-    for (p, q, mono) in variables:
-        unit = fm_zero(nt, nb)
-        unit[p][q] = sq(1, *mono)
-        img = {}
-        for i, diff in global_section_defects(HomElement(unit, 0), src, dst):
-            _flatten(("gs", i), diff, img)
-        images.append(img)
+    problem = _ChainProblem(MCObject(FORMS, bottom, fm_zero(nb, nb)),
+                            MCObject(FORMS, top, fm_zero(nt, nt)), bound)
+    problem.add_chain_vars(eq=False)
+    # the constant corner's twisted restriction, moved to the right side
     rhs = {}
     for i in (1, 2):
-        cross = 3 - i
-        const = f1m_mul_scalar(
-            [[Form1.const(SCALAR_ALGEBRA,
-                          SCALAR_ALGEBRA.scalar(corners[cross - 1][(p, q)]))
-              for q in range(nb)] for p in range(nt)],
-            bottom.g_inv(cross))
-        _flatten(("gs", i), const, rhs, sign=-1)
-    sol = _solve_sparse(images, rhs)
+        const = corners[2 - i] * bottom.g_inv(3 - i)
+        for p in range(nt):
+            for s, c in enumerate(const.row(p)):
+                if c:
+                    rhs[(("gs", i), p, s, (0, 0))] = -c
+    sol = _solve_sparse(problem.images, rhs)
     if sol is None:
-        raise StraighteningFailedError(
-            f"no polynomial splitting within degree {bound}")
-    psi = fm_zero(nt, nb)
-    for c, (p, q, mono) in zip(sol[0], variables):
-        if c:
-            psi[p][q] = psi[p][q] + sq(c, *mono)
-    return psi
+        raise problem.failure("no polynomial splitting", rhs)
+    return problem.assemble(sol[0], "chain")
 
 
 def _bordered(a, column, corner):
@@ -985,12 +1046,16 @@ def rep_to_mc(r: TorusRep, bound: int = 4) -> RepToMcResult:
                               for i in range(m + 1)]),
             Matrix.from_rows([[tri.g2[(i, j)] for j in range(m + 1)]
                               for i in range(m + 1)]))
-        ext = rep_extension(stage, m, bound)
-        omega = extension_class(ext)
-        pushed = HomElement(fm_mul(phi.entries, omega.entries), 1)
-        partial = MCObject.semisimple(chars[:m], eta)
-        bottom = MCObject.semisimple([chars[m]])
-        k1, k2, chain = straighten(pushed, bottom, partial, bound)
+        try:
+            ext = rep_extension(stage, m, bound)
+            omega = extension_class(ext)
+            pushed = HomElement(fm_mul(phi.entries, omega.entries), 1)
+            partial = MCObject.semisimple(chars[:m], eta)
+            bottom = MCObject.semisimple([chars[m]])
+            k1, k2, chain = straighten(pushed, bottom, partial, bound)
+        except StraighteningFailedError as exc:
+            raise StraighteningFailedError(exc.what, exc.bound, exc.shape,
+                                           stage=m) from None
         # eta_{m+1} = [[eta, k1 dt1 + k2 dt2], [0, 0]]
         eta = _bordered(eta, fm_dt_matrix(k1, k2), sq(0))
         # phi_{m+1} = [[phi, chain - phi·psi], [0, 1]]

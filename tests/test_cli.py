@@ -118,7 +118,29 @@ def test_t2_cohomology_disagreement_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_model_betti", lambda rep, bound: (9, 9, 9))
     path = _write(tmp_path, "triv.rep", '1\n[["1"]]\n[["1"]]\n')
     assert main(["t2-cohomology", path]) == 4
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    # the message names both witnesses of the disagreement
+    assert "cellular [1, 2, 1]" in err
+    assert "model [9, 9, 9]" in err
+
+
+def test_t2_cohomology_straightening_failure_names_its_system(tmp_path,
+                                                              capsys):
+    n = 6  # the unipotent J6 needs polynomial degree 5; the default is 4
+    rows1 = [[str(int(j in (i, i + 1))) for j in range(n)] for i in range(n)]
+    rows2 = [[str(int(i == j)) for j in range(n)] for i in range(n)]
+    path = _write(tmp_path, "j6.rep",
+                  f"{n}\n{json.dumps(rows1)}\n{json.dumps(rows2)}\n")
+    assert main(["t2-cohomology", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    for part in ("stage 5", "polynomial degree 4", "160 x 80"):
+        assert part in captured.err
+    out = tmp_path / "report.json"
+    out.write_text("earlier report\n", encoding="utf-8")
+    assert main(["t2-cohomology", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == "earlier report\n"
 
 
 def test_verify_single_variant(capsys):

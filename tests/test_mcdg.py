@@ -615,3 +615,170 @@ def test_rep_to_mc_unipotent_j5_elimination_counts(monkeypatch):
     rep_to_mc(j5, bound=4)
     assert calls["invert"] <= 42
     assert calls["rref"] <= 80
+
+
+# -- chain images built from the unit's support --------------------------------
+
+def _image_by_products(src, dst, p, q, key, eq=True):
+    """The reference construction of an unknown's image: the unit form
+    matrix through `twisted_d` (the unit itself for a dt unit) and
+    `global_section_defects`, flattened."""
+    def flatten(tag, mat):
+        for r, row in enumerate(mat):
+            for s, form in enumerate(row):
+                for fkey, coeff in form.terms.items():
+                    c = coeff.coeffs.get((), Fraction(0))
+                    if c:
+                        k = (tag, r, s, fkey)
+                        img[k] = img.get(k, Fraction(0)) + c
+
+    mask, e1, e2 = key
+    unit = fm_zero(dst.dim, src.dim)
+    unit[p][q] = sq(1, e1, e2, mask)
+    h = HomElement(unit, 1 if mask else 0)
+    img = {}
+    if eq:
+        flatten("eq", unit if mask else twisted_d(h, src, dst).entries)
+    for i, diff in mcdg.global_section_defects(h, src, dst):
+        flatten(("gs", i), diff)
+    return img
+
+
+def _assert_images_match(src, dst, bound, allowed=(), eq=True):
+    problem = mcdg._ChainProblem(src, dst, bound)
+    problem.add_constant_dt_vars(allowed)
+    problem.add_chain_vars(skip_constant_on=frozenset(allowed), eq=eq)
+    assert len(problem.vars) == len(problem.images) > 0
+    for (_kind, p, q, key), img in zip(problem.vars, problem.images):
+        assert img == _image_by_products(src, dst, p, q, key, eq)
+        assert all(type(v) is Fraction and v for v in img.values())
+
+
+def _equal_pairs(src, dst):
+    return [(p, q) for p in range(dst.dim) for q in range(src.dim)
+            if dst.characters[p] == src.characters[q]]
+
+
+def test_chain_images_match_products_on_straighten_endpoints(monkeypatch):
+    seen = []
+    real = mcdg.straighten
+    monkeypatch.setattr(mcdg, "straighten",
+                        lambda omega, src, dst, bound=4:
+                        seen.append((src, dst, bound))
+                        or real(omega, src, dst, bound))
+    for n in (4, 5):
+        rep_to_mc(rep([[int(j in (i, i + 1)) for j in range(n)]
+                       for i in range(n)]), bound=4)
+    rep_to_mc(TorusRep(Matrix.from_rows([[2, 1, 3], [0, 1, 0], [0, 0, 2]]),
+                       Matrix.identity(3)))
+    assert len(seen) == 3 + 4 + 2
+    for src, dst, bound in seen:
+        _assert_images_match(src, dst, bound, _equal_pairs(src, dst))
+
+
+def _random_eta(rng, n, polynomial):
+    eta = fm_zero(n, n)
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < 0.5 and (i, j) != (0, n - 1):
+                continue
+            for _ in range(rng.randint(1, 2)):
+                e1, e2 = ((rng.randint(0, 2), rng.randint(0, 2))
+                          if polynomial else (0, 0))
+                eta[i][j] = eta[i][j] + sq(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                           e1, e2, mask=rng.choice([1, 2]))
+    return eta
+
+
+def test_chain_images_match_products_with_twisted_endpoints():
+    # nonzero eta on both ends, constant and polynomial: the t^a·eta_src
+    # term is one straighten never reaches
+    rng = random.Random(83)
+    chars = [(1, 1), (2, 1), (1, 1), (Fraction(1, 2), 3)]
+    for polynomial in (False, True):
+        for _ in range(3):
+            ns, nd = rng.randint(1, 3), rng.randint(1, 3)
+            cs, cd = rng.sample(chars, ns), rng.sample(chars, nd)
+            src = MCObject.semisimple(cs, _random_eta(rng, ns, polynomial))
+            dst = MCObject.semisimple(cd, _random_eta(rng, nd, polynomial))
+            assert not fm_is_zero(src.eta) and not fm_is_zero(dst.eta)
+            _assert_images_match(src, dst, 3, _equal_pairs(src, dst))
+
+
+def test_chain_images_match_products_on_non_diagonal_bases():
+    # the endpoints of solve_gamma and of the general splitting corner
+    bottom = MCObject.from_rep(jordan2_rep(2, 3))
+    top = MCObject.from_rep(rep([[1, 1, 1], [0, 1, 1], [0, 0, 1]],
+                                [[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+    for src, dst in ((bottom, MCObject.from_rep(jordan3_rep(2, 3, 5, 7))),
+                     (MCObject.from_rep(TorusRep.trivial(1)), top),
+                     (bottom, jordan2_object(2, 3))):
+        for eq in (True, False):
+            _assert_images_match(src, dst, 3, eq=eq)
+
+
+def test_chain_image_crossing_exponent_drops_the_plain_restriction():
+    triv = MCObject.semisimple([(1, 1)])
+    problem = mcdg._ChainProblem(triv, triv, 2)
+    # t1: the twisted and plain restrictions to edge 1 cancel; edge 2 sees
+    # the constant on its twisted face only
+    assert problem.image(0, 0, (0, 1, 0)) == {
+        ("eq", 0, 0, (1, 0, 0)): 1, (("gs", 2), 0, 0, (0, 0)): 1}
+    # t1·t2: the crossing exponent is nonzero on both edges
+    assert problem.image(0, 0, (0, 1, 1)) == {
+        ("eq", 0, 0, (1, 0, 1)): 1, ("eq", 0, 0, (2, 1, 0)): 1,
+        (("gs", 1), 0, 0, (0, 1)): 1, (("gs", 2), 0, 0, (0, 1)): 1}
+    assert problem.image(0, 0, (0, 1, 1)) == _image_by_products(
+        triv, triv, 0, 0, (0, 1, 1))
+    # dt units: the unit itself, and no defect along the edge its dt crosses
+    assert problem.image(0, 0, (2, 0, 0)) == {("eq", 0, 0, (2, 0, 0)): 1}
+    other = MCObject.from_rep(TorusRep(Matrix.from_rows([[3]]),
+                                       Matrix.from_rows([[2]])))
+    assert mcdg._ChainProblem(triv, other, 0).image(0, 0, (1, 0, 0)) == {
+        ("eq", 0, 0, (1, 0, 0)): 1, (("gs", 1), 0, 0, (1, 0)): 1}
+
+
+def test_rep_to_mc_unipotent_j5_builds_no_unit_products(monkeypatch):
+    calls = {"twisted_d": 0, "global_section_defects": 0}
+    for name in calls:
+        real = getattr(mcdg, name)
+        monkeypatch.setattr(
+            mcdg, name, lambda *a, _real=real, _name=name:
+            calls.__setitem__(_name, calls[_name] + 1) or _real(*a))
+    n = 5
+    rep_to_mc(rep([[int(j in (i, i + 1)) for j in range(n)]
+                   for i in range(n)]), bound=4)
+    assert calls["twisted_d"] <= 20
+    assert calls["global_section_defects"] <= 40
+
+
+def test_rep_to_mc_unipotent_j8_pinned():
+    import hashlib
+
+    n = 8
+    res = rep_to_mc(rep([[int(j in (i, i + 1)) for j in range(n)]
+                         for i in range(n)]), bound=7)
+    digest = hashlib.sha256(
+        (repr(res.mc.eta) + repr(res.iso.entries)).encode()).hexdigest()
+    assert digest == ("3164bf8c5669f97cba669a2c5588e6170cd4b0f77e2ad25845d12"
+                      "aa9df267fa4")
+
+
+def test_straightening_failure_names_bound_shape_and_stage():
+    from t2mc.mcdg import StraighteningFailedError
+
+    n = 6
+    j6 = rep([[int(j in (i, i + 1)) for j in range(n)] for i in range(n)])
+    with pytest.raises(StraighteningFailedError) as info:
+        rep_to_mc(j6, bound=4)
+    exc = info.value
+    assert (exc.stage, exc.bound, exc.shape) == (5, 4, (160, 80))
+    assert "stage 5" in str(exc) and "160 x 80" in str(exc)
+    # the general splitting corner at bound 0 has no solution
+    top = rep([[1, 1], [0, 1]], [[1, 1], [0, 1]])
+    corners = [Matrix.from_rows([[1], [1]]), Matrix.from_rows([[0], [1]])]
+    with pytest.raises(StraighteningFailedError) as info:
+        mcdg._splitting_corner(top, TorusRep.trivial(1), corners, 0)
+    exc = info.value
+    assert exc.stage is None and exc.bound == 0
+    assert f"{exc.shape[0]} x 2" in str(exc)
