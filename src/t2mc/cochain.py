@@ -1,8 +1,13 @@
-"""Finite cochain complexes with ordered bases and exact Betti numbers."""
+"""Finite cochain complexes with ordered bases and exact Betti numbers.
+
+A Betti number needs only ranks: b_n = dim C^n - rank D_n - rank D_{n-1}.
+Each rank is taken by `qlinalg.rank` (fraction-free elimination over Z), and
+`betti` reduces each stored D_n at most once, however many degrees use it.
+"""
 
 from __future__ import annotations
 
-from .qlinalg import rank_kernel
+from .qlinalg import rank
 
 
 class ComplexError(ValueError):
@@ -52,24 +57,20 @@ class TwistedComplex:
         mat = self.d.get(n)
         if mat is None or mat.cols == 0 or mat.rows == 0:
             return 0
-        rank, _ = rank_kernel(mat)
-        return rank
+        return rank(mat)
 
     def betti_one(self, n: int) -> int:
         """dim ker D_n - rank D_{n-1}."""
-        dim_n = self.dim(n)
-        mat = self.d.get(n)
-        if mat is None:
-            if n in self.basis and (n + 1) in self.basis:
-                raise ComplexError(f"D_{n} not stored")
-            ker = dim_n
-        else:
-            rank, kernel = rank_kernel(mat)
-            ker = dim_n - rank
-        return ker - self.rank_d(n - 1)
+        return self.betti((n,))[0]
 
     def betti(self, degrees) -> tuple:
-        return tuple(self.betti_one(n) for n in degrees)
+        degrees = tuple(degrees)
+        for n in degrees:
+            if n not in self.d and n in self.basis and (n + 1) in self.basis:
+                raise ComplexError(f"D_{n} not stored")
+        needed = {k for n in degrees for k in (n, n - 1)}
+        ranks = {k: self.rank_d(k) for k in needed}
+        return tuple(self.dim(n) - ranks[n] - ranks[n - 1] for n in degrees)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** n * self.dim(n) for n in self.degrees())

@@ -299,6 +299,12 @@ def as_object(x) -> MCObject:
     raise TypeError(f"expected a representation or MC object, got {x!r}")
 
 
+def _unchecked(rep: TorusRep) -> MCObject:
+    """An untwisted object on a rep the caller has already validated, wrapped
+    without re-validating it."""
+    return MCObject(FORMS, rep, fm_zero(rep.dim, rep.dim))
+
+
 def _check_same_ambient(*objs):
     ambients = {o.ambient for o in objs}
     if len(ambients) > 1:
@@ -891,8 +897,10 @@ def realize_rep(top: TorusRep, bottom: TorusRep, f1: Matrix,
         mats.append(Matrix.from_rows(rows))
     rep = TorusRep(mats[0], mats[1])
     require_valid(rep)
-    ext = ExtensionData(top, bottom, rep, *_splitting(
-        nt, nb, fm_dt_matrix(f1, f2, T))).validate()
+    # top, bottom and rep are validated above
+    ext = ExtensionData(_unchecked(top), _unchecked(bottom), _unchecked(rep),
+                        *_splitting(nt, nb,
+                                    fm_dt_matrix(f1, f2, T))).validate()
     return RealizeResult(rep, ext)
 
 
@@ -968,7 +976,8 @@ def rep_extension(r: TorusRep, split: int, bound: int = 4) -> ExtensionData:
                       sub(r.g2, split, n, split, n))
     corners = [sub(r.g1, 0, split, split, n), sub(r.g2, 0, split, split, n)]
     psi = _splitting_corner(top, bottom, corners, bound)
-    return ExtensionData(top, bottom, r,
+    # r is valid, hence so are its diagonal blocks: wrap all three unchecked
+    return ExtensionData(_unchecked(top), _unchecked(bottom), _unchecked(r),
                          *_splitting(split, n - split, psi)).validate()
 
 
@@ -985,10 +994,9 @@ def _splitting_corner(top: TorusRep, bottom: TorusRep, corners, bound: int):
         return fm_dt_matrix(h[0], h[1], T)
     # general case: linear solve for a polynomial corner; each unknown's
     # image is its pair of face-compatibility defects
-    nt, nb = top.dim, bottom.dim
+    nt = top.dim
     # the diagonal blocks of a valid pair are valid: wrap them unchecked
-    problem = _ChainProblem(MCObject(FORMS, bottom, fm_zero(nb, nb)),
-                            MCObject(FORMS, top, fm_zero(nt, nt)), bound)
+    problem = _ChainProblem(_unchecked(bottom), _unchecked(top), bound)
     problem.add_chain_vars(eq=False)
     # the constant corner's twisted restriction, moved to the right side
     rhs = {}
@@ -1070,9 +1078,10 @@ def rep_to_mc(r: TorusRep, bound: int = 4) -> RepToMcResult:
     # compose with the change of basis back to the original coordinates
     binv = invert(ss.basis)
     iso = HomElement(fm_mul(phi.entries, fm_from_matrix(binv)), 0)
-    if not twisted_d(iso, MCObject.from_rep(r), mc).is_zero():
+    src = _unchecked(r)  # semisimplify validated r
+    if not twisted_d(iso, src, mc).is_zero():
         raise NotACocycleError("pipeline isomorphism is not a cocycle")
-    if global_section_defects(iso, MCObject.from_rep(r), mc):
+    if global_section_defects(iso, src, mc):
         raise NotEquivariantError("pipeline isomorphism is not a global "
                                   "section")
     if fm_constant_part_invertible(iso.entries) is None:

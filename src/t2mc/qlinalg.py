@@ -2,14 +2,15 @@
 
 Everything downstream (monomial bases, cochain complexes, intertwiner
 searches, lattice membership) reduces to the routines here.  All entries are
-`fractions.Fraction`, stored densely; products (row-wise sparse, after
-Gustavson) and eliminations touch only the nonzeros.  Every rational
-elimination (rank, kernel, solve, inverse) goes through `Matrix.rref`, a
-sparse Gauss-Jordan reduction whose output is the unique reduced row echelon
-form, so identical inputs always produce identical outputs.  Determinants
-(and with them every invertibility test) are taken over Z: `det` clears each
-row's denominators and runs fraction-free Bareiss elimination, whose
-divisions are exact.
+`fractions.Fraction`, stored densely.  The dense kernels run on Python
+integers: a product scales each left row and each right column by the lcm of
+its denominators, accumulates integer products over the nonzeros only
+(row-wise, after Gustavson) and divides once per output entry; ranks and
+determinants (with them every invertibility test) clear each row's
+denominators and run one fraction-free Bareiss elimination over Z, whose
+divisions are exact.  Kernels, solutions and inverses come from `Matrix.rref`,
+a sparse Gauss-Jordan reduction whose output is the unique reduced row
+echelon form, so identical inputs always produce identical outputs.
 """
 
 from __future__ import annotations
@@ -139,8 +140,7 @@ class Matrix:
             return self.scale(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        return Matrix._exact(self.rows, other.cols,
-                             self._times(other.sparse_rows(), other.cols))
+        return Matrix._exact(self.rows, other.cols, self._times(other))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -150,17 +150,33 @@ class Matrix:
         return [[(j, e) for j, e in enumerate(self.row(i)) if e]
                 for i in range(self.rows)]
 
-    def _times(self, b_rows, width):
-        """Entries of self times the matrix with these sparse rows: each
-        nonzero a_ik adds a_ik times row k, so zeros on either side are free."""
+    def _times(self, other):
+        """Entries of self·other, computed on integers.
+
+        Row i of self is scaled by the lcm s_i of its denominators and
+        column j of other by the lcm t_j of its own; each nonzero a_ik adds
+        a_ik times row k of other, so zeros on either side are free, and
+        entry (i, j) is the integer sum over s_i·t_j.
+        """
+        width = other.cols
+        b_rows = other.sparse_rows()
+        t = [1] * width
+        for b_row in b_rows:
+            for j, b in b_row:
+                if b.denominator != 1:
+                    t[j] = lcm(t[j], b.denominator)
+        b_rows = [[(j, b.numerator * (t[j] // b.denominator))
+                   for j, b in b_row] for b_row in b_rows]
         out = []
         for i in range(self.rows):
-            acc = [_ZERO] * width
-            for a, b_row in zip(self.row(i), b_rows):
+            s, a_row = _integer_row(self.row(i))
+            acc = [0] * width
+            for a, b_row in zip(a_row, b_rows):
                 if a:
                     for j, b in b_row:
                         acc[j] += a * b
-            out += acc
+            out += [Fraction(x, s * tj) if x else _ZERO
+                    for x, tj in zip(acc, t)]
         return out
 
     def transpose(self) -> "Matrix":
@@ -174,7 +190,7 @@ class Matrix:
         vec = [frac(v) for v in vec]
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(self._times([[(0, v)] if v else [] for v in vec], 1))
+        return tuple(self._times(Matrix._exact(len(vec), 1, vec)))
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
@@ -295,40 +311,75 @@ def invert(m: Matrix):
                                 for i in range(n) for j in range(n)])
 
 
+def _integer_row(row):
+    """(s, ints): the lcm s of the row's denominators and the row times s,
+    as integers.  Integer entries are read as they are."""
+    s = lcm(*[e.denominator for e in row])
+    return s, [e.numerator * (s // e.denominator) for e in row]
+
+
+def _bareiss(rows):
+    """Fraction-free (Bareiss) echelon elimination of integer rows.
+
+    Yields (pivot, swapped) for each column in turn.  The first row with a
+    nonzero entry in the column is swapped to the top (swapped is then
+    True), and every other row r becomes (p·r - r[0]·top) / prev, where p is
+    the pivot and prev the one before it: the division is exact (Bareiss
+    1968), so the entries stay integers.  A column with no nonzero entry
+    left yields pivot 0 and is skipped (Nakos-Turner-Williams 1997).  Each
+    row keeps only the columns right of the current one; the elimination
+    stops when no row or no column is left.
+    """
+    prev = 1
+    while rows and rows[0]:
+        for k, r in enumerate(rows):
+            if r[0]:
+                break
+        else:
+            rows = [r[1:] for r in rows]
+            yield 0, False
+            continue
+        if k:
+            rows[0], rows[k] = rows[k], rows[0]
+        top = rows[0]
+        p = top[0]
+        rows = [[(p * x - r[0] * y) // prev for x, y in zip(r[1:], top[1:])]
+                for r in rows[1:]]
+        prev = p
+        yield p, k != 0
+
+
+def rank(m: Matrix) -> int:
+    """Rank over Q, by fraction-free elimination of the matrix's rows
+    cleared of their denominators; all-zero rows are dropped first."""
+    rows = [ints for ints in (_integer_row(m.row(i))[1]
+                              for i in range(m.rows)) if any(ints)]
+    return sum(1 for p, _ in _bareiss(rows) if p)
+
+
 def det(m: Matrix) -> Fraction:
     """Determinant by fraction-free (Bareiss) elimination over Z.
 
     Each row is scaled by the lcm of its denominators, so the elimination
-    runs on integers and every Bareiss division is exact; the result is the
-    integer determinant over the product of the row scales.  A zero pivot is
-    replaced by the first row below it with a nonzero entry in that column,
-    flipping the sign.  Integer entries are read as they are.
+    runs on integers; the result is the last pivot, signed by the row swaps,
+    over the product of the row scales.  A column without a pivot makes it 0.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     rows = []
     scale = 1
     for i in range(m.rows):
-        row = m.row(i)
-        s = lcm(*[e.denominator for e in row])
+        s, ints = _integer_row(m.row(i))
         scale *= s
-        rows.append([e.numerator * (s // e.denominator) for e in row])
-    sign, prev = 1, 1
-    while rows:  # rows[i] holds the columns from the current pivot on
-        for k, r in enumerate(rows):
-            if r[0]:
-                break
-        else:
+        rows.append(ints)
+    sign, last = 1, 1
+    for p, swapped in _bareiss(rows):
+        if not p:
             return Fraction(0)
-        if k:
-            rows[0], rows[k] = rows[k], rows[0]
+        if swapped:
             sign = -sign
-        top = rows[0]
-        p = top[0]
-        rows = [[(p * x - r[0] * y) // prev for x, y in zip(r[1:], top[1:])]
-                for r in rows[1:]]
-        prev = p
-    return Fraction(sign * prev, scale)
+        last = p
+    return Fraction(sign * last, scale)
 
 
 class IntMatrix:

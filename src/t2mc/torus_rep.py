@@ -6,9 +6,10 @@ triangularization over Q (semi-simplification), hom/tensor/dual
 constructions, the 3-term cellular cochain complex of the torus computing
 H*(T^2, V), and an exact isomorphism test.  Its negative answers are
 certified three ways: the intertwiner space Hom(V, W) is zero, its dimension
-differs from dim End(V) or dim End(W), or the determinant vanishes on a
-coefficient grid large enough to show it vanishes identically.  Its
-determinants are taken over Z (`qlinalg.det`, on integer grid candidates).
+differs from dim End(V) or dim End(W) (each n² minus the rank of its
+intertwiner system), or the determinant vanishes on a coefficient grid large
+enough to show it vanishes identically.  Its determinants are taken over Z
+(`qlinalg.det`, on integer grid candidates).
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from operator import mul
 
 from .cochain import TwistedComplex
 from .errors import DomainError, ParseError
-from .qlinalg import Matrix, det, frac, frac_str, invert, rank_kernel, solve
+from .qlinalg import (Matrix, det, frac, frac_str, invert, rank, rank_kernel,
+                      solve)
 
 
 class NonCommutingError(DomainError):
@@ -280,8 +282,7 @@ def _complete_basis(vec, n):
         cand = [Fraction(int(j == i)) for j in range(n)]
         test = Matrix.from_rows(
             [[c[k] for c in cols + [cand]] for k in range(n)])
-        rank, _ = rank_kernel(test)
-        if rank == len(cols) + 1:
+        if rank(test) == len(cols) + 1:
             cols.append(cand)
         if len(cols) == n:
             break
@@ -340,27 +341,20 @@ def hom_rep(v: TorusRep, w: TorusRep) -> TorusRep:
     """Hom(V, W) with the conjugate action f -> w.g ∘ f ∘ v.g^{-1}.
 
     Basis: matrix units E_{kl} (k a W-index, l a V-index), ordered row-major.
+    The image of E_{kl} has entry w.g[a, k]·v.g^{-1}[l, b] at (a, b), so the
+    generator is the Kronecker product w.g ⊗ (v.g^{-1})^T.
     """
     require_valid(v)
     require_valid(w)
     dim = v.dim * w.dim
+    zero = Fraction(0)
     mats = []
     for i in (1, 2):
-        wg = w.g(i)
-        vginv = v.g_inv(i)
-        entries = []
-        cols = []
-        for k in range(w.dim):
-            for l in range(v.dim):
-                unit = Matrix(w.dim, v.dim,
-                              [Fraction(int((a, b) == (k, l)))
-                               for a in range(w.dim) for b in range(v.dim)])
-                img = wg * unit * vginv
-                cols.append([img[(a, b)] for a in range(w.dim)
-                             for b in range(v.dim)])
-        for rr in range(dim):
-            entries.extend(cols[cc][rr] for cc in range(dim))
-        mats.append(Matrix(dim, dim, entries))
+        wg = w.g(i).to_rows()
+        vginv_t = v.g_inv(i).transpose().to_rows()
+        mats.append(Matrix._exact(dim, dim, [
+            x * y if x and y else zero
+            for wrow in wg for vcol in vginv_t for x in wrow for y in vcol]))
     return TorusRep(mats[0], mats[1])
 
 
@@ -439,12 +433,13 @@ class IsoResult:
         return f"IsoResult({self.status}, dim={self.space_dim})"
 
 
-def intertwiner_space(v: TorusRep, w: TorusRep):
-    """Basis of {T : T v.g_i = w.g_i T, i = 1, 2} as dim x dim matrices."""
+def _intertwiner_equations(v: TorusRep, w: TorusRep) -> Matrix:
+    """The 2n² x n² system T v.g_i - w.g_i T = 0 in the entries of T,
+    row-major."""
     if v.dim != w.dim:
         raise ValueError("equal dimensions required")
     n = v.dim
-    rows = []
+    entries = []
     for i in (1, 2):
         vg, wg = v.g(i), w.g(i)
         # (T vg - wg T)[a, b] = sum_c T[a,c] vg[c,b] - wg[a,c] T[c,b]
@@ -454,9 +449,19 @@ def intertwiner_space(v: TorusRep, w: TorusRep):
                 for c in range(n):
                     row[a * n + c] += vg[(c, b)]
                     row[c * n + b] -= wg[(a, c)]
-                rows.append(row)
-    _, kernel = rank_kernel(Matrix.from_rows(rows))
-    return [Matrix(n, n, k) for k in kernel]
+                entries += row
+    return Matrix._exact(2 * n * n, n * n, entries)
+
+
+def intertwiner_space(v: TorusRep, w: TorusRep):
+    """Basis of {T : T v.g_i = w.g_i T, i = 1, 2} as dim x dim matrices."""
+    _, kernel = rank_kernel(_intertwiner_equations(v, w))
+    return [Matrix(v.dim, v.dim, k) for k in kernel]
+
+
+def _end_dim(r: TorusRep) -> int:
+    """dim End(V) = n² - rank of the intertwiner system of (V, V)."""
+    return r.dim ** 2 - rank(_intertwiner_equations(r, r))
 
 
 def _candidate_key(entries):
@@ -496,7 +501,7 @@ def is_isomorphic(v: TorusRep, w: TorusRep, seed: int = 20260808) -> IsoResult:
     k = len(space)
     if k == 0:
         return IsoResult("not_isomorphic", None, 0)
-    if k != len(intertwiner_space(v, v)) or k != len(intertwiner_space(w, w)):
+    if k != _end_dim(v) or k != _end_dim(w):
         return IsoResult("not_isomorphic", None, k)
     n = v.dim
     den = lcm(*(e.denominator for t in space for e in t.entries))

@@ -429,6 +429,21 @@ def test_splitting_data_pinned(case, monkeypatch):
     assert len(solves) == (case == "general")
 
 
+@pytest.mark.parametrize("case", ["fast", "general", "realize"])
+def test_extension_validates_only_its_inputs(case, monkeypatch):
+    import t2mc.torus_rep as torus_rep
+
+    calls = []
+    real = torus_rep.validate
+    monkeypatch.setattr(torus_rep, "validate",
+                        lambda r: calls.append(r.dim) or real(r))
+    ext = _splitting_for(case)
+    # rep_extension validates its input once; realize_rep its two blocks
+    # and the rep it builds.  ExtensionData wraps them without re-checking.
+    assert calls == ([3] if case != "realize" else [2, 1, 3])
+    assert ext.total.dim == 3
+
+
 def test_splitting_corner_does_not_revalidate_blocks(monkeypatch):
     import t2mc.torus_rep as torus_rep
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from t2mc.qlinalg import (IntMatrix, Matrix, det, frac, frac_str, in_lattice,
-                          integer_kernel, invert, rank_kernel,
+                          integer_kernel, invert, rank, rank_kernel,
                           smith_normal_form, solve, solve_integer)
 
 
@@ -336,6 +336,47 @@ def test_product_matches_sympy():
             for i in range(a.rows) for j in range(b.cols))
 
 
+def _fraction_loop_product(a, b):
+    """The Fraction accumulation products ran on before the integer kernel:
+    each nonzero a_ik adds a_ik times the sparse row k of b."""
+    b_rows = b.sparse_rows()
+    out = []
+    for i in range(a.rows):
+        acc = [Fraction(0)] * b.cols
+        for x, b_row in zip(a.row(i), b_rows):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out += acc
+    return Matrix(a.rows, b.cols, out)
+
+
+def test_integer_product_matches_fraction_loop():
+    rng = random.Random(43)
+
+    def entry():
+        return Fraction(rng.randint(-999, 999),
+                        rng.choice((1, 2, 7, rng.randint(1, 10 ** 6))))
+
+    def mixed(n, m, density):
+        return Matrix(n, m, [entry() if rng.random() < density
+                             else Fraction(0) for _ in range(n * m)])
+
+    cases = list(_product_cases())
+    for density in (0.1, 0.5, 1.0):
+        for _ in range(4):
+            n, k, m = (rng.randint(1, 10) for _ in range(3))
+            cases.append((mixed(n, k, density), mixed(k, m, density)))
+    for a, b in cases:
+        prod = a * b
+        assert prod.entries == _fraction_loop_product(a, b).entries
+        assert all(type(e) is Fraction for e in prod.entries)
+        for vec in ([entry() for _ in range(a.cols)],
+                    [0] * a.cols, b.col(0) if b.cols else [0] * a.cols):
+            assert a.apply(vec) == _fraction_loop_product(
+                a, Matrix.column(vec)).entries
+
+
 def test_product_shape_mismatch_raises():
     with pytest.raises(ValueError):
         Matrix.zero(2, 3) * Matrix.zero(2, 3)
@@ -441,6 +482,67 @@ def test_det_reads_integer_entries():
         ints = [e.numerator for e in m.entries]
         assert det(Matrix._exact(m.rows, m.cols, ints)) == det(
             Matrix(m.rows, m.cols, ints))
+
+
+def _rank_cases():
+    """Seeded matrices for `rank`: square 0x0 to 12x12 with mixed
+    denominators up to 10**6, and rectangular up to 72x36 with small ones,
+    at 0-100 % density; low-rank products, zero rows and columns, and
+    duplicate and dependent rows."""
+    rng = random.Random(47)
+
+    def entry(big=True):
+        den = rng.choice((1, 2, 7, rng.randint(1, 10 ** 6) if big else 5))
+        return Fraction(rng.randint(-999, 999), den)
+
+    def dense(n, m, density, big=True):
+        return [[entry(big) if rng.random() < density else Fraction(0)
+                 for _ in range(m)] for _ in range(n)]
+
+    def flat(n, m, rows):
+        return Matrix(n, m, [e for r in rows for e in r])
+
+    cases = []
+    for n in range(13):
+        for density in (0.0, 0.1, 0.3, 0.6, 1.0):
+            cases.append(flat(n, n, dense(n, n, density)))
+    for n, m in ((72, 36), (36, 72), (40, 5), (5, 40), (1, 12), (12, 1),
+                 (0, 7), (7, 0)):
+        for density in (0.0, 0.05, 0.3, 1.0):
+            cases.append(flat(n, m, dense(n, m, density, big=False)))
+    for k in (1, 3, 8):  # rank k, well below both sides
+        cases.append(flat(72, k, dense(72, k, 0.6, big=False))
+                     * flat(k, 36, dense(k, 36, 0.6, big=False)))
+    for _ in range(12):
+        n, m = rng.randint(2, 12), rng.randint(2, 12)
+        rows = dense(n, m, 0.7)
+        rows[rng.randrange(n)] = [Fraction(0)] * m              # zero row
+        dead = rng.randrange(m)
+        for r in rows:
+            r[dead] = Fraction(0)                               # zero column
+        rows.append(list(rows[rng.randrange(n)]))           # duplicate row
+        a, b = entry(), entry()
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+        cases.append(flat(len(rows), m, rows))
+    return cases
+
+
+def test_rank_matches_rank_kernel():
+    cases = _rank_cases() + _oracle_cases()
+    ranks = [rank(m) for m in cases]
+    assert ranks == [rank_kernel(m)[0] for m in cases]
+    assert any(0 < r < min(m.rows, m.cols) for r, m in zip(ranks, cases))
+
+
+def test_rank_matches_sympy():
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    for m in _rank_cases():
+        dm = DomainMatrix([[QQ(e.numerator, e.denominator) for e in m.row(i)]
+                           for i in range(m.rows)], (m.rows, m.cols), QQ)
+        assert rank(m) == dm.rank()
 
 
 def test_det_non_square_raises():

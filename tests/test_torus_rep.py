@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import t2mc.cochain as cochain
 import t2mc.torus_rep as torus_rep
-from t2mc.qlinalg import Matrix, det, invert
+from t2mc.qlinalg import Matrix, det, invert, rank_kernel
 from t2mc.torus_rep import (GRID_CAP, IrrationalSpectrumError, IsoResult,
                             NonCommutingError, SingularError, TorusRep,
                             _candidate_key, cellular_complex, char_poly,
@@ -117,6 +118,55 @@ def test_hom_rep_action_formula():
     expected = w.g1 * f * v.g_inv(1)
     assert list(image) == [expected[(k, l)] for k in range(2)
                            for l in range(2)]
+
+
+def _reference_hom_rep(v, w):
+    """Hom(V, W) from 2·n² unit-matrix products: column (k, l) of each
+    generator is w.g · E_kl · v.g^{-1}, read row-major."""
+    dim = v.dim * w.dim
+    mats = []
+    for i in (1, 2):
+        cols = []
+        for k in range(w.dim):
+            for l in range(v.dim):
+                unit = Matrix(w.dim, v.dim,
+                              [int((a, b) == (k, l)) for a in range(w.dim)
+                               for b in range(v.dim)])
+                img = w.g(i) * unit * v.g_inv(i)
+                cols.append(img.entries)
+        mats.append(Matrix(dim, dim, [cols[c][r] for r in range(dim)
+                                      for c in range(dim)]))
+    return TorusRep(mats[0], mats[1])
+
+
+def _seeded_reps(seed, count):
+    """Commuting pairs of dimension 1 to 4: a random invertible upper
+    triangular g1 and g2 one of g1², g1 or the identity."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        diag = [rng.choice((1, 1, 2, -1, Fraction(1, 2))) for _ in range(n)]
+        g1 = Matrix.from_rows([[diag[i] if i == j else
+                                (Fraction(rng.randint(-3, 3),
+                                          rng.randint(1, 3)) if j > i else 0)
+                                for j in range(n)] for i in range(n)])
+        g2 = rng.choice((g1 * g1, g1, Matrix.identity(n)))
+        out.append(TorusRep(g1, g2))
+    return out
+
+
+def test_hom_rep_matches_unit_product_reference(tmp_path):
+    reps = _seeded_reps(53, 12)
+    pairs = list(zip(reps, reps[1:]))
+    pairs.append(_bench_iso_pair(tmp_path, 1, "iso_conjugate"))
+    for v, w in pairs:
+        for a, b in ((v, w), (w, v), (v, v)):
+            h = hom_rep(a, b)
+            ref = _reference_hom_rep(a, b)
+            assert h == ref
+            assert rep_to_text(h) == rep_to_text(ref)
+            assert all(type(e) is Fraction for e in h.g1.entries + h.g2.entries)
 
 
 def test_g_inv_is_computed_once(monkeypatch):
@@ -229,6 +279,49 @@ def test_character_betti_case_analysis():
                 assert b == (1, 2, 1)
             else:
                 assert b == (0, 0, 0)
+
+
+def _rank_kernel_betti(cx):
+    """Betti numbers of a three-degree complex from full kernel bases."""
+    r0 = rank_kernel(cx.d[0])[0] if cx.dim(0) and cx.dim(1) else 0
+    r1 = rank_kernel(cx.d[1])[0] if cx.dim(1) and cx.dim(2) else 0
+    return (cx.dim(0) - r0, cx.dim(1) - r1 - r0, cx.dim(2) - r1)
+
+
+def test_betti_reduces_each_differential_once(monkeypatch):
+    ranks = []
+    real = cochain.rank
+    monkeypatch.setattr(cochain, "rank", lambda m: ranks.append(m) or real(m))
+    v, w = _seeded_reps(59, 2)
+    cx = cellular_complex(hom_rep(v, w))
+    betti = cx.betti(range(3))
+    assert sorted((m.rows, m.cols) for m in ranks) == sorted(
+        (cx.d[n].rows, cx.d[n].cols) for n in (0, 1))
+    assert betti == _rank_kernel_betti(cx)
+    ranks.clear()
+    assert cx.betti_one(1) == betti[1]
+    assert len(ranks) == 2
+
+
+def test_hom_betti_matches_rank_kernel_route():
+    reps = _seeded_reps(61, 14)
+    seen = set()
+    for v, w in zip(reps, reps[1:]):
+        cx = cellular_complex(hom_rep(v, w))
+        betti = cx.betti(range(3))
+        assert betti == _rank_kernel_betti(cx)
+        if v.dim == w.dim:  # H^0 is Hom_{Z^2}(V, W)
+            assert betti[0] == len(intertwiner_space(v, w))
+        seen.add(betti)
+    assert len(seen) > 2
+
+
+def test_end_dim_certificate_matches_kernel(tmp_path):
+    reps = _seeded_reps(67, 10)
+    reps += _bench_iso_pair(tmp_path, 2, "iso_conjugate")
+    reps += [TorusRep.trivial(3), TorusRep(Matrix(0, 0, []), Matrix(0, 0, []))]
+    for r in reps:
+        assert torus_rep._end_dim(r) == len(intertwiner_space(r, r))
 
 
 def test_is_isomorphic_identity():
