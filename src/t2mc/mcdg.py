@@ -26,6 +26,11 @@ elementary unknowns E_pq·t^a.  Each unknown's image (its twisted
 differential and face-compatibility defects) is written straight from its
 one-entry support, row p and column q, into sparse coordinates: O(n) terms
 per unknown, never a full form-matrix product.
+
+The checks run on the same sparse coordinates, not on products: the
+cocycle and global-section conditions of a morphism are summed from those
+images over its terms (`_defects`), and a block splitting is validated
+entry by entry against the blocks of the extension it splits.
 """
 
 from __future__ import annotations
@@ -198,30 +203,6 @@ def fm_shape(a):
     return len(a), len(a[0]) if a else 0
 
 
-def fm_restrict(a, i, j):
-    return [[x.restrict_edge(i, j) if x.terms else Form1.zero(SCALAR_ALGEBRA)
-             for x in row] for row in a]
-
-
-def f1m_scalar_mul(m: Matrix, a):
-    """Rational matrix times interval-form matrix, over nonzeros only."""
-    a_rows = [[(j, f) for j, f in enumerate(row) if f.terms] for row in a]
-    return _accumulate(([(j, f if c == 1 else f.scale(c))
-                         for k, c in m_row for j, f in a_rows[k]]
-                        for m_row in m.sparse_rows()),
-                       len(a[0]) if a else 0, Form1.zero(SCALAR_ALGEBRA))
-
-
-def f1m_mul_scalar(a, m: Matrix):
-    """Interval-form matrix times rational matrix, over nonzeros only."""
-    m_rows = m.sparse_rows()
-    return _accumulate(([(j, f if c == 1 else f.scale(c))
-                         for f, m_row in zip(row, m_rows) if f.terms
-                         for j, c in m_row]
-                        for row in a),
-                       m.cols, Form1.zero(SCALAR_ALGEBRA))
-
-
 def fm_dt_parts(a):
     """Split a constant 1-form matrix into (m1, m2) with a = m1 dt1 + m2 dt2.
 
@@ -353,26 +334,76 @@ def twisted_d(f: HomElement, source, target) -> HomElement:
     return HomElement(out, f.degree + 1)
 
 
+def _defects(f: HomElement, source, target, cocycle=False):
+    """The nonzero coordinates of f's face-compatibility defects and, with
+    `cocycle`, of its twisted differential.
+
+    Summed as c·(image of the unit E_pq·t^a) over the terms c·E_pq·t^a of f,
+    by `_ChainProblem.image`, so no form-matrix product is built.  The
+    defects along edge i sit under ("gs", i), keyed as in
+    `global_section_defects`; the twisted differential, for a degree-0 f of
+    0-forms, sits under "eq".  Every coefficient must be a scalar.
+    """
+    src = as_object(source)
+    dst = as_object(target)
+    if (len(f.entries) != dst.dim
+            or any(len(row) != src.dim for row in f.entries)):
+        raise ValueError("hom element shape does not match the endpoints")
+    image = _ChainProblem(src, dst, 0).image
+    out = {}
+    for p, row in enumerate(f.entries):
+        for q, form in enumerate(row):
+            for key, coeff in form.terms.items():
+                if coeff.pres is not SCALAR_ALGEBRA:
+                    raise AmbientMismatchError(
+                        f"entry ({p}, {q}) has a non-scalar coefficient")
+                if cocycle and (f.degree or key[0]):
+                    raise ValueError("the twisted differential is summed "
+                                     "over degree-0 0-forms only")
+                c = coeff.coeffs[()]
+                for k, v in image(p, q, key, cocycle).items():
+                    out[k] = out.get(k, _ZERO) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+_CHECKS = (("eq", NotACocycleError, "a cocycle"),
+           (("gs", 1), NotEquivariantError, "a global section"),
+           (("gs", 2), NotEquivariantError, "a global section"))
+
+
+def _require(name, coords, section=True):
+    """Raise on the first defect among `_defects` coordinates: a twisted
+    differential one makes `name` no cocycle, then (unless `section` is
+    False) a face one along edge 1, then 2, no global section.  The message
+    names the edge, the entry and the form key of the least such coordinate.
+    """
+    for tag, error, what in _CHECKS[:3 if section else 1]:
+        hits = [k[1:] for k in coords if k[0] == tag]
+        if hits:
+            r, s, key = min(hits)
+            edge = "" if tag == "eq" else f"edge {tag[1]}, "
+            raise error(f"{name} is not {what} "
+                        f"({edge}entry ({r}, {s}), key {key})")
+
+
 def global_section_defects(f: HomElement, source, target):
     """The two face-compatibility defects of a hom matrix.
 
     For each edge direction i the twisted restriction (conjugated by the
     crossing generator) must agree with the plain restriction; the returned
     list holds (edge index, defect interval-form matrix) for the failures.
+    The defects are summed on sparse coordinates by `_defects`; interval
+    forms are built only for a failing edge, so a global section costs none.
     """
     src = as_object(source)
     dst = as_object(target)
-    defects = []
-    for i in (1, 2):
-        cross = 3 - i
-        lhs = f1m_mul_scalar(
-            f1m_scalar_mul(dst.base.g(cross), fm_restrict(f.entries, i, 0)),
-            src.base.g_inv(cross))
-        rhs = fm_restrict(f.entries, i, 1)
-        diff = fm_sub(lhs, rhs)
-        if not fm_is_zero(diff):
-            defects.append((i, diff))
-    return defects
+    by_edge = {}
+    for ((_gs, i), r, s, key), c in _defects(f, src, dst).items():
+        entry = by_edge.setdefault(i, {}).setdefault((r, s), {})
+        entry[key] = SCALAR_ALGEBRA.scalar(c)
+    return [(i, [[Form1(SCALAR_ALGEBRA, entries.get((r, s)))
+                  for s in range(src.dim)] for r in range(dst.dim)])
+            for i, entries in sorted(by_edge.items())]
 
 
 class McReport:
@@ -395,7 +426,7 @@ def mc_check(o: MCObject) -> McReport:
         if not fm_is_zero(defect):
             failures.append("mc_equation")
         base = MCObject.from_rep(o.base)
-        if global_section_defects(HomElement(o.eta, 1), base, base):
+        if _defects(HomElement(o.eta, 1), base, base):
             failures.append("equivariance")
     elif o.ambient == SALGEBRA:
         for i in range(n):
@@ -439,17 +470,34 @@ class ExtensionData:
         self.beta = beta
 
     def validate(self):
+        """Check that p and q are cocycles and global sections, alpha and
+        beta global sections, and the four splitting identities; raises
+        on the first failure, in that order.
+
+        A block splitting, exactly `_splitting(nt, nb, psi)` for psi the top
+        nt rows of beta, satisfies the identities for every psi, and its p
+        and q are checked entry by entry against the blocks of total
+        (`_block_checks`); the faces of alpha and beta are summed on sparse
+        coordinates (`_defects`).  No form-matrix product is formed.  Any
+        other splitting is checked through products.
+        """
         top, bottom, total = self.top, self.bottom, self.total
+        blocks = self._block_checks()
         for name, f, src, dst in (("p", self.p, top, total),
                                   ("q", self.q, total, bottom)):
-            if not twisted_d(f, src, dst).is_zero():
+            if blocks:
+                cocycle, section = blocks[name]
+            else:
+                cocycle = twisted_d(f, src, dst).is_zero()
+                section = cocycle and not global_section_defects(f, src, dst)
+            if not cocycle:
                 raise NotACocycleError(f"{name} is not a cocycle")
-            if global_section_defects(f, src, dst):
+            if not section:
                 raise NotEquivariantError(f"{name} is not a global section")
-        for name, f, src, dst in (("alpha", self.alpha, total, top),
-                                  ("beta", self.beta, bottom, total)):
-            if global_section_defects(f, src, dst):
-                raise NotEquivariantError(f"{name} is not a global section")
+        _require("alpha", _defects(self.alpha, total, top))
+        _require("beta", _defects(self.beta, bottom, total))
+        if blocks:
+            return self
         ident_top = fm_from_matrix(Matrix.identity(top.dim))
         ident_bot = fm_from_matrix(Matrix.identity(bottom.dim))
         ident_tot = fm_from_matrix(Matrix.identity(total.dim))
@@ -469,6 +517,39 @@ class ExtensionData:
                 raise DomainError(f"splitting identity failed: {label}")
         return self
 
+    def _block_checks(self):
+        """For a block splitting, {"p": (cocycle, section), "q": ...} read
+        off the blocks of total; None for any other splitting.
+
+        With p = [id; 0] and q = [0, id] constant, d(p) = 0 iff the first nt
+        columns of total's eta are [eta_top; 0], and then d(q) = 0 iff its
+        lower-right block is eta_bottom; p is a global section iff the first
+        nt columns of each g_i of total are [g_i top; 0], and q iff its last
+        nb rows are [0, g_i bottom].
+        """
+        top, bottom, total = self.top, self.bottom, self.total
+        nt, nb = top.dim, bottom.dim
+        n = nt + nb
+        maps = (self.p, self.q, self.alpha, self.beta)
+        if total.dim != n or not all(
+                f.degree == 0 and fm_eq(f.entries, g.entries)
+                for f, g in zip(maps, _splitting(nt, nb,
+                                                 self.beta.entries[:nt]))):
+            return None
+        eta, eta_t, eta_b = (o.eta_forms() for o in (total, top, bottom))
+        gens = [tuple(o.base.g(i) for o in (total, top, bottom))
+                for i in (1, 2)]
+        p_cocycle = (all(row[:nt] == t for row, t in zip(eta, eta_t))
+                     and not any(x.terms for row in eta[nt:] for x in row[:nt]))
+        p_section = all(g[(r, c)] == (gt[(r, c)] if r < nt else 0)
+                        for g, gt, _ in gens
+                        for r in range(n) for c in range(nt))
+        q_cocycle = all(row[nt:] == b for row, b in zip(eta[nt:], eta_b))
+        q_section = all(g[(r, c)] == (gb[(r - nt, c - nt)] if c >= nt else 0)
+                        for g, _, gb in gens
+                        for r in range(nt, n) for c in range(n))
+        return {"p": (p_cocycle, p_section), "q": (q_cocycle, q_section)}
+
 
 def build_extension(omega: HomElement, top, bottom) -> ExtensionData:
     """The block extension with twist [[eta_top, omega], [0, eta_bottom]].
@@ -486,8 +567,7 @@ def build_extension(omega: HomElement, top, bottom) -> ExtensionData:
         raise NotACocycleError("omega must have degree 1")
     if not twisted_d(omega, bottom, top).is_zero():
         raise NotACocycleError("omega is not a twisted cocycle")
-    if global_section_defects(omega, bottom, top):
-        raise NotEquivariantError("omega is not a global section")
+    _require("omega", _defects(omega, bottom, top))
     nt, nb = top.dim, bottom.dim
     n = nt + nb
     if top.characters is None or bottom.characters is None:
@@ -805,8 +885,8 @@ def extension_iso(e1: ExtensionData, e2: ExtensionData,
                         fm_mul(e2.beta.entries, e1.q.entries)),
                  fm_mul(fm_mul(e2.p.entries, gamma.entries), e1.q.entries))
     result = HomElement(iso, 0)
-    if not twisted_d(result, e1.total, e2.total).is_zero():
-        raise NotACocycleError("candidate isomorphism is not a cocycle")
+    _require("candidate isomorphism",
+             _defects(result, e1.total, e2.total, cocycle=True), section=False)
     const = fm_constant_part_invertible(result.entries)
     if const is None:
         raise DomainError("candidate isomorphism is not invertible")
@@ -1079,11 +1159,7 @@ def rep_to_mc(r: TorusRep, bound: int = 4) -> RepToMcResult:
     binv = invert(ss.basis)
     iso = HomElement(fm_mul(phi.entries, fm_from_matrix(binv)), 0)
     src = _unchecked(r)  # semisimplify validated r
-    if not twisted_d(iso, src, mc).is_zero():
-        raise NotACocycleError("pipeline isomorphism is not a cocycle")
-    if global_section_defects(iso, src, mc):
-        raise NotEquivariantError("pipeline isomorphism is not a global "
-                                  "section")
+    _require("pipeline isomorphism", _defects(iso, src, mc, cocycle=True))
     if fm_constant_part_invertible(iso.entries) is None:
         raise DomainError("pipeline isomorphism is not invertible")
     return RepToMcResult(mc, iso, ss)

@@ -32,7 +32,8 @@ def frac(x) -> Fraction:
 
 def frac_str(x: Fraction) -> str:
     """Serialize a Fraction as 'p/q', or 'p' when the denominator is 1."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -113,6 +113,18 @@ def test_verify_passes_and_is_deterministic(tmp_path, capsys):
     assert payload["sections"]["chain_map"]["s2"]["failing"] == []
 
 
+def test_verify_computes_each_normal_form_once(monkeypatch):
+    import t2mc.cli as cli
+
+    calls = []
+    real = cli.rep_to_mc
+    monkeypatch.setattr(cli, "rep_to_mc", lambda r, bound=4: calls.append(
+        (r.g1.entries, r.g2.entries, bound)) or real(r, bound=bound))
+    cli.build_verification_report((2, 3, 5, 7))
+    # 10 family pairs, shared by three sections, and 4 used once
+    assert len(calls) == len(set(calls)) == 14
+
+
 def test_t2_cohomology_disagreement_exits_4(tmp_path, capsys, monkeypatch):
     import t2mc.cli as cli
     monkeypatch.setattr(cli, "_model_betti", lambda rep, bound: (9, 9, 9))

@@ -6,10 +6,9 @@ import pytest
 import t2mc.mcdg as mcdg
 from t2mc.gca import SCALAR_ALGEBRA
 from t2mc.mcdg import (HomElement, MCObject, NoGammaAtBoundError,
-                       NotEquivariantError, build_extension,
-                       extension_class, f1m_mul_scalar, f1m_scalar_mul,
-                       fm_dt_parts, fm_is_zero, fm_mul, fm_restrict,
-                       fm_zero, extension_iso, mc_check, mc_to_s,
+                       NotEquivariantError, _accumulate, build_extension,
+                       extension_class, fm_dt_parts, fm_is_zero, fm_mul,
+                       fm_sub, fm_zero, extension_iso, mc_check, mc_to_s,
                        realize_mc, realize_rep, rep_extension,
                        rep_to_mc, s_element, straighten, twisted_d)
 from t2mc.qlinalg import Matrix
@@ -96,6 +95,50 @@ def test_twisted_d_squares_to_zero_random():
 
 
 # -- form-matrix products -----------------------------------------------------
+#
+# The interval-form route of the face conditions: restrict a square-form
+# matrix to an edge, and multiply by rational matrices on either side.  The
+# library checks these conditions on sparse coordinates; the tests keep this
+# route as the independent oracle.
+
+def fm_restrict(a, i, j):
+    return [[x.restrict_edge(i, j) if x.terms else Form1.zero(SCALAR_ALGEBRA)
+             for x in row] for row in a]
+
+
+def f1m_scalar_mul(m: Matrix, a):
+    """Rational matrix times interval-form matrix, over nonzeros only."""
+    a_rows = [[(j, f) for j, f in enumerate(row) if f.terms] for row in a]
+    return _accumulate(([(j, f if c == 1 else f.scale(c))
+                         for k, c in m_row for j, f in a_rows[k]]
+                        for m_row in m.sparse_rows()),
+                       len(a[0]) if a else 0, Form1.zero(SCALAR_ALGEBRA))
+
+
+def f1m_mul_scalar(a, m: Matrix):
+    """Interval-form matrix times rational matrix, over nonzeros only."""
+    m_rows = m.sparse_rows()
+    return _accumulate(([(j, f if c == 1 else f.scale(c))
+                         for f, m_row in zip(row, m_rows) if f.terms
+                         for j, c in m_row]
+                        for row in a),
+                       m.cols, Form1.zero(SCALAR_ALGEBRA))
+
+
+def _defects_by_products(f, src, dst):
+    """The face defects of f by restriction and products: for each edge i,
+    g_{3-i}(dst)·f|_{t_i-edge, 0}·g_{3-i}(src)^{-1} - f|_{t_i-edge, 1}."""
+    defects = []
+    for i in (1, 2):
+        cross = 3 - i
+        lhs = f1m_mul_scalar(
+            f1m_scalar_mul(dst.base.g(cross), fm_restrict(f.entries, i, 0)),
+            src.base.g_inv(cross))
+        diff = fm_sub(lhs, fm_restrict(f.entries, i, 1))
+        if not fm_is_zero(diff):
+            defects.append((i, diff))
+    return defects
+
 
 def _random_square_form(rng):
     """Zero about a third of the time, else a few random square-form terms."""
@@ -636,8 +679,8 @@ def test_rep_to_mc_unipotent_j5_elimination_counts(monkeypatch):
 
 def _image_by_products(src, dst, p, q, key, eq=True):
     """The reference construction of an unknown's image: the unit form
-    matrix through `twisted_d` (the unit itself for a dt unit) and
-    `global_section_defects`, flattened."""
+    matrix through `twisted_d` (the unit itself for a dt unit) and the
+    interval-form products of `_defects_by_products`, flattened."""
     def flatten(tag, mat):
         for r, row in enumerate(mat):
             for s, form in enumerate(row):
@@ -654,7 +697,7 @@ def _image_by_products(src, dst, p, q, key, eq=True):
     img = {}
     if eq:
         flatten("eq", unit if mask else twisted_d(h, src, dst).entries)
-    for i, diff in mcdg.global_section_defects(h, src, dst):
+    for i, diff in _defects_by_products(h, src, dst):
         flatten(("gs", i), diff)
     return img
 
@@ -765,6 +808,277 @@ def test_rep_to_mc_unipotent_j5_builds_no_unit_products(monkeypatch):
                    for i in range(n)]), bound=4)
     assert calls["twisted_d"] <= 20
     assert calls["global_section_defects"] <= 40
+
+
+# -- checks on sparse coordinates ------------------------------------------------
+
+def _flat(tag, mat):
+    """The nonzero scalar coefficients of a form matrix under `tag`."""
+    return {(tag, r, s, key): coeff.coeffs[()]
+            for r, row in enumerate(mat) for s, form in enumerate(row)
+            for key, coeff in form.terms.items()}
+
+
+def _random_hom(rng, rows, cols, zero_forms):
+    """A random scalar form matrix: polynomial 0-forms only, or any mix of
+    polynomial, dt1, dt2 and dt1·dt2 terms."""
+    out = [[_random_square_form(rng) for _ in range(cols)]
+           for _ in range(rows)]
+    if zero_forms:
+        out = [[Form2(SCALAR_ALGEBRA, {k: c for k, c in f.terms.items()
+                                       if not k[0]}) for f in row]
+               for row in out]
+    return out
+
+
+def _check_endpoints(rng):
+    """Diagonal bases, twisted and not, and non-diagonal ones."""
+    chars = [(1, 1), (2, 1), (1, 1), (Fraction(1, 2), 3)]
+    diagonal = [MCObject.semisimple(chars[:n], _random_eta(rng, n, poly))
+                for n, poly in ((1, False), (2, True), (3, False), (4, True))]
+    diagonal.append(MCObject.semisimple([(2, 1), (2, 5)]))
+    general = [MCObject.from_rep(r) for r in (
+        jordan2_rep(2, 3), jordan3_rep(2, 3, 5, 7),
+        rep([[1, 1, 1], [0, 1, 1], [0, 0, 1]],
+            [[1, 1, 0], [0, 1, 1], [0, 0, 1]]))]
+    return diagonal + general
+
+
+def test_defects_match_the_product_route():
+    rng = random.Random(89)
+    objects = _check_endpoints(rng)
+    seen = {"empty": 0, "defect": 0}
+    for _ in range(60):
+        src, dst = rng.choice(objects), rng.choice(objects)
+        degree = rng.choice([0, 1])
+        zero_forms = degree == 0 and rng.random() < 0.5
+        f = HomElement(_random_hom(rng, dst.dim, src.dim, zero_forms), degree)
+        expected = _defects_by_products(f, src, dst)
+        assert mcdg.global_section_defects(f, src, dst) == expected
+        flat = {}
+        for i, diff in expected:
+            flat.update(_flat(("gs", i), diff))
+        assert mcdg._defects(f, src, dst) == flat
+        if zero_forms:
+            flat.update(_flat("eq", twisted_d(f, src, dst).entries))
+            assert mcdg._defects(f, src, dst, cocycle=True) == flat
+        seen["defect" if expected else "empty"] += 1
+    # global sections: the zero map and the pipeline isomorphisms
+    for r in (jordan3_rep(2, 3, 5, 7), two_gen_rep(1, 2, 1, 3)):
+        res = rep_to_mc(r)
+        src = MCObject.from_rep(r)
+        for f in (res.iso, HomElement(fm_zero(3, 3), 0)):
+            assert _defects_by_products(f, src, res.mc) == []
+            assert mcdg.global_section_defects(f, src, res.mc) == []
+            assert mcdg._defects(f, src, res.mc, cocycle=True) == {}
+            seen["empty"] += 1
+    assert seen["empty"] >= 4 and seen["defect"] >= 40
+
+
+def test_global_section_builds_no_interval_forms(monkeypatch):
+    res = rep_to_mc(jordan3_rep(2, 3, 5, 7))
+    src = MCObject.from_rep(jordan3_rep(2, 3, 5, 7))
+    built = []
+    real = Form1.__init__
+    monkeypatch.setattr(Form1, "__init__",
+                        lambda self, *a: built.append(1) or real(self, *a))
+    assert mcdg.global_section_defects(res.iso, src, res.mc) == []
+    assert built == []
+
+
+def test_defects_reject_what_they_cannot_sum():
+    from t2mc.mcdg import S_ALGEBRA, AmbientMismatchError
+
+    triv = MCObject.semisimple([(1, 1)])
+    f = HomElement([[Form2(S_ALGEBRA, {(0, 1, 0): S_ALGEBRA.generator("s1")})]],
+                   0)
+    for check in (mcdg._defects, mcdg.global_section_defects):
+        with pytest.raises(AmbientMismatchError, match=r"entry \(0, 0\)"):
+            check(f, triv, triv)
+    # the twisted differential is summed over degree-0 0-forms only
+    for f in (HomElement([[sq(1, mask=1)]], 1),
+              HomElement([[sq(1, mask=1)]], 0)):
+        with pytest.raises(ValueError, match="degree-0 0-forms"):
+            mcdg._defects(f, triv, triv, cocycle=True)
+    with pytest.raises(ValueError, match="shape"):
+        mcdg._defects(HomElement(fm_zero(1, 2), 0), triv, triv)
+
+
+def test_errors_name_the_first_defect():
+    from t2mc.mcdg import NotACocycleError
+
+    triv = MCObject.semisimple([(1, 1)])
+    # d(t1) = dt1, and t1 is no global section along edge 2
+    coords = mcdg._defects(HomElement([[sq(1, e1=1)]], 0), triv, triv,
+                           cocycle=True)
+    with pytest.raises(NotACocycleError) as info:
+        mcdg._require("chain", coords)
+    assert str(info.value) == ("chain is not a cocycle "
+                               "(entry (0, 0), key (1, 0, 0))")
+    with pytest.raises(NotEquivariantError) as info:
+        mcdg._require("chain", {k: v for k, v in coords.items()
+                                if k[0] != "eq"})
+    assert str(info.value) == ("chain is not a global section "
+                               "(edge 2, entry (0, 0), key (0, 0))")
+    # only the cocycle condition when asked
+    mcdg._require("chain", {k: v for k, v in coords.items() if k[0] != "eq"},
+                  section=False)
+    # omega = dt1 between characters that differ in g2: edge 1 fails
+    with pytest.raises(NotEquivariantError) as info:
+        build_extension(HomElement([[sq(1, mask=1)]], 1),
+                        MCObject.semisimple([(2, 1)]),
+                        MCObject.semisimple([(2, 5)]))
+    assert str(info.value) == ("omega is not a global section "
+                               "(edge 1, entry (0, 0), key (1, 0))")
+
+
+def _first_face_defect(defects):
+    i, diff = defects[0]
+    r, s, key = min((r, s, key) for r, row in enumerate(diff)
+                    for s, x in enumerate(row) for key in x.terms)
+    return f"(edge {i}, entry ({r}, {s}), key {key})"
+
+
+def _validate_by_products(ext):
+    """The splitting checks through twisted_d, the interval-form face route
+    and form-matrix products, with the messages of ExtensionData.validate."""
+    from t2mc.errors import DomainError
+    from t2mc.mcdg import NotACocycleError
+
+    top, bottom, total = ext.top, ext.bottom, ext.total
+    for name, f, src, dst in (("p", ext.p, top, total),
+                              ("q", ext.q, total, bottom)):
+        if not twisted_d(f, src, dst).is_zero():
+            raise NotACocycleError(f"{name} is not a cocycle")
+        if _defects_by_products(f, src, dst):
+            raise NotEquivariantError(f"{name} is not a global section")
+    for name, f, src, dst in (("alpha", ext.alpha, total, top),
+                              ("beta", ext.beta, bottom, total)):
+        defects = _defects_by_products(f, src, dst)
+        if defects:
+            raise NotEquivariantError(f"{name} is not a global section "
+                                      f"{_first_face_defect(defects)}")
+    ident = [mcdg.fm_from_matrix(Matrix.identity(o.dim))
+             for o in (top, bottom, total)]
+    a, b, p, q = (m.entries for m in (ext.alpha, ext.beta, ext.p, ext.q))
+    for label, defect in (
+            ("alpha·p = id", fm_sub(fm_mul(a, p), ident[0])),
+            ("q·beta = id", fm_sub(fm_mul(q, b), ident[1])),
+            ("alpha·beta = 0", fm_mul(a, b)),
+            ("p·alpha + beta·q = id",
+             fm_sub(mcdg.fm_add(fm_mul(p, a), fm_mul(b, q)), ident[2]))):
+        if not fm_is_zero(defect):
+            raise DomainError(f"splitting identity failed: {label}")
+
+
+def _outcome(check, ext):
+    try:
+        check(ext)
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+    return None
+
+
+def _tampered(ext, total=None, **maps):
+    """A copy of ext with some maps' entries edited by `maps[name](rows)`
+    and, optionally, another total object."""
+    entries = {}
+    for name in ("p", "q", "alpha", "beta"):
+        rows = [list(row) for row in getattr(ext, name).entries]
+        if name in maps:
+            maps[name](rows)
+        entries[name] = HomElement(rows, 0)
+    return mcdg.ExtensionData(ext.top, ext.bottom, total or ext.total,
+                              *(entries[k] for k in ("p", "q", "alpha",
+                                                     "beta")))
+
+
+def _with_total(ext, g_edit=None, eta_edit=None):
+    g1, g2 = (ext.total.base.g(i).to_rows() for i in (1, 2))
+    eta = [list(row) for row in ext.total.eta]
+    if g_edit:
+        g_edit(g1)
+    if eta_edit:
+        eta_edit(eta)
+    base = TorusRep(Matrix.from_rows(g1), Matrix.from_rows(g2))
+    return MCObject(mcdg.FORMS, base, eta)
+
+
+def _set(r, c, value):
+    def edit(rows):
+        rows[r][c] = value
+    return edit
+
+
+def _add(r, c, form):
+    def edit(rows):
+        rows[r][c] = rows[r][c] + form
+    return edit
+
+
+@pytest.mark.parametrize("case", sorted(SPLITTING_PINS))
+def test_validate_matches_the_product_route_on_corrupted_splittings(case):
+    ext = _splitting_for(case)
+    nt, n = ext.top.dim, ext.total.dim
+    block = [
+        ("valid", ext),
+        ("eta lower-left", _tampered(ext, _with_total(
+            ext, eta_edit=_set(n - 1, 0, sq(1, mask=1))))),
+        ("eta lower-right", _tampered(ext, _with_total(
+            ext, eta_edit=_set(n - 1, n - 1, sq(1, mask=2))))),
+        ("g lower-left", _tampered(ext, _with_total(
+            ext, g_edit=_set(n - 1, 0, 1)))),
+        ("g lower-right", _tampered(ext, _with_total(
+            ext, g_edit=_set(n - 1, n - 1, 2)))),
+        # another block splitting, whose corner fails the face conditions
+        ("corner t2^2", _tampered(ext, alpha=_add(0, nt, sq(-1, e2=2)),
+                                  beta=_add(0, 0, sq(1, e2=2)))),
+    ]
+    product = [
+        ("alpha corner constant", _tampered(ext, alpha=_add(0, nt, sq(1)))),
+        ("alpha corner t1·t2", _tampered(ext,
+                                         alpha=_add(0, nt, sq(1, 1, 1)))),
+        ("beta corner t2^2", _tampered(ext,
+                                       beta=_add(0, 0, sq(1, e2=2)))),
+        ("p not block", _tampered(ext, p=_add(n - 1, 0, sq(1)))),
+    ]
+    outcomes = set()
+    for route, cases in ((True, block), (False, product)):
+        for label, tampered in cases:
+            assert (tampered._block_checks() is not None) == route, label
+            got = _outcome(mcdg.ExtensionData.validate, tampered)
+            assert got == _outcome(_validate_by_products, tampered), label
+            outcomes.add(got and got[1].split(" (")[0])
+    # the valid splitting passes; the corruptions fail at seven checks
+    assert None in outcomes and len(outcomes) >= 8
+
+
+def test_validate_forms_no_products_on_the_pipeline(monkeypatch):
+    state = {"validate": 0, "inside": False, "fm_mul": 0, "Form1": 0}
+    real_mul, real_validate = mcdg.fm_mul, mcdg.ExtensionData.validate
+    real_init = Form1.__init__
+
+    def count(name):
+        if state["inside"]:
+            state[name] += 1
+
+    def validate(self):
+        state["validate"] += 1
+        state["inside"] = True
+        try:
+            return real_validate(self)
+        finally:
+            state["inside"] = False
+
+    monkeypatch.setattr(mcdg, "fm_mul",
+                        lambda *a: count("fm_mul") or real_mul(*a))
+    monkeypatch.setattr(Form1, "__init__",
+                        lambda self, *a: count("Form1") or real_init(self, *a))
+    monkeypatch.setattr(mcdg.ExtensionData, "validate", validate)
+    n = 5
+    rep_to_mc(rep([[int(j in (i, i + 1)) for j in range(n)]
+                   for i in range(n)]), bound=4)
+    assert state == {"validate": 4, "inside": False, "fm_mul": 0, "Form1": 0}
 
 
 def test_rep_to_mc_unipotent_j8_pinned():

@@ -14,6 +14,7 @@ def test_frac_parsing_and_printing():
     assert frac_str(Fraction(3, 4)) == "3/4"
     assert frac_str(Fraction(5)) == "5"
     assert frac_str(Fraction(-1, 2)) == "-1/2"
+    assert frac_str(7) == "7" and frac_str(-3) == "-3"
 
 
 def test_rank_kernel_nilpotent_block():
