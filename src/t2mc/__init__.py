@@ -6,17 +6,16 @@ twisted-invariants complexes computing local-coefficient cohomology, and the
 equivariant models of the torus and of the total space built over it.
 """
 
-from .cochain import TwistedComplex, betti
+from .cochain import TwistedComplex
 from .gca import AlgebraPresentation, Element, parse_presentation
 from .mcdg import (HomElement, MCObject, build_extension, extension_class,
                    extension_iso, mc_check, mc_to_s, realize_mc, realize_rep,
                    rep_extension, rep_to_mc, twisted_d)
-from .qlinalg import (IntMatrix, Matrix, frac, frac_str, invert, rank,
-                      rank_kernel, smith_normal_form, solve)
+from .qlinalg import (Matrix, frac, frac_str, invert, rank, rank_kernel,
+                      smith_normal_form, solve)
 from .t2forms import (Form1, Form2, LocalSystemT2, SectionCandidate,
-                      build_local_system, constant_section, d_rham,
-                      is_global_section, restrict_edge, section_w, section_x,
-                      wedge)
+                      build_local_system, constant_section, is_global_section,
+                      section_w, section_x)
 from .torus_rep import (SemiSimpleData, TorusRep, cellular_complex, dual_rep,
                         hom_rep, is_isomorphic, parse_rep, semisimplify,
                         tensor_rep, validate)

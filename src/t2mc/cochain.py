@@ -59,10 +59,6 @@ class TwistedComplex:
             return 0
         return rank(mat)
 
-    def betti_one(self, n: int) -> int:
-        """dim ker D_n - rank D_{n-1}."""
-        return self.betti((n,))[0]
-
     def betti(self, degrees) -> tuple:
         degrees = tuple(degrees)
         for n in degrees:
@@ -74,8 +70,3 @@ class TwistedComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** n * self.dim(n) for n in self.degrees())
-
-
-def betti(complex_: TwistedComplex, degrees) -> tuple:
-    """Betti numbers of a TwistedComplex over the requested degrees."""
-    return complex_.betti(degrees)

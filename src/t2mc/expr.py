@@ -110,6 +110,9 @@ class _Parser:
                 den = self.take()
                 if not (isinstance(den, tuple) and den[0] == "num"):
                     raise ExpressionError("bad rational literal")
+                if not den[1]:
+                    raise ExpressionError(
+                        f"zero denominator in rational literal {num}/0")
                 return Fraction(num, den[1])
             return Fraction(num)
         if isinstance(t, tuple) and t[0] == "name":

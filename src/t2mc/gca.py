@@ -346,10 +346,6 @@ class AlgebraPresentation:
                 bad.append(n)
         return bad
 
-    def character_of(self, m):
-        """Character vector of a monomial (sum of generator characters)."""
-        return self.mono_character(tuple(m))
-
     # -- printing ----------------------------------------------------------
 
     def mono_str(self, m):

@@ -29,8 +29,10 @@ per unknown, never a full form-matrix product.
 
 The checks run on the same sparse coordinates, not on products: the
 cocycle and global-section conditions of a morphism are summed from those
-images over its terms (`_defects`), and a block splitting is validated
-entry by entry against the blocks of the extension it splits.
+images over its terms (`_defects`).  Every split extension is a block
+splitting, built by `ExtensionData` from its corner; its inclusion and
+projection are validated entry by entry against the blocks of the extension,
+and two extensions are compared by an isomorphism written in closed form.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .gca import SCALAR_ALGEBRA, AlgebraPresentation, Element
 from .qlinalg import Matrix, frac, invert, solve
-from .t2forms import Form1, Form2, sq
+from .t2forms import Form2, sq
 from .torus_rep import TorusRep, require_valid
 
 _ZERO = Fraction(0)
@@ -118,11 +120,11 @@ def s_coefficients(e: Element):
 
 # -- matrices of scalar square forms ----------------------------------------
 #
-# A form matrix is a list of rows of scalar Form2s (Form1s after a face
-# restriction).  Rational matrices enter through two builders:
-# `fm_from_matrix` (constant 0-forms) and `fm_dt_matrix`, the pair
-# m1·u1 + m2·u2 over the units DT = (dt1, dt2) or T = (t1, t2).  Every split
-# extension is assembled by `_splitting` from its block sizes and corner.
+# A form matrix is a list of rows of scalar Form2s.  Rational matrices enter
+# through two builders: `fm_from_matrix` (constant 0-forms) and
+# `fm_dt_matrix`, the pair m1·u1 + m2·u2 over the units DT = (dt1, dt2) or
+# T = (t1, t2).  Every split extension is assembled by `ExtensionData` from
+# its blocks and corner.
 
 DT = ({"mask": 1}, {"mask": 2})
 T = ({"e1": 1}, {"e2": 1})
@@ -340,8 +342,8 @@ def _defects(f: HomElement, source, target, cocycle=False):
 
     Summed as c·(image of the unit E_pq·t^a) over the terms c·E_pq·t^a of f,
     by `_ChainProblem.image`, so no form-matrix product is built.  The
-    defects along edge i sit under ("gs", i), keyed as in
-    `global_section_defects`; the twisted differential, for a degree-0 f of
+    defects along edge i sit under ("gs", i), keyed (("gs", i), row, column,
+    interval-form key); the twisted differential, for a degree-0 f of
     0-forms, sits under "eq".  Every coefficient must be a scalar.
     """
     src = as_object(source)
@@ -384,26 +386,6 @@ def _require(name, coords, section=True):
             edge = "" if tag == "eq" else f"edge {tag[1]}, "
             raise error(f"{name} is not {what} "
                         f"({edge}entry ({r}, {s}), key {key})")
-
-
-def global_section_defects(f: HomElement, source, target):
-    """The two face-compatibility defects of a hom matrix.
-
-    For each edge direction i the twisted restriction (conjugated by the
-    crossing generator) must agree with the plain restriction; the returned
-    list holds (edge index, defect interval-form matrix) for the failures.
-    The defects are summed on sparse coordinates by `_defects`; interval
-    forms are built only for a failing edge, so a global section costs none.
-    """
-    src = as_object(source)
-    dst = as_object(target)
-    by_edge = {}
-    for ((_gs, i), r, s, key), c in _defects(f, src, dst).items():
-        entry = by_edge.setdefault(i, {}).setdefault((r, s), {})
-        entry[key] = SCALAR_ALGEBRA.scalar(c)
-    return [(i, [[Form1(SCALAR_ALGEBRA, entries.get((r, s)))
-                  for s in range(src.dim)] for r in range(dst.dim)])
-            for i, entries in sorted(by_edge.items())]
 
 
 class McReport:
@@ -452,90 +434,48 @@ def mc_check(o: MCObject) -> McReport:
 # -- extensions and splittings ------------------------------------------------
 
 class ExtensionData:
-    """An extension top -> total -> bottom with a chosen splitting.
+    """A split extension top -> total -> bottom with the block splitting of
+    its nt x nb corner psi, a form matrix.
 
-    p, q are degree-0 cocycles, alpha, beta degree-0 morphisms with
-    alpha·beta = 0, alpha·p = id, q·beta = id, p·alpha + beta·q = id.
+    p = [id; 0] and q = [0, id] are the constant inclusion and projection,
+    alpha = [id, -psi] and beta = [psi; id].  For every psi these satisfy
+    alpha·p = id, q·beta = id, alpha·beta = 0 and p·alpha + beta·q = id, so
+    only the cocycle and global-section conditions need checking.
     """
 
-    __slots__ = ("top", "bottom", "total", "p", "q", "alpha", "beta")
+    __slots__ = ("top", "bottom", "total", "psi", "p", "q", "alpha", "beta")
 
-    def __init__(self, top, bottom, total, p, q, alpha, beta):
+    def __init__(self, top, bottom, total, psi):
         self.top = as_object(top)
         self.bottom = as_object(bottom)
         self.total = as_object(total)
-        self.p = p
-        self.q = q
-        self.alpha = alpha
-        self.beta = beta
+        nt = self.top.dim
+        if self.total.dim != nt + self.bottom.dim:
+            raise ValueError("the total dimension is not the sum of the top "
+                             "and bottom dimensions")
+        self.psi = psi
+        eye = fm_from_matrix(Matrix.identity(self.total.dim))
+        self.p = HomElement([row[:nt] for row in eye], 0)
+        self.q = HomElement(eye[nt:], 0)
+        self.alpha = HomElement([row[:nt] + [-x if x.terms else x
+                                             for x in corner]
+                                 for row, corner in zip(eye, psi)], 0)
+        self.beta = HomElement(psi + [row[nt:] for row in eye[nt:]], 0)
 
     def validate(self):
-        """Check that p and q are cocycles and global sections, alpha and
-        beta global sections, and the four splitting identities; raises
-        on the first failure, in that order.
+        """Check that p and q are cocycles and global sections, then that
+        alpha and beta are global sections; raises on the first failure, in
+        that order.  No form-matrix product is formed.
 
-        A block splitting, exactly `_splitting(nt, nb, psi)` for psi the top
-        nt rows of beta, satisfies the identities for every psi, and its p
-        and q are checked entry by entry against the blocks of total
-        (`_block_checks`); the faces of alpha and beta are summed on sparse
-        coordinates (`_defects`).  No form-matrix product is formed.  Any
-        other splitting is checked through products.
-        """
-        top, bottom, total = self.top, self.bottom, self.total
-        blocks = self._block_checks()
-        for name, f, src, dst in (("p", self.p, top, total),
-                                  ("q", self.q, total, bottom)):
-            if blocks:
-                cocycle, section = blocks[name]
-            else:
-                cocycle = twisted_d(f, src, dst).is_zero()
-                section = cocycle and not global_section_defects(f, src, dst)
-            if not cocycle:
-                raise NotACocycleError(f"{name} is not a cocycle")
-            if not section:
-                raise NotEquivariantError(f"{name} is not a global section")
-        _require("alpha", _defects(self.alpha, total, top))
-        _require("beta", _defects(self.beta, bottom, total))
-        if blocks:
-            return self
-        ident_top = fm_from_matrix(Matrix.identity(top.dim))
-        ident_bot = fm_from_matrix(Matrix.identity(bottom.dim))
-        ident_tot = fm_from_matrix(Matrix.identity(total.dim))
-        checks = (
-            ("alpha·p = id", fm_sub(fm_mul(self.alpha.entries, self.p.entries),
-                                    ident_top)),
-            ("q·beta = id", fm_sub(fm_mul(self.q.entries, self.beta.entries),
-                                   ident_bot)),
-            ("alpha·beta = 0", fm_mul(self.alpha.entries, self.beta.entries)),
-            ("p·alpha + beta·q = id",
-             fm_sub(fm_add(fm_mul(self.p.entries, self.alpha.entries),
-                           fm_mul(self.beta.entries, self.q.entries)),
-                    ident_tot)),
-        )
-        for label, defect in checks:
-            if not fm_is_zero(defect):
-                raise DomainError(f"splitting identity failed: {label}")
-        return self
-
-    def _block_checks(self):
-        """For a block splitting, {"p": (cocycle, section), "q": ...} read
-        off the blocks of total; None for any other splitting.
-
-        With p = [id; 0] and q = [0, id] constant, d(p) = 0 iff the first nt
+        p and q are read off the blocks of total: d(p) = 0 iff the first nt
         columns of total's eta are [eta_top; 0], and then d(q) = 0 iff its
         lower-right block is eta_bottom; p is a global section iff the first
         nt columns of each g_i of total are [g_i top; 0], and q iff its last
-        nb rows are [0, g_i bottom].
+        nb rows are [0, g_i bottom].  The faces of alpha and beta are summed
+        on sparse coordinates (`_defects`).
         """
         top, bottom, total = self.top, self.bottom, self.total
-        nt, nb = top.dim, bottom.dim
-        n = nt + nb
-        maps = (self.p, self.q, self.alpha, self.beta)
-        if total.dim != n or not all(
-                f.degree == 0 and fm_eq(f.entries, g.entries)
-                for f, g in zip(maps, _splitting(nt, nb,
-                                                 self.beta.entries[:nt]))):
-            return None
+        nt, n = top.dim, total.dim
         eta, eta_t, eta_b = (o.eta_forms() for o in (total, top, bottom))
         gens = [tuple(o.base.g(i) for o in (total, top, bottom))
                 for i in (1, 2)]
@@ -548,7 +488,15 @@ class ExtensionData:
         q_section = all(g[(r, c)] == (gb[(r - nt, c - nt)] if c >= nt else 0)
                         for g, _, gb in gens
                         for r in range(nt, n) for c in range(n))
-        return {"p": (p_cocycle, p_section), "q": (q_cocycle, q_section)}
+        for name, cocycle, section in (("p", p_cocycle, p_section),
+                                       ("q", q_cocycle, q_section)):
+            if not cocycle:
+                raise NotACocycleError(f"{name} is not a cocycle")
+            if not section:
+                raise NotEquivariantError(f"{name} is not a global section")
+        _require("alpha", _defects(self.alpha, total, top))
+        _require("beta", _defects(self.beta, bottom, total))
+        return self
 
 
 def build_extension(omega: HomElement, top, bottom) -> ExtensionData:
@@ -583,20 +531,7 @@ def build_extension(omega: HomElement, top, bottom) -> ExtensionData:
         for j in range(nb):
             eta[nt + i][nt + j] = bottom.eta[i][j]
     total = MCObject.semisimple(chars, eta)
-    return ExtensionData(top, bottom, total,
-                         *_splitting(nt, nb, fm_zero(nt, nb))).validate()
-
-
-def _splitting(nt, nb, psi):
-    """(p, q, alpha, beta) of a block extension with nt x nb corner psi: p
-    and q are the constant block inclusion and projection, and the
-    splitting is alpha = [id, -psi], beta = [psi; id]."""
-    eye = fm_from_matrix(Matrix.identity(nt + nb))
-    alpha = [row[:nt] + [-x if x.terms else x for x in corner]
-             for row, corner in zip(eye, psi)]
-    return (HomElement([row[:nt] for row in eye], 0), HomElement(eye[nt:], 0),
-            HomElement(alpha, 0),
-            HomElement(psi + [row[nt:] for row in eye[nt:]], 0))
+    return ExtensionData(top, bottom, total, fm_zero(nt, nb)).validate()
 
 
 def extension_class(ext: ExtensionData) -> HomElement:
@@ -855,7 +790,9 @@ def _objects_equal(a: MCObject, b: MCObject):
 def extension_iso(e1: ExtensionData, e2: ExtensionData,
                   bound: int = 4) -> ExtensionIsoResult:
     """The isomorphism p2·alpha1 + beta2·q1 - p2·gamma·q1 between two
-    extensions with the same top and bottom and equal classes.
+    extensions with the same top and bottom and equal classes.  For block
+    splittings it is [[id, psi2 - psi1 - gamma], [0, id]], written here in
+    that closed form.
 
     gamma solves d(gamma) = alpha2·d(beta2) - alpha1·d(beta1) over chains of
     polynomial degree <= bound (the bound is retried once, two degrees
@@ -881,10 +818,11 @@ def extension_iso(e1: ExtensionData, e2: ExtensionData,
             "no chain matches the class difference within polynomial degree "
             f"{used_bound}", classes_differ=(max_poly + 1 <= used_bound),
             bound=used_bound)
-    iso = fm_sub(fm_add(fm_mul(e2.p.entries, e1.alpha.entries),
-                        fm_mul(e2.beta.entries, e1.q.entries)),
-                 fm_mul(fm_mul(e2.p.entries, gamma.entries), e1.q.entries))
-    result = HomElement(iso, 0)
+    nt = e1.top.dim
+    eye = fm_from_matrix(Matrix.identity(e1.total.dim))
+    corner = fm_sub(fm_sub(e2.psi, e1.psi), gamma.entries)
+    result = HomElement([row[:nt] + c for row, c in zip(eye, corner)]
+                        + eye[nt:], 0)
     _require("candidate isomorphism",
              _defects(result, e1.total, e2.total, cocycle=True), section=False)
     const = fm_constant_part_invertible(result.entries)
@@ -979,8 +917,7 @@ def realize_rep(top: TorusRep, bottom: TorusRep, f1: Matrix,
     require_valid(rep)
     # top, bottom and rep are validated above
     ext = ExtensionData(_unchecked(top), _unchecked(bottom), _unchecked(rep),
-                        *_splitting(nt, nb,
-                                    fm_dt_matrix(f1, f2, T))).validate()
+                        fm_dt_matrix(f1, f2, T)).validate()
     return RealizeResult(rep, ext)
 
 
@@ -1058,7 +995,7 @@ def rep_extension(r: TorusRep, split: int, bound: int = 4) -> ExtensionData:
     psi = _splitting_corner(top, bottom, corners, bound)
     # r is valid, hence so are its diagonal blocks: wrap all three unchecked
     return ExtensionData(_unchecked(top), _unchecked(bottom), _unchecked(r),
-                         *_splitting(split, n - split, psi)).validate()
+                         psi).validate()
 
 
 def _splitting_corner(top: TorusRep, bottom: TorusRep, corners, bound: int):
@@ -1147,9 +1084,8 @@ def rep_to_mc(r: TorusRep, bound: int = 4) -> RepToMcResult:
         # eta_{m+1} = [[eta, k1 dt1 + k2 dt2], [0, 0]]
         eta = _bordered(eta, fm_dt_matrix(k1, k2), sq(0))
         # phi_{m+1} = [[phi, chain - phi·psi], [0, 1]]
-        psi = ext.beta.entries[:m]
         phi = HomElement(_bordered(phi.entries, fm_sub(
-            chain.entries, fm_mul(phi.entries, psi)), sq(1)), 0)
+            chain.entries, fm_mul(phi.entries, ext.psi)), sq(1)), 0)
     mc = MCObject.semisimple(chars, eta)
     report = mc_check(mc)
     if not report.ok:

@@ -10,7 +10,9 @@ determinants (with them every invertibility test) clear each row's
 denominators and run one fraction-free Bareiss elimination over Z, whose
 divisions are exact.  Kernels, solutions and inverses come from `Matrix.rref`,
 a sparse Gauss-Jordan reduction whose output is the unique reduced row
-echelon form, so identical inputs always produce identical outputs.
+echelon form, so identical inputs always produce identical outputs.  Over Z
+there is no second matrix type: the Smith normal form, integer solutions and
+integer kernels take an integer-valued `Matrix` and compute on int lists.
 """
 
 from __future__ import annotations
@@ -383,63 +385,6 @@ def det(m: Matrix) -> Fraction:
     return Fraction(sign * last, scale)
 
 
-class IntMatrix:
-    """Immutable dense matrix over Z, row-major."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(int(e) for e in entries)
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match shape")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
-        if any(len(r) != m for r in rows):
-            raise ValueError("ragged rows")
-        return cls(n, m, [e for r in rows for e in r])
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __repr__(self):
-        body = "; ".join(",".join(str(e) for e in self.row(i))
-                         for i in range(self.rows))
-        return f"IntMatrix[{body}]"
-
-    def __mul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.entries[k * other.cols + j]
-                               for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, out)
-
-
 def _snf_pivot(rows, s, n, m):
     # smallest |nonzero| in the trailing block, row-major tie-break
     best = None
@@ -451,16 +396,15 @@ def _snf_pivot(rows, s, n, m):
     return best
 
 
-def smith_normal_form(mat: IntMatrix):
-    """Smith normal form: returns (d, u, v) with u·mat·v diagonal.
-
-    d is the full diagonal (length min(rows, cols)), non-negative, with
-    d1 | d2 | ...; u and v are unimodular.
-    """
+def _smith(mat: Matrix):
+    """Smith normal form of an integer-valued matrix on int lists:
+    (d, u, v) as in `smith_normal_form`, with u and v lists of int rows."""
+    if any(e.denominator != 1 for e in mat.entries):
+        raise ValueError("Smith normal form needs an integer matrix")
     n, m = mat.rows, mat.cols
-    rows = mat.to_rows()
-    u = IntMatrix.identity(n).to_rows()
-    v = IntMatrix.identity(m).to_rows()
+    rows = [[e.numerator for e in mat.row(i)] for i in range(n)]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [[int(i == j) for j in range(m)] for i in range(m)]
 
     def row_op(i, k, q):  # row_i -= q * row_k
         rows[i] = [a - q * b for a, b in zip(rows[i], rows[k])]
@@ -519,17 +463,29 @@ def smith_normal_form(mat: IntMatrix):
         if rows[s][s] < 0:
             rows[s] = [-a for a in rows[s]]
             u[s] = [-a for a in u[s]]
-    d = tuple(rows[i][i] for i in range(size))
-    return d, IntMatrix.from_rows(u), IntMatrix.from_rows(v)
+    return tuple(rows[i][i] for i in range(size)), u, v
 
 
-def solve_integer(a: IntMatrix, b):
-    """One integer solution x of a·x = b, or None if none exists."""
+def smith_normal_form(mat: Matrix):
+    """Smith normal form of an integer-valued matrix: returns (d, u, v)
+    with u·mat·v diagonal; raises ValueError on a non-integer entry.
+
+    d is the full diagonal (length min(rows, cols)) of ints, non-negative,
+    with d1 | d2 | ...; u and v are unimodular.
+    """
+    d, u, v = _smith(mat)
+    return (d, Matrix(mat.rows, mat.rows, [x for row in u for x in row]),
+            Matrix(mat.cols, mat.cols, [x for row in v for x in row]))
+
+
+def solve_integer(a: Matrix, b):
+    """One integer solution x of a·x = b, as a tuple of ints, or None if
+    none exists; a must be integer-valued."""
     b = [int(x) for x in b]
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
-    d, u, v = smith_normal_form(a)
-    ub = [sum(u[(i, k)] * b[k] for k in range(a.rows)) for i in range(a.rows)]
+    d, u, v = _smith(a)
+    ub = [sum(u[i][k] * b[k] for k in range(a.rows)) for i in range(a.rows)]
     y = [0] * a.cols
     for i in range(a.rows):
         di = d[i] if i < len(d) else 0
@@ -541,18 +497,19 @@ def solve_integer(a: IntMatrix, b):
                 return None
             if i < a.cols:
                 y[i] = ub[i] // di
-    return tuple(sum(v[(i, k)] * y[k] for k in range(a.cols))
+    return tuple(sum(v[i][k] * y[k] for k in range(a.cols))
                  for i in range(a.cols))
 
 
-def integer_kernel(a: IntMatrix):
-    """Basis of the integer kernel lattice {x : a·x = 0}."""
-    d, _, v = smith_normal_form(a)
+def integer_kernel(a: Matrix):
+    """Basis of the integer kernel lattice {x : a·x = 0} of an
+    integer-valued matrix, as int tuples."""
+    d, _, v = _smith(a)
     basis = []
     for j in range(a.cols):
         dj = d[j] if j < len(d) else 0
         if dj == 0:
-            basis.append(tuple(v[(i, j)] for i in range(a.cols)))
+            basis.append(tuple(v[i][j] for i in range(a.cols)))
     return basis
 
 
@@ -565,6 +522,6 @@ def in_lattice(basis, target) -> bool:
     n = len(target)
     if any(len(b) != n for b in basis):
         raise ValueError("length mismatch")
-    cols = IntMatrix(n, len(basis),
-                     [basis[j][i] for i in range(n) for j in range(len(basis))])
+    cols = Matrix(n, len(basis),
+                  [basis[j][i] for i in range(n) for j in range(len(basis))])
     return solve_integer(cols, target) is not None

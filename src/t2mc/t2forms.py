@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, ParseError
 from .gca import SCALAR_ALGEBRA, AlgebraPresentation, Element
 from .qlinalg import Matrix, frac
 from .torus_rep import TorusRep, require_valid
@@ -294,20 +294,6 @@ class Form2(_Form):
                 s += "dt2"
             bits.append(f"{s}({a!r})")
         return " + ".join(bits)
-
-
-def d_rham(x: Form2) -> Form2:
-    """The differential on square forms (includes the coefficient
-    differential when the coefficient algebra carries one)."""
-    return x.d()
-
-
-def wedge(x: Form2, y: Form2) -> Form2:
-    return x * y
-
-
-def restrict_edge(x: Form2, i: int, j: int) -> Form1:
-    return x.restrict_edge(i, j)
 
 
 # scalar form shorthands
@@ -637,38 +623,47 @@ def parse_local_system(text: str, bound: int = 10) -> LocalSystemT2:
     from .expr import parse_expression
 
     alg = build_fiber_algebra(bound)
+    names = [g.name for g in alg.generators]
     params = None
     edge_d0 = {1: {}, 2: {}}
     face_d0 = {1: {}, 2: {}}
-    env_elem = {g.name: alg.generator(g.name) for g in alg.generators}
-    env_form = {g.name: Form1.const(alg, alg.generator(g.name))
-                for g in alg.generators}
+    env_elem = {name: alg.generator(name) for name in names}
+    env_form = {name: Form1.const(alg, alg.generator(name))
+                for name in names}
     env_form["t"] = Form1.monomial(alg, alg.unit(), e=1)
     env_form["dt"] = Form1.monomial(alg, alg.unit(), dt=1)
+    # line head -> (table, names in scope, zero of the value type)
+    slots = {f"{kind}{i}": (table[i], env, zero)
+             for kind, table, env, zero in (
+                 ("edge", edge_d0, env_elem, alg.zero()),
+                 ("face", face_d0, env_form, Form1.zero(alg)))
+             for i in (1, 2)}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("params"):
-            params = [frac(tok) for tok in line.split()[1:]]
+            try:
+                params = [frac(tok) for tok in line.split()[1:]]
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"bad parameter value: {exc}") from exc
             if len(params) != 4:
-                raise ValueError("params line needs a1 b1 a2 b2")
+                raise ParseError("params line needs a1 b1 a2 b2")
             for env in (env_elem, env_form):
                 env.update(zip(("a1", "b1", "a2", "b2"), params))
             continue
         if params is None:
-            raise ValueError("params line must come first")
+            raise ParseError("params line must come first")
         head, _, expr = line.partition("=")
-        kind, name = head.split()
-        if kind.startswith("edge"):
-            i = int(kind[4:])
-            edge_d0[i][name] = parse_expression(expr, env_elem, alg.zero())
-        elif kind.startswith("face"):
-            i = int(kind[4:])
-            face_d0[i][name] = parse_expression(expr, env_form,
-                                                Form1.zero(alg))
-        else:
-            raise ValueError(f"bad local-system line {raw!r}")
+        fields = head.split()
+        if len(fields) != 2 or fields[0] not in slots or fields[1] not in names:
+            raise ParseError(f"bad local-system line {raw!r}")
+        table, env, zero = slots[fields[0]]
+        table[fields[1]] = parse_expression(expr, env, zero)
     if params is None:
-        raise ValueError("missing params line")
+        raise ParseError("missing params line")
+    for head, (table, _env, _zero) in slots.items():
+        missing = [name for name in names if name not in table]
+        if missing:
+            raise ParseError(f"no {head} line for generator {missing[0]!r}")
     return LocalSystemT2(alg, params, edge_d0, face_d0)

@@ -3,13 +3,14 @@
 A representation is a commuting pair of invertible rational matrices (the
 images of the two generators g1, g2).  The module provides simultaneous
 triangularization over Q (semi-simplification), hom/tensor/dual
-constructions, the 3-term cellular cochain complex of the torus computing
-H*(T^2, V), and an exact isomorphism test.  Its negative answers are
-certified three ways: the intertwiner space Hom(V, W) is zero, its dimension
-differs from dim End(V) or dim End(W) (each n² minus the rank of its
-intertwiner system), or the determinant vanishes on a coefficient grid large
-enough to show it vanishes identically.  Its determinants are taken over Z
-(`qlinalg.det`, on integer grid candidates).
+constructions (both generators built by one Kronecker product), the 3-term
+cellular cochain complex of the torus computing H*(T^2, V), and an exact
+isomorphism test.  Its negative answers are certified three ways: the
+intertwiner space Hom(V, W) is zero, its dimension differs from dim End(V)
+or dim End(W) (each n² minus the rank of its intertwiner system), or the
+determinant vanishes on a coefficient grid large enough to show it vanishes
+identically.  Its determinants are taken over Z (`qlinalg.det`, on integer
+grid candidates).
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ class TorusRep:
         self.g1 = g1
         self.g2 = g2
         self._inverses = {}
-
-    @classmethod
-    def from_rows(cls, rows1, rows2) -> "TorusRep":
-        return cls(Matrix.from_rows(rows1), Matrix.from_rows(rows2))
 
     @classmethod
     def trivial(cls, dim: int = 1) -> "TorusRep":
@@ -337,6 +334,17 @@ def semisimplify(r: TorusRep) -> SemiSimpleData:
 
 # -- hom / tensor / dual -----------------------------------------------------
 
+def _kronecker(a: Matrix, b: Matrix) -> Matrix:
+    """The Kronecker product a ⊗ b: entry a[k, kk]·b[l, ll] at row (k, l),
+    column (kk, ll), both row-major."""
+    zero = Fraction(0)
+    b_rows = b.to_rows()
+    return Matrix._exact(a.rows * b.rows, a.cols * b.cols, [
+        x * y if x and y else zero
+        for a_row in a.to_rows() for b_row in b_rows
+        for x in a_row for y in b_row])
+
+
 def hom_rep(v: TorusRep, w: TorusRep) -> TorusRep:
     """Hom(V, W) with the conjugate action f -> w.g ∘ f ∘ v.g^{-1}.
 
@@ -346,34 +354,16 @@ def hom_rep(v: TorusRep, w: TorusRep) -> TorusRep:
     """
     require_valid(v)
     require_valid(w)
-    dim = v.dim * w.dim
-    zero = Fraction(0)
-    mats = []
-    for i in (1, 2):
-        wg = w.g(i).to_rows()
-        vginv_t = v.g_inv(i).transpose().to_rows()
-        mats.append(Matrix._exact(dim, dim, [
-            x * y if x and y else zero
-            for wrow in wg for vcol in vginv_t for x in wrow for y in vcol]))
-    return TorusRep(mats[0], mats[1])
+    return TorusRep(*(_kronecker(w.g(i), v.g_inv(i).transpose())
+                      for i in (1, 2)))
 
 
 def tensor_rep(v: TorusRep, w: TorusRep) -> TorusRep:
-    """V ⊗ W with the diagonal action; basis e_k ⊗ e_l, row-major."""
+    """V ⊗ W with the diagonal action; basis e_k ⊗ e_l, row-major, so the
+    generator is the Kronecker product v.g ⊗ w.g."""
     require_valid(v)
     require_valid(w)
-    dim = v.dim * w.dim
-    mats = []
-    for i in (1, 2):
-        vg, wg = v.g(i), w.g(i)
-        entries = []
-        for k in range(v.dim):
-            for l in range(w.dim):
-                for kk in range(v.dim):
-                    for ll in range(w.dim):
-                        entries.append(vg[(k, kk)] * wg[(l, ll)])
-        mats.append(Matrix(dim, dim, entries))
-    return TorusRep(mats[0], mats[1])
+    return TorusRep(*(_kronecker(v.g(i), w.g(i)) for i in (1, 2)))
 
 
 def dual_rep(v: TorusRep) -> TorusRep:
@@ -583,6 +573,8 @@ def parse_rep(text: str) -> TorusRep:
         if (not isinstance(data, list) or len(data) != dim
                 or any(not isinstance(r, list) or len(r) != dim for r in data)):
             raise ParseError(f"matrix is not {dim}x{dim}")
+        if any(isinstance(e, bool) for row in data for e in row):
+            raise ParseError("bad matrix entry: a boolean is not a number")
         try:
             return Matrix.from_rows([[frac(e) for e in row] for row in data])
         except (TypeError, ValueError, ZeroDivisionError) as exc:

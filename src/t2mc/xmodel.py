@@ -22,7 +22,7 @@ from .cochain import ComplexError, TwistedComplex
 from .errors import DomainError
 from .gca import AlgebraPresentation, char_add
 from .mcdg import MCObject, SALGEBRA, S_ALGEBRA, realize_mc, s_coefficients
-from .qlinalg import IntMatrix, Matrix, frac, frac_str, in_lattice, integer_kernel
+from .qlinalg import Matrix, frac, frac_str, in_lattice, integer_kernel
 from .t2forms import (Form2, build_local_system, constant_section, is_global_section,
                       section_x, section_w)
 from .torus_rep import TorusRep, is_isomorphic
@@ -70,8 +70,8 @@ def relation_lattice_from_values(values):
         signs.append(1 if v < 0 else 0)
     primes = sorted(primes)
     if primes:
-        mat = IntMatrix.from_rows([[exps[j].get(p, 0) for j in range(4)]
-                                   for p in primes])
+        mat = Matrix.from_rows([[exps[j].get(p, 0) for j in range(4)]
+                                for p in primes])
         kernel = [list(v) for v in integer_kernel(mat)]
     else:
         kernel = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -117,10 +117,6 @@ class ParameterSpec:
     def specialized(cls, a1, b1, a2, b2):
         return cls((a1, b1, a2, b2))
 
-    @property
-    def mode(self):
-        return "generic" if self.values is None else "specialized"
-
     def evaluate(self, char):
         """The (g1, g2) scalar pair of a character vector at the values."""
         if self.values is None:
@@ -158,9 +154,6 @@ class ModelPresentation:
 
     def degree_generators(self, n):
         return [g for g in self.pres.generators if g.degree == n]
-
-    def d_square_defects(self):
-        return list(self.pres.d_square_defects)
 
 
 def build_torus_model(pspec: ParameterSpec = GENERIC,

@@ -164,3 +164,23 @@ def test_verify_single_variant(capsys):
 def test_verify_custom_params(capsys):
     assert main(["verify", "--params", "3,2,7,5"]) == 0
     capsys.readouterr()
+
+
+def test_verify_declared_relations(tmp_path, capsys):
+    expected = {
+        "(1,1,1,1)": ([1, 2, 1, 0, 0, 1, 5, 7, 3],
+                      [1, 2, 1, 0, 0, 0, 1, 2, 1]),
+        "(1,0,1,0);(0,1,0,1)": ([1, 2, 1, 3, 6, 4, 6, 9, 7],
+                                [1, 2, 1, 2, 4, 2, 2, 4, 4]),
+    }
+    for relations, (dims, betti) in expected.items():
+        out = tmp_path / "report.json"
+        assert main(["verify", "--relations", relations,
+                     "--out", str(out)]) == 0
+        assert "[ok] declared_relations" in capsys.readouterr().out
+        section = json.loads(out.read_text())["sections"][
+            "declared_relations"]
+        assert (section["dims"], section["betti"]) == (dims, betti)
+        assert section["pass"] is True
+    assert main(["verify", "--relations", "(1,2)"]) == 2
+    assert "relations are integer 4-vectors" in capsys.readouterr().err

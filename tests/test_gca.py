@@ -82,13 +82,13 @@ def test_d_square_matrices(fiber, model_m, lam_s):
 def test_character_pinned(model_m):
     xb_yb = next(m for m in model_m.enumerate_basis(6)
                  if model_m.mono_str(m) == "xb*yb")
-    assert model_m.character_of(xb_yb) == (1, 1, 1, 1)
+    assert model_m.mono_character(xb_yb) == (1, 1, 1, 1)
     s1s2 = next(m for m in model_m.enumerate_basis(2)
                 if model_m.mono_str(m) == "s1*s2")
-    assert model_m.character_of(s1s2) == (0, 0, 0, 0)
+    assert model_m.mono_character(s1s2) == (0, 0, 0, 0)
     ub = next(m for m in model_m.enumerate_basis(5)
               if model_m.mono_str(m) == "ub")
-    assert model_m.character_of(ub) == (1, 1, 1, 1)
+    assert model_m.mono_character(ub) == (1, 1, 1, 1)
 
 
 def _random_homogeneous(pres, rng, degree):
@@ -123,9 +123,9 @@ def test_character_additive(model_m):
         if sm is None:
             continue
         _, m = sm
-        assert model_m.character_of(m) == tuple(
-            a + b for a, b in zip(model_m.character_of(m1),
-                                  model_m.character_of(m2)))
+        assert model_m.mono_character(m) == tuple(
+            a + b for a, b in zip(model_m.mono_character(m1),
+                                  model_m.mono_character(m2)))
 
 
 def test_differential_character_preserving(fiber, model_m):
@@ -135,7 +135,7 @@ def test_differential_character_preserving(fiber, model_m):
             if dg is None or dg.is_zero():
                 continue
             for mono in dg.coeffs:
-                assert pres.character_of(mono) == g.character
+                assert pres.mono_character(mono) == g.character
 
 
 def test_leibniz_random(model_m):
@@ -213,3 +213,10 @@ def test_parse_presentation_with_coefficients():
     expected = (pres.generator("s1") * pres.generator("a")).scale(
         Fraction(3, 2)) - pres.generator("s1") * pres.generator("b")
     assert b.d() == expected
+
+
+def test_parse_presentation_rejects_zero_denominator():
+    from t2mc.expr import ExpressionError
+
+    with pytest.raises(ExpressionError, match="zero denominator"):
+        parse_presentation("x 3 (1,0,1,0) 1/0")

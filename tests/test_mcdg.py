@@ -357,6 +357,52 @@ def test_extension_iso_classes_differ():
     assert info.value.classes_differ
 
 
+def _iso_by_products(e1, e2, gamma):
+    """p2·alpha1 + beta2·q1 - p2·gamma·q1 by form-matrix products."""
+    p2, a1, b2, q1 = (m.entries for m in (e2.p, e1.alpha, e2.beta, e1.q))
+    return HomElement(fm_sub(mcdg.fm_add(fm_mul(p2, a1), fm_mul(b2, q1)),
+                             fm_mul(fm_mul(p2, gamma.entries), q1)), 0)
+
+
+def _iso_pairs():
+    c, e = Fraction(2), Fraction(3)
+    # the pair of the verify report: J2 against its normal form
+    mc = rep_to_mc(jordan2_rep(c, e)).mc
+    chi = MCObject.semisimple([(c, 1)])
+    yield (rep_extension(jordan2_rep(c, e), 1),
+           build_extension(HomElement([[mc.eta[0][1]]], 1), chi, chi))
+    # corners from the polynomial solve: a pair and its conjugate by a
+    # block unipotent, which moves the class by a coboundary
+    general = rep([[1, 1, 1], [0, 1, 1], [0, 0, 1]],
+                  [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    shear = Matrix.from_rows([[1, 0, 2], [0, 1, -1], [0, 0, 1]])
+    yield rep_extension(general, 2), rep_extension(general.conjugate(shear), 2)
+    # twisted endpoints: omega and omega + d(h) for a constant section h
+    top, bottom = jordan2_object(c, e), MCObject.semisimple([(c, 1)])
+    omega = HomElement([[sq(1, mask=1)], [sq(0)]], 1)
+    dh = twisted_d(HomElement([[sq(0)], [sq(1)]], 0), bottom, top)
+    yield (build_extension(omega, top, bottom),
+           build_extension(HomElement(mcdg.fm_add(omega.entries, dh.entries),
+                                      1), top, bottom))
+
+
+def test_extension_iso_matches_the_product_formula():
+    solved = 0
+    for e1, e2 in _iso_pairs():
+        result = extension_iso(e1, e2)
+        assert result.map == _iso_by_products(e1, e2, result.gamma)
+        assert result.map != HomElement.from_matrix(
+            Matrix.identity(e1.total.dim))
+        solved += not result.gamma.is_zero()
+    assert solved >= 2
+
+
+def test_extension_data_rejects_mismatched_dimensions():
+    chi = MCObject.semisimple([(1, 1)])
+    with pytest.raises(ValueError, match="dimension"):
+        mcdg.ExtensionData(chi, chi, chi, fm_zero(1, 1))
+
+
 # -- realization ------------------------------------------------------------------
 
 def test_realize_rep_zero_class_is_block_diagonal():
@@ -797,17 +843,17 @@ def test_chain_image_crossing_exponent_drops_the_plain_restriction():
 
 
 def test_rep_to_mc_unipotent_j5_builds_no_unit_products(monkeypatch):
-    calls = {"twisted_d": 0, "global_section_defects": 0}
+    calls = {"twisted_d": 0, "_defects": 0}
     for name in calls:
         real = getattr(mcdg, name)
         monkeypatch.setattr(
-            mcdg, name, lambda *a, _real=real, _name=name:
-            calls.__setitem__(_name, calls[_name] + 1) or _real(*a))
+            mcdg, name, lambda *a, _real=real, _name=name, **kw:
+            calls.__setitem__(_name, calls[_name] + 1) or _real(*a, **kw))
     n = 5
     rep_to_mc(rep([[int(j in (i, i + 1)) for j in range(n)]
                    for i in range(n)]), bound=4)
     assert calls["twisted_d"] <= 20
-    assert calls["global_section_defects"] <= 40
+    assert calls["_defects"] <= 40
 
 
 # -- checks on sparse coordinates ------------------------------------------------
@@ -854,7 +900,6 @@ def test_defects_match_the_product_route():
         zero_forms = degree == 0 and rng.random() < 0.5
         f = HomElement(_random_hom(rng, dst.dim, src.dim, zero_forms), degree)
         expected = _defects_by_products(f, src, dst)
-        assert mcdg.global_section_defects(f, src, dst) == expected
         flat = {}
         for i, diff in expected:
             flat.update(_flat(("gs", i), diff))
@@ -869,7 +914,7 @@ def test_defects_match_the_product_route():
         src = MCObject.from_rep(r)
         for f in (res.iso, HomElement(fm_zero(3, 3), 0)):
             assert _defects_by_products(f, src, res.mc) == []
-            assert mcdg.global_section_defects(f, src, res.mc) == []
+            assert mcdg._defects(f, src, res.mc) == {}
             assert mcdg._defects(f, src, res.mc, cocycle=True) == {}
             seen["empty"] += 1
     assert seen["empty"] >= 4 and seen["defect"] >= 40
@@ -882,7 +927,7 @@ def test_global_section_builds_no_interval_forms(monkeypatch):
     real = Form1.__init__
     monkeypatch.setattr(Form1, "__init__",
                         lambda self, *a: built.append(1) or real(self, *a))
-    assert mcdg.global_section_defects(res.iso, src, res.mc) == []
+    assert mcdg._defects(res.iso, src, res.mc) == {}
     assert built == []
 
 
@@ -892,9 +937,8 @@ def test_defects_reject_what_they_cannot_sum():
     triv = MCObject.semisimple([(1, 1)])
     f = HomElement([[Form2(S_ALGEBRA, {(0, 1, 0): S_ALGEBRA.generator("s1")})]],
                    0)
-    for check in (mcdg._defects, mcdg.global_section_defects):
-        with pytest.raises(AmbientMismatchError, match=r"entry \(0, 0\)"):
-            check(f, triv, triv)
+    with pytest.raises(AmbientMismatchError, match=r"entry \(0, 0\)"):
+        mcdg._defects(f, triv, triv)
     # the twisted differential is summed over degree-0 0-forms only
     for f in (HomElement([[sq(1, mask=1)]], 1),
               HomElement([[sq(1, mask=1)]], 0)):
@@ -979,18 +1023,13 @@ def _outcome(check, ext):
     return None
 
 
-def _tampered(ext, total=None, **maps):
-    """A copy of ext with some maps' entries edited by `maps[name](rows)`
-    and, optionally, another total object."""
-    entries = {}
-    for name in ("p", "q", "alpha", "beta"):
-        rows = [list(row) for row in getattr(ext, name).entries]
-        if name in maps:
-            maps[name](rows)
-        entries[name] = HomElement(rows, 0)
-    return mcdg.ExtensionData(ext.top, ext.bottom, total or ext.total,
-                              *(entries[k] for k in ("p", "q", "alpha",
-                                                     "beta")))
+def _tampered(ext, total=None, psi=None):
+    """A copy of ext with its corner edited by `psi(rows)` and, optionally,
+    another total object."""
+    rows = [list(row) for row in ext.psi]
+    if psi:
+        psi(rows)
+    return mcdg.ExtensionData(ext.top, ext.bottom, total or ext.total, rows)
 
 
 def _with_total(ext, g_edit=None, eta_edit=None):
@@ -1019,8 +1058,8 @@ def _add(r, c, form):
 @pytest.mark.parametrize("case", sorted(SPLITTING_PINS))
 def test_validate_matches_the_product_route_on_corrupted_splittings(case):
     ext = _splitting_for(case)
-    nt, n = ext.top.dim, ext.total.dim
-    block = [
+    n = ext.total.dim
+    cases = [
         ("valid", ext),
         ("eta lower-left", _tampered(ext, _with_total(
             ext, eta_edit=_set(n - 1, 0, sq(1, mask=1))))),
@@ -1030,27 +1069,16 @@ def test_validate_matches_the_product_route_on_corrupted_splittings(case):
             ext, g_edit=_set(n - 1, 0, 1)))),
         ("g lower-right", _tampered(ext, _with_total(
             ext, g_edit=_set(n - 1, n - 1, 2)))),
-        # another block splitting, whose corner fails the face conditions
-        ("corner t2^2", _tampered(ext, alpha=_add(0, nt, sq(-1, e2=2)),
-                                  beta=_add(0, 0, sq(1, e2=2)))),
-    ]
-    product = [
-        ("alpha corner constant", _tampered(ext, alpha=_add(0, nt, sq(1)))),
-        ("alpha corner t1·t2", _tampered(ext,
-                                         alpha=_add(0, nt, sq(1, 1, 1)))),
-        ("beta corner t2^2", _tampered(ext,
-                                       beta=_add(0, 0, sq(1, e2=2)))),
-        ("p not block", _tampered(ext, p=_add(n - 1, 0, sq(1)))),
+        # another corner, which fails the face conditions
+        ("corner t2^2", _tampered(ext, psi=_add(0, 0, sq(1, e2=2)))),
     ]
     outcomes = set()
-    for route, cases in ((True, block), (False, product)):
-        for label, tampered in cases:
-            assert (tampered._block_checks() is not None) == route, label
-            got = _outcome(mcdg.ExtensionData.validate, tampered)
-            assert got == _outcome(_validate_by_products, tampered), label
-            outcomes.add(got and got[1].split(" (")[0])
-    # the valid splitting passes; the corruptions fail at seven checks
-    assert None in outcomes and len(outcomes) >= 8
+    for label, tampered in cases:
+        got = _outcome(mcdg.ExtensionData.validate, tampered)
+        assert got == _outcome(_validate_by_products, tampered), label
+        outcomes.add(got and got[1].split(" (")[0])
+    # the valid splitting passes; the corruptions fail at five checks
+    assert None in outcomes and len(outcomes) >= 6
 
 
 def test_validate_forms_no_products_on_the_pipeline(monkeypatch):

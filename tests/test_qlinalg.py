@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from t2mc.qlinalg import (IntMatrix, Matrix, det, frac, frac_str, in_lattice,
+from t2mc.qlinalg import (Matrix, det, frac, frac_str, in_lattice,
                           integer_kernel, invert, rank, rank_kernel,
                           smith_normal_form, solve, solve_integer)
 
@@ -67,16 +67,21 @@ def test_invert_unipotent():
 
 
 def test_smith_normal_form_pinned():
-    d, u, v = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
-    assert d == (1, 6)
-    d, _, _ = smith_normal_form(IntMatrix.from_rows([[0, 0], [0, 0]]))
+    d, u, v = smith_normal_form(Matrix.from_rows([[2, 0], [0, 3]]))
+    assert d == (1, 6) and all(type(x) is int for x in d)
+    assert u * Matrix.from_rows([[2, 0], [0, 3]]) * v == Matrix.diagonal(d)
+    d, _, _ = smith_normal_form(Matrix.from_rows([[0, 0], [0, 0]]))
     assert d == (0, 0)
-    d, _, _ = smith_normal_form(IntMatrix.from_rows([[2]]))
+    d, _, _ = smith_normal_form(Matrix.from_rows([[2]]))
     assert d == (2,)
 
 
-def _int_det(m: IntMatrix):
-    return det(Matrix(m.rows, m.cols, [Fraction(e) for e in m.entries]))
+def test_integer_routines_reject_non_integer_matrices():
+    half = Matrix.from_rows([[1, Fraction(1, 2)]])
+    for call in (smith_normal_form, integer_kernel,
+                 lambda m: solve_integer(m, [1])):
+        with pytest.raises(ValueError, match="integer matrix"):
+            call(half)
 
 
 def test_smith_normal_form_properties():
@@ -84,8 +89,8 @@ def test_smith_normal_form_properties():
     for _ in range(25):
         n = rng.randint(1, 4)
         mcols = rng.randint(1, 4)
-        mat = IntMatrix(n, mcols,
-                        [rng.randint(-5, 5) for _ in range(n * mcols)])
+        mat = Matrix(n, mcols,
+                     [rng.randint(-5, 5) for _ in range(n * mcols)])
         d, u, v = smith_normal_form(mat)
         prod = u * mat * v
         for i in range(n):
@@ -96,8 +101,9 @@ def test_smith_normal_form_properties():
             if d[k + 1] != 0:
                 assert d[k] != 0 and d[k + 1] % d[k] == 0
             assert d[k] >= 0
-        assert abs(_int_det(u)) == 1
-        assert abs(_int_det(v)) == 1
+        assert all(type(x) is int for x in d)
+        assert abs(det(u)) == 1
+        assert abs(det(v)) == 1
 
 
 def _random_matrix(rng, rows, cols):
@@ -154,10 +160,11 @@ def test_solve_random_consistency():
 
 
 def test_integer_kernel_and_lattice_membership():
-    mat = IntMatrix.from_rows([[1, 1, -1, 0]])
+    mat = Matrix.from_rows([[1, 1, -1, 0]])
     kernel = integer_kernel(mat)
     assert len(kernel) == 3
     for vec in kernel:
+        assert all(type(x) is int for x in vec)
         assert sum(a * b for a, b in zip((1, 1, -1, 0), vec)) == 0
     basis = [(1, 1, 0, 0), (0, 0, 1, 1)]
     assert in_lattice(basis, (1, 1, 1, 1))
@@ -168,8 +175,9 @@ def test_integer_kernel_and_lattice_membership():
 
 
 def test_solve_integer():
-    a = IntMatrix.from_rows([[2, 0], [0, 3]])
-    assert solve_integer(a, [4, 9]) == (2, 3)
+    a = Matrix.from_rows([[2, 0], [0, 3]])
+    x = solve_integer(a, [4, 9])
+    assert x == (2, 3) and all(type(e) is int for e in x)
     assert solve_integer(a, [1, 0]) is None
 
 

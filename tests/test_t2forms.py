@@ -6,9 +6,9 @@ import pytest
 from t2mc.gca import SCALAR_ALGEBRA
 from t2mc.t2forms import (Form1, Form2, ParameterZeroError,
                           SectionCandidate, build_local_system,
-                          constant_section, d_rham, is_global_section,
+                          constant_section, is_global_section,
                           parse_local_system, local_system_to_text,
-                          restrict_edge, section_w, section_x, sq)
+                          section_w, section_x, sq)
 
 PARAMS = (2, 3, 5, 7)
 
@@ -34,7 +34,7 @@ def test_d_rham_poly():
 def test_d_rham_section_x(ls, fiber):
     x_tau = section_x(ls).tau
     expected = Form2.monomial(fiber, fiber.generator("z"), mask=2)
-    assert d_rham(x_tau) == expected
+    assert x_tau.d() == expected
 
 
 def test_d_rham_square_zero_random():
@@ -98,14 +98,14 @@ def test_wedge_graded_commutative_with_coefficients(fiber):
 
 
 def test_restrict_edge_pinned():
-    assert restrict_edge(sq(1, mask=2), 1, 0).is_zero()
+    assert sq(1, mask=2).restrict_edge(1, 0).is_zero()
     # t1 dt1 along edge 1 keeps its parameter: t dt
-    assert restrict_edge(sq(1, e1=1, mask=1), 1, 0) == Form1.monomial(
+    assert sq(1, e1=1, mask=1).restrict_edge(1, 0) == Form1.monomial(
         SCALAR_ALGEBRA, SCALAR_ALGEBRA.scalar(1), e=1, dt=1)
     # t2 dt1 at t2 = 1 becomes dt; at t2 = 0 it dies
-    assert restrict_edge(sq(1, e2=1, mask=1), 1, 0) == Form1.monomial(
+    assert sq(1, e2=1, mask=1).restrict_edge(1, 0) == Form1.monomial(
         SCALAR_ALGEBRA, SCALAR_ALGEBRA.scalar(1), dt=1)
-    assert restrict_edge(sq(1, e2=1, mask=1), 1, 1).is_zero()
+    assert sq(1, e2=1, mask=1).restrict_edge(1, 1).is_zero()
 
 
 def test_restrict_edge_is_algebra_map():
@@ -122,8 +122,8 @@ def test_restrict_edge_is_algebra_map():
         a, b = rand_form(), rand_form()
         for i in (1, 2):
             for j in (0, 1):
-                lhs = restrict_edge(a * b, i, j)
-                rhs = restrict_edge(a, i, j) * restrict_edge(b, i, j)
+                lhs = (a * b).restrict_edge(i, j)
+                rhs = a.restrict_edge(i, j) * b.restrict_edge(i, j)
                 assert lhs == rhs
 
 
@@ -242,6 +242,17 @@ def test_parse_local_system_errors():
         parse_local_system("edge1 x = a1*x\n")  # params must come first
     with _pytest.raises(ValueError):
         parse_local_system("params 1 2 3\n")
+
+
+def test_parse_local_system_rejects_malformed_tables():
+    from t2mc.errors import ParseError
+
+    for text, message in (
+            ("params 1 2 3 4\nedge3 x = x\n", "bad local-system line"),
+            ("params 1 2 3 4\nedge1 x = x\n", "no edge1 line for generator"),
+            ("params 1/0 2 3 4\n", "bad parameter value")):
+        with pytest.raises(ParseError, match=message):
+            parse_local_system(text)
 
 
 def test_degree_bookkeeping(ls, fiber):

@@ -299,7 +299,7 @@ def test_betti_reduces_each_differential_once(monkeypatch):
         (cx.d[n].rows, cx.d[n].cols) for n in (0, 1))
     assert betti == _rank_kernel_betti(cx)
     ranks.clear()
-    assert cx.betti_one(1) == betti[1]
+    assert cx.betti((1,))[0] == betti[1]
     assert len(ranks) == 2
 
 
@@ -597,3 +597,11 @@ def test_rep_text_round_trip():
     back = parse_rep(text)
     assert back.g1 == v.g1 and back.g2 == v.g2
     assert parse_rep("1\n[[2]]\n[[3]]").g1 == Matrix.diagonal([2])
+
+
+def test_parse_rep_rejects_booleans():
+    from t2mc.errors import ParseError
+
+    for text in ("1\n[[true]]\n[[1]]", "1\n[[1]]\n[[false]]"):
+        with pytest.raises(ParseError, match="boolean"):
+            parse_rep(text)
