@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .gca import SCALAR_ALGEBRA, AlgebraPresentation, Element
-from .qlinalg import Matrix, frac, invert, solve
+from .qlinalg import Matrix, SparseMatrix, frac, invert, solve
 from .t2forms import Form2, sq
 from .torus_rep import TorusRep, require_valid
 
@@ -565,31 +565,22 @@ def _flatten(mat):
 def _solve_sparse(images, rhs):
     """Solve sum_k x_k · images[k] = rhs over shared sparse coordinates.
 
-    Each coordinate gets a row in first-seen order (rows never change the
-    reduced row echelon form) and the matrix is filled from the nonzeros of
-    the images.  Returns (particular, kernel) or None; the particular
-    solution zeroes all free variables (leftmost-pivot reduction,
-    deterministic).
+    Each coordinate gets a dict row in first-seen order (the row order never
+    changes the reduced row echelon form), filled from the nonzeros of the
+    images and handed to `solve` as a `SparseMatrix`.  Returns (particular, kernel)
+    or None; the particular solution zeroes all free variables
+    (leftmost-pivot reduction, deterministic).
     """
-    index = {}
-    for img in images:
-        for k in img:
-            index.setdefault(k, len(index))
-    for k in rhs:
-        index.setdefault(k, len(index))
-    if not index:
-        return tuple(Fraction(0) for _ in images), []
-    cols = len(images)
-    entries = [_ZERO] * (len(index) * cols)
+    rows = {}  # coordinate -> {unknown: coefficient}
     for j, img in enumerate(images):
         for k, v in img.items():
-            entries[index[k] * cols + j] = v
-    a = Matrix._exact(len(index), cols, entries)
-    del entries  # `a` holds its own tuple: free the list before reducing
-    b = [_ZERO] * len(index)
-    for k, v in rhs.items():
-        b[index[k]] = v
-    return solve(a, b)
+            rows.setdefault(k, {})[j] = v
+    for k in rhs:
+        rows.setdefault(k, {})
+    if not rows:
+        return tuple(Fraction(0) for _ in images), []
+    b = [rhs.get(k, _ZERO) for k in rows]
+    return solve(SparseMatrix(len(images), list(rows.values())), b)
 
 
 def _constant_terms(form):
@@ -794,18 +785,17 @@ def extension_iso(e1: ExtensionData, e2: ExtensionData,
     splittings it is [[id, psi2 - psi1 - gamma], [0, id]], written here in
     that closed form.
 
-    gamma solves d(gamma) = alpha2·d(beta2) - alpha1·d(beta1) over chains of
-    polynomial degree <= bound (the bound is retried once, two degrees
-    higher, before reporting failure with a class-difference certificate).
+    gamma solves d(gamma) = alpha2·d(beta2) - alpha1·d(beta1), the
+    difference of the two extension classes (`extension_class`, with its
+    cocycle check), over chains of polynomial degree <= bound (the bound is
+    retried once, two degrees higher, before reporting failure with a
+    class-difference certificate).
     """
     if not (_objects_equal(e1.top, e2.top)
             and _objects_equal(e1.bottom, e2.bottom)):
         raise DomainError("extensions do not share their endpoints")
-    d1 = fm_mul(e1.alpha.entries,
-                twisted_d(e1.beta, e1.bottom, e1.total).entries)
-    d2 = fm_mul(e2.alpha.entries,
-                twisted_d(e2.beta, e2.bottom, e2.total).entries)
-    delta = HomElement(fm_sub(d2, d1), 1)
+    delta = HomElement(fm_sub(extension_class(e2).entries,
+                              extension_class(e1).entries), 1)
     gamma = solve_gamma(delta, e1.bottom, e1.top, bound)
     used_bound = bound
     if gamma is None:
@@ -838,42 +828,81 @@ def fm_constant_part_invertible(a):
     rows, cols = fm_shape(a)
     if rows != cols:
         return None
-    poly = [[{} for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            for (mask, e1, e2), coeff in a[i][j].terms.items():
-                if mask == 0:
-                    poly[i][j][(e1, e2)] = coeff.coeffs.get((), Fraction(0))
-
-    def poly_mul(f, g):
-        out = {}
-        for (a1, b1), c1 in f.items():
-            for (a2, b2), c2 in g.items():
-                k = (a1 + a2, b1 + b2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return {k: v for k, v in out.items() if v != 0}
-
-    def poly_det(mat):
-        n = len(mat)
-        if n == 0:
-            return {(0, 0): Fraction(1)}
-        out = {}
-        for j in range(n):
-            entry = mat[0][j]
-            if not entry:
-                continue
-            minor = [[mat[i][jj] for jj in range(n) if jj != j]
-                     for i in range(1, n)]
-            sub = poly_mul(entry, poly_det(minor))
-            for k, v in sub.items():
-                sv = v if j % 2 == 0 else -v
-                out[k] = out.get(k, Fraction(0)) + sv
-        return {k: v for k, v in out.items() if v != 0}
-
-    d = poly_det(poly)
-    if set(d) == {(0, 0)} and d[(0, 0)] != 0:
+    poly = [[{(e1, e2): c for (mask, e1, e2), coeff in form.terms.items()
+              if mask == 0 and (c := coeff.coeffs.get((), _ZERO))}
+             for form in row] for row in a]
+    d = _poly_det(poly)
+    if set(d) == {(0, 0)}:
         return d[(0, 0)]
     return None
+
+
+# Polynomials in Q[t1, t2] as {(e1, e2): nonzero Fraction}.
+
+def _poly_mul(f, g):
+    out = {}
+    for (a1, b1), c1 in f.items():
+        for (a2, b2), c2 in g.items():
+            k = (a1 + a2, b1 + b2)
+            out[k] = out.get(k, _ZERO) + c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def _poly_sub(f, g):
+    out = dict(f)
+    for k, v in g.items():
+        x = out.get(k, _ZERO) - v
+        if x:
+            out[k] = x
+        else:
+            del out[k]
+    return out
+
+
+def _lead(f):
+    """The leading monomial of f in graded lexicographic order."""
+    return max(f, key=lambda m: (m[0] + m[1], m))
+
+
+def _poly_div(f, g):
+    """The quotient f / g, for a nonzero g that divides f exactly: each step
+    cancels the leading term of the remainder, which the leading term of g
+    divides because the order is a monomial order."""
+    lg = _lead(g)
+    q = {}
+    while f:
+        lf = _lead(f)
+        m = (lf[0] - lg[0], lf[1] - lg[1])
+        if m[0] < 0 or m[1] < 0:
+            raise ArithmeticError("polynomial division is not exact")
+        q[m] = f[lf] / g[lg]
+        f = _poly_sub(f, _poly_mul({m: q[m]}, g))
+    return q
+
+
+def _poly_det(mat):
+    """Determinant of a square matrix over Q[t1, t2] by fraction-free
+    (Bareiss 1968) elimination: step k replaces each trailing entry a_ij by
+    (a_kk·a_ij - a_ik·a_kj) / a_{k-1,k-1}, a division that is exact in the
+    integral domain Q[t1, t2]; the last pivot, signed by the row swaps, is
+    the determinant."""
+    a = [list(row) for row in mat]
+    n = len(a)
+    sign, prev = 1, {(0, 0): Fraction(1)}
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return {}
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = _poly_div(_poly_sub(_poly_mul(a[k][k], a[i][j]),
+                                              _poly_mul(a[i][k], a[k][j])),
+                                    prev)
+        prev = a[k][k]
+    return prev if sign > 0 else {m: -c for m, c in prev.items()}
 
 
 # -- realization ---------------------------------------------------------------

@@ -8,24 +8,28 @@ its denominators, accumulates integer products over the nonzeros only
 (row-wise, after Gustavson) and divides once per output entry; ranks and
 determinants (with them every invertibility test) clear each row's
 denominators and run one fraction-free Bareiss elimination over Z, whose
-divisions are exact.  Kernels, solutions and inverses come from `Matrix.rref`,
-a sparse Gauss-Jordan reduction whose output is the unique reduced row
-echelon form, so identical inputs always produce identical outputs.  Over Z
-there is no second matrix type: the Smith normal form, integer solutions and
-integer kernels take an integer-valued `Matrix` and compute on int lists.
+divisions are exact.  Kernels, solutions and inverses come from one sparse
+elimination kernel, `_reduce`: Gauss-Jordan on primitive integer dict rows,
+fraction-free, with a column -> rows index.  Its output is the unique reduced
+row echelon form, so identical inputs always produce identical outputs.
+`Matrix.rref`, `rank_kernel`, `invert` and `solve` all reduce through it;
+`solve` also takes a `SparseMatrix`, one dict per row, so a system assembled
+sparsely is never made dense.  Over Z there is no second matrix type: the
+Smith normal form, integer solutions and integer kernels take an
+integer-valued `Matrix` and compute on int lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def frac(x) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to a Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x.strip())
@@ -206,65 +210,138 @@ class Matrix:
         """Reduced row echelon form; returns (rref rows, pivot column tuple).
 
         The rows are dense lists with the zero rows at the bottom.  The
-        elimination is sparse Gauss-Jordan on dict rows: pivot columns are
-        taken leftmost-first and, among the rows that can supply a pivot, the
-        one with the fewest nonzeros is used.  The reduced row echelon form of
-        a matrix is unique, so the pivot-row choice cannot change the result
-        and identical inputs give identical outputs bit for bit.
+        reduction is the one elimination kernel `_reduce`: fraction-free on
+        the matrix's sparse rows, pivot columns leftmost-first.  The reduced
+        row echelon form of a matrix is unique, so identical inputs give
+        identical outputs bit for bit.
         """
-        n, m = self.rows, self.cols
-        rows = [dict(r) for r in self.sparse_rows()]
-        free = [r for r in rows if r]  # rows not yet used as a pivot row
-        done = []                      # pivot rows, in pivot-column order
-        pivots = []
-        for c in range(m):
-            if not free:
-                break
-            cands = [r for r in free if c in r]
-            if not cands:
-                continue
-            prow = min(cands, key=len)
-            free = [r for r in free if r is not prow]
-            inv = 1 / prow.pop(c)
-            for j in prow:
-                prow[j] *= inv
-            for r in (*done, *cands):
-                if r is prow or c not in r:
-                    continue
-                f = r.pop(c)
-                for j, v in prow.items():
-                    x = r.get(j)
-                    if x is None:
-                        r[j] = -f * v
-                    else:
-                        x -= f * v
-                        if x:
-                            r[j] = x
-                        else:
-                            del r[j]
-            prow[c] = Fraction(1)
-            done.append(prow)
-            pivots.append(c)
-        zero = Fraction(0)
-        out = [[r.get(j, zero) for j in range(m)] for r in done]
-        out += [[zero] * m for _ in range(n - len(done))]
-        return out, tuple(pivots)
+        prows, pivots = _reduce(self.sparse_rows(), self.cols)
+        m = self.cols
+        out = [[r.get(j, _ZERO) for j in range(m)] for r in prows]
+        out += [[_ZERO] * m for _ in range(self.rows - len(prows))]
+        return out, pivots
+
+
+class SparseMatrix:
+    """A matrix over Q held as one {column: nonzero entry} dict per row, for
+    systems assembled sparsely: `solve` reduces it without a dense copy."""
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, cols: int, data):
+        self.rows, self.cols, self.data = len(data), cols, data
+
+    def sparse_rows(self):
+        return [row.items() for row in self.data]
+
+
+def _primitive(pairs):
+    """{column: int} proportional to a row given as (column, nonzero
+    rational) pairs, with coprime entries."""
+    row = dict(pairs)
+    _, ints = _integer_row(row.values())
+    g = gcd(*ints)
+    return dict(zip(row, ints if g == 1 else [v // g for v in ints]))
+
+
+def _reduce(rows, width):
+    """The elimination kernel: the reduced row echelon form of `rows`, each
+    an iterable of (column, nonzero rational) pairs below `width`.
+
+    Returns (pivot rows, pivots): one {column: Fraction} dict per pivot, in
+    pivot-column order, holding 1 at its pivot column.
+
+    Every row is cleared of denominators and content first, so the
+    elimination runs on primitive integer rows, fraction-free (after Bareiss
+    1968): against a pivot row with entry a at column c, a row with entry f
+    there becomes (a/g)·row - (f/g)·pivot row, g = gcd(a, f), and is divided
+    by its content again.  A column -> rows index, kept up to date as
+    entries appear and cancel, names the rows to clear, so no column scans
+    the rows.  Pivot columns are taken leftmost-first, the pivot row being
+    the candidate with the fewest nonzeros (ties by input order).  The other
+    rows not yet used as pivot rows are cleared on the way forward; the
+    pivot rows are cleared of each other on the way back, last pivot first.
+    The reduced row echelon form is unique, so these choices change only the
+    work.  Each pivot row is divided by its pivot once, at the end.
+    """
+    rows = [_primitive(r) for r in rows]
+    holders = [set() for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
+    free = {i for i, row in enumerate(rows) if row}
+    done = []
+    pivots = []
+
+    def clear(i, prow, c, a):
+        row = rows[i]
+        f = row[c]
+        g = gcd(a, f)
+        s, t = a // g, f // g
+        if s != 1:
+            row = {j: s * v for j, v in row.items()}
+        for j, v in prow.items():
+            x = row.get(j)
+            if x is None:
+                row[j] = -t * v
+                holders[j].add(i)
+            else:
+                x -= t * v
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+                    holders[j].discard(i)
+        g = gcd(*row.values())
+        rows[i] = {j: v // g for j, v in row.items()} if g > 1 else row
+        if not row:
+            free.discard(i)
+
+    for c in range(width):
+        if not free:
+            break
+        cands = [i for i in holders[c] if i in free]
+        if not cands:
+            continue
+        p = cands[0] if len(cands) == 1 else min(
+            cands, key=lambda i: (len(rows[i]), i))
+        free.discard(p)
+        prow = rows[p]
+        a = prow[c]
+        for i in cands:
+            if i != p:
+                clear(i, prow, c, a)
+        done.append(p)
+        pivots.append(c)
+    for p, c in zip(reversed(done), reversed(pivots)):
+        prow = rows[p]
+        a = prow[c]
+        for i in [i for i in holders[c] if i != p]:
+            clear(i, prow, c, a)
+    out = []
+    for p, c in zip(done, pivots):
+        row = rows[p]
+        a = row[c]
+        if a == 1:
+            out.append({j: Fraction(v) for j, v in row.items()})
+        else:
+            out.append({j: Fraction(v, a) for j, v in row.items()})
+    return out, tuple(pivots)
 
 
 def _kernel(rows, pivots, cols):
-    """Kernel basis of the first `cols` columns of an RREF: one vector per
-    non-pivot column below `cols`, with that free coordinate set to 1."""
+    """Kernel basis of the first `cols` columns of an RREF given by its pivot
+    rows as (column, entry) pair iterables: one vector per non-pivot column
+    below `cols`, with that free coordinate set to 1."""
     pivot_set = set(pivots)
-    basis = []
-    for fc in range(cols):
-        if fc in pivot_set:
-            continue
-        v = [Fraction(0)] * cols
+    basis = {fc: [_ZERO] * cols for fc in range(cols) if fc not in pivot_set}
+    for fc, v in basis.items():
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(tuple(v))
-    return basis
+    for row, pc in zip(rows, pivots):
+        for j, x in row:
+            if x and j in basis:
+                basis[j][pc] = -x
+    return [tuple(v) for v in basis.values()]
 
 
 def rank_kernel(m: Matrix):
@@ -274,11 +351,11 @@ def rank_kernel(m: Matrix):
     per non-pivot column, with that free coordinate set to 1.
     """
     rows, pivots = m.rref()
-    return len(pivots), _kernel(rows, pivots, m.cols)
+    return len(pivots), _kernel(map(enumerate, rows), pivots, m.cols)
 
 
-def solve(a: Matrix, b):
-    """Solve a·x = b exactly.
+def solve(a, b):
+    """Solve a·x = b exactly, for a `Matrix` or a `SparseMatrix` a.
 
     Returns (particular solution tuple, kernel basis) or None when the system
     is inconsistent.  The particular solution sets all free variables to 0.
@@ -288,15 +365,15 @@ def solve(a: Matrix, b):
     b = [frac(v) for v in b]
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
-    aug = Matrix._exact(a.rows, a.cols + 1,
-                        [e for i in range(a.rows) for e in (*a.row(i), b[i])])
-    rows, pivots = aug.rref()
-    if a.cols in pivots:
+    m = a.cols
+    rows, pivots = _reduce([(*row, (m, v)) if v else row
+                            for row, v in zip(a.sparse_rows(), b)], m + 1)
+    if m in pivots:
         return None
-    x = [Fraction(0)] * a.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][a.cols]
-    return tuple(x), _kernel(rows, pivots, a.cols)
+    x = [_ZERO] * m
+    for row, pc in zip(rows, pivots):
+        x[pc] = row.get(m, _ZERO)
+    return tuple(x), _kernel((row.items() for row in rows), pivots, m)
 
 
 def invert(m: Matrix):
@@ -317,7 +394,12 @@ def invert(m: Matrix):
 def _integer_row(row):
     """(s, ints): the lcm s of the row's denominators and the row times s,
     as integers.  Integer entries are read as they are."""
-    s = lcm(*[e.denominator for e in row])
+    s = 1
+    for e in row:
+        if e.denominator != 1:
+            s = lcm(s, e.denominator)
+    if s == 1:
+        return 1, [e.numerator for e in row]
     return s, [e.numerator * (s // e.denominator) for e in row]
 
 

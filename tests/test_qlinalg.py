@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from t2mc.qlinalg import (Matrix, det, frac, frac_str, in_lattice,
-                          integer_kernel, invert, rank, rank_kernel,
-                          smith_normal_form, solve, solve_integer)
+import t2mc.qlinalg as qlinalg
+from t2mc.qlinalg import (Matrix, SparseMatrix, det, frac, frac_str,
+                          in_lattice, integer_kernel, invert, rank,
+                          rank_kernel, smith_normal_form, solve,
+                          solve_integer)
 
 
 def test_frac_parsing_and_printing():
@@ -15,6 +17,17 @@ def test_frac_parsing_and_printing():
     assert frac_str(Fraction(5)) == "5"
     assert frac_str(Fraction(-1, 2)) == "-1/2"
     assert frac_str(7) == "7" and frac_str(-3) == "-3"
+
+
+def test_frac_rejects_booleans():
+    for x in (True, False):
+        with pytest.raises(TypeError):
+            frac(x)
+    with pytest.raises(TypeError):
+        Matrix.from_rows([[True, False]])
+    with pytest.raises(TypeError):
+        Matrix.diagonal([1, True])
+    assert frac(1) == 1 and frac(0) == 0
 
 
 def test_rank_kernel_nilpotent_block():
@@ -263,13 +276,13 @@ def test_solve_and_rank_kernel_follow_sympy_rref():
 
 def test_solve_reduces_once(monkeypatch):
     calls = []
-    original = Matrix.rref
+    original = qlinalg._reduce
 
-    def counting(self):
-        calls.append((self.rows, self.cols))
-        return original(self)
+    def counting(rows, width):
+        calls.append((len(rows), width))
+        return original(rows, width)
 
-    monkeypatch.setattr(Matrix, "rref", counting)
+    monkeypatch.setattr(qlinalg, "_reduce", counting)
     rng = random.Random(31)
     systems = [(Matrix.identity(3), [1, 2, 3]),
                (Matrix.from_rows([[0, 0]]), [1]),
@@ -558,3 +571,224 @@ def test_det_non_square_raises():
     for m in (Matrix.zero(2, 3), Matrix.zero(0, 1), Matrix.zero(3, 0)):
         with pytest.raises(ValueError):
             det(m)
+
+
+# -- the elimination kernel against the Fraction loop it replaced -------------
+
+def _fraction_rref(rows, cols):
+    """The sparse Fraction Gauss-Jordan loop of `Matrix.rref` before the
+    fraction-free kernel, kept as the oracle: rows as {column: nonzero
+    Fraction} dicts, pivot columns leftmost-first, the candidate with the
+    fewest nonzeros as pivot row, and every row operation in Fractions."""
+    n = len(rows)
+    rows = [dict(r) for r in rows]
+    free = [r for r in rows if r]
+    done = []
+    pivots = []
+    for c in range(cols):
+        if not free:
+            break
+        cands = [r for r in free if c in r]
+        if not cands:
+            continue
+        prow = min(cands, key=len)
+        free = [r for r in free if r is not prow]
+        inv = 1 / prow.pop(c)
+        for j in prow:
+            prow[j] *= inv
+        for r in (*done, *cands):
+            if r is prow or c not in r:
+                continue
+            f = r.pop(c)
+            for j, v in prow.items():
+                x = r.get(j)
+                if x is None:
+                    r[j] = -f * v
+                else:
+                    x -= f * v
+                    if x:
+                        r[j] = x
+                    else:
+                        del r[j]
+        prow[c] = Fraction(1)
+        done.append(prow)
+        pivots.append(c)
+    zero = Fraction(0)
+    out = [[r.get(j, zero) for j in range(cols)] for r in done]
+    out += [[zero] * cols for _ in range(n - len(done))]
+    return out, tuple(pivots)
+
+
+def _dict_rows(m):
+    return [dict(r) for r in m.sparse_rows()]
+
+
+def _oracle_kernel(rows, pivots, cols):
+    basis = []
+    for fc in range(cols):
+        if fc not in pivots:
+            v = [Fraction(0)] * cols
+            v[fc] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                v[pc] = -rows[r][fc]
+            basis.append(tuple(v))
+    return basis
+
+
+def _oracle_solve(rows, cols, b):
+    """`solve` on dict rows by the oracle: one reduction of [a | b]."""
+    aug = [{**r, cols: v} if v else r for r, v in zip(rows, b)]
+    rows, pivots = _fraction_rref(aug, cols + 1)
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = rows[r][cols]
+    return tuple(x), _oracle_kernel(rows, pivots, cols)
+
+
+def _oracle_invert(m):
+    n = m.rows
+    aug = [{**r, n + i: Fraction(1)} for i, r in enumerate(_dict_rows(m))]
+    rows, pivots = _fraction_rref(aug, 2 * n)
+    if pivots[:n] != tuple(range(n)):
+        return None
+    return Matrix(n, n, [rows[i][n + j] for i in range(n) for j in range(n)])
+
+
+def _as_sparse(a):
+    return SparseMatrix(a.cols, _dict_rows(a))
+
+
+def _kernel_cases():
+    """Seeded matrices from 2 % to 100 % dense, up to 60x40 (20x13 from 40 %
+    density on), with denominators up to 10**6; zero rows and columns, empty shapes, square
+    invertible and singular matrices, low-rank products and dependent
+    rows."""
+    rng = random.Random(53)
+
+    def entry():
+        den = rng.choice((1, 1, 2, 7, rng.randint(1, 10 ** 6)))
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 3), den)
+
+    def dense(n, m, density):
+        return [[entry() if rng.random() < density else Fraction(0)
+                 for _ in range(m)] for _ in range(n)]
+
+    def flat(rows, m):
+        return Matrix(len(rows), m, [e for r in rows for e in r])
+
+    cases = [Matrix.zero(0, 4), Matrix.zero(4, 0), Matrix.zero(0, 0),
+             Matrix.zero(3, 5), Matrix.zero(2, 2), Matrix.identity(4)]
+    for density in (0.02, 0.05, 0.15, 0.4, 1.0):
+        side = 60 if density < 0.3 else 20  # dense ones grow big entries
+        for _ in range(4):
+            n, m = rng.randint(1, side), rng.randint(1, side * 2 // 3)
+            cases.append(flat(dense(n, m, density), m))
+        for n in (1, 3, 6, 10):
+            cases.append(flat(dense(n, n, density), n))
+    for k in (1, 2, 3):  # rank k
+        cases.append(flat(dense(30, k, 0.7), k) * flat(dense(k, 20, 0.7), 20))
+        cases.append(flat(dense(6, k, 0.8), k) * flat(dense(k, 6, 0.8), 6))
+    for _ in range(6):
+        n, m = rng.randint(3, 15), rng.randint(3, 15)
+        rows = dense(n, m, 0.5)
+        rows[rng.randrange(n)] = [Fraction(0)] * m              # zero row
+        dead = rng.randrange(m)
+        for r in rows:
+            r[dead] = Fraction(0)                               # zero column
+        a, b = entry(), entry()
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+        rows.append(list(rows[-1]))                         # duplicate row
+        cases.append(flat(rows, m))
+    return cases
+
+
+def test_rref_rank_kernel_and_invert_match_the_fraction_loop():
+    cases = _kernel_cases()
+    invertible = singular = deficient = 0
+    for m in cases:
+        rows, pivots = _fraction_rref(_dict_rows(m), m.cols)
+        assert m.rref() == (rows, pivots)
+        assert rank_kernel(m) == (len(pivots),
+                                  _oracle_kernel(rows, pivots, m.cols))
+        deficient += len(pivots) < min(m.rows, m.cols)
+        if m.rows == m.cols:
+            expected = _oracle_invert(m)
+            assert invert(m) == expected
+            invertible += expected is not None
+            singular += expected is None
+    assert invertible >= 5 and singular >= 5 and deficient >= 10
+    assert any(e.denominator > 10 ** 5 for m in cases for e in m.entries)
+
+
+def test_solve_matches_the_fraction_loop():
+    rng = random.Random(59)
+    outcomes = set()
+    for a in _kernel_cases():
+        for consistent in (True, False):
+            if consistent:
+                b = a.apply([Fraction(rng.randint(-5, 5), rng.randint(1, 9))
+                             for _ in range(a.cols)])
+            else:
+                b = [Fraction(rng.randint(-5, 5), rng.randint(1, 10 ** 6))
+                     for _ in range(a.rows)]
+            expected = _oracle_solve(_dict_rows(a), a.cols, b)
+            assert solve(a, b) == expected
+            assert solve(_as_sparse(a), b) == expected
+            outcomes.add((consistent, expected is None))
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def test_kernel_rref_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in _kernel_cases():
+        if m.rows * m.cols <= 600:
+            assert m.rref() == _sympy_rref(sympy, m)
+
+
+def _pipeline_systems(monkeypatch):
+    """The straighten and splitting-corner systems rep_to_mc solves on the
+    unipotent J4-J8 at bound n-1, with g2 = 1 and with g2 = g1^2, as
+    (stage, a, b) with a a `SparseMatrix`."""
+    import t2mc.mcdg as mcdg
+    from t2mc.mcdg import rep_to_mc
+    from t2mc.torus_rep import TorusRep
+
+    systems, stage = [], []
+    solve_ = mcdg.solve
+
+    def capture(a, b):
+        systems.append((stage[-1], a, list(b)))
+        return solve_(a, b)
+
+    def staged(name, fn):
+        def wrapper(*args, **kwargs):
+            stage.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stage.pop()
+        return wrapper
+
+    monkeypatch.setattr(mcdg, "solve", capture)
+    for name in ("straighten", "_splitting_corner"):
+        monkeypatch.setattr(mcdg, name, staged(name, getattr(mcdg, name)))
+    for n in range(4, 9):
+        g1 = Matrix.from_rows([[int(j in (i, i + 1)) for j in range(n)]
+                               for i in range(n)])
+        for g2 in (Matrix.identity(n), g1 * g1):
+            rep_to_mc(TorusRep(g1, g2), bound=n - 1)
+    return systems
+
+
+def test_pipeline_systems_match_the_fraction_loop(monkeypatch):
+    systems = _pipeline_systems(monkeypatch)
+    monkeypatch.undo()
+    assert {name for name, _, _ in systems} == {"straighten",
+                                                "_splitting_corner"}
+    assert max(a.rows for _, a, _ in systems) >= 500
+    for _, a, b in systems:
+        expected = _oracle_solve(a.data, a.cols, b)
+        assert expected is not None
+        assert solve(a, b) == expected
