@@ -65,7 +65,10 @@ def _parse_relations(text: str):
             continue
         if not (chunk.startswith("(") and chunk.endswith(")")):
             raise ParseError(f"bad relation {chunk!r}")
-        out.append(tuple(int(t) for t in chunk[1:-1].split(",")))
+        try:
+            out.append(tuple(int(t) for t in chunk[1:-1].split(",")))
+        except ValueError as exc:
+            raise ParseError(f"bad relation {chunk!r}") from exc
     return out
 
 
@@ -415,9 +418,12 @@ def build_verification_report(values, variants=("s1", "s2"),
 
 
 def cmd_verify(args) -> int:
-    values = args.params if args.params else (2, 3, 5, 7)
+    values = ((2, 3, 5, 7) if args.params is None
+              else _parse_params(args.params))
+    relations = (None if args.relations is None
+                 else _parse_relations(args.relations))
     variants = (args.variant,) if args.variant else ("s1", "s2")
-    report = build_verification_report(values, variants, args.relations)
+    report = build_verification_report(values, variants, relations)
     for name, sec in report["sections"].items():
         status = "ok" if sec["pass"] else "FAIL"
         print(f"[{status}] {name}")
@@ -463,9 +469,9 @@ def main(argv=None) -> int:
 
     p_chk = sub.add_parser("verify",
                            help="run the built-in verification battery")
-    p_chk.add_argument("--params", type=_parse_params, default=None,
-                       metavar="a1,b1,a2,b2")
-    p_chk.add_argument("--relations", type=_parse_relations, default=None,
+    # parsed by cmd_verify, so a malformed value exits 3 with its message
+    p_chk.add_argument("--params", default=None, metavar="a1,b1,a2,b2")
+    p_chk.add_argument("--relations", default=None,
                        metavar="'(k,l,m,n);...'")
     p_chk.add_argument("--variant", choices=("s1", "s2"), default=None,
                        help="restrict informational sections to one variant")

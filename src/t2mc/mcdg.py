@@ -343,7 +343,7 @@ def _defects(f: HomElement, source, target, cocycle=False):
     Summed as c·(image of the unit E_pq·t^a) over the terms c·E_pq·t^a of f,
     by `_ChainProblem.image`, so no form-matrix product is built.  The
     defects along edge i sit under ("gs", i), keyed (("gs", i), row, column,
-    interval-form key); the twisted differential, for a degree-0 f of
+    edge key (dt, e)); the twisted differential, for a degree-0 f of
     0-forms, sits under "eq".  Every coefficient must be a scalar.
     """
     src = as_object(source)
@@ -567,9 +567,9 @@ def _solve_sparse(images, rhs):
 
     Each coordinate gets a dict row in first-seen order (the row order never
     changes the reduced row echelon form), filled from the nonzeros of the
-    images and handed to `solve` as a `SparseMatrix`.  Returns (particular, kernel)
-    or None; the particular solution zeroes all free variables
-    (leftmost-pivot reduction, deterministic).
+    images and handed to `solve` as a `SparseMatrix`.  Returns one
+    particular solution, which zeroes all free variables (leftmost-pivot
+    reduction, deterministic), or None.
     """
     rows = {}  # coordinate -> {unknown: coefficient}
     for j, img in enumerate(images):
@@ -578,7 +578,7 @@ def _solve_sparse(images, rhs):
     for k in rhs:
         rows.setdefault(k, {})
     if not rows:
-        return tuple(Fraction(0) for _ in images), []
+        return tuple(Fraction(0) for _ in images)
     b = [rhs.get(k, _ZERO) for k in rows]
     return solve(SparseMatrix(len(images), list(rows.values())), b)
 
@@ -601,7 +601,7 @@ class _ChainProblem:
       t^a·eta_src[q][s] at (p, s) (its twisted differential); for a dt
       unit the unit itself;
     * under ("gs", i), its face-compatibility defect along edge i:
-      G[r][p]·Ginv[q][s] on the restricted key at (r, s) with
+      G[r][p]·Ginv[q][s] on the edge key (dt, e) at (r, s) with
       G = dst.g(3-i), Ginv = src.g(3-i)^{-1}, minus the plain restriction
       at (p, q), which vanishes when the crossing exponent is nonzero.
 
@@ -701,10 +701,9 @@ def solve_gamma(delta: HomElement, source, target, bound: int = 4):
     dst = as_object(target)
     problem = _ChainProblem(src, dst, bound)
     problem.add_chain_vars()
-    sol = _solve_sparse(problem.images, _flatten(delta.entries))
-    if sol is None:
+    coeffs = _solve_sparse(problem.images, _flatten(delta.entries))
+    if coeffs is None:
         return None
-    coeffs, _ = sol
     return HomElement(problem.assemble(coeffs, "chain"), 0)
 
 
@@ -716,6 +715,18 @@ def straighten(omega: HomElement, src: MCObject, dst: MCObject,
     Returns (k1, k2, chain) as (Matrix, Matrix, HomElement).  Raises
     StraighteningFailedError when no such decomposition exists within the
     polynomial-degree bound.
+
+    The k part is unique, so the particular solution of the system fixes
+    it.  Say k1·dt1 + k2·dt2 + d(c) = 0 for k on the equal-character
+    entries and a global-section chain c with no constant term there.  When
+    eta vanishes between unequal characters and is strictly upper
+    triangular on both endpoints, as at every stage of `rep_to_mc`, the
+    twisted d keeps the equal-character entries among themselves, and the
+    diagonal bases make c periodic on them: c(t1, 1) = c(t1, 0) and
+    c(1, t2) = c(0, t2).  Take these entries (p, q) from the bottom row up,
+    left to right.  Once the entries below and to the left of (p, q)
+    vanish, d(c)_pq = dc_pq, so c_pq = -(k1_pq·t1 + k2_pq·t2): periodic
+    only for k_pq = 0, and then c_pq = 0.
     """
     if dst.characters is None or src.characters is None:
         raise DomainError("straightening needs semisimple endpoints")
@@ -725,34 +736,9 @@ def straighten(omega: HomElement, src: MCObject, dst: MCObject,
     problem.add_constant_dt_vars(allowed)
     problem.add_chain_vars(skip_constant_on=frozenset(allowed))
     rhs = _flatten(omega.entries)
-    sol = _solve_sparse(problem.images, rhs)
-    if sol is None:
+    coeffs = _solve_sparse(problem.images, rhs)
+    if coeffs is None:
         raise problem.failure("no constant representative", rhs)
-    coeffs, kernel = sol
-    coeffs = list(coeffs)
-    k_idx = [idx for idx, var in enumerate(problem.vars) if var[0] == "k"]
-    # The constant part is unique under the no-constant-term gauge; if a
-    # kernel direction nevertheless touches it, reduce the constant
-    # coordinates against a reduced echelon basis of the kernel so the
-    # representative stays deterministic.
-    if any(vec[i] != 0 for vec in kernel for i in k_idx):
-        work = [list(v) for v in kernel]
-        echelon = []
-        for col in k_idx:
-            pv = next((v for v in work if v[col] != 0), None)
-            if pv is None:
-                continue
-            work.remove(pv)
-            inv = Fraction(1) / pv[col]
-            pv = [x * inv for x in pv]
-            work = [[x - v[col] * y for x, y in zip(v, pv)] for v in work]
-            echelon = [[x - e[col] * y for x, y in zip(e, pv)]
-                       for e in echelon]
-            echelon.append(pv)
-        for pv in echelon:
-            col = next(i for i in k_idx if pv[i] != 0)
-            if coeffs[col]:
-                coeffs = [c - coeffs[col] * y for c, y in zip(coeffs, pv)]
     k1 = [[Fraction(0)] * src.dim for _ in range(dst.dim)]
     k2 = [[Fraction(0)] * src.dim for _ in range(dst.dim)]
     for c, var in zip(coeffs, problem.vars):
@@ -789,7 +775,8 @@ def extension_iso(e1: ExtensionData, e2: ExtensionData,
     difference of the two extension classes (`extension_class`, with its
     cocycle check), over chains of polynomial degree <= bound (the bound is
     retried once, two degrees higher, before reporting failure with a
-    class-difference certificate).
+    class-difference certificate).  The map is unitriangular, so its
+    determinant is 1 and it needs no invertibility check.
     """
     if not (_objects_equal(e1.top, e2.top)
             and _objects_equal(e1.bottom, e2.bottom)):
@@ -815,9 +802,6 @@ def extension_iso(e1: ExtensionData, e2: ExtensionData,
                         + eye[nt:], 0)
     _require("candidate isomorphism",
              _defects(result, e1.total, e2.total, cocycle=True), section=False)
-    const = fm_constant_part_invertible(result.entries)
-    if const is None:
-        raise DomainError("candidate isomorphism is not invertible")
     return ExtensionIsoResult(result, gamma)
 
 
@@ -1052,10 +1036,10 @@ def _splitting_corner(top: TorusRep, bottom: TorusRep, corners, bound: int):
             for s, c in enumerate(const.row(p)):
                 if c:
                     rhs[(("gs", i), p, s, (0, 0))] = -c
-    sol = _solve_sparse(problem.images, rhs)
-    if sol is None:
+    coeffs = _solve_sparse(problem.images, rhs)
+    if coeffs is None:
         raise problem.failure("no polynomial splitting", rhs)
-    return problem.assemble(sol[0], "chain")
+    return problem.assemble(coeffs, "chain")
 
 
 def _bordered(a, column, corner):

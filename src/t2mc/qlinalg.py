@@ -357,10 +357,9 @@ def rank_kernel(m: Matrix):
 def solve(a, b):
     """Solve a·x = b exactly, for a `Matrix` or a `SparseMatrix` a.
 
-    Returns (particular solution tuple, kernel basis) or None when the system
-    is inconsistent.  The particular solution sets all free variables to 0.
-    One reduction of [a | b] gives both: when column a.cols holds no pivot,
-    the left block of rref([a | b]) is rref(a).
+    Returns one particular solution, as a tuple, or None when the system is
+    inconsistent.  It sets every free variable to 0 and is read off one
+    reduction of [a | b]; `rank_kernel` gives the kernel.
     """
     b = [frac(v) for v in b]
     if len(b) != a.rows:
@@ -373,7 +372,7 @@ def solve(a, b):
     x = [_ZERO] * m
     for row, pc in zip(rows, pivots):
         x[pc] = row.get(m, _ZERO)
-    return tuple(x), _kernel((row.items() for row in rows), pivots, m)
+    return tuple(x)
 
 
 def invert(m: Matrix):

@@ -6,9 +6,10 @@ sigma2 = {(0, t2)}) and one square cell tau.  Forms carry coefficients in a
 presented graded algebra (use the scalar algebra for plain forms); a term is
 a polynomial in t1, t2 times dt-monomial times coefficient, and the
 differential includes the internal differential of the coefficient algebra
-with the usual Koszul sign.  `Form1` and `Form2` share one term-dict algebra
-(sums, negation, scaling, equality) in a private base class and differ only
-in their term keys: (dt, e) on the interval, (mask, e1, e2) on the square.
+with the usual Koszul sign.  An interval form is a square form in t1 alone:
+`Form1` and `Form2` share one term-key layout, (mask, e1, e2), and one
+term-dict algebra (sums, products, scaling, the differential, degrees) in a
+private base class, and differ only in monomials, faces and printing.
 
 A local system assigns the value algebra to every cell and records the
 twisted face maps d0 (the d1 faces are identities composed with the
@@ -40,10 +41,10 @@ def _popcount(mask: int) -> int:
 
 
 class _Form:
-    """The term-dict algebra shared by interval and square forms: `terms`
-    maps a basis key (dt-monomial and t-exponents) to a nonzero coefficient
-    in `alg`.  Subclasses supply the key layout: `monomial`, `__mul__`, `d`,
-    the face restrictions, the degrees and `__repr__`."""
+    """The term-dict algebra of interval and square forms: `terms` maps a
+    key (mask, e1, e2) to a nonzero coefficient in `alg`, mask bit 1 being
+    dt1 and bit 2 dt2; interval forms use the keys (dt, e, 0).  Subclasses
+    supply `monomial`, the face restrictions and `__repr__`."""
 
     __slots__ = ("alg", "terms")
 
@@ -92,114 +93,11 @@ class _Form:
         return type(self)(self.alg,
                           {k: v.scale(c) for k, v in self.terms.items()})
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, Element):
-            return self.const(self.alg, other) * self
-        return NotImplemented
-
-
-class Form1(_Form):
-    """Polynomial form on the interval: sum of t^e * (dt?) * coefficient."""
-
-    __slots__ = ()
-    # bound in the class body, not only inherited: bench/tracer.py counts
-    # these operators through each class's own __dict__
-    __add__ = __radd__ = _Form.__add__
-    __neg__ = _Form.__neg__
-    __sub__ = _Form.__sub__
-    __rmul__ = _Form.__rmul__
-
-    @classmethod
-    def monomial(cls, alg, coeff, e: int = 0, dt: int = 0):
-        coeff = alg.coerce(coeff)
-        return cls(alg, {(dt, e): coeff})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if isinstance(other, Element):
-            other = Form1.const(self.alg, other)
-        out = {}
-        for (dt1, e1), a1 in self.terms.items():
-            a1_twisted = None
-            for (dt2, e2), a2 in other.terms.items():
-                if dt1 and dt2:
-                    continue
-                left = a1
-                if dt2:
-                    # dt of the right factor passes the left coefficient
-                    if a1_twisted is None:
-                        a1_twisted = a1.negate_odd()
-                    left = a1_twisted
-                prod = left * a2
-                if prod.is_zero():
-                    continue
-                key = (dt1 | dt2, e1 + e2)
-                cur = out.get(key)
-                out[key] = prod if cur is None else cur + prod
-        return Form1(self.alg, out)
-
-    def d(self):
-        out = Form1.zero(self.alg)
-        for (dt, e), a in self.terms.items():
-            if dt == 0 and e > 0:
-                out = out + Form1(self.alg, {(1, e - 1): a.scale(e)})
-            da = self.alg.differential(a)
-            if not da.is_zero():
-                sign = -1 if dt else 1
-                out = out + Form1(self.alg, {(dt, e): da.scale(sign)})
-        return out
-
-    def at_endpoint(self, value) -> Element:
-        """Substitute t := value and drop dt (face to the 0-cell)."""
-        value = frac(value)
-        out = self.alg.zero()
-        for (dt, e), a in self.terms.items():
-            if dt:
-                continue
-            out = out + a.scale(value ** e)
-        return out
-
-    def degrees(self):
-        degs = set()
-        for (dt, _e), a in self.terms.items():
-            for mono in a.coeffs:
-                degs.add(dt + self.alg.mono_degree(mono))
-        return degs
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (dt, e) in sorted(self.terms):
-            a = self.terms[(dt, e)]
-            t = "" if e == 0 else ("t" if e == 1 else f"t^{e}")
-            bits.append(f"{t}{'dt' if dt else ''}({a!r})")
-        return " + ".join(bits)
-
-
-class Form2(_Form):
-    """Polynomial form on the square: terms (mask, e1, e2) -> coefficient,
-    where mask bit 1 is dt1 and bit 2 is dt2."""
-
-    __slots__ = ()
-    __add__ = __radd__ = _Form.__add__
-    __neg__ = _Form.__neg__
-    __sub__ = _Form.__sub__
-    __rmul__ = _Form.__rmul__
-
-    @classmethod
-    def monomial(cls, alg, coeff, e1: int = 0, e2: int = 0, mask: int = 0):
-        coeff = alg.coerce(coeff)
-        return cls(alg, {(mask, e1, e2): coeff})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, Element):
-            other = Form2.const(self.alg, other)
+            other = self.const(self.alg, other)
         out = {}
         for (m1, e1, f1), a1 in self.terms.items():
             a1_twisted = None
@@ -212,19 +110,26 @@ class Form2(_Form):
                     if a1_twisted is None:
                         a1_twisted = a1.negate_odd()
                     left = a1_twisted
-                sign = -1 if (m1 & 2) and (m2 & 1) else 1  # dt2∧dt1 = -dt1∧dt2
-                prod = (left * a2).scale(sign)
+                prod = left * a2
+                if (m1 & 2) and (m2 & 1):
+                    prod = prod.scale(-1)  # dt2∧dt1 = -dt1∧dt2
                 if prod.is_zero():
                     continue
                 key = (m1 | m2, e1 + e2, f1 + f2)
                 cur = out.get(key)
                 out[key] = prod if cur is None else cur + prod
-        return Form2(self.alg, out)
+        return type(self)(self.alg, out)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if isinstance(other, Element):
+            return self.const(self.alg, other) * self
+        return NotImplemented
 
     def d(self):
         """De Rham differential plus the internal coefficient differential:
         d(p·dtμ ⊗ a) = (dp)·dtμ ⊗ a + (-1)^{|dtμ|} p·dtμ ⊗ da."""
-        out = Form2.zero(self.alg)
         parts = {}
 
         def put(key, coeff):
@@ -241,25 +146,7 @@ class Form2(_Form):
             if not da.is_zero():
                 sign = -1 if _popcount(mask) % 2 else 1
                 put((mask, e1, e2), da.scale(sign))
-        return out + Form2(self.alg, parts)
-
-    def restrict_edge(self, i: int, j: int) -> Form1:
-        """Face d_{ij} substitution part: t -> (t, 1-j) for i = 1 and
-        (1-j, t) for i = 2; kills the crossing dt and renames the parameter."""
-        if i not in (1, 2) or j not in (0, 1):
-            raise ValueError("edge index i in {1,2}, vertex index j in {0,1}")
-        cross_bit = 2 if i == 1 else 1
-        out = {}
-        for (mask, e1, e2), a in self.terms.items():
-            if mask & cross_bit:
-                continue
-            par_e, cross_e = (e1, e2) if i == 1 else (e2, e1)
-            if j and cross_e:
-                continue  # the crossing coordinate is 0 on this edge
-            key = (1 if mask else 0, par_e)
-            cur = out.get(key)
-            out[key] = a if cur is None else cur + a
-        return Form1(self.alg, out)
+        return type(self)(self.alg, parts)
 
     def degrees(self):
         degs = set()
@@ -275,6 +162,79 @@ class Form2(_Form):
         if len(degs) > 1:
             raise ValueError("form is not homogeneous")
         return degs.pop()
+
+
+class Form1(_Form):
+    """Polynomial form on the interval: sum of t^e * (dt?) * coefficient,
+    keyed (dt, e, 0)."""
+
+    __slots__ = ()
+    # bound in the class body, not only inherited: bench/tracer.py counts
+    # these operators through each class's own __dict__
+    __add__ = __radd__ = _Form.__add__
+    __neg__ = _Form.__neg__
+    __sub__ = _Form.__sub__
+    __mul__ = _Form.__mul__
+    __rmul__ = _Form.__rmul__
+
+    @classmethod
+    def monomial(cls, alg, coeff, e: int = 0, dt: int = 0):
+        coeff = alg.coerce(coeff)
+        return cls(alg, {(dt, e, 0): coeff})
+
+    def at_endpoint(self, value) -> Element:
+        """Substitute t := value and drop dt (face to the 0-cell)."""
+        value = frac(value)
+        out = self.alg.zero()
+        for (dt, e, _), a in self.terms.items():
+            if dt:
+                continue
+            out = out + a.scale(value ** e)
+        return out
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for key in sorted(self.terms):
+            dt, e, _ = key
+            t = "" if e == 0 else ("t" if e == 1 else f"t^{e}")
+            bits.append(f"{t}{'dt' if dt else ''}({self.terms[key]!r})")
+        return " + ".join(bits)
+
+
+class Form2(_Form):
+    """Polynomial form on the square: terms (mask, e1, e2) -> coefficient."""
+
+    __slots__ = ()
+    __add__ = __radd__ = _Form.__add__
+    __neg__ = _Form.__neg__
+    __sub__ = _Form.__sub__
+    __mul__ = _Form.__mul__
+    __rmul__ = _Form.__rmul__
+
+    @classmethod
+    def monomial(cls, alg, coeff, e1: int = 0, e2: int = 0, mask: int = 0):
+        coeff = alg.coerce(coeff)
+        return cls(alg, {(mask, e1, e2): coeff})
+
+    def restrict_edge(self, i: int, j: int) -> Form1:
+        """Face d_{ij} substitution part: t -> (t, 1-j) for i = 1 and
+        (1-j, t) for i = 2; kills the crossing dt and renames the parameter."""
+        if i not in (1, 2) or j not in (0, 1):
+            raise ValueError("edge index i in {1,2}, vertex index j in {0,1}")
+        cross_bit = 2 if i == 1 else 1
+        out = {}
+        for (mask, e1, e2), a in self.terms.items():
+            if mask & cross_bit:
+                continue
+            par_e, cross_e = (e1, e2) if i == 1 else (e2, e1)
+            if j and cross_e:
+                continue  # the crossing coordinate is 0 on this edge
+            key = (1 if mask else 0, par_e, 0)
+            cur = out.get(key)
+            out[key] = a if cur is None else cur + a
+        return Form1(self.alg, out)
 
     def __repr__(self):
         if not self.terms:
@@ -380,23 +340,16 @@ class LocalSystemT2:
         return out
 
     def apply_edge(self, i: int, j: int, form: Form1) -> Element:
-        """The face map d_j: L_sigma_i -> L_pt applied to an interval form."""
-        out = self.alg.zero()
-        value = Fraction(1 - j)
-        images = None
-        if j == 0:
-            images = {"1": self.alg.unit()}
-            images.update({g.name: self.edge_d0[i][g.name]
-                           for g in self.alg.generators})
-        for (dt, e), a in form.terms.items():
-            if dt:
-                continue
-            coeff = value ** e
-            if j == 0:
-                out = out + algebra_map_element(self.alg, images, a).scale(coeff)
-            else:
-                out = out + a.scale(coeff)
-        return out
+        """The face map d_j: L_sigma_i -> L_pt applied to an interval form:
+        the substitution t := 1 - j, then for j = 0 the twisted d0, which
+        is linear."""
+        value = form.at_endpoint(1 - j)
+        if j:
+            return value
+        images = {"1": self.alg.unit()}
+        images.update({g.name: self.edge_d0[i][g.name]
+                       for g in self.alg.generators})
+        return algebra_map_element(self.alg, images, value)
 
     def _validate(self):
         for i in (1, 2):
@@ -601,8 +554,9 @@ def _form1_expr(alg, f: Form1) -> str:
     if f.is_zero():
         return "0"
     bits = []
-    for (dt, e) in sorted(f.terms):
-        a = f.terms[(dt, e)]
+    for key in sorted(f.terms):
+        dt, e, _ = key
+        a = f.terms[key]
         head = ""
         if e:
             head += "t*" if e == 1 else f"t^{e}*"

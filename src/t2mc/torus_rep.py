@@ -150,9 +150,7 @@ def char_poly(m: Matrix):
     points = [Fraction(k) for k in range(n + 1)]
     values = [det(Matrix.diagonal([x] * n) - m) for x in points]
     vand = Matrix.from_rows([[x ** j for j in range(n + 1)] for x in points])
-    sol = solve(vand, values)
-    coeffs = list(sol[0])
-    return coeffs
+    return list(solve(vand, values))
 
 
 def rational_roots(coeffs):
@@ -256,7 +254,7 @@ def _common_eigenvector(a1: Matrix, a2: Matrix):
             if sol is None:
                 ok = False
                 break
-            cols.append(sol[0])
+            cols.append(sol)
         if not ok:
             continue
         m = len(e_basis)

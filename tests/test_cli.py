@@ -184,3 +184,14 @@ def test_verify_declared_relations(tmp_path, capsys):
         assert section["pass"] is True
     assert main(["verify", "--relations", "(1,2)"]) == 2
     assert "relations are integer 4-vectors" in capsys.readouterr().err
+
+
+def test_verify_malformed_options_are_parse_errors(capsys):
+    for argv, message in (
+            (["--params", "1,2"], "--params needs a1,b1,a2,b2"),
+            (["--params", "1,x,1,1"], "bad parameter value"),
+            (["--relations", "(a,1,1,1)"], "bad relation '(a,1,1,1)'")):
+        assert main(["verify", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")

@@ -11,7 +11,7 @@ from t2mc.mcdg import (HomElement, MCObject, NoGammaAtBoundError,
                        fm_sub, fm_zero, extension_iso, mc_check, mc_to_s,
                        realize_mc, realize_rep, rep_extension,
                        rep_to_mc, s_element, straighten, twisted_d)
-from t2mc.qlinalg import Matrix
+from t2mc.qlinalg import Matrix, invert, rank
 from t2mc.t2forms import Form1, Form2, sq
 from t2mc.torus_rep import TorusRep, is_isomorphic
 
@@ -193,7 +193,7 @@ def _dense_restrict(x, i, j):
         coeff = a.scale(value ** cross_e)
         if coeff.is_zero():
             continue
-        key = (1 if mask else 0, par_e)
+        key = (1 if mask else 0, par_e, 0)
         out[key] = coeff if key not in out else out[key] + coeff
     return Form1(SCALAR_ALGEBRA, out)
 
@@ -577,6 +577,72 @@ def test_straighten_unipotent_j4_last_stage_pinned():
     assert _terms(chain.entries) == _terms(expected)
 
 
+def _random_triangular_pair(rng, n):
+    """A commuting pair: g1 upper triangular with eigenvalues 1 and 2 (so
+    mixed characters), g2 an invertible polynomial in g1, both conjugated
+    by a product of n integer shears, which is unimodular."""
+    g1 = Matrix.from_rows([[rng.choice((1, 2)) if i == j
+                            else rng.randint(-2, 2) * (j > i)
+                            for j in range(n)] for i in range(n)])
+    while True:
+        c = [rng.randint(-2, 2) for _ in range(3)]
+        if all(c[0] + c[1] * lam + c[2] * lam * lam for lam in (1, 2)):
+            break
+    g2 = (Matrix.identity(n).scale(c[0]) + g1.scale(c[1])
+          + (g1 * g1).scale(c[2]))
+    p = Matrix.identity(n)
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        shear = Matrix.identity(n).to_rows()
+        shear[i][j] = rng.choice((1, -1, 2, -2))
+        p = p * Matrix.from_rows(shear)
+    p_inv = invert(p)
+    return TorusRep(p * g1 * p_inv, p * g2 * p_inv)
+
+
+def test_straighten_constant_part_is_unique(monkeypatch):
+    # the argument in straighten's docstring, on the systems rep_to_mc
+    # solves: the k columns are independent modulo the chain columns, so
+    # no kernel vector touches them
+    problems, systems = [], []
+    real_init = mcdg._ChainProblem.__init__
+    monkeypatch.setattr(mcdg._ChainProblem, "__init__",
+                        lambda self, *a: problems.append(self)
+                        or real_init(self, *a))
+    real_solve = mcdg._solve_sparse
+
+    def capture(images, rhs):
+        problem = next(p for p in problems if p.images is images)
+        systems.append((problem.vars, images))
+        return real_solve(images, rhs)
+
+    monkeypatch.setattr(mcdg, "_solve_sparse", capture)
+    rng = random.Random(5)
+    for _ in range(12):
+        rep_to_mc(_random_triangular_pair(rng, rng.randint(2, 5)))
+    rep_to_mc(rep([[int(j in (i, i + 1)) for j in range(5)]
+                   for i in range(5)]))
+    checked = 0
+    for variables, images in systems:
+        k_cols = [j for j, v in enumerate(variables) if v[0] == "k"]
+        if not k_cols:
+            continue  # a splitting-corner system
+        coords = {c: i for i, c in enumerate(set().union(*images))}
+
+        def columns(cols):
+            rows = [[0] * len(cols) for _ in coords]
+            for col, j in enumerate(cols):
+                for c, v in images[j].items():
+                    rows[coords[c]][col] = v
+            return Matrix.from_rows(rows)
+
+        chain_cols = [j for j, v in enumerate(variables) if v[0] == "chain"]
+        assert (rank(columns(range(len(images))))
+                == rank(columns(chain_cols)) + len(k_cols))
+        checked += 1
+    assert checked >= 20
+
+
 def test_rep_to_mc_semisimple_input():
     mc = rep_to_mc(TorusRep.diagonal([(2, 1), (3, 5)])).mc
     assert fm_is_zero(mc.eta)
@@ -727,14 +793,15 @@ def test_rep_to_mc_unipotent_j5_elimination_counts(monkeypatch):
 def _image_by_products(src, dst, p, q, key, eq=True):
     """The reference construction of an unknown's image: the unit form
     matrix through `twisted_d` (the unit itself for a dt unit) and the
-    interval-form products of `_defects_by_products`, flattened."""
+    interval-form products of `_defects_by_products`, flattened; face
+    coordinates carry the edge key (dt, e) of an interval form."""
     def flatten(tag, mat):
         for r, row in enumerate(mat):
             for s, form in enumerate(row):
                 for fkey, coeff in form.terms.items():
                     c = coeff.coeffs.get((), Fraction(0))
                     if c:
-                        k = (tag, r, s, fkey)
+                        k = (tag, r, s, fkey if tag == "eq" else fkey[:2])
                         img[k] = img.get(k, Fraction(0)) + c
 
     mask, e1, e2 = key
@@ -860,8 +927,9 @@ def test_rep_to_mc_unipotent_j5_builds_no_unit_products(monkeypatch):
 # -- checks on sparse coordinates ------------------------------------------------
 
 def _flat(tag, mat):
-    """The nonzero scalar coefficients of a form matrix under `tag`."""
-    return {(tag, r, s, key): coeff.coeffs[()]
+    """The nonzero scalar coefficients of a form matrix under `tag`; face
+    coordinates carry the edge key (dt, e) of an interval form."""
+    return {(tag, r, s, key if tag == "eq" else key[:2]): coeff.coeffs[()]
             for r, row in enumerate(mat) for s, form in enumerate(row)
             for key, coeff in form.terms.items()}
 
@@ -979,7 +1047,7 @@ def test_errors_name_the_first_defect():
 
 def _first_face_defect(defects):
     i, diff = defects[0]
-    r, s, key = min((r, s, key) for r, row in enumerate(diff)
+    r, s, key = min((r, s, key[:2]) for r, row in enumerate(diff)
                     for s, x in enumerate(row) for key in x.terms)
     return f"(edge {i}, entry ({r}, {s}), key {key})"
 

@@ -5,7 +5,7 @@ import pytest
 
 from t2mc.gca import SCALAR_ALGEBRA
 from t2mc.t2forms import (Form1, Form2, ParameterZeroError,
-                          SectionCandidate, build_local_system,
+                          SectionCandidate, _Form, build_local_system,
                           constant_section, is_global_section,
                           parse_local_system, local_system_to_text,
                           section_w, section_x, sq)
@@ -95,6 +95,111 @@ def test_wedge_graded_commutative_with_coefficients(fiber):
         db = d2 + (1 if m2 else 0)
         sign = -1 if (da * db) % 2 else 1
         assert a * b == (b * a).scale(sign)
+
+
+# -- the interval algebra is the square one in t1 alone -------------------------
+#
+# The interval product and differential as they were written on (dt, e) keys
+# before the square's took their place, kept as the oracle.
+
+def _oracle_mul(terms1, terms2):
+    out = {}
+    for (dt1, e1), a1 in terms1.items():
+        a1_twisted = None
+        for (dt2, e2), a2 in terms2.items():
+            if dt1 and dt2:
+                continue
+            left = a1
+            if dt2:
+                # dt of the right factor passes the left coefficient
+                if a1_twisted is None:
+                    a1_twisted = a1.negate_odd()
+                left = a1_twisted
+            prod = left * a2
+            if prod.is_zero():
+                continue
+            key = (dt1 | dt2, e1 + e2)
+            cur = out.get(key)
+            out[key] = prod if cur is None else cur + prod
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _oracle_d(alg, terms):
+    out = {}
+
+    def add(key, coeff):
+        out[key] = coeff if key not in out else out[key] + coeff
+
+    for (dt, e), a in terms.items():
+        if dt == 0 and e > 0:
+            add((1, e - 1), a.scale(e))
+        da = alg.differential(a)
+        if not da.is_zero():
+            add((dt, e), da.scale(-1 if dt else 1))
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _edge_terms(f):
+    """The terms of an interval form on (dt, e) keys."""
+    assert all(type(f) is Form1 and key[2] == 0 for key in f.terms)
+    return {key[:2]: a for key, a in f.terms.items()}
+
+
+def _random_coefficient(rng, fiber):
+    """A sum of up to three products of up to two generators, odd ones
+    (x, y, z, u) included."""
+    out = fiber.zero()
+    for _ in range(rng.randint(1, 3)):
+        term = fiber.unit().scale(rng.choice((-2, -1, 1, Fraction(1, 2), 3)))
+        for _ in range(rng.randint(0, 2)):
+            term = term * fiber.generator(rng.choice("xyzwu"))
+        out = out + term
+    return out
+
+
+def _random_interval_form(rng, fiber):
+    f = Form1.zero(fiber)
+    for _ in range(rng.randint(0, 3)):
+        f = f + Form1.monomial(fiber, _random_coefficient(rng, fiber),
+                               e=rng.randint(0, 3), dt=rng.choice((0, 1)))
+    return f
+
+
+def test_interval_product_and_differential_match_the_oracle(fiber):
+    rng = random.Random(53)
+    seen, twisted = set(), 0
+    for _ in range(150):
+        f, g = (_random_interval_form(rng, fiber) for _ in range(2))
+        ft, gt = _edge_terms(f), _edge_terms(g)
+        assert _edge_terms(f * g) == _oracle_mul(ft, gt)
+        assert _edge_terms(f.d()) == _oracle_d(fiber, ft)
+        c = _random_coefficient(rng, fiber)
+        assert _edge_terms(f * c) == _oracle_mul(ft, {(0, 0): c})
+        assert _edge_terms(c * f) == _oracle_mul({(0, 0): c}, ft)
+        r = rng.choice((2, Fraction(-1, 3)))
+        assert _edge_terms(f * r) == _oracle_mul(ft, {(0, 0): fiber.scalar(r)})
+        seen.update((key[0], key2[0]) for key in f.terms for key2 in g.terms)
+        odd = any(fiber.mono_degree(m) % 2 for a in f.terms.values()
+                  for m in a.coeffs)
+        twisted += odd and any(key[0] for key in g.terms)
+    assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}  # dt on either side
+    assert twisted >= 20  # an odd coefficient passes the right factor's dt
+
+
+def test_one_product_one_differential():
+    # the interval forms share the square's code, not a copy of it
+    assert (Form1.__dict__["__mul__"] is Form2.__dict__["__mul__"]
+            is _Form.__dict__["__mul__"])
+    assert Form1.d is Form2.d is _Form.d
+    assert Form1.degree is Form2.degree is _Form.degree
+    for name in ("d", "degrees", "degree"):
+        assert name not in Form1.__dict__ and name not in Form2.__dict__
+
+
+def test_interval_degrees_count_dt(fiber):
+    u = fiber.generator("u")
+    assert Form1.monomial(fiber, u, e=2, dt=1).degree() == 6
+    assert Form1.monomial(fiber, u, e=2).degrees() == {5}
 
 
 def test_restrict_edge_pinned():
@@ -286,7 +391,7 @@ def test_shared_term_algebra(cls, fiber):
     g = cls(fiber, {key: x, (0,) * len(key): fiber.zero()})
     assert g.terms == {key: x}
     # equality is strict about the class
-    terms = {(0, 0): x}
+    terms = {(0, 0, 0): x}
     other = Form2 if cls is Form1 else Form1
     assert cls(fiber, terms) != other(fiber, terms)
     assert cls(fiber, terms) == cls(fiber, dict(terms))
