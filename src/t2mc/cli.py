@@ -26,8 +26,6 @@ from .errors import CrossCheckError, DomainError, ParseError
 from .gca import Element
 from .mcdg import MCObject, fm_dt_parts, mc_to_s, rep_to_mc
 from .qlinalg import Matrix, frac, frac_str
-from .t2forms import build_local_system, constant_section, is_global_section, \
-    section_w, section_x
 from .torus_rep import TorusRep, cellular_complex, parse_rep
 from .xmodel import (ParameterSpec, build_total_model, build_torus_model,
                      compare_actions, invariant_basis, nilpotent_model,
@@ -72,6 +70,16 @@ def _parse_relations(text: str):
     return out
 
 
+def _parse_bound(text: str) -> int:
+    try:
+        bound = int(text)
+    except ValueError:
+        bound = -1
+    if bound < 0:
+        raise ParseError(f"--bound needs a nonnegative integer, not {text!r}")
+    return bound
+
+
 def _emit(payload, out_path):
     text = json.dumps(payload, indent=2) + "\n"
     if out_path:
@@ -90,8 +98,8 @@ def _read_rep(path: str) -> TorusRep:
 
 
 def cmd_ssify(args) -> int:
-    rep = _read_rep(args.rep_file)
-    result = rep_to_mc(rep, bound=args.bound)
+    bound = _parse_bound(args.bound)
+    result = rep_to_mc(_read_rep(args.rep_file), bound=bound)
     m1, m2 = fm_dt_parts(result.mc.eta)
     mc_s = mc_to_s(result.mc)
     payload = {
@@ -119,6 +127,7 @@ def _normal_form_betti(mc: MCObject):
 
 
 def cmd_t2_cohomology(args) -> int:
+    bound = _parse_bound(args.bound)
     rep = _read_rep(args.rep_file)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -130,7 +139,7 @@ def cmd_t2_cohomology(args) -> int:
     if args.backend in ("cellular", "both"):
         payload["betti_cellular"] = list(cellular_complex(rep).betti(range(3)))
     if args.backend in ("model", "both"):
-        payload["betti_model"] = list(_model_betti(rep, args.bound))
+        payload["betti_model"] = list(_model_betti(rep, bound))
     if args.backend == "both":
         agree = payload["betti_cellular"] == payload["betti_model"]
         payload["agree"] = agree
@@ -221,8 +230,8 @@ def _iso_section():
     }
 
 
-def _integrity_section(values):
-    from .t2forms import build_fiber_algebra
+def _integrity_section(chain_reports):
+    from .t2forms import Form1, build_fiber_algebra
 
     fiber_ok = not build_fiber_algebra().check_d_square(8)
     n_ok = not build_torus_model().pres.check_d_square(8)
@@ -232,15 +241,13 @@ def _integrity_section(values):
     s1_fail = m_s1.pres.check_d_square(8)
     s1_defects = [f"d(d({name})) = {ddg!r}"
                   for name, ddg in m_s1.pres.d_square_defects]
-    ls = build_local_system(*values)  # construction validates the face maps
-    x_rep = is_global_section(ls, section_x(ls))
-    w_rep = is_global_section(ls, section_w(ls))
-    consts = {name: is_global_section(ls, constant_section(ls, name)).ok
-              for name in ("y", "z", "u")}
+    # every variant's chain-map run reports on the same local system
+    reports = next(iter(chain_reports.values())).section_reports
+    x_rep, w_rep = reports["x_prime"], reports["w_prime"]
+    consts = {name: reports[name].ok for name in ("y", "z", "u")}
     # the reference edge value of the x-section: both faces give -x
-    from .t2forms import Form1
-    minus_x = (x_rep.edge_values[1]
-               == Form1.const(ls.alg, -ls.alg.generator("x")))
+    alg = x_rep.edge_values[1].alg
+    minus_x = x_rep.edge_values[1] == Form1.const(alg, -alg.generator("x"))
     return {
         "d_squared": {
             "fiber_algebra": fiber_ok,
@@ -259,10 +266,9 @@ def _integrity_section(values):
     }
 
 
-def _chain_map_section(values, variants=("s1", "s2")):
+def _chain_map_section(chain_reports):
     out = {}
-    for variant in variants:
-        rep = verify_chain_map(values, variant)
+    for variant, rep in chain_reports.items():
         out[variant] = {
             "generators": {v.name: v.ok for v in rep.verdicts},
             "failing": rep.failing_generators(),
@@ -274,22 +280,19 @@ def _chain_map_section(values, variants=("s1", "s2")):
             out[variant]["xb_rhs"] = xb.rhs
     expectations = {"s1": ["xb"], "s2": []}
     out["pass"] = all(out[v]["failing"] == expectations[v]
-                      and out[v]["sections_ok"] for v in variants)
+                      and out[v]["sections_ok"] for v in chain_reports)
     return out
 
 
 def _actions_section(values, variants=("s1", "s2")):
-    ls = build_local_system(*values)
-    mono3 = ls.monodromy_of(3)
+    compared = {v: compare_actions(values, 3, v) for v in variants}
+    mono3 = compared[variants[0]].monodromy
     out = {"monodromy_deg3": {"g1": matrix_json(mono3.g1),
                               "g2": matrix_json(mono3.g2)}}
-    for variant in variants:
-        model = build_total_model(ParameterSpec.specialized(*values), variant)
-        rec = recover_homotopy_action(model, 3)
-        cmp_ = compare_actions(values, 3, variant)
+    for variant, cmp_ in compared.items():
         out[variant] = {
-            "recovered_g1": matrix_json(rec.g1),
-            "recovered_g2": matrix_json(rec.g2),
+            "recovered_g1": matrix_json(cmp_.recovered.g1),
+            "recovered_g2": matrix_json(cmp_.recovered.g2),
             "status": cmp_.status,
             "conjugator": (matrix_json(cmp_.conjugator)
                            if cmp_.conjugator is not None else None),
@@ -394,11 +397,12 @@ def build_verification_report(values, variants=("s1", "s2"),
     # the normal forms of the two battery families, shared by three sections
     one_gen_mc = {t: rep_to_mc(_jordan3_rep(*t)).mc for t in ONE_GEN_TUPLES}
     two_gen_mc = {t: rep_to_mc(_two_gen_rep(*t)).mc for t in TWO_GEN_TUPLES}
+    chain_reports = {v: verify_chain_map(values, v) for v in variants}
     sections = {
         "mc_normal_forms": _normal_form_section(one_gen_mc, two_gen_mc),
         "extension_isomorphism": _iso_section(),
-        "model_integrity": _integrity_section(values),
-        "chain_map": _chain_map_section(values, variants),
+        "model_integrity": _integrity_section(chain_reports),
+        "chain_map": _chain_map_section(chain_reports),
         "action_comparison": _actions_section(values, variants),
         "betti_oracle": _oracle_section(one_gen_mc),
         "nilpotent_models": _nilpotent_section(),
@@ -453,7 +457,8 @@ def main(argv=None) -> int:
     p_ssify = sub.add_parser("ssify", help="representation to its constant "
                                            "Maurer-Cartan normal form")
     p_ssify.add_argument("rep_file")
-    p_ssify.add_argument("--bound", type=int, default=4,
+    # --bound is parsed by the commands, so a malformed value exits 3
+    p_ssify.add_argument("--bound", default="4",
                          help="polynomial degree bound for the chain solves")
     p_ssify.add_argument("--out", default=None)
     p_ssify.set_defaults(func=cmd_ssify)
@@ -463,7 +468,7 @@ def main(argv=None) -> int:
     p_coh.add_argument("rep_file")
     p_coh.add_argument("--backend", choices=("cellular", "model", "both"),
                        default="both")
-    p_coh.add_argument("--bound", type=int, default=4)
+    p_coh.add_argument("--bound", default="4")
     p_coh.add_argument("--out", default=None)
     p_coh.set_defaults(func=cmd_t2_cohomology)
 

@@ -8,9 +8,12 @@ a Maurer-Cartan matrix whose entries live in one of two ambients,
 * ``salgebra`` - degree-1 elements of the exterior algebra on two degree-1
                  cocycle generators s1, s2 (the invariant model of the torus).
 
-Morphisms are matrices of scalar square forms subject to the global-section
+Morphisms, and every forms twist, are `HomElement`s: matrices of scalar
+square forms with a degree, the one form-matrix type, with its sums,
+products and differential.  Morphisms are subject to the global-section
 (conjugation) conditions; the twisted differential is
-d f = d_forms f + eta' f - (-1)^{|f|} f eta.
+d f = d_forms f + eta' f - (-1)^{|f|} f eta.  `mc_check` checks a twist of
+either ambient on its square forms.
 
 The pipeline `rep_to_mc` peels an upper-triangular pair one diagonal entry at
 a time: build the splitting of the next extension (corner polynomial solved
@@ -120,89 +123,103 @@ def s_coefficients(e: Element):
 
 # -- matrices of scalar square forms ----------------------------------------
 #
-# A form matrix is a list of rows of scalar Form2s.  Rational matrices enter
-# through two builders: `fm_from_matrix` (constant 0-forms) and
-# `fm_dt_matrix`, the pair m1·u1 + m2·u2 over the units DT = (dt1, dt2) or
-# T = (t1, t2).  Every split extension is assembled by `ExtensionData` from
-# its blocks and corner.
+# A form matrix is a `HomElement`: rows of scalar Form2s with a homological
+# degree.  Rational matrices enter through `HomElement.from_matrix` (constant
+# 0-forms) and `HomElement.linear`, the pair m1·u1 + m2·u2 over the units
+# DT = (dt1, dt2) or T = (t1, t2).  Every split extension is assembled by
+# `ExtensionData` from its blocks and corner.
 
 DT = ({"mask": 1}, {"mask": 2})
 T = ({"e1": 1}, {"e2": 1})
 
 
-def fm_zero(rows, cols):
-    return [[Form2.zero(SCALAR_ALGEBRA) for _ in range(cols)]
-            for _ in range(rows)]
+class HomElement:
+    """A matrix of scalar square forms with a homological degree; it indexes
+    and iterates as its rows.
 
+    `+`, `-` and negation are entrywise and skip zero forms; the product `*`
+    adds the degrees.
+    """
 
-def fm_from_matrix(m: Matrix):
-    return [[sq(m[(i, j)]) for j in range(m.cols)] for i in range(m.rows)]
+    __slots__ = ("entries", "degree")
 
+    def __init__(self, entries, degree: int):
+        self.entries = entries
+        self.degree = degree
 
-def fm_dt_matrix(m1: Matrix, m2: Matrix, units=DT):
-    """The form matrix m1·u1 + m2·u2 for units (u1, u2): DT gives the
-    constant 1-forms m1 dt1 + m2 dt2, T the linear 0-forms m1 t1 + m2 t2."""
-    u1, u2 = units
-    return [[sq(m1[(i, j)], **u1) + sq(m2[(i, j)], **u2)
-             for j in range(m1.cols)] for i in range(m1.rows)]
+    @classmethod
+    def zero(cls, rows, cols, degree: int = 0):
+        return cls([[Form2.zero(SCALAR_ALGEBRA) for _ in range(cols)]
+                    for _ in range(rows)], degree)
 
+    @classmethod
+    def from_matrix(cls, m: Matrix):
+        return cls([[sq(m[(i, j)]) for j in range(m.cols)]
+                    for i in range(m.rows)], 0)
 
-def fm_add(a, b):
-    """Entrywise sum; a zero form on either side is not added."""
-    return [[(x + y if x.terms else y) if y.terms else x
-             for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    @classmethod
+    def linear(cls, m1: Matrix, m2: Matrix, units=DT):
+        """m1·u1 + m2·u2 for units (u1, u2): DT gives the constant 1-forms
+        m1 dt1 + m2 dt2, T the linear 0-forms m1 t1 + m2 t2."""
+        u1, u2 = units
+        return cls([[sq(m1[(i, j)], **u1) + sq(m2[(i, j)], **u2)
+                     for j in range(m1.cols)] for i in range(m1.rows)],
+                   int(units is DT))
 
+    def __getitem__(self, i):
+        return self.entries[i]
 
-def fm_sub(a, b):
-    """Entrywise difference of square- or interval-form matrices; a zero
-    form on the right is not subtracted."""
-    return [[x - y if y.terms else x for x, y in zip(ra, rb)]
-            for ra, rb in zip(a, b)]
+    def __iter__(self):
+        return iter(self.entries)
 
+    def __len__(self):
+        return len(self.entries)
 
-def fm_scale(a, c):
-    return [[x.scale(c) for x in row] for row in a]
+    def shape(self):
+        return len(self.entries), len(self.entries[0]) if self.entries else 0
 
+    def __eq__(self, other):
+        return (isinstance(other, HomElement) and self.degree == other.degree
+                and self.entries == other.entries)
 
-def _accumulate(addends_by_row, cols, zero):
-    """Rows of a form matrix from (column, form) addends, each entry summed
-    in the order its addends come; entries with none are `zero`."""
-    out = []
-    for addends in addends_by_row:
-        acc = [None] * cols
-        for j, f in addends:
-            acc[j] = f if acc[j] is None else acc[j] + f
-        out.append([zero if f is None else f for f in acc])
-    return out
+    def is_zero(self):
+        return not any(x.terms for row in self.entries for x in row)
 
+    def __add__(self, other):
+        return HomElement([[(x + y if x.terms else y) if y.terms else x
+                            for x, y in zip(ra, rb)]
+                           for ra, rb in zip(self.entries, other.entries)],
+                          self.degree)
 
-def fm_mul(a, b):
-    """Form-matrix product, row by row over nonzero forms only; each entry
-    is summed over k in increasing order."""
-    if a and len(a[0]) != len(b):
-        raise ValueError("shape mismatch in form-matrix product")
-    return _accumulate(([(j, x * y) for x, b_row in zip(a_row, b) if x.terms
-                         for j, y in enumerate(b_row) if y.terms]
-                        for a_row in a),
-                       len(b[0]) if b else 0, Form2.zero(SCALAR_ALGEBRA))
+    def __sub__(self, other):
+        return self + -other
 
+    def __neg__(self):
+        return HomElement([[-x if x.terms else x for x in row]
+                           for row in self.entries], self.degree)
 
-def fm_d(a):
-    return [[x.d() for x in row] for row in a]
+    def __mul__(self, other):
+        """The product, row by row over nonzero forms only; each entry is
+        summed over k in increasing order."""
+        a, b = self.entries, other.entries
+        if a and len(a[0]) != len(b):
+            raise ValueError("shape mismatch in form-matrix product")
+        zero = Form2.zero(SCALAR_ALGEBRA)
+        out = []
+        for a_row in a:
+            acc = [None] * (len(b[0]) if b else 0)
+            for x, b_row in zip(a_row, b):
+                if x.terms:
+                    for j, y in enumerate(b_row):
+                        if y.terms:
+                            f = x * y
+                            acc[j] = f if acc[j] is None else acc[j] + f
+            out.append([zero if f is None else f for f in acc])
+        return HomElement(out, self.degree + other.degree)
 
-
-def fm_is_zero(a):
-    return all(x.is_zero() for row in a for x in row)
-
-
-def fm_eq(a, b):
-    return (len(a) == len(b)
-            and all(len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-                    for ra, rb in zip(a, b)))
-
-
-def fm_shape(a):
-    return len(a), len(a[0]) if a else 0
+    def d(self):
+        return HomElement([[x.d() for x in row] for row in self.entries],
+                          self.degree + 1)
 
 
 def fm_dt_parts(a):
@@ -210,21 +227,15 @@ def fm_dt_parts(a):
 
     Returns None when any entry has a t-dependent or non-1-form component.
     """
-    rows, cols = fm_shape(a)
-    m1 = [[Fraction(0)] * cols for _ in range(rows)]
-    m2 = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            for (mask, e1, e2), coeff in a[i][j].terms.items():
+    rows, cols = a.shape()
+    parts = {1: [_ZERO] * (rows * cols), 2: [_ZERO] * (rows * cols)}
+    for i, row in enumerate(a):
+        for j, form in enumerate(row):
+            for (mask, e1, e2), coeff in form.terms.items():
                 if (e1, e2) != (0, 0) or mask not in (1, 2):
                     return None
-                c = coeff.coeffs.get((), Fraction(0))
-                if mask == 1:
-                    m1[i][j] = c
-                else:
-                    m2[i][j] = c
-    return Matrix.from_rows(m1) if rows and cols else Matrix(rows, cols, []), \
-        Matrix.from_rows(m2) if rows and cols else Matrix(rows, cols, [])
+                parts[mask][i * cols + j] = coeff.coeffs.get((), _ZERO)
+    return Matrix(rows, cols, parts[1]), Matrix(rows, cols, parts[2])
 
 
 # -- objects -----------------------------------------------------------------
@@ -234,7 +245,8 @@ class MCObject:
 
     `characters` lists the diagonal (g1, g2) scalars when the base is
     diagonal; `base` is the underlying representation.  `eta` is a matrix of
-    degree-1 ambient entries (scalar square forms, or s-algebra elements).
+    degree-1 ambient entries: a `HomElement` of scalar square forms, or rows
+    of s-algebra elements.
     """
 
     __slots__ = ("ambient", "characters", "base", "eta")
@@ -251,14 +263,14 @@ class MCObject:
         base = TorusRep.diagonal(characters)
         n = len(characters)
         if eta is None:
-            eta = (fm_zero(n, n) if ambient == FORMS
+            eta = (HomElement.zero(n, n, 1) if ambient == FORMS
                    else [[S_ALGEBRA.zero() for _ in range(n)] for _ in range(n)])
         return cls(ambient, base, eta, characters)
 
     @classmethod
     def from_rep(cls, rep: TorusRep):
         require_valid(rep)
-        return cls(FORMS, rep, fm_zero(rep.dim, rep.dim), None)
+        return cls(FORMS, rep, HomElement.zero(rep.dim, rep.dim, 1), None)
 
     @property
     def dim(self):
@@ -268,10 +280,9 @@ class MCObject:
         """The twist as a matrix of square forms (s1 -> dt1, s2 -> dt2)."""
         if self.ambient == FORMS:
             return self.eta
-        coeffs = [[s_coefficients(x) for x in row] for row in self.eta]
-        return fm_dt_matrix(*(Matrix.from_rows([[c[k] for c in row]
-                                                for row in coeffs])
-                              for k in (0, 1)))
+        return HomElement([[sq(c1, mask=1) + sq(c2, mask=2)
+                            for c1, c2 in map(s_coefficients, row)]
+                           for row in self.eta], 1)
 
 
 def as_object(x) -> MCObject:
@@ -285,37 +296,13 @@ def as_object(x) -> MCObject:
 def _unchecked(rep: TorusRep) -> MCObject:
     """An untwisted object on a rep the caller has already validated, wrapped
     without re-validating it."""
-    return MCObject(FORMS, rep, fm_zero(rep.dim, rep.dim))
+    return MCObject(FORMS, rep, HomElement.zero(rep.dim, rep.dim, 1))
 
 
 def _check_same_ambient(*objs):
     ambients = {o.ambient for o in objs}
     if len(ambients) > 1:
         raise AmbientMismatchError(f"mixed ambients {sorted(ambients)}")
-
-
-class HomElement:
-    """A matrix of scalar square forms with a homological degree."""
-
-    __slots__ = ("entries", "degree")
-
-    def __init__(self, entries, degree: int):
-        self.entries = entries
-        self.degree = degree
-
-    @classmethod
-    def from_matrix(cls, m: Matrix, degree: int = 0):
-        return cls(fm_from_matrix(m), degree)
-
-    def shape(self):
-        return fm_shape(self.entries)
-
-    def __eq__(self, other):
-        return (isinstance(other, HomElement) and self.degree == other.degree
-                and fm_eq(self.entries, other.entries))
-
-    def is_zero(self):
-        return fm_is_zero(self.entries)
 
 
 def twisted_d(f: HomElement, source, target) -> HomElement:
@@ -325,15 +312,13 @@ def twisted_d(f: HomElement, source, target) -> HomElement:
     rows, cols = f.shape()
     if rows != dst.dim or cols != src.dim:
         raise ValueError("hom element shape does not match the endpoints")
-    out = fm_d(f.entries)
-    eta_t = dst.eta_forms()
-    eta_s = src.eta_forms()
-    if not fm_is_zero(eta_t):
-        out = fm_add(out, fm_mul(eta_t, f.entries))
-    if not fm_is_zero(eta_s):
-        sign = -1 if f.degree % 2 == 0 else 1
-        out = fm_add(out, fm_scale(fm_mul(f.entries, eta_s), sign))
-    return HomElement(out, f.degree + 1)
+    out = f.d()
+    eta_t, eta_s = dst.eta_forms(), src.eta_forms()
+    if not eta_t.is_zero():
+        out = out + eta_t * f
+    if not eta_s.is_zero():
+        out = out - f * eta_s if f.degree % 2 == 0 else out + f * eta_s
+    return out
 
 
 def _defects(f: HomElement, source, target, cocycle=False):
@@ -348,12 +333,11 @@ def _defects(f: HomElement, source, target, cocycle=False):
     """
     src = as_object(source)
     dst = as_object(target)
-    if (len(f.entries) != dst.dim
-            or any(len(row) != src.dim for row in f.entries)):
+    if len(f) != dst.dim or any(len(row) != src.dim for row in f):
         raise ValueError("hom element shape does not match the endpoints")
     image = _ChainProblem(src, dst, 0).image
     out = {}
-    for p, row in enumerate(f.entries):
+    for p, row in enumerate(f):
         for q, form in enumerate(row):
             for key, coeff in form.terms.items():
                 if coeff.pres is not SCALAR_ALGEBRA:
@@ -400,34 +384,19 @@ class McReport:
 
 
 def mc_check(o: MCObject) -> McReport:
-    """Verify d(eta) + eta² = 0 and the equivariance of eta."""
-    failures = []
-    n = o.dim
-    if o.ambient == FORMS:
-        defect = fm_add(fm_d(o.eta), fm_mul(o.eta, o.eta))
-        if not fm_is_zero(defect):
-            failures.append("mc_equation")
-        base = MCObject.from_rep(o.base)
-        if _defects(HomElement(o.eta, 1), base, base):
-            failures.append("equivariance")
-    elif o.ambient == SALGEBRA:
-        for i in range(n):
-            for j in range(n):
-                entry = o.eta[i][j]
-                if not entry.is_zero():
-                    if entry.degree() != 1:
-                        failures.append(f"entry_degree[{i}][{j}]")
-                    if o.characters[i] != o.characters[j]:
-                        failures.append(f"equivariance[{i}][{j}]")
-        for i in range(n):
-            for j in range(n):
-                acc = S_ALGEBRA.zero()
-                for k in range(n):
-                    acc = acc + o.eta[i][k] * o.eta[k][j]
-                if not acc.is_zero():
-                    failures.append(f"mc_equation[{i}][{j}]")
-    else:
+    """Verify the MC equation d(eta) + eta² = 0 ("mc_equation") and the
+    face compatibility of eta over the base ("equivariance"), both on
+    `o.eta_forms()`: an s-algebra twist is read with s_i as dt_i, whose
+    exterior product is the wedge product of dt1 and dt2."""
+    if o.ambient not in (FORMS, SALGEBRA):
         raise AmbientMismatchError(f"unknown ambient {o.ambient!r}")
+    eta = o.eta_forms()
+    failures = []
+    if not (eta.d() + eta * eta).is_zero():
+        failures.append("mc_equation")
+    base = MCObject.from_rep(o.base)
+    if _defects(eta, base, base):
+        failures.append("equivariance")
     return McReport(failures)
 
 
@@ -454,13 +423,13 @@ class ExtensionData:
             raise ValueError("the total dimension is not the sum of the top "
                              "and bottom dimensions")
         self.psi = psi
-        eye = fm_from_matrix(Matrix.identity(self.total.dim))
+        eye = HomElement.from_matrix(Matrix.identity(self.total.dim))
         self.p = HomElement([row[:nt] for row in eye], 0)
         self.q = HomElement(eye[nt:], 0)
-        self.alpha = HomElement([row[:nt] + [-x if x.terms else x
-                                             for x in corner]
-                                 for row, corner in zip(eye, psi)], 0)
-        self.beta = HomElement(psi + [row[nt:] for row in eye[nt:]], 0)
+        self.alpha = HomElement([row[:nt] + corner
+                                 for row, corner in zip(eye, -psi)], 0)
+        self.beta = HomElement(psi.entries + [row[nt:] for row in eye[nt:]],
+                               0)
 
     def validate(self):
         """Check that p and q are cocycles and global sections, then that
@@ -517,27 +486,20 @@ def build_extension(omega: HomElement, top, bottom) -> ExtensionData:
         raise NotACocycleError("omega is not a twisted cocycle")
     _require("omega", _defects(omega, bottom, top))
     nt, nb = top.dim, bottom.dim
-    n = nt + nb
     if top.characters is None or bottom.characters is None:
         raise DomainError("block extensions need semisimple endpoints")
     chars = list(top.characters) + list(bottom.characters)
-    eta = fm_zero(n, n)
-    for i in range(nt):
-        for j in range(nt):
-            eta[i][j] = top.eta[i][j]
-        for j in range(nb):
-            eta[i][nt + j] = omega.entries[i][j]
-    for i in range(nb):
-        for j in range(nb):
-            eta[nt + i][nt + j] = bottom.eta[i][j]
+    eta = HomElement([t + o for t, o in zip(top.eta, omega)]
+                     + [z + b for z, b in zip(HomElement.zero(nb, nt),
+                                              bottom.eta)], 1)
     total = MCObject.semisimple(chars, eta)
-    return ExtensionData(top, bottom, total, fm_zero(nt, nb)).validate()
+    psi = HomElement.zero(nt, nb)
+    return ExtensionData(top, bottom, total, psi).validate()
 
 
 def extension_class(ext: ExtensionData) -> HomElement:
     """The degree-1 cocycle alpha · d(beta) classifying the extension."""
-    dbeta = twisted_d(ext.beta, ext.bottom, ext.total)
-    cls = HomElement(fm_mul(ext.alpha.entries, dbeta.entries), 1)
+    cls = ext.alpha * twisted_d(ext.beta, ext.bottom, ext.total)
     if not twisted_d(cls, ext.bottom, ext.top).is_zero():
         raise NotACocycleError("extension class failed the cocycle check")
     return cls
@@ -688,7 +650,7 @@ class _ChainProblem:
                                         (rows, len(self.images)))
 
     def assemble(self, coeffs, kind):
-        out = fm_zero(self.dst.dim, self.src.dim)
+        out = HomElement.zero(self.dst.dim, self.src.dim)
         for c, (k, p, q, (mask, e1, e2)) in zip(coeffs, self.vars):
             if c and k == kind:
                 out[p][q] = out[p][q] + sq(c, e1, e2, mask)
@@ -701,10 +663,10 @@ def solve_gamma(delta: HomElement, source, target, bound: int = 4):
     dst = as_object(target)
     problem = _ChainProblem(src, dst, bound)
     problem.add_chain_vars()
-    coeffs = _solve_sparse(problem.images, _flatten(delta.entries))
+    coeffs = _solve_sparse(problem.images, _flatten(delta))
     if coeffs is None:
         return None
-    return HomElement(problem.assemble(coeffs, "chain"), 0)
+    return problem.assemble(coeffs, "chain")
 
 
 def straighten(omega: HomElement, src: MCObject, dst: MCObject,
@@ -735,18 +697,12 @@ def straighten(omega: HomElement, src: MCObject, dst: MCObject,
     problem = _ChainProblem(src, dst, bound)
     problem.add_constant_dt_vars(allowed)
     problem.add_chain_vars(skip_constant_on=frozenset(allowed))
-    rhs = _flatten(omega.entries)
+    rhs = _flatten(omega)
     coeffs = _solve_sparse(problem.images, rhs)
     if coeffs is None:
         raise problem.failure("no constant representative", rhs)
-    k1 = [[Fraction(0)] * src.dim for _ in range(dst.dim)]
-    k2 = [[Fraction(0)] * src.dim for _ in range(dst.dim)]
-    for c, var in zip(coeffs, problem.vars):
-        if var[0] == "k" and c:
-            _, p, q, (axis, _, _) = var
-            (k1 if axis == 1 else k2)[p][q] = c
-    chain = HomElement(problem.assemble(coeffs, "chain"), 0)
-    return Matrix.from_rows(k1), Matrix.from_rows(k2), chain
+    k1, k2 = fm_dt_parts(problem.assemble(coeffs, "k"))
+    return k1, k2, problem.assemble(coeffs, "chain")
 
 
 # -- comparing two split extensions of the same pair -------------------------
@@ -761,7 +717,7 @@ class ExtensionIsoResult:
 
 def _objects_equal(a: MCObject, b: MCObject):
     return (a.base.g1 == b.base.g1 and a.base.g2 == b.base.g2
-            and fm_eq(a.eta_forms(), b.eta_forms()))
+            and a.eta_forms() == b.eta_forms())
 
 
 def extension_iso(e1: ExtensionData, e2: ExtensionData,
@@ -781,23 +737,22 @@ def extension_iso(e1: ExtensionData, e2: ExtensionData,
     if not (_objects_equal(e1.top, e2.top)
             and _objects_equal(e1.bottom, e2.bottom)):
         raise DomainError("extensions do not share their endpoints")
-    delta = HomElement(fm_sub(extension_class(e2).entries,
-                              extension_class(e1).entries), 1)
+    delta = extension_class(e2) - extension_class(e1)
     gamma = solve_gamma(delta, e1.bottom, e1.top, bound)
     used_bound = bound
     if gamma is None:
         used_bound = bound + 2
         gamma = solve_gamma(delta, e1.bottom, e1.top, used_bound)
     if gamma is None:
-        max_poly = max((p1 + p2 for row in delta.entries for form in row
+        max_poly = max((p1 + p2 for row in delta for form in row
                         for (_m, p1, p2) in form.terms), default=0)
         raise NoGammaAtBoundError(
             "no chain matches the class difference within polynomial degree "
             f"{used_bound}", classes_differ=(max_poly + 1 <= used_bound),
             bound=used_bound)
     nt = e1.top.dim
-    eye = fm_from_matrix(Matrix.identity(e1.total.dim))
-    corner = fm_sub(fm_sub(e2.psi, e1.psi), gamma.entries)
+    eye = HomElement.from_matrix(Matrix.identity(e1.total.dim))
+    corner = e2.psi - e1.psi - gamma
     result = HomElement([row[:nt] + c for row, c in zip(eye, corner)]
                         + eye[nt:], 0)
     _require("candidate isomorphism",
@@ -809,8 +764,7 @@ def fm_constant_part_invertible(a):
     """The 0-form part must be a polynomial matrix with constant nonzero
     determinant for the form matrix to be invertible; returns the constant
     determinant or None."""
-    rows, cols = fm_shape(a)
-    if rows != cols:
+    if any(len(row) != len(a) for row in a):
         return None
     poly = [[{(e1, e2): c for (mask, e1, e2), coeff in form.terms.items()
               if mask == 0 and (c := coeff.coeffs.get((), _ZERO))}
@@ -930,7 +884,7 @@ def realize_rep(top: TorusRep, bottom: TorusRep, f1: Matrix,
     require_valid(rep)
     # top, bottom and rep are validated above
     ext = ExtensionData(_unchecked(top), _unchecked(bottom), _unchecked(rep),
-                        fm_dt_matrix(f1, f2, T)).validate()
+                        HomElement.linear(f1, f2, T)).validate()
     return RealizeResult(rep, ext)
 
 
@@ -1021,7 +975,7 @@ def _splitting_corner(top: TorusRep, bottom: TorusRep, corners, bound: int):
             fast = False
             break
     if fast:
-        return fm_dt_matrix(h[0], h[1], T)
+        return HomElement.linear(h[0], h[1], T)
     # general case: linear solve for a polynomial corner; each unknown's
     # image is its pair of face-compatibility defects
     nt = top.dim
@@ -1045,8 +999,8 @@ def _splitting_corner(top: TorusRep, bottom: TorusRep, corners, bound: int):
 def _bordered(a, column, corner):
     """[[a, column], [0, corner]] for an m x m form matrix a and an m x 1
     column."""
-    return ([row + col for row, col in zip(a, column)]
-            + [[sq(0)] * len(a) + [corner]])
+    return HomElement([row + col for row, col in zip(a, column)]
+                      + [[sq(0)] * len(a) + [corner]], a.degree)
 
 
 class RepToMcResult:
@@ -1075,8 +1029,8 @@ def rep_to_mc(r: TorusRep, bound: int = 4) -> RepToMcResult:
     n = r.dim
     if n == 0:
         return RepToMcResult(MCObject.semisimple([]),
-                             HomElement(fm_zero(0, 0), 0), ss)
-    eta = fm_zero(1, 1)
+                             HomElement.zero(0, 0), ss)
+    eta = HomElement.zero(1, 1, 1)
     phi = HomElement.from_matrix(Matrix.identity(1))
     for m in range(1, n):
         stage = TorusRep(
@@ -1087,7 +1041,7 @@ def rep_to_mc(r: TorusRep, bound: int = 4) -> RepToMcResult:
         try:
             ext = rep_extension(stage, m, bound)
             omega = extension_class(ext)
-            pushed = HomElement(fm_mul(phi.entries, omega.entries), 1)
+            pushed = phi * omega
             partial = MCObject.semisimple(chars[:m], eta)
             bottom = MCObject.semisimple([chars[m]])
             k1, k2, chain = straighten(pushed, bottom, partial, bound)
@@ -1095,21 +1049,19 @@ def rep_to_mc(r: TorusRep, bound: int = 4) -> RepToMcResult:
             raise StraighteningFailedError(exc.what, exc.bound, exc.shape,
                                            stage=m) from None
         # eta_{m+1} = [[eta, k1 dt1 + k2 dt2], [0, 0]]
-        eta = _bordered(eta, fm_dt_matrix(k1, k2), sq(0))
+        eta = _bordered(eta, HomElement.linear(k1, k2), sq(0))
         # phi_{m+1} = [[phi, chain - phi·psi], [0, 1]]
-        phi = HomElement(_bordered(phi.entries, fm_sub(
-            chain.entries, fm_mul(phi.entries, ext.psi)), sq(1)), 0)
+        phi = _bordered(phi, chain - phi * ext.psi, sq(1))
     mc = MCObject.semisimple(chars, eta)
     report = mc_check(mc)
     if not report.ok:
         raise DomainError(f"pipeline produced an invalid MC object: "
                           f"{report.failures}")
     # compose with the change of basis back to the original coordinates
-    binv = invert(ss.basis)
-    iso = HomElement(fm_mul(phi.entries, fm_from_matrix(binv)), 0)
+    iso = phi * HomElement.from_matrix(invert(ss.basis))
     src = _unchecked(r)  # semisimplify validated r
     _require("pipeline isomorphism", _defects(iso, src, mc, cocycle=True))
-    if fm_constant_part_invertible(iso.entries) is None:
+    if fm_constant_part_invertible(iso) is None:
         raise DomainError("pipeline isomorphism is not invertible")
     return RepToMcResult(mc, iso, ss)
 

@@ -462,9 +462,11 @@ def _candidate_key(entries):
 
 
 GRID_CAP = 120_000
+# the seed of the random fallback past GRID_CAP
+RANDOM_SEED = 20260808
 
 
-def is_isomorphic(v: TorusRep, w: TorusRep, seed: int = 20260808) -> IsoResult:
+def is_isomorphic(v: TorusRep, w: TorusRep) -> IsoResult:
     """Search for an invertible intertwiner; exact negative certificates.
 
     The solution space Hom(V, W) of the intertwiner equations is computed
@@ -476,8 +478,8 @@ def is_isomorphic(v: TorusRep, w: TorusRep, seed: int = 20260808) -> IsoResult:
     coefficient): among the invertible grid points the one with the least
     `_candidate_key` is the conjugator, and a candidate whose key cannot win
     costs no determinant.  A grid that is singular everywhere proves
-    'not_isomorphic'.  Past GRID_CAP points the search falls back to seeded
-    random sampling and may report 'inconclusive'.
+    'not_isomorphic'.  Past GRID_CAP points the search falls back to random
+    sampling seeded by RANDOM_SEED and may report 'inconclusive'.
     """
     require_valid(v)
     require_valid(w)
@@ -526,7 +528,7 @@ def is_isomorphic(v: TorusRep, w: TorusRep, seed: int = 20260808) -> IsoResult:
             # intertwiner exists.
             return IsoResult("not_isomorphic", None, k)
         return found(best[1])
-    rng = random.Random(seed)
+    rng = random.Random(RANDOM_SEED)
     for _ in range(500):
         entries = candidate([rng.randint(-5, 5) for _ in range(k)])
         if invertible(entries):

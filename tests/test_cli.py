@@ -195,3 +195,37 @@ def test_verify_malformed_options_are_parse_errors(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
+
+
+def test_verify_builds_each_local_system_report_once(monkeypatch):
+    import t2mc.cli as cli
+    import t2mc.t2forms as t2forms
+    import t2mc.xmodel as xmodel
+
+    calls = {"build_local_system": 0, "is_global_section": 0}
+    for name in calls:
+        real = getattr(t2forms, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in (cli, xmodel):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    cli.build_verification_report((2, 3, 5, 7))
+    # one local system, with its five global-section reports, per chain-map
+    # variant, and one per action comparison
+    assert calls == {"build_local_system": 4, "is_global_section": 10}
+
+
+def test_malformed_bound_is_a_parse_error(tmp_path, capsys):
+    path = _write(tmp_path, "j3.rep", JORDAN3_FILE)
+    for argv in (["t2-cohomology", path, "--bound", "abc"],
+                 ["ssify", path, "--bound", "1.5"],
+                 ["ssify", path, "--bound", "-1"]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: --bound needs a nonnegative integer, not ")

@@ -6,10 +6,9 @@ import pytest
 import t2mc.mcdg as mcdg
 from t2mc.gca import SCALAR_ALGEBRA
 from t2mc.mcdg import (HomElement, MCObject, NoGammaAtBoundError,
-                       NotEquivariantError, _accumulate, build_extension,
-                       extension_class, fm_dt_parts, fm_is_zero, fm_mul,
-                       fm_sub, fm_zero, extension_iso, mc_check, mc_to_s,
-                       realize_mc, realize_rep, rep_extension,
+                       NotEquivariantError, build_extension,
+                       extension_class, fm_dt_parts, extension_iso, mc_check,
+                       mc_to_s, realize_mc, realize_rep, rep_extension,
                        rep_to_mc, s_element, straighten, twisted_d)
 from t2mc.qlinalg import Matrix, invert, rank
 from t2mc.t2forms import Form1, Form2, sq
@@ -37,7 +36,7 @@ def two_gen_rep(c1, e1, c2, e2):
 
 
 def jordan2_object(c, e):
-    eta = fm_zero(2, 2)
+    eta = HomElement.zero(2, 2, 1)
     eta[0][1] = sq(Fraction(-e, 1) / c, mask=1)
     return MCObject.semisimple([(c, 1), (c, 1)], eta)
 
@@ -92,6 +91,66 @@ def test_twisted_d_squares_to_zero_random():
             f = HomElement(entries, deg)
             ddf = twisted_d(twisted_d(f, src, dst), src, dst)
             assert ddf.is_zero()
+
+
+# -- the list-of-lists oracle ---------------------------------------------------
+#
+# Form-matrix arithmetic on plain lists of rows, independent of `HomElement`:
+# the oracle of its algebra and of the product routes below.
+
+def fm_zero(rows, cols):
+    return [[Form2.zero(SCALAR_ALGEBRA) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def fm_add(a, b):
+    """Entrywise sum; a zero form on either side is not added."""
+    return [[(x + y if x.terms else y) if y.terms else x
+             for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def fm_sub(a, b):
+    """Entrywise difference of square- or interval-form matrices; a zero
+    form on the right is not subtracted."""
+    return [[x - y if y.terms else x for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
+
+
+def _accumulate(addends_by_row, cols, zero):
+    """Rows of a form matrix from (column, form) addends, each entry summed
+    in the order its addends come; entries with none are `zero`."""
+    out = []
+    for addends in addends_by_row:
+        acc = [None] * cols
+        for j, f in addends:
+            acc[j] = f if acc[j] is None else acc[j] + f
+        out.append([zero if f is None else f for f in acc])
+    return out
+
+
+def fm_mul(a, b):
+    """Form-matrix product, row by row over nonzero forms only; each entry
+    is summed over k in increasing order."""
+    if a and len(a[0]) != len(b):
+        raise ValueError("shape mismatch in form-matrix product")
+    return _accumulate(([(j, x * y) for x, b_row in zip(a_row, b) if x.terms
+                         for j, y in enumerate(b_row) if y.terms]
+                        for a_row in a),
+                       len(b[0]) if b else 0, Form2.zero(SCALAR_ALGEBRA))
+
+
+def fm_d(a):
+    return [[x.d() for x in row] for row in a]
+
+
+def fm_is_zero(a):
+    return all(x.is_zero() for row in a for x in row)
+
+
+def fm_eq(a, b):
+    return (len(a) == len(b)
+            and all(len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
+                    for ra, rb in zip(a, b)))
 
 
 # -- form-matrix products -----------------------------------------------------
@@ -227,6 +286,52 @@ def test_form_matrix_products_match_dense_reference():
         assert _terms(f1m_mul_scalar(f, r)) == _terms(expected)
 
 
+def test_hom_element_algebra_matches_the_oracle():
+    """+, -, *, d, is_zero and == of HomElement against the list-of-lists
+    oracle, term for term, on seeded random form matrices."""
+    rng = random.Random(103)
+    seen = set()
+    for _ in range(80):
+        n, k, m = (rng.randint(0, 3) for _ in range(3))
+        da, db = rng.choice([0, 1]), rng.choice([0, 1])
+        a = [[_random_square_form(rng) for _ in range(k)] for _ in range(n)]
+        b = [[_random_square_form(rng) for _ in range(k)] for _ in range(n)]
+        c = [[_random_square_form(rng) for _ in range(m)] for _ in range(k)]
+        if rng.random() < 0.2:
+            a = fm_zero(n, k)
+        ha, hb, hc = HomElement(a, da), HomElement(b, da), HomElement(c, db)
+        for got, want, degree in (
+                (ha + hb, fm_add(a, b), da),
+                (ha - hb, fm_sub(a, b), da),
+                (-ha, [[-x for x in row] for row in a], da),
+                (ha * hc, fm_mul(a, c), da + db),
+                (ha.d(), fm_d(a), da + 1)):
+            assert _terms(got) == _terms(want)
+            assert got.degree == degree
+            assert got.shape() == (len(want), len(want[0]) if want else 0)
+        assert ha.is_zero() == fm_is_zero(a)
+        assert ha == HomElement([list(row) for row in a], da)
+        assert (ha == hb) == fm_eq(a, b)
+        assert ha != HomElement(a, 1 - da) and ha != a
+        if n and k:
+            edited = [list(row) for row in a]
+            edited[0][0] = edited[0][0] + sq(1, e2=1)
+            assert not fm_eq(a, edited) and ha != HomElement(edited, da)
+            with pytest.raises(ValueError, match="shape mismatch"):
+                ha * HomElement(fm_zero(k + 1, m), db)
+            with pytest.raises(ValueError, match="shape mismatch"):
+                fm_mul(a, fm_zero(k + 1, m))
+        seen.update(key[0] for row in a + c for x in row for key in x.terms)
+        seen.update(("zero entry" for row in a for x in row if not x.terms))
+        seen.update(("empty",) if 0 in (n, k, m) else ())
+    assert seen == {0, 1, 2, 3, "zero entry", "empty"}
+
+
+def test_mcdg_has_one_form_matrix_type():
+    assert {name for name in vars(mcdg) if name.startswith("fm_")} == {
+        "fm_dt_parts", "fm_constant_part_invertible"}
+
+
 # -- MC checks -----------------------------------------------------------------
 
 def test_mc_check_zero_twist():
@@ -236,7 +341,7 @@ def test_mc_check_zero_twist():
 def test_mc_check_jordan3_normal_form():
     c, e, f, h = (Fraction(x) for x in (2, 3, 5, 7))
     s = -1 / c ** 2
-    eta = fm_zero(3, 3)
+    eta = HomElement.zero(3, 3, 1)
     eta[0][1] = sq(s * c * e, mask=1)
     eta[0][2] = sq(s * (c * h - e * f / 2), mask=1)
     eta[1][2] = sq(s * c * f, mask=1)
@@ -244,7 +349,7 @@ def test_mc_check_jordan3_normal_form():
 
 
 def test_mc_check_polynomial_entry_and_equivariance():
-    eta = fm_zero(2, 2)
+    eta = HomElement.zero(2, 2, 1)
     eta[0][1] = sq(1, e1=1, mask=1)  # t1 dt1
     same = MCObject.semisimple([(2, 3), (2, 3)], eta)
     assert mc_check(same).ok
@@ -256,11 +361,91 @@ def test_mc_check_polynomial_entry_and_equivariance():
 
 def test_mc_check_detects_broken_mc_equation():
     # t2(1-t2) dt1 is a global section but d of it is nonzero
-    eta = fm_zero(1, 1)
+    eta = HomElement.zero(1, 1, 1)
     eta[0][0] = sq(1, e2=1, mask=1) - sq(1, e2=2, mask=1)
     report = mc_check(MCObject.semisimple([(1, 1)], eta))
     assert not report.ok
     assert report.failures == ["mc_equation"]
+
+
+def _salgebra_check_reference(o):
+    """The per-entry s-algebra check mc_check ran before it read every twist
+    as square forms: nonzero entries of degree 1 between equal characters,
+    and eta·eta = 0 in the exterior algebra, entry by entry."""
+    from t2mc.mcdg import S_ALGEBRA, McReport
+
+    failures = []
+    n = o.dim
+    for i in range(n):
+        for j in range(n):
+            entry = o.eta[i][j]
+            if not entry.is_zero():
+                if entry.degree() != 1:
+                    failures.append(f"entry_degree[{i}][{j}]")
+                if o.characters[i] != o.characters[j]:
+                    failures.append(f"equivariance[{i}][{j}]")
+    for i in range(n):
+        for j in range(n):
+            acc = S_ALGEBRA.zero()
+            for k in range(n):
+                acc = acc + o.eta[i][k] * o.eta[k][j]
+            if not acc.is_zero():
+                failures.append(f"mc_equation[{i}][{j}]")
+    return McReport(failures)
+
+
+def _salgebra_twist(rng, chars, breaking):
+    """A strictly upper-triangular s-algebra twist on `chars`.  Every
+    nonzero entry is a multiple of one x = c1·s1 + c2·s2 with c1, c2 != 0,
+    so eta·eta = 0; with `breaking` the (1, 2) entry is made independent of
+    the (0, 1) one, so eta·eta != 0 at (0, 2)."""
+    from t2mc.mcdg import SALGEBRA, S_ALGEBRA
+
+    n = len(chars)
+    c1, c2 = (rng.choice([-2, -1, 1, 3]) for _ in range(2))
+    eta = [[S_ALGEBRA.zero() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.7 or (i, j) == (0, 1):
+                eta[i][j] = s_element(c1, c2).scale(
+                    Fraction(rng.choice([-3, -1, 1, 2])))
+    if breaking:
+        eta[0][1], eta[1][2] = s_element(c1, c2), s_element(c1, c2 + 1)
+    chars = [(Fraction(a), Fraction(b)) for a, b in chars]
+    return MCObject(SALGEBRA, TorusRep.diagonal(chars), eta, chars)
+
+
+def test_salgebra_mc_check_matches_the_per_entry_check():
+    # the twists carry both s1 and s2 on each nonzero entry: an entry
+    # c·s1 alone between characters that agree in g2 satisfies the face
+    # conditions, which the per-entry check did not look at
+    rng = random.Random(107)
+    kinds = {"equal": 0, "unequal": 0, "breaking": 0}
+    for kind in kinds:
+        for _ in range(8):
+            n = rng.randint(3, 4)
+            if kind == "unequal":
+                chars = [rng.choice([(1, 1), (2, 1), (1, 3)])
+                         for _ in range(n)]
+                chars[1] = (2, 3)  # unequal to every other character
+            else:
+                chars = [(rng.choice([1, 2]), 3)] * n
+            o = _salgebra_twist(rng, chars, kind == "breaking")
+            got, want = mc_check(o), _salgebra_check_reference(o)
+            assert got.ok == want.ok == (kind == "equal")
+            assert set(got.failures) <= {"mc_equation", "equivariance"}
+            assert ("mc_equation" in got.failures) == (kind == "breaking")
+            assert ("equivariance" in got.failures) == (kind == "unequal")
+            kinds[kind] += 1
+    assert kinds == {"equal": 8, "unequal": 8, "breaking": 8}
+
+
+def test_mc_check_rejects_an_unknown_ambient():
+    from t2mc.mcdg import AmbientMismatchError
+
+    o = MCObject("other", TorusRep.trivial(1), HomElement.zero(1, 1, 1))
+    with pytest.raises(AmbientMismatchError, match="unknown ambient"):
+        mc_check(o)
 
 
 # -- extensions ----------------------------------------------------------------
@@ -268,9 +453,9 @@ def test_mc_check_detects_broken_mc_equation():
 def test_build_extension_direct_sum():
     top = MCObject.semisimple([(2, 1)])
     bottom = MCObject.semisimple([(3, 1)])
-    omega = HomElement(fm_zero(1, 1), 1)
+    omega = HomElement.zero(1, 1, 1)
     ext = build_extension(omega, top, bottom)
-    assert fm_is_zero(ext.total.eta)
+    assert ext.total.eta.is_zero()
     assert ext.total.characters == [(2, 1), (3, 1)]
 
 
@@ -348,7 +533,7 @@ def test_extension_iso_jordan2_to_normal_form():
 
 def test_extension_iso_classes_differ():
     triv = MCObject.semisimple([(1, 1)])
-    zero = HomElement(fm_zero(1, 1), 1)
+    zero = HomElement.zero(1, 1, 1)
     dt1 = HomElement([[sq(1, mask=1)]], 1)
     ext0 = build_extension(zero, triv, triv)
     ext1 = build_extension(dt1, triv, triv)
@@ -360,7 +545,7 @@ def test_extension_iso_classes_differ():
 def _iso_by_products(e1, e2, gamma):
     """p2·alpha1 + beta2·q1 - p2·gamma·q1 by form-matrix products."""
     p2, a1, b2, q1 = (m.entries for m in (e2.p, e1.alpha, e2.beta, e1.q))
-    return HomElement(fm_sub(mcdg.fm_add(fm_mul(p2, a1), fm_mul(b2, q1)),
+    return HomElement(fm_sub(fm_add(fm_mul(p2, a1), fm_mul(b2, q1)),
                              fm_mul(fm_mul(p2, gamma.entries), q1)), 0)
 
 
@@ -382,8 +567,8 @@ def _iso_pairs():
     omega = HomElement([[sq(1, mask=1)], [sq(0)]], 1)
     dh = twisted_d(HomElement([[sq(0)], [sq(1)]], 0), bottom, top)
     yield (build_extension(omega, top, bottom),
-           build_extension(HomElement(mcdg.fm_add(omega.entries, dh.entries),
-                                      1), top, bottom))
+           build_extension(HomElement(fm_add(omega.entries, dh.entries), 1),
+                           top, bottom))
 
 
 def test_extension_iso_matches_the_product_formula():
@@ -400,7 +585,7 @@ def test_extension_iso_matches_the_product_formula():
 def test_extension_data_rejects_mismatched_dimensions():
     chi = MCObject.semisimple([(1, 1)])
     with pytest.raises(ValueError, match="dimension"):
-        mcdg.ExtensionData(chi, chi, chi, fm_zero(1, 1))
+        mcdg.ExtensionData(chi, chi, chi, HomElement.zero(1, 1))
 
 
 # -- realization ------------------------------------------------------------------
@@ -556,7 +741,7 @@ def test_splitting_corner_does_not_revalidate_blocks(monkeypatch):
 def test_straighten_unipotent_j4_last_stage_pinned():
     # the last stage of rep_to_mc on the unipotent J4 at bound 4: the pushed
     # extension class of the fourth basis vector over the twisted J3 part
-    partial_eta = fm_zero(3, 3)
+    partial_eta = HomElement.zero(3, 3, 1)
     partial_eta[0][1] = sq(-1, mask=1)
     partial_eta[0][2] = sq(Fraction(1, 2), mask=1)
     partial_eta[1][2] = sq(-1, mask=1)
@@ -645,7 +830,7 @@ def test_straighten_constant_part_is_unique(monkeypatch):
 
 def test_rep_to_mc_semisimple_input():
     mc = rep_to_mc(TorusRep.diagonal([(2, 1), (3, 5)])).mc
-    assert fm_is_zero(mc.eta)
+    assert mc.eta.is_zero()
 
 
 def test_rep_to_mc_jordan3_pinned():
@@ -706,7 +891,7 @@ def test_mc_to_s_zero():
 
 def test_mc_to_s_rejects_polynomial_entries():
     from t2mc.mcdg import NonConstantCoefficientsError
-    eta = fm_zero(2, 2)
+    eta = HomElement.zero(2, 2, 1)
     eta[0][1] = sq(1, e1=1, mask=1)
     o = MCObject.semisimple([(1, 1), (1, 1)], eta)
     with pytest.raises(NonConstantCoefficientsError):
@@ -849,7 +1034,7 @@ def test_chain_images_match_products_on_straighten_endpoints(monkeypatch):
 
 
 def _random_eta(rng, n, polynomial):
-    eta = fm_zero(n, n)
+    eta = HomElement.zero(n, n, 1)
     for i in range(n):
         for j in range(n):
             if rng.random() < 0.5 and (i, j) != (0, n - 1):
@@ -873,7 +1058,7 @@ def test_chain_images_match_products_with_twisted_endpoints():
             cs, cd = rng.sample(chars, ns), rng.sample(chars, nd)
             src = MCObject.semisimple(cs, _random_eta(rng, ns, polynomial))
             dst = MCObject.semisimple(cd, _random_eta(rng, nd, polynomial))
-            assert not fm_is_zero(src.eta) and not fm_is_zero(dst.eta)
+            assert not src.eta.is_zero() and not dst.eta.is_zero()
             _assert_images_match(src, dst, 3, _equal_pairs(src, dst))
 
 
@@ -981,7 +1166,7 @@ def test_defects_match_the_product_route():
     for r in (jordan3_rep(2, 3, 5, 7), two_gen_rep(1, 2, 1, 3)):
         res = rep_to_mc(r)
         src = MCObject.from_rep(r)
-        for f in (res.iso, HomElement(fm_zero(3, 3), 0)):
+        for f in (res.iso, HomElement.zero(3, 3)):
             assert _defects_by_products(f, src, res.mc) == []
             assert mcdg._defects(f, src, res.mc) == {}
             assert mcdg._defects(f, src, res.mc, cocycle=True) == {}
@@ -1014,7 +1199,7 @@ def test_defects_reject_what_they_cannot_sum():
         with pytest.raises(ValueError, match="degree-0 0-forms"):
             mcdg._defects(f, triv, triv, cocycle=True)
     with pytest.raises(ValueError, match="shape"):
-        mcdg._defects(HomElement(fm_zero(1, 2), 0), triv, triv)
+        mcdg._defects(HomElement.zero(1, 2), triv, triv)
 
 
 def test_errors_name_the_first_defect():
@@ -1071,7 +1256,7 @@ def _validate_by_products(ext):
         if defects:
             raise NotEquivariantError(f"{name} is not a global section "
                                       f"{_first_face_defect(defects)}")
-    ident = [mcdg.fm_from_matrix(Matrix.identity(o.dim))
+    ident = [HomElement.from_matrix(Matrix.identity(o.dim)).entries
              for o in (top, bottom, total)]
     a, b, p, q = (m.entries for m in (ext.alpha, ext.beta, ext.p, ext.q))
     for label, defect in (
@@ -1079,7 +1264,7 @@ def _validate_by_products(ext):
             ("q·beta = id", fm_sub(fm_mul(q, b), ident[1])),
             ("alpha·beta = 0", fm_mul(a, b)),
             ("p·alpha + beta·q = id",
-             fm_sub(mcdg.fm_add(fm_mul(p, a), fm_mul(b, q)), ident[2]))):
+             fm_sub(fm_add(fm_mul(p, a), fm_mul(b, q)), ident[2]))):
         if not fm_is_zero(defect):
             raise DomainError(f"splitting identity failed: {label}")
 
@@ -1098,7 +1283,8 @@ def _tampered(ext, total=None, psi=None):
     rows = [list(row) for row in ext.psi]
     if psi:
         psi(rows)
-    return mcdg.ExtensionData(ext.top, ext.bottom, total or ext.total, rows)
+    return mcdg.ExtensionData(ext.top, ext.bottom, total or ext.total,
+                              HomElement(rows, 0))
 
 
 def _with_total(ext, g_edit=None, eta_edit=None):
@@ -1109,7 +1295,7 @@ def _with_total(ext, g_edit=None, eta_edit=None):
     if eta_edit:
         eta_edit(eta)
     base = TorusRep(Matrix.from_rows(g1), Matrix.from_rows(g2))
-    return MCObject(mcdg.FORMS, base, eta)
+    return MCObject(mcdg.FORMS, base, HomElement(eta, 1))
 
 
 def _set(r, c, value):
@@ -1151,8 +1337,9 @@ def test_validate_matches_the_product_route_on_corrupted_splittings(case):
 
 
 def test_validate_forms_no_products_on_the_pipeline(monkeypatch):
-    state = {"validate": 0, "inside": False, "fm_mul": 0, "Form1": 0}
-    real_mul, real_validate = mcdg.fm_mul, mcdg.ExtensionData.validate
+    state = {"validate": 0, "inside": False, "product": 0, "Form1": 0}
+    real_mul = mcdg.HomElement.__mul__
+    real_validate = mcdg.ExtensionData.validate
     real_init = Form1.__init__
 
     def count(name):
@@ -1167,15 +1354,16 @@ def test_validate_forms_no_products_on_the_pipeline(monkeypatch):
         finally:
             state["inside"] = False
 
-    monkeypatch.setattr(mcdg, "fm_mul",
-                        lambda *a: count("fm_mul") or real_mul(*a))
+    monkeypatch.setattr(mcdg.HomElement, "__mul__",
+                        lambda *a: count("product") or real_mul(*a))
     monkeypatch.setattr(Form1, "__init__",
                         lambda self, *a: count("Form1") or real_init(self, *a))
     monkeypatch.setattr(mcdg.ExtensionData, "validate", validate)
     n = 5
     rep_to_mc(rep([[int(j in (i, i + 1)) for j in range(n)]
                    for i in range(n)]), bound=4)
-    assert state == {"validate": 4, "inside": False, "fm_mul": 0, "Form1": 0}
+    assert state == {"validate": 4, "inside": False, "product": 0,
+                     "Form1": 0}
 
 
 def test_rep_to_mc_unipotent_j8_pinned():
@@ -1185,7 +1373,8 @@ def test_rep_to_mc_unipotent_j8_pinned():
     res = rep_to_mc(rep([[int(j in (i, i + 1)) for j in range(n)]
                          for i in range(n)]), bound=7)
     digest = hashlib.sha256(
-        (repr(res.mc.eta) + repr(res.iso.entries)).encode()).hexdigest()
+        (repr(res.mc.eta.entries) + repr(res.iso.entries)).encode()
+    ).hexdigest()
     assert digest == ("3164bf8c5669f97cba669a2c5588e6170cd4b0f77e2ad25845d12"
                       "aa9df267fa4")
 

@@ -280,7 +280,7 @@ def test_oracle_equivalence_randomized():
     # strictly-upper twist on equal-character pairs, the second twist a
     # polynomial in the first; realized exactly, then optionally conjugated
     # so the pipeline has to triangularize
-    from t2mc.mcdg import fm_dt_matrix, MCObject as MC, realize_mc
+    from t2mc.mcdg import HomElement, MCObject as MC, realize_mc
     from t2mc.qlinalg import invert
     rng = random.Random(79)
     chars = [Fraction(1), Fraction(1), Fraction(2), Fraction(-1)]
@@ -296,7 +296,7 @@ def test_oracle_equivalence_randomized():
         m1 = Matrix.from_rows(f1)
         m2 = m1.scale(rng.randint(-2, 2)) + (m1 * m1).scale(
             rng.randint(-1, 1))
-        mc = MC.semisimple(diag, fm_dt_matrix(m1, m2))
+        mc = MC.semisimple(diag, HomElement.linear(m1, m2))
         rep = realize_mc(mc)
         if trial % 2:
             p_rows = [[Fraction(int(i == j)) for j in range(n)]
