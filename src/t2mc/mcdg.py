@@ -1,19 +1,20 @@
 """Maurer-Cartan twists, twisted hom complexes, extensions and splittings.
 
 Objects are pairs (base, eta): a commuting-pair representation together with
-a Maurer-Cartan matrix whose entries live in one of two ambients,
+a Maurer-Cartan twist eta.  Morphisms and every twist are `HomElement`s:
+matrices of scalar square forms with a degree, the one form-matrix type,
+with its sums, products and differential.  An object's ambient is a label:
 
-* ``forms``    - scalar polynomial forms on the square (hom complexes of the
-                 torus cell structure), or
-* ``salgebra`` - degree-1 elements of the exterior algebra on two degree-1
-                 cocycle generators s1, s2 (the invariant model of the torus).
+* ``forms``    - the twist is read in the hom complexes of the torus cell
+                 structure, where morphisms and splittings live;
+* ``salgebra`` - the same constant twist m1·dt1 + m2·dt2 read as
+                 m1·s1 + m2·s2 in the invariant model of the torus, the
+                 exterior algebra on two degree-1 cocycles s1, s2 whose
+                 product is the wedge product of dt1 and dt2.
 
-Morphisms, and every forms twist, are `HomElement`s: matrices of scalar
-square forms with a degree, the one form-matrix type, with its sums,
-products and differential.  Morphisms are subject to the global-section
-(conjugation) conditions; the twisted differential is
-d f = d_forms f + eta' f - (-1)^{|f|} f eta.  `mc_check` checks a twist of
-either ambient on its square forms.
+Morphisms are subject to the global-section (conjugation) conditions; the
+twisted differential is d f = d_forms f + eta' f - (-1)^{|f|} f eta.
+`mc_check` checks a twist of either ambient on its square forms.
 
 The pipeline `rep_to_mc` peels an upper-triangular pair one diagonal entry at
 a time: build the splitting of the next extension (corner polynomial solved
@@ -43,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .gca import SCALAR_ALGEBRA, AlgebraPresentation, Element
+from .gca import SCALAR_ALGEBRA
 from .qlinalg import Matrix, SparseMatrix, frac, invert, solve
 from .t2forms import Form2, sq
 from .torus_rep import TorusRep, require_valid
@@ -93,32 +94,8 @@ class NoGammaAtBoundError(DomainError):
         self.bound = bound
 
 
-# the ambient exterior algebra on s1, s2 for constant-coefficient twists
-S_ALGEBRA = AlgebraPresentation(bound=6)
-S_ALGEBRA.add_generator("s1", 1)
-S_ALGEBRA.add_generator("s2", 1)
-S_ALGEBRA.finalize()
-
 FORMS = "forms"
 SALGEBRA = "salgebra"
-
-
-def s_element(c1, c2) -> Element:
-    return (S_ALGEBRA.generator("s1").scale(frac(c1))
-            + S_ALGEBRA.generator("s2").scale(frac(c2)))
-
-
-def s_coefficients(e: Element):
-    """Coefficients (c1, c2) of a degree-1 element of the s-algebra."""
-    c1 = c2 = Fraction(0)
-    for mono, coeff in e.coeffs.items():
-        if mono == (1, 0):
-            c1 = coeff
-        elif mono == (0, 1):
-            c2 = coeff
-        else:
-            raise ValueError("not a degree-1 s-algebra element")
-    return c1, c2
 
 
 # -- matrices of scalar square forms ----------------------------------------
@@ -244,9 +221,9 @@ class MCObject:
     """A semisimple base with a Maurer-Cartan twist.
 
     `characters` lists the diagonal (g1, g2) scalars when the base is
-    diagonal; `base` is the underlying representation.  `eta` is a matrix of
-    degree-1 ambient entries: a `HomElement` of scalar square forms, or rows
-    of s-algebra elements.
+    diagonal; `base` is the underlying representation.  `eta` is a degree-1
+    `HomElement` in either ambient; a ``salgebra`` twist has constant
+    coefficients, m1·dt1 + m2·dt2 standing for m1·s1 + m2·s2.
     """
 
     __slots__ = ("ambient", "characters", "base", "eta")
@@ -261,10 +238,8 @@ class MCObject:
     def semisimple(cls, characters, eta=None, ambient=FORMS):
         characters = [(frac(c1), frac(c2)) for c1, c2 in characters]
         base = TorusRep.diagonal(characters)
-        n = len(characters)
         if eta is None:
-            eta = (HomElement.zero(n, n, 1) if ambient == FORMS
-                   else [[S_ALGEBRA.zero() for _ in range(n)] for _ in range(n)])
+            eta = HomElement.zero(len(characters), len(characters), 1)
         return cls(ambient, base, eta, characters)
 
     @classmethod
@@ -275,14 +250,6 @@ class MCObject:
     @property
     def dim(self):
         return self.base.dim
-
-    def eta_forms(self):
-        """The twist as a matrix of square forms (s1 -> dt1, s2 -> dt2)."""
-        if self.ambient == FORMS:
-            return self.eta
-        return HomElement([[sq(c1, mask=1) + sq(c2, mask=2)
-                            for c1, c2 in map(s_coefficients, row)]
-                           for row in self.eta], 1)
 
 
 def as_object(x) -> MCObject:
@@ -299,12 +266,6 @@ def _unchecked(rep: TorusRep) -> MCObject:
     return MCObject(FORMS, rep, HomElement.zero(rep.dim, rep.dim, 1))
 
 
-def _check_same_ambient(*objs):
-    ambients = {o.ambient for o in objs}
-    if len(ambients) > 1:
-        raise AmbientMismatchError(f"mixed ambients {sorted(ambients)}")
-
-
 def twisted_d(f: HomElement, source, target) -> HomElement:
     """d f = d_forms f + eta_target · f - (-1)^{|f|} f · eta_source."""
     src = as_object(source)
@@ -313,7 +274,7 @@ def twisted_d(f: HomElement, source, target) -> HomElement:
     if rows != dst.dim or cols != src.dim:
         raise ValueError("hom element shape does not match the endpoints")
     out = f.d()
-    eta_t, eta_s = dst.eta_forms(), src.eta_forms()
+    eta_t, eta_s = dst.eta, src.eta
     if not eta_t.is_zero():
         out = out + eta_t * f
     if not eta_s.is_zero():
@@ -385,12 +346,12 @@ class McReport:
 
 def mc_check(o: MCObject) -> McReport:
     """Verify the MC equation d(eta) + eta² = 0 ("mc_equation") and the
-    face compatibility of eta over the base ("equivariance"), both on
-    `o.eta_forms()`: an s-algebra twist is read with s_i as dt_i, whose
-    exterior product is the wedge product of dt1 and dt2."""
+    face compatibility of eta over the base ("equivariance") on the square
+    forms of `o.eta`, whichever its ambient: s_i is read as dt_i, and the
+    exterior product of s1 and s2 as the wedge product of dt1 and dt2."""
     if o.ambient not in (FORMS, SALGEBRA):
         raise AmbientMismatchError(f"unknown ambient {o.ambient!r}")
-    eta = o.eta_forms()
+    eta = o.eta
     failures = []
     if not (eta.d() + eta * eta).is_zero():
         failures.append("mc_equation")
@@ -445,7 +406,7 @@ class ExtensionData:
         """
         top, bottom, total = self.top, self.bottom, self.total
         nt, n = top.dim, total.dim
-        eta, eta_t, eta_b = (o.eta_forms() for o in (total, top, bottom))
+        eta, eta_t, eta_b = total.eta, top.eta, bottom.eta
         gens = [tuple(o.base.g(i) for o in (total, top, bottom))
                 for i in (1, 2)]
         p_cocycle = (all(row[:nt] == t for row, t in zip(eta, eta_t))
@@ -477,8 +438,7 @@ def build_extension(omega: HomElement, top, bottom) -> ExtensionData:
     """
     top = as_object(top)
     bottom = as_object(bottom)
-    _check_same_ambient(top, bottom)
-    if top.ambient != FORMS:
+    if top.ambient != FORMS or bottom.ambient != FORMS:
         raise AmbientMismatchError("extensions are built in the forms ambient")
     if omega.degree != 1:
         raise NotACocycleError("omega must have degree 1")
@@ -577,13 +537,12 @@ class _ChainProblem:
         self.bound = bound
         self.vars = []     # (kind, p, q, key): kind "chain" or "k"
         self.images = []
-        eta_dst, eta_src = dst.eta_forms(), src.eta_forms()
         self._eta_cols = [[(r, _constant_terms(row[p]))
-                           for r, row in enumerate(eta_dst) if row[p].terms]
+                           for r, row in enumerate(dst.eta) if row[p].terms]
                           for p in range(dst.dim)]
         self._eta_rows = [[(s, _constant_terms(f))
                            for s, f in enumerate(row) if f.terms]
-                          for row in eta_src]
+                          for row in src.eta]
         self._faces = []
         for i in (1, 2):
             g = dst.base.g(3 - i)
@@ -717,7 +676,7 @@ class ExtensionIsoResult:
 
 def _objects_equal(a: MCObject, b: MCObject):
     return (a.base.g1 == b.base.g1 and a.base.g2 == b.base.g2
-            and a.eta_forms() == b.eta_forms())
+            and a.eta == b.eta)
 
 
 def extension_iso(e1: ExtensionData, e2: ExtensionData,
@@ -919,7 +878,7 @@ def realize_mc(o: MCObject) -> TorusRep:
     report = mc_check(o)
     if not report.ok:
         raise DomainError(f"invalid MC object: {report.failures}")
-    parts = fm_dt_parts(o.eta_forms())
+    parts = fm_dt_parts(o.eta)
     if parts is None:
         raise NonConstantCoefficientsError(
             "realization needs constant coefficients")
@@ -1067,21 +1026,16 @@ def rep_to_mc(r: TorusRep, bound: int = 4) -> RepToMcResult:
 
 
 def mc_to_s(o: MCObject) -> MCObject:
-    """Translate a constant-coefficient forms twist to the s-algebra ambient
-    (dt_i -> s_i); the MC equation and equivariance are re-verified."""
+    """Relabel a constant-coefficient forms twist into the s-algebra ambient
+    (dt_i read as s_i); the MC equation and equivariance are re-verified."""
     if o.ambient != FORMS:
         raise AmbientMismatchError("mc_to_s expects the forms ambient")
     if o.characters is None:
         raise DomainError("mc_to_s needs a semisimple base")
-    parts = fm_dt_parts(o.eta)
-    if parts is None:
+    if fm_dt_parts(o.eta) is None:
         raise NonConstantCoefficientsError(
             "twist entries must be constant-coefficient 1-forms")
-    m1, m2 = parts
-    n = o.dim
-    eta = [[s_element(m1[(i, j)], m2[(i, j)]) for j in range(n)]
-           for i in range(n)]
-    out = MCObject(SALGEBRA, o.base, eta, o.characters)
+    out = MCObject(SALGEBRA, o.base, o.eta, o.characters)
     report = mc_check(out)
     if not report.ok:
         raise DomainError(f"translated twist fails checks: {report.failures}")

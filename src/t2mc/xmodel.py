@@ -21,7 +21,8 @@ from fractions import Fraction
 from .cochain import ComplexError, TwistedComplex
 from .errors import DomainError
 from .gca import AlgebraPresentation, char_add
-from .mcdg import MCObject, SALGEBRA, S_ALGEBRA, realize_mc, s_coefficients
+from .mcdg import (HomElement, MCObject, NonConstantCoefficientsError,
+                   SALGEBRA, fm_dt_parts, realize_mc)
 from .qlinalg import Matrix, frac, frac_str, in_lattice, integer_kernel
 from .t2forms import (Form2, build_local_system, constant_section, is_global_section,
                       section_x, section_w)
@@ -236,21 +237,24 @@ def twisted_invariants_complex(model: ModelPresentation, o: MCObject,
     """The complex ((model ⊗ coefficients)^invariants, d + eta·).
 
     D(mono ⊗ e_q) = d(mono) ⊗ e_q + sum_p (eta[p][q] · mono) ⊗ e_p, with the
-    twist entries converted to the model's own s-generators and multiplied
-    from the left.  D² = 0 is verified; a term leaving the invariant span
-    signals a non-equivariant twist and raises MCInconsistentError.
+    twist m1·dt1 + m2·dt2 written in the model's own s-generators as
+    m1·s1 + m2·s2 and multiplied from the left.  D² = 0 is verified; a term
+    leaving the invariant span signals a non-equivariant twist and raises
+    MCInconsistentError.
     """
     if o.ambient != SALGEBRA:
         raise DomainError("the invariants complex takes an s-algebra twist")
+    parts = fm_dt_parts(o.eta)
+    if parts is None:
+        raise NonConstantCoefficientsError(
+            "the invariants complex takes a constant-coefficient twist")
+    m1, m2 = parts
     coeff_chars = list(o.characters)
     pres = model.pres
     s1 = pres.generator("s1")
     s2 = pres.generator("s2")
-    eta_model = [[None] * o.dim for _ in range(o.dim)]
-    for i in range(o.dim):
-        for j in range(o.dim):
-            c1, c2 = s_coefficients(o.eta[i][j])
-            eta_model[i][j] = s1.scale(c1) + s2.scale(c2)
+    eta_model = [[s1.scale(m1[(i, j)]) + s2.scale(m2[(i, j)])
+                  for j in range(o.dim)] for i in range(o.dim)]
     bases = {}
     index = {}
     for n in range(bound + 2):
@@ -357,9 +361,11 @@ def recover_homotopy_action(model: ModelPresentation, i: int) -> TorusRep:
     if not gens:
         raise DomainError(f"no generators in degree {i}")
     pres = model.pres
+    n = len(gens)
     pos = {g.name: k for k, g in enumerate(gens)}
     chars = [model.pspec.evaluate(g.character) for g in gens]
-    eta = [[S_ALGEBRA.zero() for _ in gens] for _ in gens]
+    # the s1 and s2 coefficient matrices of the twist, row-major
+    parts = {"s1": [Fraction(0)] * (n * n), "s2": [Fraction(0)] * (n * n)}
     for col, g in enumerate(gens):
         dg = g.differential
         if dg is None:
@@ -377,11 +383,10 @@ def recover_homotopy_action(model: ModelPresentation, i: int) -> TorusRep:
             if (len(one_gen) != 1 or len(i_gen) != 1
                     or names[one_gen[0]] != 1 or names[i_gen[0]] != 1):
                 continue
-            row = pos[i_gen[0]]
-            eta[row][col] = (eta[row][col]
-                             + S_ALGEBRA.generator(one_gen[0]).scale(coeff))
-    mc = MCObject.semisimple(chars, eta, ambient=SALGEBRA)
-    return realize_mc(mc)
+            parts[one_gen[0]][pos[i_gen[0]] * n + col] += coeff
+    eta = HomElement.linear(Matrix(n, n, parts["s1"]),
+                            Matrix(n, n, parts["s2"]))
+    return realize_mc(MCObject.semisimple(chars, eta, ambient=SALGEBRA))
 
 
 # -- the chain map into the local system ---------------------------------------

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from t2mc.cli import main
 
 JORDAN3_FILE = """3
@@ -10,6 +12,13 @@ JORDAN3_FILE = """3
 TWOGEN_FILE = """3
 [["1","1","0"],["0","1","0"],["0","0","1"]]
 [["1","0","1"],["0","1","0"],["0","0","1"]]
+"""
+
+# g1 = 1 - E01 and g2 = 1 - E01 + E02: both generators twist, and the (0, 1)
+# entry carries s1 and s2 together
+TWOGEN_S1_S2_FILE = """3
+[["1","-1","0"],["0","1","0"],["0","0","1"]]
+[["1","-1","1"],["0","1","0"],["0","0","1"]]
 """
 
 NONCOMMUTING = """2
@@ -35,6 +44,18 @@ def test_ssify_jordan3(tmp_path, capsys):
                                   ["0", "0", "0"]]
     assert payload["eta_s"][0][1] == "-3/2*s1"
     assert payload["eta_s"][1][2] == "-5/2*s1"
+
+
+def test_ssify_eta_s_with_both_generators(tmp_path, capsys):
+    path = _write(tmp_path, "v3s.rep", TWOGEN_S1_S2_FILE)
+    assert main(["ssify", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["eta_dt1"] == [["0", "1", "0"], ["0", "0", "0"],
+                                  ["0", "0", "0"]]
+    assert payload["eta_dt2"] == [["0", "1", "-1"], ["0", "0", "0"],
+                                  ["0", "0", "0"]]
+    assert payload["eta_s"] == [["0", "s1+s2", "-s2"], ["0", "0", "0"],
+                                ["0", "0", "0"]]
 
 
 def test_ssify_diagonal(tmp_path, capsys):
@@ -184,6 +205,33 @@ def test_verify_declared_relations(tmp_path, capsys):
         assert section["pass"] is True
     assert main(["verify", "--relations", "(1,2)"]) == 2
     assert "relations are integer 4-vectors" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("part", ["dims", "bases"])
+def test_verify_declared_relations_fail_on_a_shrunk_model(monkeypatch,
+                                                          capsys, part):
+    # relations only make more characters trivial: a relations model that
+    # loses its degree-0 unit, or a generic degree-1 invariant, fails
+    import t2mc.cli as cli
+    from t2mc.xmodel import NilpotentModel
+
+    real = cli.nilpotent_model
+
+    def shrunk(pspec, *args, **kwargs):
+        nil = real(pspec, *args, **kwargs)
+        if not pspec.relations:
+            return nil
+        if part == "dims":
+            return NilpotentModel(nil.model, (0,) + nil.dims[1:], nil.betti,
+                                  nil.bases)
+        return NilpotentModel(nil.model, nil.dims, nil.betti,
+                              {**nil.bases, 1: []})
+
+    monkeypatch.setattr(cli, "nilpotent_model", shrunk)
+    assert main(["verify", "--relations", "(1,1,1,1)"]) == 4
+    out = capsys.readouterr().out
+    assert "[FAIL] declared_relations" in out
+    assert "[ok] nilpotent_models" in out
 
 
 def test_verify_malformed_options_are_parse_errors(capsys):

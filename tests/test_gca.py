@@ -220,3 +220,23 @@ def test_parse_presentation_rejects_zero_denominator():
 
     with pytest.raises(ExpressionError, match="zero denominator"):
         parse_presentation("x 3 (1,0,1,0) 1/0")
+
+
+@pytest.mark.parametrize("text, message, bad_line", [
+    ("x 3.5 (1,0,1,0) 0", "must be integers", "x 3.5 (1,0,1,0) 0"),
+    ("x 3 (1,a,1,0) 0", "must be integers", "x 3 (1,a,1,0) 0"),
+    ("x 3 (1,0,1,0) 0\nx 3 (0,1,0,1) 0", "duplicate generator 'x'",
+     "x 3 (0,1,0,1) 0"),
+    ("x 0 (0,0,0,0) 0", "degree must be positive", "x 0 (0,0,0,0) 0"),
+    ("x -2 (0,0,0,0) 0", "degree must be positive", "x -2 (0,0,0,0) 0"),
+    ("s 1 (0,0,0,0) 0\nx 3 (1,0,1,0) s", r"d\(x\) must have degree 4",
+     "x 3 (1,0,1,0) s"),
+    ("s 1 (0,0,0,0) 0\ny 3 (0,1,0,1) 0\nx 3 (1,0,1,0) s*y",
+     r"d\(x\) must have character \(1, 0, 1, 0\)", "x 3 (1,0,1,0) s*y"),
+])
+def test_parse_presentation_errors_name_the_line(text, message, bad_line):
+    from t2mc.errors import ParseError
+
+    with pytest.raises(ParseError, match=message) as info:
+        parse_presentation(text)
+    assert repr(bad_line) in str(info.value)

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 import t2mc.mcdg as mcdg
-from t2mc.gca import SCALAR_ALGEBRA
-from t2mc.mcdg import (HomElement, MCObject, NoGammaAtBoundError,
+from t2mc.gca import SCALAR_ALGEBRA, AlgebraPresentation
+from t2mc.mcdg import (SALGEBRA, HomElement, MCObject, NoGammaAtBoundError,
                        NotEquivariantError, build_extension,
                        extension_class, fm_dt_parts, extension_iso, mc_check,
                        mc_to_s, realize_mc, realize_rep, rep_extension,
-                       rep_to_mc, s_element, straighten, twisted_d)
+                       rep_to_mc, straighten, twisted_d)
 from t2mc.qlinalg import Matrix, invert, rank
 from t2mc.t2forms import Form1, Form2, sq
 from t2mc.torus_rep import TorusRep, is_isomorphic
@@ -28,6 +28,22 @@ def jordan2_rep(c, e):
 
 def jordan3_rep(c, e, f, h):
     return rep([[c, e, h], [0, c, f], [0, 0, c]])
+
+
+# a test-side exterior algebra on two degree-1 generators, the oracle the
+# s-algebra twists are read in: m1·dt1 + m2·dt2 stands for m1·s1 + m2·s2
+S_EXTERIOR = AlgebraPresentation(bound=2)
+S_EXTERIOR.add_generator("s1", 1)
+S_EXTERIOR.add_generator("s2", 1)
+S_EXTERIOR.finalize()
+
+
+def s_entries(eta):
+    """The entries m1·s1 + m2·s2 of a constant twist, in S_EXTERIOR."""
+    m1, m2 = fm_dt_parts(eta)
+    s1, s2 = S_EXTERIOR.generator("s1"), S_EXTERIOR.generator("s2")
+    return [[s1.scale(m1[(i, j)]) + s2.scale(m2[(i, j)])
+             for j in range(m1.cols)] for i in range(m1.rows)]
 
 
 def two_gen_rep(c1, e1, c2, e2):
@@ -372,13 +388,14 @@ def _salgebra_check_reference(o):
     """The per-entry s-algebra check mc_check ran before it read every twist
     as square forms: nonzero entries of degree 1 between equal characters,
     and eta·eta = 0 in the exterior algebra, entry by entry."""
-    from t2mc.mcdg import S_ALGEBRA, McReport
+    from t2mc.mcdg import McReport
 
     failures = []
     n = o.dim
+    eta = s_entries(o.eta)
     for i in range(n):
         for j in range(n):
-            entry = o.eta[i][j]
+            entry = eta[i][j]
             if not entry.is_zero():
                 if entry.degree() != 1:
                     failures.append(f"entry_degree[{i}][{j}]")
@@ -386,9 +403,9 @@ def _salgebra_check_reference(o):
                     failures.append(f"equivariance[{i}][{j}]")
     for i in range(n):
         for j in range(n):
-            acc = S_ALGEBRA.zero()
+            acc = S_EXTERIOR.zero()
             for k in range(n):
-                acc = acc + o.eta[i][k] * o.eta[k][j]
+                acc = acc + eta[i][k] * eta[k][j]
             if not acc.is_zero():
                 failures.append(f"mc_equation[{i}][{j}]")
     return McReport(failures)
@@ -399,18 +416,18 @@ def _salgebra_twist(rng, chars, breaking):
     nonzero entry is a multiple of one x = c1·s1 + c2·s2 with c1, c2 != 0,
     so eta·eta = 0; with `breaking` the (1, 2) entry is made independent of
     the (0, 1) one, so eta·eta != 0 at (0, 2)."""
-    from t2mc.mcdg import SALGEBRA, S_ALGEBRA
-
     n = len(chars)
     c1, c2 = (rng.choice([-2, -1, 1, 3]) for _ in range(2))
-    eta = [[S_ALGEBRA.zero() for _ in range(n)] for _ in range(n)]
+    m1, m2 = ([[0] * n for _ in range(n)] for _ in range(2))
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.7 or (i, j) == (0, 1):
-                eta[i][j] = s_element(c1, c2).scale(
-                    Fraction(rng.choice([-3, -1, 1, 2])))
+                scale = rng.choice([-3, -1, 1, 2])
+                m1[i][j], m2[i][j] = scale * c1, scale * c2
     if breaking:
-        eta[0][1], eta[1][2] = s_element(c1, c2), s_element(c1, c2 + 1)
+        m1[0][1], m2[0][1] = c1, c2
+        m1[1][2], m2[1][2] = c1, c2 + 1
+    eta = HomElement.linear(Matrix.from_rows(m1), Matrix.from_rows(m2))
     chars = [(Fraction(a), Fraction(b)) for a, b in chars]
     return MCObject(SALGEBRA, TorusRep.diagonal(chars), eta, chars)
 
@@ -457,6 +474,17 @@ def test_build_extension_direct_sum():
     ext = build_extension(omega, top, bottom)
     assert ext.total.eta.is_zero()
     assert ext.total.characters == [(2, 1), (3, 1)]
+
+
+def test_build_extension_takes_forms_endpoints_only():
+    from t2mc.mcdg import AmbientMismatchError
+
+    forms = MCObject.semisimple([(2, 1)])
+    s_alg = MCObject.semisimple([(2, 1)], ambient=SALGEBRA)
+    omega = HomElement.zero(1, 1, 1)
+    for top, bottom in ((forms, s_alg), (s_alg, forms), (s_alg, s_alg)):
+        with pytest.raises(AmbientMismatchError, match="forms ambient"):
+            build_extension(omega, top, bottom)
 
 
 def test_build_extension_jordan2_normal_form():
@@ -872,21 +900,35 @@ def test_rep_to_mc_iso_is_certified():
 
 
 def test_mc_to_s_pinned():
+    # the s-algebra twist is the same HomElement under the salgebra label
     res = rep_to_mc(jordan3_rep(2, 3, 5, 7))
     out = mc_to_s(res.mc)
-    assert out.eta[0][1] == s_element(Fraction(-3, 2), 0)
-    assert out.eta[0][2] == s_element(Fraction(-13, 8), 0)
-    assert out.eta[1][2] == s_element(Fraction(-5, 2), 0)
-    assert out.eta[1][0].is_zero()
+    assert out.ambient == SALGEBRA and isinstance(out.eta, HomElement)
+    assert out.eta == res.mc.eta and out.characters == res.mc.characters
+    m1, m2 = fm_dt_parts(out.eta)
+    assert m1 == Matrix.from_rows([[0, Fraction(-3, 2), Fraction(-13, 8)],
+                                   [0, 0, Fraction(-5, 2)], [0, 0, 0]])
+    assert m2.is_zero()
     res5 = rep_to_mc(two_gen_rep(1, 2, 1, 3))
     out5 = mc_to_s(res5.mc)
-    assert out5.eta[0][1] == s_element(-2, 0)
-    assert out5.eta[0][2] == s_element(0, -3)
+    assert out5.eta == HomElement.linear(
+        Matrix.from_rows([[0, -2, 0], [0, 0, 0], [0, 0, 0]]),
+        Matrix.from_rows([[0, 0, -3], [0, 0, 0], [0, 0, 0]]))
 
 
 def test_mc_to_s_zero():
     out = mc_to_s(MCObject.semisimple([(2, 1)]))
-    assert all(e.is_zero() for row in out.eta for e in row)
+    assert out.eta == HomElement.zero(1, 1, 1)
+
+
+def test_every_twist_is_a_hom_element():
+    # one twist type: the s-algebra is a label, with no second matrix type
+    for name in ("S_ALGEBRA", "s_element", "s_coefficients"):
+        assert not hasattr(mcdg, name)
+    assert not hasattr(MCObject, "eta_forms")
+    for ambient in (mcdg.FORMS, SALGEBRA):
+        o = MCObject.semisimple([(1, 1), (2, 1)], ambient=ambient)
+        assert o.eta == HomElement.zero(2, 2, 1)
 
 
 def test_mc_to_s_rejects_polynomial_entries():
@@ -1186,11 +1228,11 @@ def test_global_section_builds_no_interval_forms(monkeypatch):
 
 
 def test_defects_reject_what_they_cannot_sum():
-    from t2mc.mcdg import S_ALGEBRA, AmbientMismatchError
+    from t2mc.mcdg import AmbientMismatchError
 
     triv = MCObject.semisimple([(1, 1)])
-    f = HomElement([[Form2(S_ALGEBRA, {(0, 1, 0): S_ALGEBRA.generator("s1")})]],
-                   0)
+    f = HomElement([[Form2(S_EXTERIOR,
+                           {(0, 1, 0): S_EXTERIOR.generator("s1")})]], 0)
     with pytest.raises(AmbientMismatchError, match=r"entry \(0, 0\)"):
         mcdg._defects(f, triv, triv)
     # the twisted differential is summed over degree-0 0-forms only

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from t2mc.cochain import TwistedComplex
-from t2mc.mcdg import MCObject, SALGEBRA, mc_to_s, rep_to_mc, s_element
+from t2mc.mcdg import (HomElement, MCObject, NonConstantCoefficientsError,
+                       SALGEBRA, mc_to_s, rep_to_mc)
 from t2mc.qlinalg import Matrix, in_lattice
+from t2mc.t2forms import sq
 from t2mc.torus_rep import TorusRep, cellular_complex
 from t2mc.xmodel import (GENERIC, INDEPENDENT, MCInconsistentError,
                          ParameterSpec, build_total_model, build_torus_model, compare_actions,
@@ -112,17 +114,22 @@ def test_twisted_complex_jordan3_over_total_model():
 def test_twisted_complex_rejects_non_equivariant_twist():
     # a twist entry between different characters maps the invariant line of
     # coordinate 0 out of the invariant span
-    eta = [[SALGEBRA_zero(), SALGEBRA_zero()],
-           [s_element(1, 0), SALGEBRA_zero()]]
+    eta = HomElement.linear(Matrix.from_rows([[0, 0], [1, 0]]),
+                            Matrix.zero(2, 2))
     bad = MCObject(SALGEBRA, TorusRep.diagonal([(1, 1), (2, 1)]), eta,
                    [(Fraction(1), Fraction(1)), (Fraction(2), Fraction(1))])
     with pytest.raises(MCInconsistentError):
         twisted_invariants_complex(build_torus_model(), bad, 2)
 
 
-def SALGEBRA_zero():
-    from t2mc.mcdg import S_ALGEBRA
-    return S_ALGEBRA.zero()
+def test_twisted_complex_rejects_a_non_constant_twist():
+    # an s-algebra twist reads m1·dt1 + m2·dt2 as m1·s1 + m2·s2; a
+    # t-dependent entry has no such reading
+    eta = HomElement.zero(2, 2, 1)
+    eta[0][1] = sq(1, e1=1, mask=1)
+    o = MCObject.semisimple([(1, 1), (1, 1)], eta, ambient=SALGEBRA)
+    with pytest.raises(NonConstantCoefficientsError):
+        twisted_invariants_complex(build_torus_model(), o, 2)
 
 
 def test_betti_of_zero_differential():
