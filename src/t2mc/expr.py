@@ -1,11 +1,9 @@
-"""Tiny expression evaluator shared by the text interfaces.
+"""Tiny expression evaluator for presentation files.
 
 Grammar: sums of products with rational coefficients, parentheses and
-integer powers (`name^k`).  Names are resolved from an environment whose
-values must support `+`, unary `-`, `*` among themselves and with
-`fractions.Fraction`.  Used for presentation files (values are algebra
-elements) and local-system files (values also include edge/square forms and
-rational parameters).
+integer powers (`name^k`).  Names are resolved from an environment of
+algebra elements, which support `+`, unary `-`, `*` among themselves and
+with `fractions.Fraction`.
 """
 
 from __future__ import annotations

@@ -348,11 +348,15 @@ def mc_check(o: MCObject) -> McReport:
     """Verify the MC equation d(eta) + eta² = 0 ("mc_equation") and the
     face compatibility of eta over the base ("equivariance") on the square
     forms of `o.eta`, whichever its ambient: s_i is read as dt_i, and the
-    exterior product of s1 and s2 as the wedge product of dt1 and dt2."""
+    exterior product of s1 and s2 as the wedge product of dt1 and dt2.  An
+    s-algebra twist must also have constant coefficients
+    ("constant_coefficients"), or it has no reading as m1·s1 + m2·s2."""
     if o.ambient not in (FORMS, SALGEBRA):
         raise AmbientMismatchError(f"unknown ambient {o.ambient!r}")
     eta = o.eta
     failures = []
+    if o.ambient == SALGEBRA and fm_dt_parts(eta) is None:
+        failures.append("constant_coefficients")
     if not (eta.d() + eta * eta).is_zero():
         failures.append("mc_equation")
     base = MCObject.from_rep(o.base)
@@ -979,6 +983,11 @@ def rep_to_mc(r: TorusRep, bound: int = 4) -> RepToMcResult:
     straightening to the constant representative.  Returns the MC object,
     the isomorphism from the input to it (a degree-0 invertible twisted
     cocycle), and the triangularization data.
+
+    The isomorphism needs no invertibility check: every stage borders phi
+    with a zero row and the constant 1 in the corner, so phi is an upper
+    unitriangular polynomial matrix of determinant 1, and
+    iso = phi · basis⁻¹ has the constant determinant det(basis)⁻¹ != 0.
     """
     from .torus_rep import semisimplify
 
@@ -1020,8 +1029,6 @@ def rep_to_mc(r: TorusRep, bound: int = 4) -> RepToMcResult:
     iso = phi * HomElement.from_matrix(invert(ss.basis))
     src = _unchecked(r)  # semisimplify validated r
     _require("pipeline isomorphism", _defects(iso, src, mc, cocycle=True))
-    if fm_constant_part_invertible(iso) is None:
-        raise DomainError("pipeline isomorphism is not invertible")
     return RepToMcResult(mc, iso, ss)
 
 

@@ -15,7 +15,7 @@ row echelon form, so identical inputs always produce identical outputs.
 `Matrix.rref`, `rank_kernel`, `invert` and `solve` all reduce through it;
 `solve` also takes a `SparseMatrix`, one dict per row, so a system assembled
 sparsely is never made dense.  Over Z there is no second matrix type: the
-Smith normal form, integer solutions and integer kernels take an
+Smith normal form, integer solutions and lattice membership take an
 integer-valued `Matrix` and compute on int lists.
 """
 
@@ -580,18 +580,6 @@ def solve_integer(a: Matrix, b):
                 y[i] = ub[i] // di
     return tuple(sum(v[i][k] * y[k] for k in range(a.cols))
                  for i in range(a.cols))
-
-
-def integer_kernel(a: Matrix):
-    """Basis of the integer kernel lattice {x : a·x = 0} of an
-    integer-valued matrix, as int tuples."""
-    d, _, v = _smith(a)
-    basis = []
-    for j in range(a.cols):
-        dj = d[j] if j < len(d) else 0
-        if dj == 0:
-            basis.append(tuple(v[i][j] for i in range(a.cols)))
-    return basis
 
 
 def in_lattice(basis, target) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError, ParseError
+from .errors import DomainError
 from .gca import SCALAR_ALGEBRA, AlgebraPresentation, Element
 from .qlinalg import Matrix, frac
 from .torus_rep import TorusRep, require_valid
@@ -531,93 +531,3 @@ def constant_section(ls: LocalSystemT2, name: str) -> SectionCandidate:
     twist = (g.character[0], g.character[1])
     return SectionCandidate(Form2.const(ls.alg, ls.alg.generator(name)), twist)
 
-
-def local_system_to_text(ls: LocalSystemT2) -> str:
-    """Serialize parameters and face tables in the expression syntax."""
-    from .qlinalg import frac_str
-
-    lines = [f"params {' '.join(frac_str(p) for p in ls.params)}"]
-    for i in (1, 2):
-        for g in ls.alg.generators:
-            lines.append(f"edge{i} {g.name} = {_element_expr(ls.alg, ls.edge_d0[i][g.name])}")
-    for i in (1, 2):
-        for g in ls.alg.generators:
-            lines.append(f"face{i} {g.name} = {_form1_expr(ls.alg, ls.face_d0[i][g.name])}")
-    return "\n".join(lines) + "\n"
-
-
-def _element_expr(alg, x: Element) -> str:
-    return alg.element_str(x).replace(" ", "")
-
-
-def _form1_expr(alg, f: Form1) -> str:
-    if f.is_zero():
-        return "0"
-    bits = []
-    for key in sorted(f.terms):
-        dt, e, _ = key
-        a = f.terms[key]
-        head = ""
-        if e:
-            head += "t*" if e == 1 else f"t^{e}*"
-        if dt:
-            head += "dt*"
-        body = _element_expr(alg, a)
-        if "+" in body or "-" in body[1:]:
-            body = f"({body})"
-        bits.append(f"{head}{body}")
-    return "+".join(bits).replace("+-", "-")
-
-
-def parse_local_system(text: str, bound: int = 10) -> LocalSystemT2:
-    """Parse the `local_system_to_text` format back into a local system.
-
-    Face-map expressions use the generator names plus t and dt; the fiber
-    algebra is the standard one."""
-    from .expr import parse_expression
-
-    alg = build_fiber_algebra(bound)
-    names = [g.name for g in alg.generators]
-    params = None
-    edge_d0 = {1: {}, 2: {}}
-    face_d0 = {1: {}, 2: {}}
-    env_elem = {name: alg.generator(name) for name in names}
-    env_form = {name: Form1.const(alg, alg.generator(name))
-                for name in names}
-    env_form["t"] = Form1.monomial(alg, alg.unit(), e=1)
-    env_form["dt"] = Form1.monomial(alg, alg.unit(), dt=1)
-    # line head -> (table, names in scope, zero of the value type)
-    slots = {f"{kind}{i}": (table[i], env, zero)
-             for kind, table, env, zero in (
-                 ("edge", edge_d0, env_elem, alg.zero()),
-                 ("face", face_d0, env_form, Form1.zero(alg)))
-             for i in (1, 2)}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("params"):
-            try:
-                params = [frac(tok) for tok in line.split()[1:]]
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad parameter value: {exc}") from exc
-            if len(params) != 4:
-                raise ParseError("params line needs a1 b1 a2 b2")
-            for env in (env_elem, env_form):
-                env.update(zip(("a1", "b1", "a2", "b2"), params))
-            continue
-        if params is None:
-            raise ParseError("params line must come first")
-        head, _, expr = line.partition("=")
-        fields = head.split()
-        if len(fields) != 2 or fields[0] not in slots or fields[1] not in names:
-            raise ParseError(f"bad local-system line {raw!r}")
-        table, env, zero = slots[fields[0]]
-        table[fields[1]] = parse_expression(expr, env, zero)
-    if params is None:
-        raise ParseError("missing params line")
-    for head, (table, _env, _zero) in slots.items():
-        missing = [name for name in names if name not in table]
-        if missing:
-            raise ParseError(f"no {head} line for generator {missing[0]!r}")
-    return LocalSystemT2(alg, params, edge_d0, face_d0)

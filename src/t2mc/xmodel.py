@@ -23,7 +23,7 @@ from .errors import DomainError
 from .gca import AlgebraPresentation, char_add
 from .mcdg import (HomElement, MCObject, NonConstantCoefficientsError,
                    SALGEBRA, fm_dt_parts, realize_mc)
-from .qlinalg import Matrix, frac, frac_str, in_lattice, integer_kernel
+from .qlinalg import Matrix, frac, frac_str, in_lattice
 from .t2forms import (Form2, build_local_system, constant_section, is_global_section,
                       section_x, section_w)
 from .torus_rep import TorusRep, is_isomorphic
@@ -33,65 +33,6 @@ INDEPENDENT = "independent"
 
 class MCInconsistentError(DomainError):
     """The twisted differential left the invariant span or D² != 0."""
-
-
-def relation_lattice_from_values(values):
-    """Basis of {(k,l,m,n) : a1^k b1^l a2^m b2^n = 1} for rational values.
-
-    Computed from the prime factorizations, with the sign handled as one
-    extra order-2 generator.
-    """
-    values = [frac(v) for v in values]
-    if any(v == 0 for v in values):
-        raise DomainError("parameters must be nonzero units")
-    primes = set()
-
-    def factor(n):
-        n = abs(n)
-        out = {}
-        p = 2
-        while p * p <= n:
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-            p += 1
-        if n > 1:
-            out[n] = out.get(n, 0) + 1
-        return out
-
-    exps = []
-    signs = []
-    for v in values:
-        fac_num = factor(v.numerator)
-        fac_den = factor(v.denominator)
-        e = {p: fac_num.get(p, 0) - fac_den.get(p, 0)
-             for p in set(fac_num) | set(fac_den)}
-        primes.update(e)
-        exps.append(e)
-        signs.append(1 if v < 0 else 0)
-    primes = sorted(primes)
-    if primes:
-        mat = Matrix.from_rows([[exps[j].get(p, 0) for j in range(4)]
-                                for p in primes])
-        kernel = [list(v) for v in integer_kernel(mat)]
-    else:
-        kernel = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-
-    def sign_of(vec):
-        return sum(s * x for s, x in zip(signs, vec)) % 2
-
-    if all(sign_of(v) == 0 for v in kernel):
-        return [tuple(v) for v in kernel]
-    pivot = next(v for v in kernel if sign_of(v) == 1)
-    out = []
-    for v in kernel:
-        if v is pivot:
-            continue
-        if sign_of(v) == 1:
-            v = [a - b for a, b in zip(v, pivot)]
-        out.append(tuple(v))
-    out.append(tuple(2 * a for a in pivot))
-    return out
 
 
 class ParameterSpec:

@@ -1,0 +1,48 @@
+"""Every library definition outside the public API is used somewhere.
+
+A module-level function or class, or a public method, that `t2mc.__all__`
+does not export must be named in `src/t2mc` or `bench/*.py` somewhere other
+than its own `def`/`class` line (a call, a reference, or a mention in a
+docstring); otherwise nothing runs it and it is dead code.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+import t2mc
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "t2mc").glob("*.py"))
+SEARCHED = SOURCES + sorted((ROOT / "bench").glob("*.py"))
+
+# Only the tests call this one; it stays as their dimension-count check
+# (test_torus_rep.py and test_xmodel.py compare it with the Betti numbers).
+KEPT_FOR_TESTS = {"TwistedComplex.euler_characteristic"}
+
+
+def _definitions():
+    """(qualified name, bare name) of every checked definition."""
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")):
+                        yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_unexported_definition_is_used():
+    words, defined = Counter(), Counter()
+    for path in SEARCHED:
+        text = path.read_text()
+        words.update(re.findall(r"\w+", text))
+        defined.update(re.findall(r"\b(?:def|class)\s+(\w+)", text))
+    exported = set(t2mc.__all__)
+    dead = sorted(qualified for qualified, name in _definitions()
+                  if qualified not in exported | KEPT_FOR_TESTS
+                  and words[name] == defined[name])
+    assert not dead, f"nothing uses {dead}"

@@ -384,6 +384,16 @@ def test_mc_check_detects_broken_mc_equation():
     assert report.failures == ["mc_equation"]
 
 
+def test_mc_check_salgebra_needs_constant_coefficients():
+    # (1 - 2·t1) dt1 satisfies the MC equation and the face conditions, but
+    # has no reading as m1·s1 + m2·s2; the same twist passes in forms
+    eta = HomElement([[sq(1, mask=1) - sq(2, e1=1, mask=1)]], 1)
+    report = mc_check(MCObject.semisimple([(1, 1)], eta, ambient=SALGEBRA))
+    assert not report.ok
+    assert report.failures == ["constant_coefficients"]
+    assert mc_check(MCObject.semisimple([(1, 1)], eta)).ok
+
+
 def _salgebra_check_reference(o):
     """The per-entry s-algebra check mc_check ran before it read every twist
     as square forms: nonzero entries of degree 1 between equal characters,

@@ -5,7 +5,7 @@ import pytest
 
 import t2mc.qlinalg as qlinalg
 from t2mc.qlinalg import (Matrix, SparseMatrix, det, frac, frac_str,
-                          in_lattice, integer_kernel, invert, rank,
+                          in_lattice, invert, rank,
                           rank_kernel, smith_normal_form, solve,
                           solve_integer)
 
@@ -90,8 +90,7 @@ def test_smith_normal_form_pinned():
 
 def test_integer_routines_reject_non_integer_matrices():
     half = Matrix.from_rows([[1, Fraction(1, 2)]])
-    for call in (smith_normal_form, integer_kernel,
-                 lambda m: solve_integer(m, [1])):
+    for call in (smith_normal_form, lambda m: solve_integer(m, [1])):
         with pytest.raises(ValueError, match="integer matrix"):
             call(half)
 
@@ -170,13 +169,7 @@ def test_solve_random_consistency():
             assert all(v == 0 for v in a.apply(vec))
 
 
-def test_integer_kernel_and_lattice_membership():
-    mat = Matrix.from_rows([[1, 1, -1, 0]])
-    kernel = integer_kernel(mat)
-    assert len(kernel) == 3
-    for vec in kernel:
-        assert all(type(x) is int for x in vec)
-        assert sum(a * b for a, b in zip((1, 1, -1, 0), vec)) == 0
+def test_lattice_membership():
     basis = [(1, 1, 0, 0), (0, 0, 1, 1)]
     assert in_lattice(basis, (1, 1, 1, 1))
     assert in_lattice(basis, (2, 2, -1, -1))

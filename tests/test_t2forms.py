@@ -7,7 +7,6 @@ from t2mc.gca import SCALAR_ALGEBRA
 from t2mc.t2forms import (Form1, Form2, ParameterZeroError,
                           SectionCandidate, _Form, build_local_system,
                           constant_section, is_global_section,
-                          parse_local_system, local_system_to_text,
                           section_w, section_x, sq)
 
 PARAMS = (2, 3, 5, 7)
@@ -318,20 +317,6 @@ def test_every_face_map_commutes_with_d(ls, fiber):
                     == ls.apply_edge(i, 0, Form1.const(fiber, gen)).d())
 
 
-def test_local_system_text_round_trip(ls):
-    text = local_system_to_text(ls)
-    back = parse_local_system(text)
-    assert back.params == ls.params
-    for i in (1, 2):
-        for g in ls.alg.generators:
-            assert back.edge_d0[i][g.name].coeffs == \
-                ls.edge_d0[i][g.name].coeffs
-            assert back.face_d0[i][g.name].terms.keys() == \
-                ls.face_d0[i][g.name].terms.keys()
-            for key, val in ls.face_d0[i][g.name].terms.items():
-                assert back.face_d0[i][g.name].terms[key].coeffs == val.coeffs
-
-
 def test_interval_form_endpoint_evaluation(fiber):
     f = (Form1.monomial(fiber, fiber.generator("x"), e=2)
          + Form1.monomial(fiber, fiber.generator("y"), dt=1))
@@ -339,25 +324,6 @@ def test_interval_form_endpoint_evaluation(fiber):
     assert f.at_endpoint(0).is_zero()
     g = Form1.monomial(fiber, fiber.unit(), e=1) - Form1.const(fiber, fiber.unit())
     assert g.at_endpoint(1).is_zero()
-
-
-def test_parse_local_system_errors():
-    import pytest as _pytest
-    with _pytest.raises(ValueError):
-        parse_local_system("edge1 x = a1*x\n")  # params must come first
-    with _pytest.raises(ValueError):
-        parse_local_system("params 1 2 3\n")
-
-
-def test_parse_local_system_rejects_malformed_tables():
-    from t2mc.errors import ParseError
-
-    for text, message in (
-            ("params 1 2 3 4\nedge3 x = x\n", "bad local-system line"),
-            ("params 1 2 3 4\nedge1 x = x\n", "no edge1 line for generator"),
-            ("params 1/0 2 3 4\n", "bad parameter value")):
-        with pytest.raises(ParseError, match=message):
-            parse_local_system(text)
 
 
 def test_degree_bookkeeping(ls, fiber):

@@ -12,7 +12,7 @@ from t2mc.torus_rep import TorusRep, cellular_complex
 from t2mc.xmodel import (GENERIC, INDEPENDENT, MCInconsistentError,
                          ParameterSpec, build_total_model, build_torus_model, compare_actions,
                          invariant_basis, nilpotent_model,
-                         recover_homotopy_action, relation_lattice_from_values,
+                         recover_homotopy_action,
                          subalgebra_monomials, twisted_invariants_complex,
                          verify_chain_map)
 
@@ -194,28 +194,18 @@ def test_nilpotent_model_minus_one_parameter():
     assert names == {"xb*zb"}
 
 
-def test_relation_lattice_from_values():
-    lattice = relation_lattice_from_values((2, Fraction(1, 2), 3,
-                                            Fraction(1, 3)))
-    assert in_lattice(lattice, (1, 1, 0, 0))
-    assert in_lattice(lattice, (0, 0, 1, 1))
-    assert in_lattice(lattice, (2, 2, 3, 3))
-    assert not in_lattice(lattice, (1, 0, 0, 0))
-    # sign handling: a1 = -1 has order 2
-    lattice2 = relation_lattice_from_values((-1, 1, 2, 3))
-    assert in_lattice(lattice2, (2, 0, 0, 0))
-    assert not in_lattice(lattice2, (1, 0, 0, 0))
-    assert in_lattice(lattice2, (0, 1, 0, 0))
-
-
-def test_relation_lattice_matches_evaluation():
+def test_specialized_trivial_chars_match_the_relation_lattice():
+    # a1^k b1^l a2^m b2^n = 1 exactly on these hand-written lattices; a1 = -1
+    # has order 2
     rng = random.Random(73)
-    values = (2, Fraction(1, 2), 3, Fraction(1, 3))
-    pspec = ParameterSpec.specialized(*values)
-    lattice = relation_lattice_from_values(values)
-    for _ in range(40):
-        vec = tuple(rng.randint(-3, 3) for _ in range(4))
-        assert pspec.is_trivial_char(vec) == in_lattice(lattice, vec)
+    for values, lattice in (
+            ((2, Fraction(1, 2), 3, Fraction(1, 3)),
+             [(1, 1, 0, 0), (0, 0, 1, 1)]),
+            ((-1, 1, 2, 3), [(2, 0, 0, 0), (0, 1, 0, 0)])):
+        pspec = ParameterSpec.specialized(*values)
+        for _ in range(40):
+            vec = tuple(rng.randint(-3, 3) for _ in range(4))
+            assert pspec.is_trivial_char(vec) == in_lattice(lattice, vec)
 
 
 def test_recover_homotopy_action_degree_three():
