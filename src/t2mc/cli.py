@@ -26,6 +26,7 @@ from .errors import CrossCheckError, DomainError, ParseError
 from .gca import Element
 from .mcdg import MCObject, fm_dt_parts, mc_to_s, rep_to_mc
 from .qlinalg import Matrix, frac, frac_str
+from .t2forms import Form1, build_fiber_algebra, build_local_system
 from .torus_rep import TorusRep, cellular_complex, parse_rep
 from .xmodel import (ParameterSpec, build_total_model, build_torus_model,
                      compare_actions, invariant_basis, nilpotent_model,
@@ -233,8 +234,6 @@ def _iso_section():
 
 
 def _integrity_section(chain_reports):
-    from .t2forms import Form1, build_fiber_algebra
-
     fiber_ok = not build_fiber_algebra().check_d_square(8)
     n_ok = not build_torus_model().pres.check_d_square(8)
     m_s2 = build_total_model(ParameterSpec.generic(), "s2")
@@ -286,8 +285,8 @@ def _chain_map_section(chain_reports):
     return out
 
 
-def _actions_section(values, variants=("s1", "s2")):
-    compared = {v: compare_actions(values, 3, v) for v in variants}
+def _actions_section(ls, variants=("s1", "s2")):
+    compared = {v: compare_actions(ls, 3, v) for v in variants}
     mono3 = compared[variants[0]].monodromy
     out = {"monodromy_deg3": {"g1": matrix_json(mono3.g1),
                               "g2": matrix_json(mono3.g2)}}
@@ -300,8 +299,8 @@ def _actions_section(values, variants=("s1", "s2")):
                            if cmp_.conjugator is not None else None),
         }
     rec5 = recover_homotopy_action(
-        build_total_model(ParameterSpec.specialized(*values), variants[-1]),
-        5)
+        build_total_model(ParameterSpec.specialized(*ls.params),
+                          variants[-1]), 5)
     out["deg5_characters"] = [frac_str(rec5.g1[(0, 0)]),
                               frac_str(rec5.g2[(0, 0)])]
     expectations = {"s1": "not_isomorphic", "s2": "isomorphic"}
@@ -402,14 +401,15 @@ def build_verification_report(values, variants=("s1", "s2"),
     # the normal forms of the two battery families, shared by three sections
     one_gen_mc = {t: rep_to_mc(_jordan3_rep(*t)).mc for t in ONE_GEN_TUPLES}
     two_gen_mc = {t: rep_to_mc(_two_gen_rep(*t)).mc for t in TWO_GEN_TUPLES}
-    chain_reports = {v: verify_chain_map(values, v) for v in variants}
+    ls = build_local_system(*values)
+    chain_reports = {v: verify_chain_map(ls, v) for v in variants}
     generic = nilpotent_model(ParameterSpec.generic())
     sections = {
         "mc_normal_forms": _normal_form_section(one_gen_mc, two_gen_mc),
         "extension_isomorphism": _iso_section(),
         "model_integrity": _integrity_section(chain_reports),
         "chain_map": _chain_map_section(chain_reports),
-        "action_comparison": _actions_section(values, variants),
+        "action_comparison": _actions_section(ls, variants),
         "betti_oracle": _oracle_section(one_gen_mc),
         "nilpotent_models": _nilpotent_section(generic),
         "x_complexes": _x_complex_section(one_gen_mc, two_gen_mc),

@@ -63,6 +63,9 @@ class Element:
     def is_zero(self):
         return not self.coeffs
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
@@ -217,9 +220,6 @@ class AlgebraPresentation:
     def unit(self):
         return Element(self, {(0,) * self.n_gens: Fraction(1)})
 
-    def scalar(self, c):
-        return Element(self, {(0,) * self.n_gens: frac(c)})
-
     def generator(self, name):
         g = self._by_name[name]
         mono = tuple(int(i == g.index) for i in range(self.n_gens))
@@ -234,7 +234,7 @@ class AlgebraPresentation:
                 raise ValueError("element belongs to a different presentation")
             return value
         if isinstance(value, (int, Fraction)):
-            return self.scalar(value)
+            return Element(self, {(0,) * self.n_gens: frac(value)})
         raise TypeError(f"cannot coerce {value!r}")
 
     # -- monomials ---------------------------------------------------------

@@ -1,9 +1,10 @@
 """Maurer-Cartan twists, twisted hom complexes, extensions and splittings.
 
 Objects are pairs (base, eta): a commuting-pair representation together with
-a Maurer-Cartan twist eta.  Morphisms and every twist are `HomElement`s:
-matrices of scalar square forms with a degree, the one form-matrix type,
-with its sums, products and differential.  An object's ambient is a label:
+a Maurer-Cartan twist eta.  Morphisms and every twist are `HomElement`s,
+the one form-matrix type: matrices of scalar square forms, which carry
+`Fraction` coefficients, with a degree, sums, products and a differential.
+An object's ambient is a label:
 
 * ``forms``    - the twist is read in the hom complexes of the torus cell
                  structure, where morphisms and splittings live;
@@ -211,7 +212,7 @@ def fm_dt_parts(a):
             for (mask, e1, e2), coeff in form.terms.items():
                 if (e1, e2) != (0, 0) or mask not in (1, 2):
                     return None
-                parts[mask][i * cols + j] = coeff.coeffs.get((), _ZERO)
+                parts[mask][i * cols + j] = coeff
     return Matrix(rows, cols, parts[1]), Matrix(rows, cols, parts[2])
 
 
@@ -290,7 +291,7 @@ def _defects(f: HomElement, source, target, cocycle=False):
     by `_ChainProblem.image`, so no form-matrix product is built.  The
     defects along edge i sit under ("gs", i), keyed (("gs", i), row, column,
     edge key (dt, e)); the twisted differential, for a degree-0 f of
-    0-forms, sits under "eq".  Every coefficient must be a scalar.
+    0-forms, sits under "eq".  Entries must be scalar (`Fraction`) forms.
     """
     src = as_object(source)
     dst = as_object(target)
@@ -300,14 +301,13 @@ def _defects(f: HomElement, source, target, cocycle=False):
     out = {}
     for p, row in enumerate(f):
         for q, form in enumerate(row):
-            for key, coeff in form.terms.items():
-                if coeff.pres is not SCALAR_ALGEBRA:
-                    raise AmbientMismatchError(
-                        f"entry ({p}, {q}) has a non-scalar coefficient")
+            if form.alg is not SCALAR_ALGEBRA:
+                raise AmbientMismatchError(
+                    f"entry ({p}, {q}) has a non-scalar coefficient")
+            for key, c in form.terms.items():
                 if cocycle and (f.degree or key[0]):
                     raise ValueError("the twisted differential is summed "
                                      "over degree-0 0-forms only")
-                c = coeff.coeffs[()]
                 for k, v in image(p, q, key, cocycle).items():
                     out[k] = out.get(k, _ZERO) + c * v
     return {k: v for k, v in out.items() if v}
@@ -359,7 +359,9 @@ def mc_check(o: MCObject) -> McReport:
         failures.append("constant_coefficients")
     if not (eta.d() + eta * eta).is_zero():
         failures.append("mc_equation")
-    base = MCObject.from_rep(o.base)
+    if not o.base.is_invertible_diagonal():
+        require_valid(o.base)
+    base = _unchecked(o.base)
     if _defects(eta, base, base):
         failures.append("equivariance")
     return McReport(failures)
@@ -480,12 +482,11 @@ def _poly_monomials(bound):
 
 
 def _flatten(mat):
-    """The nonzero constant coefficients of a form matrix as sparse
-    coordinates, keyed by ("eq", row, column, form basis key)."""
+    """The coefficients of a form matrix as sparse coordinates, keyed by
+    ("eq", row, column, form basis key)."""
     return {("eq", p, q, key): c
             for p, row in enumerate(mat) for q, form in enumerate(row)
-            for key, coeff in form.terms.items()
-            if (c := coeff.coeffs.get((), _ZERO))}
+            for key, c in form.terms.items()}
 
 
 def _solve_sparse(images, rhs):
@@ -507,11 +508,6 @@ def _solve_sparse(images, rhs):
         return tuple(Fraction(0) for _ in images)
     b = [rhs.get(k, _ZERO) for k in rows]
     return solve(SparseMatrix(len(images), list(rows.values())), b)
-
-
-def _constant_terms(form):
-    return [(key, coeff.coeffs.get((), _ZERO))
-            for key, coeff in form.terms.items()]
 
 
 class _ChainProblem:
@@ -541,11 +537,10 @@ class _ChainProblem:
         self.bound = bound
         self.vars = []     # (kind, p, q, key): kind "chain" or "k"
         self.images = []
-        self._eta_cols = [[(r, _constant_terms(row[p]))
+        self._eta_cols = [[(r, row[p].terms)
                            for r, row in enumerate(dst.eta) if row[p].terms]
                           for p in range(dst.dim)]
-        self._eta_rows = [[(s, _constant_terms(f))
-                           for s, f in enumerate(row) if f.terms]
+        self._eta_rows = [[(s, f.terms) for s, f in enumerate(row) if f.terms]
                           for row in src.eta]
         self._faces = []
         for i in (1, 2):
@@ -568,11 +563,11 @@ class _ChainProblem:
             if e2:
                 img[("eq", p, q, (2, e1, e2 - 1))] = Fraction(e2)
             for r, terms in self._eta_cols[p]:
-                for (m, f1, f2), c in terms:
+                for (m, f1, f2), c in terms.items():
                     k = ("eq", r, q, (m, f1 + e1, f2 + e2))
                     img[k] = img.get(k, _ZERO) + c
             for s, terms in self._eta_rows[q]:
-                for (m, f1, f2), c in terms:
+                for (m, f1, f2), c in terms.items():
                     k = ("eq", p, s, (m, e1 + f1, e2 + f2))
                     img[k] = img.get(k, _ZERO) - c
         for i, g_cols, g_inv_rows in self._faces:
@@ -729,9 +724,8 @@ def fm_constant_part_invertible(a):
     determinant or None."""
     if any(len(row) != len(a) for row in a):
         return None
-    poly = [[{(e1, e2): c for (mask, e1, e2), coeff in form.terms.items()
-              if mask == 0 and (c := coeff.coeffs.get((), _ZERO))}
-             for form in row] for row in a]
+    poly = [[{(e1, e2): c for (mask, e1, e2), c in form.terms.items()
+              if mask == 0} for form in row] for row in a]
     d = _poly_det(poly)
     if set(d) == {(0, 0)}:
         return d[(0, 0)]

@@ -3,8 +3,8 @@ cell structure with twisted face maps.
 
 The square model of the torus has one 0-cell, two edges (sigma1 = {(t1, 0)},
 sigma2 = {(0, t2)}) and one square cell tau.  Forms carry coefficients in a
-presented graded algebra (use the scalar algebra for plain forms); a term is
-a polynomial in t1, t2 times dt-monomial times coefficient, and the
+presented graded algebra, plain `Fraction`s for scalar forms; a term is a
+polynomial in t1, t2 times dt-monomial times coefficient, and the
 differential includes the internal differential of the coefficient algebra
 with the usual Koszul sign.  An interval form is a square form in t1 alone:
 `Form1` and `Form2` share one term-key layout, (mask, e1, e2), and one
@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .gca import SCALAR_ALGEBRA, AlgebraPresentation, Element
-from .qlinalg import Matrix, frac
+from .qlinalg import Matrix, frac, frac_str
 from .torus_rep import TorusRep, require_valid
 
 
@@ -40,11 +40,21 @@ def _popcount(mask: int) -> int:
     return (mask & 1) + ((mask >> 1) & 1)
 
 
+def _coeff(alg: AlgebraPresentation, value):
+    """`value` as a coefficient over `alg`: a `Fraction` or an `Element`."""
+    return frac(value) if alg is SCALAR_ALGEBRA else alg.coerce(value)
+
+
+def _coeff_str(a):
+    return frac_str(a) if isinstance(a, Fraction) else repr(a)
+
+
 class _Form:
     """The term-dict algebra of interval and square forms: `terms` maps a
-    key (mask, e1, e2) to a nonzero coefficient in `alg`, mask bit 1 being
-    dt1 and bit 2 dt2; interval forms use the keys (dt, e, 0).  Subclasses
-    supply `monomial`, the face restrictions and `__repr__`."""
+    key (mask, e1, e2) to a nonzero coefficient, mask bit 1 being dt1 and
+    bit 2 dt2; interval forms use the keys (dt, e, 0).  Coefficients are
+    `Fraction`s over `SCALAR_ALGEBRA`, else `Element`s of `alg` (`_coeff`).
+    Subclasses supply `monomial`, the face restrictions and `__repr__`."""
 
     __slots__ = ("alg", "terms")
 
@@ -53,7 +63,7 @@ class _Form:
         self.terms = {}
         if terms:
             for key, coeff in terms.items():
-                if not coeff.is_zero():
+                if coeff:
                     self.terms[key] = coeff
 
     @classmethod
@@ -73,7 +83,7 @@ class _Form:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.const(self.alg, self.alg.scalar(other))
+            other = self.const(self.alg, other)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             cur = out.get(key)
@@ -84,14 +94,11 @@ class _Form:
         return type(self)(self.alg, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.const(self.alg, self.alg.scalar(other))
         return self + (-other)
 
     def scale(self, c):
         c = frac(c)
-        return type(self)(self.alg,
-                          {k: v.scale(c) for k, v in self.terms.items()})
+        return type(self)(self.alg, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -108,12 +115,13 @@ class _Form:
                 if _popcount(m2) % 2:
                     # the right factor's dt passes the left coefficient
                     if a1_twisted is None:
-                        a1_twisted = a1.negate_odd()
+                        a1_twisted = (a1 if self.alg is SCALAR_ALGEBRA
+                                      else a1.negate_odd())
                     left = a1_twisted
                 prod = left * a2
                 if (m1 & 2) and (m2 & 1):
-                    prod = prod.scale(-1)  # dt2∧dt1 = -dt1∧dt2
-                if prod.is_zero():
+                    prod = -prod  # dt2∧dt1 = -dt1∧dt2
+                if not prod:
                     continue
                 key = (m1 | m2, e1 + e2, f1 + f2)
                 cur = out.get(key)
@@ -136,24 +144,22 @@ class _Form:
             cur = parts.get(key)
             parts[key] = coeff if cur is None else cur + coeff
 
+        internal = self.alg is not SCALAR_ALGEBRA  # scalars are cocycles
         for (mask, e1, e2), a in self.terms.items():
             if e1 > 0 and not (mask & 1):
-                put((mask | 1, e1 - 1, e2), a.scale(e1))
+                put((mask | 1, e1 - 1, e2), a * e1)
             if e2 > 0 and not (mask & 2):
-                sign = -1 if mask & 1 else 1
-                put((mask | 2, e1, e2 - 1), a.scale(sign * e2))
-            da = self.alg.differential(a)
-            if not da.is_zero():
-                sign = -1 if _popcount(mask) % 2 else 1
-                put((mask, e1, e2), da.scale(sign))
+                put((mask | 2, e1, e2 - 1), a * (-e2 if mask & 1 else e2))
+            if internal and (da := self.alg.differential(a)):
+                put((mask, e1, e2), -da if _popcount(mask) % 2 else da)
         return type(self)(self.alg, parts)
 
     def degrees(self):
-        degs = set()
-        for (mask, _e1, _e2), a in self.terms.items():
-            for mono in a.coeffs:
-                degs.add(_popcount(mask) + self.alg.mono_degree(mono))
-        return degs
+        if self.alg is SCALAR_ALGEBRA:  # scalar coefficients have degree 0
+            return {_popcount(mask) for mask, _e1, _e2 in self.terms}
+        return {_popcount(mask) + self.alg.mono_degree(mono)
+                for (mask, _e1, _e2), a in self.terms.items()
+                for mono in a.coeffs}
 
     def degree(self):
         degs = self.degrees()
@@ -179,27 +185,25 @@ class Form1(_Form):
 
     @classmethod
     def monomial(cls, alg, coeff, e: int = 0, dt: int = 0):
-        coeff = alg.coerce(coeff)
-        return cls(alg, {(dt, e, 0): coeff})
+        return cls(alg, {(dt, e, 0): _coeff(alg, coeff)})
 
-    def at_endpoint(self, value) -> Element:
+    def at_endpoint(self, value):
         """Substitute t := value and drop dt (face to the 0-cell)."""
         value = frac(value)
-        out = self.alg.zero()
+        out = _coeff(self.alg, 0)
         for (dt, e, _), a in self.terms.items():
             if dt:
                 continue
-            out = out + a.scale(value ** e)
+            out = out + a * value ** e
         return out
 
     def __repr__(self):
         if not self.terms:
             return "0"
         bits = []
-        for key in sorted(self.terms):
-            dt, e, _ = key
+        for (dt, e, _), a in sorted(self.terms.items()):
             t = "" if e == 0 else ("t" if e == 1 else f"t^{e}")
-            bits.append(f"{t}{'dt' if dt else ''}({self.terms[key]!r})")
+            bits.append(f"{t}{'dt' if dt else ''}({_coeff_str(a)})")
         return " + ".join(bits)
 
 
@@ -215,8 +219,7 @@ class Form2(_Form):
 
     @classmethod
     def monomial(cls, alg, coeff, e1: int = 0, e2: int = 0, mask: int = 0):
-        coeff = alg.coerce(coeff)
-        return cls(alg, {(mask, e1, e2): coeff})
+        return cls(alg, {(mask, e1, e2): _coeff(alg, coeff)})
 
     def restrict_edge(self, i: int, j: int) -> Form1:
         """Face d_{ij} substitution part: t -> (t, 1-j) for i = 1 and
@@ -240,9 +243,7 @@ class Form2(_Form):
         if not self.terms:
             return "0"
         bits = []
-        for key in sorted(self.terms):
-            mask, e1, e2 = key
-            a = self.terms[key]
+        for (mask, e1, e2), a in sorted(self.terms.items()):
             s = ""
             if e1:
                 s += "t1" if e1 == 1 else f"t1^{e1}"
@@ -252,13 +253,13 @@ class Form2(_Form):
                 s += "dt1"
             if mask & 2:
                 s += "dt2"
-            bits.append(f"{s}({a!r})")
+            bits.append(f"{s}({_coeff_str(a)})")
         return " + ".join(bits)
 
 
 # scalar form shorthands
-def sq(coeff=1, e1=0, e2=0, mask=0, alg=SCALAR_ALGEBRA) -> Form2:
-    return Form2.monomial(alg, alg.scalar(coeff), e1, e2, mask)
+def sq(coeff=1, e1=0, e2=0, mask=0) -> Form2:
+    return Form2.monomial(SCALAR_ALGEBRA, coeff, e1, e2, mask)
 
 
 def algebra_map_element(pres: AlgebraPresentation, images: dict, x: Element):
@@ -267,7 +268,7 @@ def algebra_map_element(pres: AlgebraPresentation, images: dict, x: Element):
     Images live in any algebra supporting + and * (Elements, Form1, Form2);
     the unit of the target must be supplied as images['1']."""
     one = images["1"]
-    out = one * Fraction(0) if not isinstance(one, Element) else one.scale(0)
+    out = one * 0
     for mono, coeff in x.coeffs.items():
         term = one
         for e, g in zip(mono, pres.generators):

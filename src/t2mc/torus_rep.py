@@ -44,7 +44,8 @@ class TorusRep:
     """A pair of commuting invertible matrices acting on Q^dim.
 
     The rep is immutable, so each generator inverse is computed once, on
-    first use, and kept.
+    first use, and kept; a diagonal generator's inverse is its reciprocal
+    diagonal, found without an elimination.
     """
 
     __slots__ = ("dim", "g1", "g2", "_inverses")
@@ -67,18 +68,9 @@ class TorusRep:
 
     @classmethod
     def diagonal(cls, characters) -> "TorusRep":
-        """Semisimple rep from a list of (g1-scalar, g2-scalar) pairs.
-
-        A generator whose diagonal has no zero gets its inverse, the
-        reciprocal diagonal, without an elimination.
-        """
-        r = cls(Matrix.diagonal([c[0] for c in characters]),
-                Matrix.diagonal([c[1] for c in characters]))
-        for i in (1, 2):
-            diag = [r.g(i)[(j, j)] for j in range(r.dim)]
-            if all(diag):
-                r._inverses[i] = Matrix.diagonal([1 / d for d in diag])
-        return r
+        """Semisimple rep from a list of (g1-scalar, g2-scalar) pairs."""
+        return cls(Matrix.diagonal([c[0] for c in characters]),
+                   Matrix.diagonal([c[1] for c in characters]))
 
     def g(self, i: int) -> Matrix:
         if i == 1:
@@ -90,11 +82,16 @@ class TorusRep:
     def g_inv(self, i: int) -> Matrix:
         inv = self._inverses.get(i)
         if inv is None:
-            inv = invert(self.g(i))
+            inv = _diagonal_inverse(self.g(i)) or invert(self.g(i))
             if inv is None:
                 raise SingularError(f"g{i} is singular")
             self._inverses[i] = inv
         return inv
+
+    def is_invertible_diagonal(self) -> bool:
+        """Both generators diagonal with no zero on the diagonal: such a
+        pair commutes and is invertible, so it is valid."""
+        return all(_diagonal_inverse(self.g(i)) is not None for i in (1, 2))
 
     def __eq__(self, other):
         return (isinstance(other, TorusRep) and self.g1 == other.g1
@@ -109,6 +106,15 @@ class TorusRep:
         if pinv is None:
             raise ValueError("change of basis must be invertible")
         return TorusRep(pinv * self.g1 * p, pinv * self.g2 * p)
+
+
+def _diagonal_inverse(m: Matrix):
+    """m^{-1}, the reciprocal diagonal, when m is diagonal with no zero on
+    its diagonal, else None."""
+    diag = m.entries[::m.cols + 1]
+    if all(diag) and m == Matrix.diagonal(diag):
+        return Matrix.diagonal([1 / d for d in diag])
+    return None
 
 
 class ValidationReport:

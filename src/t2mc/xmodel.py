@@ -24,8 +24,8 @@ from .gca import AlgebraPresentation, char_add
 from .mcdg import (HomElement, MCObject, NonConstantCoefficientsError,
                    SALGEBRA, fm_dt_parts, realize_mc)
 from .qlinalg import Matrix, frac, frac_str, in_lattice
-from .t2forms import (Form2, build_local_system, constant_section, is_global_section,
-                      section_x, section_w)
+from .t2forms import (Form2, LocalSystemT2, constant_section,
+                      is_global_section, section_x, section_w)
 from .torus_rep import TorusRep, is_isomorphic
 
 INDEPENDENT = "independent"
@@ -397,15 +397,14 @@ def _apply_sections(model: ModelPresentation, images, element):
     return total, twist
 
 
-def verify_chain_map(values, variant: str, bound: int = 10) -> ChainMapReport:
+def verify_chain_map(ls: LocalSystemT2, variant: str) -> ChainMapReport:
     """Check that the generator table s_i -> dt_i, xb -> x', yb/zb/ub ->
-    constant sections, wb -> w' commutes with the differentials.
+    constant sections, wb -> w' into `ls` commutes with the differentials.
 
     Reports per-generator verdicts plus the global-section reports for the
     non-constant sections; the s1 variant fails exactly at xb.
     """
-    ls = build_local_system(*values, bound=bound)
-    pspec = ParameterSpec.specialized(*values)
+    pspec = ParameterSpec.specialized(*ls.params)
     model = build_total_model(pspec, variant=variant)
     images = _section_table(ls)
     section_reports = {
@@ -447,14 +446,13 @@ class CompareReport:
         self.monodromy = monodromy
 
 
-def compare_actions(values, i: int, variant: str) -> CompareReport:
-    """Compare the recovered degree-i action with the local-system monodromy
-    up to isomorphism; the conjugator (or the negative certificate) comes
-    from the exact intertwiner search."""
-    pspec = ParameterSpec.specialized(*values)
+def compare_actions(ls: LocalSystemT2, i: int, variant: str) -> CompareReport:
+    """Compare the degree-i action recovered from the model at `ls.params`
+    with the monodromy of `ls` up to isomorphism; the conjugator (or the
+    negative certificate) comes from the exact intertwiner search."""
+    pspec = ParameterSpec.specialized(*ls.params)
     model = build_total_model(pspec, variant=variant)
     recovered = recover_homotopy_action(model, i)
-    ls = build_local_system(*values)
     mono = ls.monodromy_of(i)
     result = is_isomorphic(recovered, mono)
     return CompareReport(variant, i, result.status, result.conjugator,

@@ -240,3 +240,11 @@ def test_parse_presentation_errors_name_the_line(text, message, bad_line):
     with pytest.raises(ParseError, match=message) as info:
         parse_presentation(text)
     assert repr(bad_line) in str(info.value)
+
+
+def test_element_truth_is_nonzero(fiber):
+    # forms drop zero coefficients by truthiness, Elements and Fractions alike
+    assert not fiber.zero() and fiber.unit() and fiber.generator("x")
+    assert not (fiber.generator("x") - fiber.generator("x"))
+    scalars = AlgebraPresentation(bound=0).finalize()
+    assert not scalars.zero() and scalars.unit()

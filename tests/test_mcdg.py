@@ -231,8 +231,7 @@ def _random_interval_form(rng):
         return Form1.zero(SCALAR_ALGEBRA)
     out = Form1.zero(SCALAR_ALGEBRA)
     for _ in range(rng.randint(1, 3)):
-        out = out + Form1.monomial(SCALAR_ALGEBRA,
-                                   SCALAR_ALGEBRA.scalar(rng.randint(-3, 3)),
+        out = out + Form1.monomial(SCALAR_ALGEBRA, rng.randint(-3, 3),
                                    e=rng.randint(0, 2), dt=rng.choice([0, 1]))
     return out
 
@@ -265,8 +264,8 @@ def _dense_restrict(x, i, j):
         if mask & cross_bit:
             continue
         par_e, cross_e = (e1, e2) if i == 1 else (e2, e1)
-        coeff = a.scale(value ** cross_e)
-        if coeff.is_zero():
+        coeff = a * value ** cross_e
+        if not coeff:
             continue
         key = (1 if mask else 0, par_e, 0)
         out[key] = coeff if key not in out else out[key] + coeff
@@ -995,6 +994,46 @@ def test_rep_to_mc_mixed_characters_supported_on_equal_pairs():
     assert is_isomorphic(v, realized).status == "isomorphic"
 
 
+def test_scalar_form_matrices_carry_fraction_coefficients():
+    j4 = rep([[int(j in (i, i + 1)) for j in range(4)] for i in range(4)])
+    res = rep_to_mc(j4, bound=4)
+    m = Matrix.from_rows([[1, Fraction(-2, 3)], [0, 5]])
+    matrices = (res.mc.eta, res.iso, HomElement.linear(m, m * m),
+                HomElement.linear(m, m, mcdg.T), HomElement.from_matrix(m))
+    coeffs = [c for h in matrices for row in h for f in row
+              for c in f.terms.values()]
+    assert len(coeffs) > 20
+    assert all(type(c) is Fraction for c in coeffs)
+
+
+def test_mc_check_skips_validating_an_invertible_diagonal_base(monkeypatch):
+    import t2mc.torus_rep as torus_rep
+
+    calls = []
+    real = torus_rep.validate
+    monkeypatch.setattr(torus_rep, "validate",
+                        lambda r: calls.append(r) or real(r))
+    eta = HomElement([[sq(0), sq(1, mask=1)], [sq(0), sq(0)]], 1)
+    assert mc_check(MCObject.semisimple([(2, 3), (2, 3)], eta)).ok
+    assert calls == []
+    # a base that is not diagonal is validated
+    assert mc_check(MCObject(mcdg.FORMS, jordan2_rep(2, 3),
+                             HomElement.zero(2, 2, 1))).ok
+    assert len(calls) == 1
+
+
+def test_mc_check_still_rejects_an_invalid_base():
+    from t2mc.torus_rep import NonCommutingError, SingularError
+
+    zero = HomElement.zero(2, 2, 1)
+    base = rep([[1, 1], [0, 1]], [[1, 0], [1, 1]])
+    with pytest.raises(NonCommutingError):
+        mc_check(MCObject(mcdg.FORMS, base, zero))
+    singular = TorusRep(Matrix.diagonal([2, 0]), Matrix.identity(2))
+    with pytest.raises(SingularError):
+        mc_check(MCObject(mcdg.FORMS, singular, zero))
+
+
 def test_rep_to_mc_unipotent_j5_elimination_counts(monkeypatch):
     """Regression bounds on the exact eliminations behind rep_to_mc on the
     unipotent J5 at bound 4; the generator inverses are computed once per
@@ -1035,11 +1074,9 @@ def _image_by_products(src, dst, p, q, key, eq=True):
     def flatten(tag, mat):
         for r, row in enumerate(mat):
             for s, form in enumerate(row):
-                for fkey, coeff in form.terms.items():
-                    c = coeff.coeffs.get((), Fraction(0))
-                    if c:
-                        k = (tag, r, s, fkey if tag == "eq" else fkey[:2])
-                        img[k] = img.get(k, Fraction(0)) + c
+                for fkey, c in form.terms.items():
+                    k = (tag, r, s, fkey if tag == "eq" else fkey[:2])
+                    img[k] = img.get(k, Fraction(0)) + c
 
     mask, e1, e2 = key
     unit = fm_zero(dst.dim, src.dim)
@@ -1166,9 +1203,9 @@ def test_rep_to_mc_unipotent_j5_builds_no_unit_products(monkeypatch):
 def _flat(tag, mat):
     """The nonzero scalar coefficients of a form matrix under `tag`; face
     coordinates carry the edge key (dt, e) of an interval form."""
-    return {(tag, r, s, key if tag == "eq" else key[:2]): coeff.coeffs[()]
+    return {(tag, r, s, key if tag == "eq" else key[:2]): c
             for r, row in enumerate(mat) for s, form in enumerate(row)
-            for key, coeff in form.terms.items()}
+            for key, c in form.terms.items()}
 
 
 def _random_hom(rng, rows, cols, zero_forms):

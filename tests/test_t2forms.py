@@ -176,7 +176,7 @@ def test_interval_product_and_differential_match_the_oracle(fiber):
         assert _edge_terms(f * c) == _oracle_mul(ft, {(0, 0): c})
         assert _edge_terms(c * f) == _oracle_mul({(0, 0): c}, ft)
         r = rng.choice((2, Fraction(-1, 3)))
-        assert _edge_terms(f * r) == _oracle_mul(ft, {(0, 0): fiber.scalar(r)})
+        assert _edge_terms(f * r) == _oracle_mul(ft, {(0, 0): fiber.coerce(r)})
         seen.update((key[0], key2[0]) for key in f.terms for key2 in g.terms)
         odd = any(fiber.mono_degree(m) % 2 for a in f.terms.values()
                   for m in a.coeffs)
@@ -201,14 +201,33 @@ def test_interval_degrees_count_dt(fiber):
     assert Form1.monomial(fiber, u, e=2).degrees() == {5}
 
 
+def test_scalar_forms_carry_fractions_and_print_pinned():
+    for f in (sq(Fraction(3, 2), e1=1), sq(-1, mask=3),
+              sq(2, e2=1, mask=1) * sq(1, e1=1, mask=2),
+              sq(1, e1=2).d() + sq(Fraction(-1, 3)),
+              sq(5, e1=1, e2=1).restrict_edge(2, 0)):
+        assert all(type(c) is Fraction for c in f.terms.values())
+    assert repr(sq(Fraction(3, 2), e1=1)) == "t1(3/2)"
+    assert repr(sq(-1, mask=3)) == "dt1dt2(-1)"
+    assert repr(sq(2, e2=1, mask=1) * sq(1, e1=1, mask=2)) == "t1t2dt1dt2(2)"
+    assert repr(sq(1, e1=2).d() + sq(Fraction(-1, 3))) == "(-1/3) + t1dt1(2)"
+    assert repr(sq(5, e1=1, e2=1).restrict_edge(2, 0)) == "t(5)"
+    assert repr(Form1.monomial(SCALAR_ALGEBRA, Fraction(-2, 5), e=2, dt=1)) \
+        == "t^2dt(-2/5)"
+    assert repr(sq(0)) == "0" and sq(0).is_zero()
+    assert sq(1, mask=1).degree() == 1 and sq(1, e1=3).degree() == 0
+    assert sq(1, e1=2).restrict_edge(1, 0).at_endpoint(Fraction(1, 2)) \
+        == Fraction(1, 4)
+
+
 def test_restrict_edge_pinned():
     assert sq(1, mask=2).restrict_edge(1, 0).is_zero()
     # t1 dt1 along edge 1 keeps its parameter: t dt
     assert sq(1, e1=1, mask=1).restrict_edge(1, 0) == Form1.monomial(
-        SCALAR_ALGEBRA, SCALAR_ALGEBRA.scalar(1), e=1, dt=1)
+        SCALAR_ALGEBRA, 1, e=1, dt=1)
     # t2 dt1 at t2 = 1 becomes dt; at t2 = 0 it dies
     assert sq(1, e2=1, mask=1).restrict_edge(1, 0) == Form1.monomial(
-        SCALAR_ALGEBRA, SCALAR_ALGEBRA.scalar(1), dt=1)
+        SCALAR_ALGEBRA, 1, dt=1)
     assert sq(1, e2=1, mask=1).restrict_edge(1, 1).is_zero()
 
 

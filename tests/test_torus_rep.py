@@ -183,7 +183,8 @@ def test_g_inv_is_computed_once(monkeypatch):
     assert v.g_inv(1) is first
     assert v.g_inv(2) == invert(v.g2)
     assert v.g_inv(2) is v.g_inv(2)
-    assert calls == [v.g1, v.g2]
+    # g2 = 3·id is diagonal: its inverse is the reciprocal diagonal
+    assert calls == [v.g1]
 
 
 def test_g_inv_singular_raises_on_every_call(monkeypatch):
@@ -200,6 +201,27 @@ def test_g_inv_singular_raises_on_every_call(monkeypatch):
             singular.g_inv(1)
     assert len(calls) == 3
     assert singular.g_inv(2) == Matrix.identity(2)
+
+
+def test_constructor_built_diagonal_rep_inverts_without_elimination(
+        monkeypatch):
+    calls = []
+    monkeypatch.setattr(torus_rep, "invert",
+                        lambda m: calls.append(m) or invert(m))
+    d = TorusRep(Matrix.from_rows([[2, 0], [0, Fraction(-1, 3)]]),
+                 Matrix.from_rows([[5, 0], [0, 1]]))
+    assert d.g_inv(1) == Matrix.diagonal([Fraction(1, 2), -3])
+    assert d.g_inv(2) == Matrix.diagonal([Fraction(1, 5), 1])
+    assert TorusRep(Matrix.zero(0, 0), Matrix.zero(0, 0)).g_inv(1) \
+        == Matrix.zero(0, 0)
+    assert calls == []
+    assert d.is_invertible_diagonal()
+    # a zero on the diagonal still ends in SingularError
+    singular = TorusRep(Matrix.diagonal([3, 0]), Matrix.identity(2))
+    assert not singular.is_invertible_diagonal()
+    with pytest.raises(SingularError):
+        singular.g_inv(1)
+    assert not rep([[1, 1], [0, 1]]).is_invertible_diagonal()
 
 
 def test_diagonal_rep_inverses_need_no_elimination(monkeypatch):

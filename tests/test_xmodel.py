@@ -7,7 +7,7 @@ from t2mc.cochain import TwistedComplex
 from t2mc.mcdg import (HomElement, MCObject, NonConstantCoefficientsError,
                        SALGEBRA, mc_to_s, rep_to_mc)
 from t2mc.qlinalg import Matrix, in_lattice
-from t2mc.t2forms import sq
+from t2mc.t2forms import build_local_system, sq
 from t2mc.torus_rep import TorusRep, cellular_complex
 from t2mc.xmodel import (GENERIC, INDEPENDENT, MCInconsistentError,
                          ParameterSpec, build_total_model, build_torus_model, compare_actions,
@@ -228,14 +228,14 @@ def test_recover_homotopy_action_degrees_five_and_six():
 
 
 def test_verify_chain_map_variant_s2_all_pass():
-    report = verify_chain_map(VALUES, "s2")
+    report = verify_chain_map(build_local_system(*VALUES), "s2")
     assert report.ok
     assert report.failing_generators() == []
     assert all(r.ok for r in report.section_reports.values())
 
 
 def test_verify_chain_map_variant_s1_fails_exactly_at_xb():
-    report = verify_chain_map(VALUES, "s1")
+    report = verify_chain_map(build_local_system(*VALUES), "s1")
     assert report.failing_generators() == ["xb"]
     xb = next(v for v in report.verdicts if v.name == "xb")
     assert xb.lhs == "dt1(z)"
@@ -247,27 +247,28 @@ def test_verify_chain_map_variant_s1_fails_exactly_at_xb():
 def test_verify_chain_map_w_identity_is_checked():
     # F(d(wb)) = d(w') holds under both variants (it does not involve xb's d)
     for variant in ("s1", "s2"):
-        report = verify_chain_map(VALUES, variant)
+        report = verify_chain_map(build_local_system(*VALUES), variant)
         wb = next(v for v in report.verdicts if v.name == "wb")
         assert wb.ok
 
 
 def test_verify_chain_map_generic_rational_parameters():
-    report = verify_chain_map((Fraction(1, 2), 3, -2, Fraction(5, 3)), "s2")
+    ls = build_local_system(Fraction(1, 2), 3, -2, Fraction(5, 3))
+    report = verify_chain_map(ls, "s2")
     assert report.ok
 
 
 def test_compare_actions_pinned():
-    s2 = compare_actions(VALUES, 3, "s2")
+    s2 = compare_actions(build_local_system(*VALUES), 3, "s2")
     assert s2.status == "isomorphic"
     assert s2.conjugator == Matrix.diagonal([-1, 1, 1])
-    s1 = compare_actions(VALUES, 3, "s1")
+    s1 = compare_actions(build_local_system(*VALUES), 3, "s1")
     assert s1.status == "not_isomorphic"
     assert s1.conjugator is None
 
 
 def test_compare_actions_degree_five():
-    report = compare_actions(VALUES, 5, "s2")
+    report = compare_actions(build_local_system(*VALUES), 5, "s2")
     assert report.status == "isomorphic"
     assert report.conjugator == Matrix.identity(1)
 
