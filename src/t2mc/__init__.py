@@ -12,7 +12,7 @@ from .mcdg import (HomElement, MCObject, build_extension, extension_class,
                    extension_iso, mc_check, mc_to_s, realize_mc, realize_rep,
                    rep_extension, rep_to_mc, twisted_d)
 from .qlinalg import (Matrix, frac, frac_str, invert, rank, rank_kernel,
-                      smith_normal_form, solve)
+                      solve)
 from .t2forms import (Form1, Form2, LocalSystemT2, SectionCandidate,
                       build_local_system, constant_section, is_global_section,
                       section_w, section_x)

@@ -689,8 +689,8 @@ def extension_iso(e1: ExtensionData, e2: ExtensionData,
     difference of the two extension classes (`extension_class`, with its
     cocycle check), over chains of polynomial degree <= bound (the bound is
     retried once, two degrees higher, before reporting failure with a
-    class-difference certificate).  The map is unitriangular, so its
-    determinant is 1 and it needs no invertibility check.
+    class-difference certificate).  The map is unitriangular, so
+    2·id - map is its inverse: [[id, C], [0, id]]·[[id, -C], [0, id]] = id.
     """
     if not (_objects_equal(e1.top, e2.top)
             and _objects_equal(e1.bottom, e2.bottom)):
@@ -716,88 +716,6 @@ def extension_iso(e1: ExtensionData, e2: ExtensionData,
     _require("candidate isomorphism",
              _defects(result, e1.total, e2.total, cocycle=True), section=False)
     return ExtensionIsoResult(result, gamma)
-
-
-def fm_constant_part_invertible(a):
-    """The 0-form part must be a polynomial matrix with constant nonzero
-    determinant for the form matrix to be invertible; returns the constant
-    determinant or None."""
-    if any(len(row) != len(a) for row in a):
-        return None
-    poly = [[{(e1, e2): c for (mask, e1, e2), c in form.terms.items()
-              if mask == 0} for form in row] for row in a]
-    d = _poly_det(poly)
-    if set(d) == {(0, 0)}:
-        return d[(0, 0)]
-    return None
-
-
-# Polynomials in Q[t1, t2] as {(e1, e2): nonzero Fraction}.
-
-def _poly_mul(f, g):
-    out = {}
-    for (a1, b1), c1 in f.items():
-        for (a2, b2), c2 in g.items():
-            k = (a1 + a2, b1 + b2)
-            out[k] = out.get(k, _ZERO) + c1 * c2
-    return {k: v for k, v in out.items() if v}
-
-
-def _poly_sub(f, g):
-    out = dict(f)
-    for k, v in g.items():
-        x = out.get(k, _ZERO) - v
-        if x:
-            out[k] = x
-        else:
-            del out[k]
-    return out
-
-
-def _lead(f):
-    """The leading monomial of f in graded lexicographic order."""
-    return max(f, key=lambda m: (m[0] + m[1], m))
-
-
-def _poly_div(f, g):
-    """The quotient f / g, for a nonzero g that divides f exactly: each step
-    cancels the leading term of the remainder, which the leading term of g
-    divides because the order is a monomial order."""
-    lg = _lead(g)
-    q = {}
-    while f:
-        lf = _lead(f)
-        m = (lf[0] - lg[0], lf[1] - lg[1])
-        if m[0] < 0 or m[1] < 0:
-            raise ArithmeticError("polynomial division is not exact")
-        q[m] = f[lf] / g[lg]
-        f = _poly_sub(f, _poly_mul({m: q[m]}, g))
-    return q
-
-
-def _poly_det(mat):
-    """Determinant of a square matrix over Q[t1, t2] by fraction-free
-    (Bareiss 1968) elimination: step k replaces each trailing entry a_ij by
-    (a_kk·a_ij - a_ik·a_kj) / a_{k-1,k-1}, a division that is exact in the
-    integral domain Q[t1, t2]; the last pivot, signed by the row swaps, is
-    the determinant."""
-    a = [list(row) for row in mat]
-    n = len(a)
-    sign, prev = 1, {(0, 0): Fraction(1)}
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k]), None)
-        if p is None:
-            return {}
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = _poly_div(_poly_sub(_poly_mul(a[k][k], a[i][j]),
-                                              _poly_mul(a[i][k], a[k][j])),
-                                    prev)
-        prev = a[k][k]
-    return prev if sign > 0 else {m: -c for m, c in prev.items()}
 
 
 # -- realization ---------------------------------------------------------------

@@ -14,9 +14,9 @@ fraction-free, with a column -> rows index.  Its output is the unique reduced
 row echelon form, so identical inputs always produce identical outputs.
 `Matrix.rref`, `rank_kernel`, `invert` and `solve` all reduce through it;
 `solve` also takes a `SparseMatrix`, one dict per row, so a system assembled
-sparsely is never made dense.  Over Z there is no second matrix type: the
-Smith normal form, integer solutions and lattice membership take an
-integer-valued `Matrix` and compute on int lists.
+sparsely is never made dense.  Over Z there is no matrix type at all:
+lattice membership is integer echelon reduction (Euclid within each column)
+on int lists.
 """
 
 from __future__ import annotations
@@ -466,131 +466,45 @@ def det(m: Matrix) -> Fraction:
     return Fraction(sign * last, scale)
 
 
-def _snf_pivot(rows, s, n, m):
-    # smallest |nonzero| in the trailing block, row-major tie-break
-    best = None
-    for i in range(s, n):
-        for j in range(s, m):
-            v = rows[i][j]
-            if v != 0 and (best is None or abs(v) < abs(best[2])):
-                best = (i, j, v)
-    return best
-
-
-def _smith(mat: Matrix):
-    """Smith normal form of an integer-valued matrix on int lists:
-    (d, u, v) as in `smith_normal_form`, with u and v lists of int rows."""
-    if any(e.denominator != 1 for e in mat.entries):
-        raise ValueError("Smith normal form needs an integer matrix")
-    n, m = mat.rows, mat.cols
-    rows = [[e.numerator for e in mat.row(i)] for i in range(n)]
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    v = [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def row_op(i, k, q):  # row_i -= q * row_k
-        rows[i] = [a - q * b for a, b in zip(rows[i], rows[k])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[k])]
-
-    def col_op(j, k, q):  # col_j -= q * col_k
-        for r in rows:
-            r[j] -= q * r[k]
-        for r in v:
-            r[j] -= q * r[k]
-
-    def row_swap(i, k):
-        rows[i], rows[k] = rows[k], rows[i]
-        u[i], u[k] = u[k], u[i]
-
-    def col_swap(j, k):
-        for r in rows:
-            r[j], r[k] = r[k], r[j]
-        for r in v:
-            r[j], r[k] = r[k], r[j]
-
-    size = min(n, m)
-    for s in range(size):
-        while True:
-            p = _snf_pivot(rows, s, n, m)
-            if p is None:
-                break
-            pi, pj, _ = p
-            if pi != s:
-                row_swap(s, pi)
-            if pj != s:
-                col_swap(s, pj)
-            done = True
-            for i in range(s + 1, n):
-                if rows[i][s] != 0:
-                    row_op(i, s, rows[i][s] // rows[s][s])
-                    done = done and rows[i][s] == 0
-            for j in range(s + 1, m):
-                if rows[s][j] != 0:
-                    col_op(j, s, rows[s][j] // rows[s][s])
-                    done = done and rows[s][j] == 0
-            if not done:
-                continue
-            # make the pivot divide the whole trailing block
-            offender = None
-            for i in range(s + 1, n):
-                for j in range(s + 1, m):
-                    if rows[i][j] % rows[s][s] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_op(s, offender, -1)  # fold the offending row into the pivot row
-        if rows[s][s] < 0:
-            rows[s] = [-a for a in rows[s]]
-            u[s] = [-a for a in u[s]]
-    return tuple(rows[i][i] for i in range(size)), u, v
-
-
-def smith_normal_form(mat: Matrix):
-    """Smith normal form of an integer-valued matrix: returns (d, u, v)
-    with u·mat·v diagonal; raises ValueError on a non-integer entry.
-
-    d is the full diagonal (length min(rows, cols)) of ints, non-negative,
-    with d1 | d2 | ...; u and v are unimodular.
-    """
-    d, u, v = _smith(mat)
-    return (d, Matrix(mat.rows, mat.rows, [x for row in u for x in row]),
-            Matrix(mat.cols, mat.cols, [x for row in v for x in row]))
-
-
-def solve_integer(a: Matrix, b):
-    """One integer solution x of a·x = b, as a tuple of ints, or None if
-    none exists; a must be integer-valued."""
-    b = [int(x) for x in b]
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length mismatch")
-    d, u, v = _smith(a)
-    ub = [sum(u[i][k] * b[k] for k in range(a.rows)) for i in range(a.rows)]
-    y = [0] * a.cols
-    for i in range(a.rows):
-        di = d[i] if i < len(d) else 0
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % di != 0:
-                return None
-            if i < a.cols:
-                y[i] = ub[i] // di
-    return tuple(sum(v[i][k] * y[k] for k in range(a.cols))
-                 for i in range(a.cols))
+def _integer_vector(vec):
+    """The entries of vec as ints; a ValueError names a non-integer one."""
+    out = []
+    for x in vec:
+        if type(x) is not int:
+            q = frac(x)
+            if q.denominator != 1:
+                raise ValueError(f"lattice entry {x} is not an integer")
+            x = q.numerator
+        out.append(x)
+    return out
 
 
 def in_lattice(basis, target) -> bool:
-    """Is `target` an integer combination of the given integer vectors?"""
-    basis = [tuple(int(x) for x in b) for b in basis]
-    target = tuple(int(x) for x in target)
-    if not basis:
-        return all(x == 0 for x in target)
-    n = len(target)
-    if any(len(b) != n for b in basis):
+    """Is `target` an integer combination of the given integer vectors?
+
+    Integer echelon reduction, one column at a time: Euclid among the rows
+    with a nonzero entry in the column leaves one pivot row, whose entry
+    must divide the target's and then clears it.  A nonzero target entry
+    in a column with no pivot puts the target outside the lattice.
+    """
+    target = _integer_vector(target)
+    rows = [_integer_vector(b) for b in basis]
+    if any(len(r) != len(target) for r in rows):
         raise ValueError("length mismatch")
-    cols = Matrix(n, len(basis),
-                  [basis[j][i] for i in range(n) for j in range(len(basis))])
-    return solve_integer(cols, target) is not None
+    for j in range(len(target)):
+        pivot, rest = None, []
+        for r in rows:
+            while pivot is not None and r[j]:
+                q = pivot[j] // r[j]
+                pivot, r = r, [a - q * b for a, b in zip(pivot, r)]
+            if r[j]:
+                pivot = r
+            else:
+                rest.append(r)
+        if target[j]:
+            if pivot is None or target[j] % pivot[j]:
+                return False
+            q = target[j] // pivot[j]
+            target = [a - q * b for a, b in zip(target, pivot)]
+        rows = rest
+    return True

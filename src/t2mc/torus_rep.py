@@ -24,8 +24,8 @@ from operator import mul
 
 from .cochain import TwistedComplex
 from .errors import DomainError, ParseError
-from .qlinalg import (Matrix, det, frac, frac_str, invert, rank, rank_kernel,
-                      solve)
+from .qlinalg import (Matrix, _integer_row, det, frac, frac_str, invert,
+                      rank, rank_kernel, solve)
 
 
 class NonCommutingError(DomainError):
@@ -223,20 +223,13 @@ class SemiSimpleData:
 
 
 def _primitive(vec):
-    vec = [frac(v) for v in vec]
-    denl = lcm(*[v.denominator for v in vec]) if vec else 1
-    ints = [int(v * denl) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return [Fraction(v) for v in ints]
+    """The primitive integer multiple of vec whose first nonzero entry is
+    positive."""
+    _, ints = _integer_row([frac(v) for v in vec])
+    g = gcd(*ints) or 1
+    if next((v for v in ints if v), 0) < 0:
+        g = -g
+    return [Fraction(v // g) for v in ints]
 
 
 def _common_eigenvector(a1: Matrix, a2: Matrix):

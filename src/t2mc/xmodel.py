@@ -10,8 +10,7 @@ the local-system differentials; the module exposes both and
 
 Invariance is decided exactly: with specialized rational parameter values by
 evaluating characters, in generic mode by integer lattice membership of the
-exponent vectors (via the Smith normal form), so "generic" can never be
-accidentally resonant.
+exponent vectors, so "generic" can never be accidentally resonant.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .errors import DomainError
 from .gca import AlgebraPresentation, char_add
 from .mcdg import (HomElement, MCObject, NonConstantCoefficientsError,
                    SALGEBRA, fm_dt_parts, realize_mc)
-from .qlinalg import Matrix, frac, frac_str, in_lattice
+from .qlinalg import Matrix, _integer_vector, frac, frac_str, in_lattice
 from .t2forms import (Form2, LocalSystemT2, constant_section,
                       is_global_section, section_x, section_w)
 from .torus_rep import TorusRep, is_isomorphic
@@ -47,7 +46,10 @@ class ParameterSpec:
             self.values = tuple(frac(v) for v in values)
             if len(self.values) != 4 or any(v == 0 for v in self.values):
                 raise DomainError("need four nonzero values a1, b1, a2, b2")
-        self.relations = [tuple(int(x) for x in r) for r in relations]
+        try:
+            self.relations = [tuple(_integer_vector(r)) for r in relations]
+        except (TypeError, ValueError) as exc:
+            raise DomainError("relations are integer 4-vectors") from exc
         if any(len(r) != 4 for r in self.relations):
             raise DomainError("relations are integer 4-vectors")
 

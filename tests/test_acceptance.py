@@ -10,8 +10,7 @@ from fractions import Fraction
 
 from t2mc.cli import build_verification_report
 from t2mc.mcdg import (HomElement, MCObject, build_extension,
-                       fm_dt_parts, fm_constant_part_invertible,
-                       extension_iso, mc_to_s, realize_mc,
+                       fm_dt_parts, extension_iso, mc_to_s, realize_mc,
                        rep_extension, rep_to_mc, twisted_d)
 from t2mc.qlinalg import Matrix, frac
 from t2mc.t2forms import (Form1, build_local_system, constant_section, is_global_section,
@@ -133,7 +132,8 @@ def test_criterion_1_example_reproduction():
     ok = ok and iso.map.entries[0][1] == sq(e / c, e1=1)
     ok = ok and iso.map.entries[0][0] == sq(1)
     ok = ok and twisted_d(iso.map, ext1.total, ext2.total).is_zero()
-    ok = ok and fm_constant_part_invertible(iso.map.entries) is not None
+    eye = HomElement.from_matrix(Matrix.identity(2))
+    ok = ok and iso.map * (eye + eye - iso.map) == eye
     elapsed = time.monotonic() - start
     _criterion(1, f"normal forms and extension isomorphism exact "
                   f"({elapsed:.2f}s < 1s)", ok and elapsed < 1.0)

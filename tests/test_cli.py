@@ -146,6 +146,25 @@ def test_verify_computes_each_normal_form_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 14
 
 
+def test_iso_section_rejects_a_map_that_is_not_invertible(monkeypatch):
+    import t2mc.cli as cli
+    from t2mc.mcdg import ExtensionIsoResult, HomElement
+    from t2mc.t2forms import sq
+
+    real = cli.extension_iso
+
+    def singular(e1, e2):
+        iso = real(e1, e2)
+        rows = [list(row) for row in iso.map]
+        rows[1][1] = sq(0)
+        return ExtensionIsoResult(HomElement(rows, 0), iso.gamma)
+
+    assert cli._iso_section()["invertible"] is True
+    monkeypatch.setattr(cli, "extension_iso", singular)
+    section = cli._iso_section()
+    assert section["invertible"] is False and section["pass"] is False
+
+
 def test_t2_cohomology_disagreement_exits_4(tmp_path, capsys, monkeypatch):
     import t2mc.cli as cli
     monkeypatch.setattr(cli, "_model_betti", lambda rep, bound: (9, 9, 9))

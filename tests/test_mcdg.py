@@ -344,7 +344,7 @@ def test_hom_element_algebra_matches_the_oracle():
 
 def test_mcdg_has_one_form_matrix_type():
     assert {name for name in vars(mcdg) if name.startswith("fm_")} == {
-        "fm_dt_parts", "fm_constant_part_invertible"}
+        "fm_dt_parts"}
 
 
 # -- MC checks -----------------------------------------------------------------
@@ -1486,126 +1486,3 @@ def test_straightening_failure_names_bound_shape_and_stage():
     exc = info.value
     assert exc.stage is None and exc.bound == 0
     assert f"{exc.shape[0]} x 2" in str(exc)
-
-
-# -- the polynomial determinant --------------------------------------------------
-
-def _laplace_det(mat):
-    """Laplace expansion along the first row over Q[t1, t2], polynomials as
-    {(e1, e2): Fraction}: the O(n!) `poly_det` that
-    `fm_constant_part_invertible` used before Bareiss elimination, kept as
-    the oracle."""
-    def poly_mul(f, g):
-        out = {}
-        for (a1, b1), c1 in f.items():
-            for (a2, b2), c2 in g.items():
-                k = (a1 + a2, b1 + b2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return {k: v for k, v in out.items() if v != 0}
-
-    n = len(mat)
-    if n == 0:
-        return {(0, 0): Fraction(1)}
-    out = {}
-    for j in range(n):
-        entry = mat[0][j]
-        if not entry:
-            continue
-        minor = [[mat[i][jj] for jj in range(n) if jj != j]
-                 for i in range(1, n)]
-        for k, v in poly_mul(entry, _laplace_det(minor)).items():
-            out[k] = out.get(k, Fraction(0)) + (v if j % 2 == 0 else -v)
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _random_poly(rng, terms, degree):
-    out = {}
-    for _ in range(terms):
-        e1 = rng.randint(0, degree)
-        e2 = rng.randint(0, degree - e1)
-        c = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
-        out[(e1, e2)] = out.get((e1, e2), Fraction(0)) + c
-    return {k: v for k, v in out.items() if v}
-
-
-def _poly_matmul(a, b):
-    n = len(a)
-    out = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = {}
-            for k in range(n):
-                for (p1, q1), c1 in a[i][k].items():
-                    for (p2, q2), c2 in b[k][j].items():
-                        key = (p1 + p2, q1 + q2)
-                        acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-            out[i][j] = {m: c for m, c in acc.items() if c}
-    return out
-
-
-def _poly_det_cases():
-    """Seeded polynomial matrices, n = 0..6: unimodular ones P·L·U (a row
-    permutation, unit lower and upper triangular factors with polynomial
-    entries, a constant diagonal), random ones at 30-100 % density, and
-    singular ones with a repeated row or a zero column."""
-    rng = random.Random(67)
-    cases = []
-    for n in range(7):
-        for _ in range(2):
-            lower = [[{(0, 0): Fraction(1)} if i == j else
-                      (_random_poly(rng, 2, 1) if j < i and rng.random() < 0.5
-                       else {}) for j in range(n)] for i in range(n)]
-            upper = [[{(0, 0): Fraction(rng.choice((1, -2, 3)), 2)} if i == j
-                      else (_random_poly(rng, 2, 1)
-                            if j > i and rng.random() < 0.5 else {})
-                      for j in range(n)] for i in range(n)]
-            m = _poly_matmul(lower, upper)
-            rng.shuffle(m)
-            cases.append(m)
-        for density in (0.3, 0.6, 1.0):
-            cases.append([[_random_poly(rng, 2, 2)
-                           if rng.random() < density else {}
-                           for _ in range(n)] for _ in range(n)])
-        if n >= 2:
-            m = [[_random_poly(rng, 2, 1) for _ in range(n)]
-                 for _ in range(n)]
-            m[-1] = list(m[0])
-            cases.append(m)
-            m = [[_random_poly(rng, 2, 1) for _ in range(n)]
-                 for _ in range(n)]
-            for row in m:
-                row[rng.randrange(n)] = {}
-            cases.append(m)
-    return cases
-
-
-def _forms(poly_matrix, rng):
-    """The polynomial matrix as square forms, some entries with dt terms
-    added (the determinant reads the 0-form part only)."""
-    out = []
-    for row in poly_matrix:
-        forms = []
-        for poly in row:
-            f = Form2.zero(SCALAR_ALGEBRA)
-            for (e1, e2), c in poly.items():
-                f = f + sq(c, e1, e2)
-            if rng.random() < 0.3:
-                f = f + sq(rng.randint(1, 3), 0, 1, mask=rng.choice((1, 2)))
-            forms.append(f)
-        out.append(forms)
-    return out
-
-
-def test_poly_det_matches_laplace_expansion():
-    rng = random.Random(71)
-    kinds = set()
-    for m in _poly_det_cases():
-        d = _laplace_det(m)
-        assert mcdg._poly_det(m) == d
-        constant = d[(0, 0)] if set(d) == {(0, 0)} else None
-        assert mcdg.fm_constant_part_invertible(_forms(m, rng)) == constant
-        kinds.add("zero" if not d else "unit" if constant is not None
-                  else "polynomial")
-        if len(m) == 6:
-            kinds.add("n6 " + ("unit" if constant is not None else "other"))
-    assert kinds == {"zero", "unit", "polynomial", "n6 unit", "n6 other"}

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from t2mc.cochain import TwistedComplex
+from t2mc.errors import DomainError
 from t2mc.mcdg import (HomElement, MCObject, NonConstantCoefficientsError,
                        SALGEBRA, mc_to_s, rep_to_mc)
 from t2mc.qlinalg import Matrix, in_lattice
@@ -206,6 +207,15 @@ def test_specialized_trivial_chars_match_the_relation_lattice():
         for _ in range(40):
             vec = tuple(rng.randint(-3, 3) for _ in range(4))
             assert pspec.is_trivial_char(vec) == in_lattice(lattice, vec)
+
+
+def test_relations_reject_non_integer_entries():
+    for relations in ([(Fraction(1, 2), 1, 0, 0)], [(1, 0, 0)],
+                      [("x", 0, 0, 0)]):
+        with pytest.raises(DomainError, match="integer 4-vectors"):
+            ParameterSpec.generic(relations)
+    assert ParameterSpec.generic([(Fraction(2), "1", 0, 0)]).relations == [
+        (2, 1, 0, 0)]
 
 
 def test_recover_homotopy_action_degree_three():
