@@ -7,7 +7,7 @@ equivariant models of the torus and of the total space built over it.
 """
 
 from .cochain import TwistedComplex
-from .gca import AlgebraPresentation, Element, parse_presentation
+from .gca import AlgebraPresentation, Element
 from .mcdg import (HomElement, MCObject, build_extension, extension_class,
                    extension_iso, mc_check, mc_to_s, realize_mc, realize_rep,
                    rep_extension, rep_to_mc, twisted_d)

@@ -232,10 +232,9 @@ def _iso_section():
     }
 
 
-def _integrity_section(chain_reports):
+def _integrity_section(chain_reports, m_s2):
     fiber_ok = not build_fiber_algebra().check_d_square(8)
     n_ok = not build_torus_model().pres.check_d_square(8)
-    m_s2 = build_total_model(ParameterSpec.generic(), "s2")
     m_s1 = build_total_model(ParameterSpec.generic(), "s1")
     s2_ok = not m_s2.pres.check_d_square(8)
     s1_fail = m_s1.pres.check_d_square(8)
@@ -284,9 +283,9 @@ def _chain_map_section(chain_reports):
     return out
 
 
-def _actions_section(ls, variants=("s1", "s2")):
-    compared = {v: compare_actions(ls, 3, v) for v in variants}
-    mono3 = compared[variants[0]].monodromy
+def _actions_section(ls, models):
+    compared = {v: compare_actions(ls, 3, m) for v, m in models.items()}
+    mono3 = next(iter(compared.values())).monodromy
     out = {"monodromy_deg3": {"g1": matrix_json(mono3.g1),
                               "g2": matrix_json(mono3.g2)}}
     for variant, cmp_ in compared.items():
@@ -297,13 +296,11 @@ def _actions_section(ls, variants=("s1", "s2")):
             "conjugator": (matrix_json(cmp_.conjugator)
                            if cmp_.conjugator is not None else None),
         }
-    rec5 = recover_homotopy_action(
-        build_total_model(ParameterSpec.specialized(*ls.params),
-                          variants[-1]), 5)
+    rec5 = recover_homotopy_action(list(models.values())[-1], 5)
     out["deg5_characters"] = [frac_str(rec5.g1[(0, 0)]),
                               frac_str(rec5.g2[(0, 0)])]
     expectations = {"s1": "not_isomorphic", "s2": "isomorphic"}
-    out["pass"] = all(out[v]["status"] == expectations[v] for v in variants)
+    out["pass"] = all(out[v]["status"] == expectations[v] for v in models)
     return out
 
 
@@ -350,8 +347,7 @@ def _nilpotent_section(gen):
     }
 
 
-def _x_complex_section(one_gen_mc, two_gen_mc):
-    model = build_total_model(ParameterSpec.generic(), "s2")
+def _x_complex_section(one_gen_mc, two_gen_mc, model):
     rows = []
     for (c, e, f, h) in ONE_GEN_TUPLES:
         mc = mc_to_s(one_gen_mc[(c, e, f, h)])
@@ -401,17 +397,22 @@ def build_verification_report(values, variants=("s1", "s2"),
     one_gen_mc = {t: rep_to_mc(_jordan3_rep(*t)).mc for t in ONE_GEN_TUPLES}
     two_gen_mc = {t: rep_to_mc(_two_gen_rep(*t)).mc for t in TWO_GEN_TUPLES}
     ls = build_local_system(*values)
-    chain_reports = {v: verify_chain_map(ls, v) for v in variants}
+    # each total model is built once, for every section that reads it
+    models = {v: build_total_model(ParameterSpec.specialized(*ls.params), v)
+              for v in variants}
+    generic_s2 = build_total_model(ParameterSpec.generic(), "s2")
+    chain_reports = {v: verify_chain_map(ls, m) for v, m in models.items()}
     generic = nilpotent_model(ParameterSpec.generic())
     sections = {
         "mc_normal_forms": _normal_form_section(one_gen_mc, two_gen_mc),
         "extension_isomorphism": _iso_section(),
-        "model_integrity": _integrity_section(chain_reports),
+        "model_integrity": _integrity_section(chain_reports, generic_s2),
         "chain_map": _chain_map_section(chain_reports),
-        "action_comparison": _actions_section(ls, variants),
+        "action_comparison": _actions_section(ls, models),
         "betti_oracle": _oracle_section(one_gen_mc),
         "nilpotent_models": _nilpotent_section(generic),
-        "x_complexes": _x_complex_section(one_gen_mc, two_gen_mc),
+        "x_complexes": _x_complex_section(one_gen_mc, two_gen_mc,
+                                          generic_s2),
     }
     if relations:
         sections["declared_relations"] = _relations_section(relations,

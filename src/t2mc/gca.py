@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError
 from .qlinalg import Matrix, frac, frac_str
 
 # character exponent vectors: (exp a1, exp b1, exp a2, exp b2)
@@ -382,52 +381,3 @@ class AlgebraPresentation:
 # the coefficient "algebra" of plain scalar-valued forms
 SCALAR_ALGEBRA = AlgebraPresentation(bound=0)
 SCALAR_ALGEBRA.finalize()
-
-
-def parse_presentation(text: str, bound: int = 10,
-                       strict_d2: bool = True) -> AlgebraPresentation:
-    """Parse the one-generator-per-line presentation format.
-
-    Each non-comment line reads `name degree (k,l,m,n) expression`, where the
-    expression gives the differential in terms of any declared generator
-    (`0` for a cocycle).  Differentials are assigned after all generators are
-    declared, so forward references are allowed.  A malformed line raises
-    `ParseError` naming it; a malformed expression raises `ExpressionError`.
-    """
-    from .expr import parse_expression
-
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    pres = AlgebraPresentation(bound=bound)
-    diffs = []
-    for line in lines:
-        fields = line.split(None, 3)
-        if len(fields) != 4:
-            raise ParseError(f"bad presentation line: {line!r}")
-        name, deg_s, char_s, expr = fields
-        if not (char_s.startswith("(") and char_s.endswith(")")):
-            raise ParseError(f"bad character vector in line: {line!r}")
-        try:
-            degree = int(deg_s)
-            character = tuple(int(t) for t in char_s[1:-1].split(","))
-        except ValueError:
-            raise ParseError(f"degree and character entries must be "
-                             f"integers: {line!r}") from None
-        if len(character) != 4:
-            raise ParseError(f"character vector must have 4 entries: {line!r}")
-        try:
-            pres.add_generator(name, degree, character)
-        except ValueError as exc:
-            raise ParseError(f"{exc}: {line!r}") from None
-        diffs.append((name, expr, line))
-    env = {g.name: pres.generator(g.name) for g in pres.generators}
-    for name, expr, line in diffs:
-        value = parse_expression(expr, env, pres.zero())
-        try:
-            pres.set_differential(name, value)
-        except ValueError as exc:
-            raise ParseError(f"{exc}: {line!r}") from None
-    return pres.finalize(strict_d2=strict_d2)

@@ -159,6 +159,21 @@ def char_poly(m: Matrix):
     return list(solve(vand, values))
 
 
+def _divisors(v):
+    """The positive divisors of v > 0, sorted, built from its factorization;
+    trial division divides each factor out, so it stops at the square root
+    of the largest prime factor rather than of v."""
+    divs, p = {1}, 2
+    while p * p <= v:
+        while v % p == 0:
+            v //= p
+            divs |= {d * p for d in divs}
+        p += 1
+    if v > 1:
+        divs |= {d * v for d in divs}
+    return sorted(divs)
+
+
 def rational_roots(coeffs):
     """All rational roots of the polynomial (ascending coefficients), sorted."""
     coeffs = [frac(c) for c in coeffs]
@@ -179,18 +194,8 @@ def rational_roots(coeffs):
         ints = [int(c * mult) for c in coeffs]
         a0, an = abs(ints[0]), abs(ints[-1])
 
-        def divisors(v):
-            out = []
-            d = 1
-            while d * d <= v:
-                if v % d == 0:
-                    out.append(d)
-                    out.append(v // d)
-                d += 1
-            return sorted(set(out))
-
-        for p in divisors(a0):
-            for q in divisors(an):
+        for p in _divisors(a0):
+            for q in _divisors(an):
                 for cand in (Fraction(p, q), Fraction(-p, q)):
                     acc = Fraction(0)
                     for c in reversed(ints):
@@ -271,16 +276,13 @@ def _common_eigenvector(a1: Matrix, a2: Matrix):
 
 
 def _complete_basis(vec, n):
-    cols = [list(vec)]
-    for i in range(n):
-        cand = [Fraction(int(j == i)) for j in range(n)]
-        test = Matrix.from_rows(
-            [[c[k] for c in cols + [cand]] for k in range(n)])
-        if rank(test) == len(cols) + 1:
-            cols.append(cand)
-        if len(cols) == n:
-            break
-    return Matrix.from_rows([[c[k] for c in cols] for k in range(n)])
+    """The columns vec, then every unit vector e_j but e_L, where L indexes
+    vec's last nonzero entry: e_j lies in span(vec, e_0, ..., e_{j-1})
+    exactly when j = L, so these are the greedy completion by unit vectors."""
+    last = max(j for j in range(n) if vec[j])
+    return Matrix.from_rows(
+        [[vec[k]] + [Fraction(int(k == j)) for j in range(n) if j != last]
+         for k in range(n)])
 
 
 def semisimplify(r: TorusRep) -> SemiSimpleData:

@@ -399,15 +399,21 @@ def _apply_sections(model: ModelPresentation, images, element):
     return total, twist
 
 
-def verify_chain_map(ls: LocalSystemT2, variant: str) -> ChainMapReport:
+def _require_specialized_at(ls: LocalSystemT2, model: ModelPresentation):
+    if model.pspec.values != ls.params:
+        raise DomainError("the model is not specialized at ls.params")
+
+
+def verify_chain_map(ls: LocalSystemT2,
+                     model: ModelPresentation) -> ChainMapReport:
     """Check that the generator table s_i -> dt_i, xb -> x', yb/zb/ub ->
-    constant sections, wb -> w' into `ls` commutes with the differentials.
+    constant sections, wb -> w' from the total `model`, specialized at
+    `ls.params`, into `ls` commutes with the differentials.
 
     Reports per-generator verdicts plus the global-section reports for the
     non-constant sections; the s1 variant fails exactly at xb.
     """
-    pspec = ParameterSpec.specialized(*ls.params)
-    model = build_total_model(pspec, variant=variant)
+    _require_specialized_at(ls, model)
     images = _section_table(ls)
     section_reports = {
         "x_prime": is_global_section(ls, section_x(ls)),
@@ -431,7 +437,7 @@ def verify_chain_map(ls: LocalSystemT2, variant: str) -> ChainMapReport:
                     f"{img_twist}")
         verdicts.append(GeneratorVerdict(g.name, lhs == rhs, repr(lhs),
                                          repr(rhs)))
-    return ChainMapReport(variant, section_reports, verdicts)
+    return ChainMapReport(model.variant, section_reports, verdicts)
 
 
 class CompareReport:
@@ -448,14 +454,15 @@ class CompareReport:
         self.monodromy = monodromy
 
 
-def compare_actions(ls: LocalSystemT2, i: int, variant: str) -> CompareReport:
-    """Compare the degree-i action recovered from the model at `ls.params`
-    with the monodromy of `ls` up to isomorphism; the conjugator (or the
-    negative certificate) comes from the exact intertwiner search."""
-    pspec = ParameterSpec.specialized(*ls.params)
-    model = build_total_model(pspec, variant=variant)
+def compare_actions(ls: LocalSystemT2, i: int,
+                    model: ModelPresentation) -> CompareReport:
+    """Compare the degree-i action recovered from `model`, specialized at
+    `ls.params`, with the monodromy of `ls` up to isomorphism; the
+    conjugator (or the negative certificate) comes from the exact
+    intertwiner search."""
+    _require_specialized_at(ls, model)
     recovered = recover_homotopy_action(model, i)
     mono = ls.monodromy_of(i)
     result = is_isomorphic(recovered, mono)
-    return CompareReport(variant, i, result.status, result.conjugator,
+    return CompareReport(model.variant, i, result.status, result.conjugator,
                          recovered, mono)

@@ -212,16 +212,19 @@ def test_criterion_4c_local_system_integrity():
 
 def test_criterion_5_discrepancy_detection():
     ls = build_local_system(2, 3, 5, 7)
-    s1 = verify_chain_map(ls, "s1")
-    s2 = verify_chain_map(ls, "s2")
+    pspec = ParameterSpec.specialized(*ls.params)
+    m_s1 = build_total_model(pspec, "s1")
+    m_s2 = build_total_model(pspec, "s2")
+    s1 = verify_chain_map(ls, m_s1)
+    s2 = verify_chain_map(ls, m_s2)
     xb = next(v for v in s1.verdicts if v.name == "xb")
     wb = next(v for v in s2.verdicts if v.name == "wb")
     ok = (s1.failing_generators() == ["xb"]
           and xb.lhs == "dt1(z)" and xb.rhs == "dt2(z)"
           and s2.failing_generators() == []
           and wb.ok)
-    cmp_s2 = compare_actions(ls, 3, "s2")
-    cmp_s1 = compare_actions(ls, 3, "s1")
+    cmp_s2 = compare_actions(ls, 3, m_s2)
+    cmp_s1 = compare_actions(ls, 3, m_s1)
     ok = (ok and cmp_s2.status == "isomorphic"
           and cmp_s2.conjugator == Matrix.diagonal([-1, 1, 1])
           and cmp_s1.status == "not_isomorphic")

@@ -269,9 +269,11 @@ def test_verify_builds_each_local_system_report_once(monkeypatch):
     import t2mc.t2forms as t2forms
     import t2mc.xmodel as xmodel
 
-    calls = {"build_local_system": 0, "is_global_section": 0}
-    for name in calls:
-        real = getattr(t2forms, name)
+    sources = {"build_local_system": t2forms, "is_global_section": t2forms,
+               "build_total_model": xmodel}
+    calls = dict.fromkeys(sources, 0)
+    for name, source in sources.items():
+        real = getattr(source, name)
 
         def counting(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
@@ -282,8 +284,11 @@ def test_verify_builds_each_local_system_report_once(monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     cli.build_verification_report((2, 3, 5, 7))
     # one local system, shared by both chain-map variants and both action
-    # comparisons; five global-section reports per chain-map variant
-    assert calls == {"build_local_system": 1, "is_global_section": 10}
+    # comparisons; five global-section reports per chain-map variant; one
+    # specialized total model per variant, one generic model per variant
+    # for the integrity and X-complex sections, one per nilpotent model
+    assert calls == {"build_local_system": 1, "is_global_section": 10,
+                     "build_total_model": 6}
 
 
 def test_malformed_bound_is_a_parse_error(tmp_path, capsys):

@@ -1,10 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from t2mc.gca import (AlgebraPresentation, DifferentialSquareError,
-                      parse_presentation)
+from t2mc.gca import AlgebraPresentation, DifferentialSquareError
 from t2mc.t2forms import build_fiber_algebra
 from t2mc.xmodel import ParameterSpec, build_total_model, build_torus_model
 
@@ -186,60 +184,27 @@ def test_presentation_d_square_strictness():
     assert q.d_square_defects[0][0] == "w"
 
 
-def test_parse_presentation_round_trip():
-    text = """
-    # the fiber algebra
-    x 3 (1,0,1,0) 0
-    y 3 (0,1,0,1) 0
-    z 3 (1,0,1,0) 0
-    w 6 (1,1,1,1) 0
-    u 5 (1,1,1,1) y*z
-    """
-    pres = parse_presentation(text)
-    ref = build_fiber_algebra()
-    assert [g.name for g in pres.generators] == [g.name for g in ref.generators]
-    assert pres.generator("u").d().coeffs == ref.generator("u").d().coeffs
-    assert pres.check_d_square(8) == []
+def _three_generators():
+    p = AlgebraPresentation()
+    p.add_generator("s", 1)
+    p.add_generator("y", 3, (0, 1, 0, 1))
+    p.add_generator("x", 3, (1, 0, 1, 0))
+    return p
 
 
-def test_parse_presentation_with_coefficients():
-    text = """
-    s1 1 (0,0,0,0) 0
-    a 2 (0,0,0,0) 0
-    b 2 (0,0,0,0) 3/2*s1*a - s1*b
-    """
-    pres = parse_presentation(text, strict_d2=False)
-    b = pres.generator("b")
-    expected = (pres.generator("s1") * pres.generator("a")).scale(
-        Fraction(3, 2)) - pres.generator("s1") * pres.generator("b")
-    assert b.d() == expected
-
-
-def test_parse_presentation_rejects_zero_denominator():
-    from t2mc.expr import ExpressionError
-
-    with pytest.raises(ExpressionError, match="zero denominator"):
-        parse_presentation("x 3 (1,0,1,0) 1/0")
-
-
-@pytest.mark.parametrize("text, message, bad_line", [
-    ("x 3.5 (1,0,1,0) 0", "must be integers", "x 3.5 (1,0,1,0) 0"),
-    ("x 3 (1,a,1,0) 0", "must be integers", "x 3 (1,a,1,0) 0"),
-    ("x 3 (1,0,1,0) 0\nx 3 (0,1,0,1) 0", "duplicate generator 'x'",
-     "x 3 (0,1,0,1) 0"),
-    ("x 0 (0,0,0,0) 0", "degree must be positive", "x 0 (0,0,0,0) 0"),
-    ("x -2 (0,0,0,0) 0", "degree must be positive", "x -2 (0,0,0,0) 0"),
-    ("s 1 (0,0,0,0) 0\nx 3 (1,0,1,0) s", r"d\(x\) must have degree 4",
-     "x 3 (1,0,1,0) s"),
-    ("s 1 (0,0,0,0) 0\ny 3 (0,1,0,1) 0\nx 3 (1,0,1,0) s*y",
-     r"d\(x\) must have character \(1, 0, 1, 0\)", "x 3 (1,0,1,0) s*y"),
-])
-def test_parse_presentation_errors_name_the_line(text, message, bad_line):
-    from t2mc.errors import ParseError
-
-    with pytest.raises(ParseError, match=message) as info:
-        parse_presentation(text)
-    assert repr(bad_line) in str(info.value)
+@pytest.mark.parametrize("step, message", [
+    (lambda p: p.add_generator("x", 3, (0, 1, 0, 1)),
+     "duplicate generator 'x'"),
+    (lambda p: p.add_generator("v", 0), "degree must be positive"),
+    (lambda p: p.add_generator("v", -2), "degree must be positive"),
+    (lambda p: p.set_differential("x", p.generator("s")),
+     r"d\(x\) must have degree 4"),
+    (lambda p: p.set_differential("x", p.generator("s") * p.generator("y")),
+     r"d\(x\) must have character \(1, 0, 1, 0\)"),
+], ids=["duplicate", "degree_0", "degree_-2", "d_degree", "d_character"])
+def test_presentation_validation_errors(step, message):
+    with pytest.raises(ValueError, match=message):
+        step(_three_generators())
 
 
 def test_element_truth_is_nonzero(fiber):

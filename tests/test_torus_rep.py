@@ -9,7 +9,7 @@ import pytest
 
 import t2mc.cochain as cochain
 import t2mc.torus_rep as torus_rep
-from t2mc.qlinalg import Matrix, det, invert, rank_kernel
+from t2mc.qlinalg import Matrix, det, invert, rank, rank_kernel
 from t2mc.torus_rep import (GRID_CAP, IrrationalSpectrumError, IsoResult,
                             NonCommutingError, SingularError, TorusRep,
                             _candidate_key, cellular_complex, char_poly,
@@ -47,6 +47,24 @@ def test_char_poly_and_rational_roots():
     assert rational_roots(coeffs) == [Fraction(2), Fraction(3)]
     assert rational_roots([Fraction(1), Fraction(0), Fraction(1)]) == []
     assert rational_roots([Fraction(0), Fraction(1)]) == [Fraction(0)]
+
+
+def _power_of_linear(p, q, k):
+    """Ascending coefficients of (q·x - p)^k."""
+    coeffs = [1]
+    for _ in range(k):
+        coeffs = [q * b - p * a for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def test_rational_roots_of_large_constant_terms():
+    # 7^24 has 25 divisors, but trial division up to its square root
+    # takes 7^12, about 1.4e10, steps
+    assert rational_roots(_power_of_linear(7, 1, 24)) == [Fraction(7)]
+    assert rational_roots(_power_of_linear(7, 3, 20)) == [Fraction(7, 3)]
+    for v in range(1, 400):
+        assert torus_rep._divisors(v) == [
+            d for d in range(1, v + 1) if v % d == 0]
 
 
 def test_semisimplify_jordan_block():
@@ -93,6 +111,42 @@ def test_semisimplify_reconjugation_recovers_input():
             for j in range(i):
                 assert data.tri1[(i, j)] == 0
                 assert data.tri2[(i, j)] == 0
+
+
+def _greedy_completion(vec, n):
+    """vec, then each unit vector in turn that raises the rank."""
+    cols = [list(vec)]
+    for i in range(n):
+        cand = [Fraction(int(j == i)) for j in range(n)]
+        test = Matrix.from_rows(
+            [[c[k] for c in cols + [cand]] for k in range(n)])
+        if rank(test) == len(cols) + 1:
+            cols.append(cand)
+    return Matrix.from_rows([[c[k] for c in cols] for k in range(n)])
+
+
+def test_complete_basis_is_the_greedy_unit_vector_completion():
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        vec = [Fraction(rng.choice([0, 0, 1, -1, 3]), rng.choice([1, 2]))
+               for _ in range(n)]
+        if any(vec):
+            assert (torus_rep._complete_basis(vec, n)
+                    == _greedy_completion(vec, n))
+
+
+def test_semisimplify_completes_bases_without_rank(monkeypatch):
+    calls = []
+    real = torus_rep.rank
+    monkeypatch.setattr(torus_rep, "rank",
+                        lambda m: calls.append(m) or real(m))
+    v = rep([[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 3, 1], [0, 0, 0, 3]])
+    p = Matrix.from_rows([[1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 0],
+                          [0, 0, 1, 2]])
+    data = semisimplify(v.conjugate(p))
+    assert sorted(data.characters) == [(2, 1), (2, 1), (3, 1), (3, 1)]
+    assert calls == []
 
 
 def test_hom_tensor_dual_pinned():

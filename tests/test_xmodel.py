@@ -237,15 +237,22 @@ def test_recover_homotopy_action_degrees_five_and_six():
     assert rep6.g1.to_rows() == [[6]] and rep6.g2.to_rows() == [[35]]
 
 
+def _total_at(ls, variant):
+    """The total model specialized at the parameters of `ls`."""
+    return build_total_model(ParameterSpec.specialized(*ls.params), variant)
+
+
 def test_verify_chain_map_variant_s2_all_pass():
-    report = verify_chain_map(build_local_system(*VALUES), "s2")
+    ls = build_local_system(*VALUES)
+    report = verify_chain_map(ls, _total_at(ls, "s2"))
     assert report.ok
     assert report.failing_generators() == []
     assert all(r.ok for r in report.section_reports.values())
 
 
 def test_verify_chain_map_variant_s1_fails_exactly_at_xb():
-    report = verify_chain_map(build_local_system(*VALUES), "s1")
+    ls = build_local_system(*VALUES)
+    report = verify_chain_map(ls, _total_at(ls, "s1"))
     assert report.failing_generators() == ["xb"]
     xb = next(v for v in report.verdicts if v.name == "xb")
     assert xb.lhs == "dt1(z)"
@@ -256,31 +263,45 @@ def test_verify_chain_map_variant_s1_fails_exactly_at_xb():
 
 def test_verify_chain_map_w_identity_is_checked():
     # F(d(wb)) = d(w') holds under both variants (it does not involve xb's d)
+    ls = build_local_system(*VALUES)
     for variant in ("s1", "s2"):
-        report = verify_chain_map(build_local_system(*VALUES), variant)
+        report = verify_chain_map(ls, _total_at(ls, variant))
         wb = next(v for v in report.verdicts if v.name == "wb")
         assert wb.ok
 
 
 def test_verify_chain_map_generic_rational_parameters():
     ls = build_local_system(Fraction(1, 2), 3, -2, Fraction(5, 3))
-    report = verify_chain_map(ls, "s2")
+    report = verify_chain_map(ls, _total_at(ls, "s2"))
     assert report.ok
 
 
 def test_compare_actions_pinned():
-    s2 = compare_actions(build_local_system(*VALUES), 3, "s2")
+    ls = build_local_system(*VALUES)
+    s2 = compare_actions(ls, 3, _total_at(ls, "s2"))
     assert s2.status == "isomorphic"
     assert s2.conjugator == Matrix.diagonal([-1, 1, 1])
-    s1 = compare_actions(build_local_system(*VALUES), 3, "s1")
+    s1 = compare_actions(ls, 3, _total_at(ls, "s1"))
     assert s1.status == "not_isomorphic"
     assert s1.conjugator is None
 
 
 def test_compare_actions_degree_five():
-    report = compare_actions(build_local_system(*VALUES), 5, "s2")
+    ls = build_local_system(*VALUES)
+    report = compare_actions(ls, 5, _total_at(ls, "s2"))
     assert report.status == "isomorphic"
     assert report.conjugator == Matrix.identity(1)
+
+
+def test_chain_map_and_actions_reject_a_model_at_other_parameters():
+    ls = build_local_system(*VALUES)
+    for model in (build_total_model(GENERIC, "s2"),
+                  build_total_model(ParameterSpec.specialized(2, 3, 5, 8),
+                                    "s2")):
+        with pytest.raises(DomainError, match="not specialized at"):
+            verify_chain_map(ls, model)
+        with pytest.raises(DomainError, match="not specialized at"):
+            compare_actions(ls, 3, model)
 
 
 def test_oracle_equivalence_randomized():
