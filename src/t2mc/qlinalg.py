@@ -192,13 +192,6 @@ class Matrix:
                               for j in range(self.cols)
                               for i in range(self.rows)])
 
-    def apply(self, vec):
-        """Matrix times column vector (a sequence), returned as a tuple."""
-        vec = [frac(v) for v in vec]
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(self._times(Matrix._exact(len(vec), 1, vec)))
-
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 

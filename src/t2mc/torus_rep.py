@@ -19,6 +19,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import mul
 
@@ -174,34 +175,53 @@ def _divisors(v):
     return sorted(divs)
 
 
+def _poly_divmod(f, g):
+    """Quotient and remainder of f by g (ascending Fraction coefficients);
+    the remainder has no trailing zeros."""
+    r, q = list(f), []
+    while len(r) >= len(g):
+        q.insert(0, r[-1] / g[-1])
+        r = [x - q[0] * y for x, y in zip(r, [0] * (len(r) - len(g)) + g)]
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
+def _squarefree(f):
+    """f / gcd(f, f'), f's roots each once; Euclid keeps the gcd monic."""
+    a, b = f, [i * c for i, c in enumerate(f)][1:]
+    while b:
+        b = [c / b[-1] for c in b]
+        a, b = b, _poly_divmod(a, b)[1]
+    return _poly_divmod(f, a)[0]
+
+
 def rational_roots(coeffs):
-    """All rational roots of the polynomial (ascending coefficients), sorted."""
+    """All rational roots of the polynomial (ascending coefficients), sorted.
+
+    Candidates p/q come from the squarefree part and are tested on its
+    primitive integer coefficients, as q^d·f(p/q) == 0.
+    """
     coeffs = [frac(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
         raise ValueError("zero polynomial")
     roots = set()
-    # strip powers of x
-    k = 0
-    while coeffs[k] == 0:
-        k += 1
-    if k:
+    while coeffs[0] == 0:  # strip powers of x
         roots.add(Fraction(0))
-        coeffs = coeffs[k:]
+        coeffs.pop(0)
     if len(coeffs) > 1:
-        mult = lcm(*[c.denominator for c in coeffs])
-        ints = [int(c * mult) for c in coeffs]
-        a0, an = abs(ints[0]), abs(ints[-1])
-
-        for p in _divisors(a0):
-            for q in _divisors(an):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    acc = Fraction(0)
+        ints = [c.numerator for c in _primitive(_squarefree(coeffs))]
+        for p in _divisors(abs(ints[0])):
+            for q in _divisors(abs(ints[-1])):
+                for num in (p, -p):
+                    acc, qk = 0, 1
                     for c in reversed(ints):
-                        acc = acc * cand + c
+                        acc, qk = acc * num + c * qk, qk * q
                     if acc == 0:
-                        roots.add(cand)
+                        roots.add(Fraction(num, q))
     return sorted(roots)
 
 
@@ -211,17 +231,15 @@ class SemiSimpleData:
     """Simultaneous triangularization data.
 
     `characters` lists the diagonal (g1-scalar, g2-scalar) pairs in filtration
-    order (sub first), `n1`/`n2` are the strictly upper parts, `basis` the
-    change-of-basis matrix with basis^-1 · g_i · basis = diag + n_i, and
-    `tri1`/`tri2` the full triangular matrices.
+    order (sub first), `basis` is the change-of-basis matrix and
+    `tri1`/`tri2` = basis^-1 · g_i · basis are the upper triangular
+    generators, whose diagonals are the characters.
     """
 
-    __slots__ = ("characters", "n1", "n2", "basis", "tri1", "tri2")
+    __slots__ = ("characters", "basis", "tri1", "tri2")
 
-    def __init__(self, characters, n1, n2, basis, tri1, tri2):
+    def __init__(self, characters, basis, tri1, tri2):
         self.characters = characters
-        self.n1 = n1
-        self.n2 = n2
         self.basis = basis
         self.tri1 = tri1
         self.tri2 = tri2
@@ -237,41 +255,37 @@ def _primitive(vec):
     return [Fraction(v // g) for v in ints]
 
 
-def _common_eigenvector(a1: Matrix, a2: Matrix):
-    """A common eigenvector with rational eigenvalues, deterministically.
+def _eigenspace_spectrum(g1: Matrix, g2: Matrix, lam1):
+    """The ascending rational eigenvalues of g2 on E = ker(g1 - lam1).  Each
+    basis vector of E is 1 at its last nonzero entry and 0 at the others'
+    last ones, so those rows of g2·E give g2's restriction to E."""
+    n = g1.rows
+    _, e_basis = rank_kernel(g1 - Matrix.diagonal([lam1] * n))
+    img = g2 * Matrix.from_rows(list(zip(*e_basis)))
+    return rational_roots(char_poly(Matrix.from_rows(
+        [img.row(max(i for i in range(n) if v[i])) for v in e_basis])))
 
-    Scans the rational eigenvalues of a1 in ascending order; inside each
-    eigenspace (which a2 preserves) takes the smallest rational eigenvalue of
-    the restriction of a2.  Returns (vector, lam1, lam2) or None.
+
+def _common_eigenvector(a1: Matrix, a2: Matrix, lam1s, lam2s):
+    """The first free-variable vector, made primitive, of the first nonzero
+    kernel of [a1 - lam1; a2 - lam2], or None.  lam1 runs over `lam1s`, the
+    full g1's rational eigenvalues, skipping those with det(a1 - lam1) != 0,
+    and lam2 over `lam2s(lam1)`, the full g2's on g1's lam1-eigenspace: all
+    ascending, they hold every rational eigenvalue pair of a1, a2.  The
+    kernel lies in a1's lam1-eigenspace E, so the vector is E·w for w the
+    first kernel vector of (a2 on E) minus its smallest eigenvalue: in both
+    kernels it is the one, up to scale, whose last nonzero entry is first.
     """
     n = a1.rows
-    for lam1 in rational_roots(char_poly(a1)):
-        _, e_basis = rank_kernel(a1 - Matrix.diagonal([lam1] * n))
-        if not e_basis:
+    for lam1 in lam1s:
+        s1 = a1 - Matrix.diagonal([lam1] * n)
+        if det(s1) != 0:
             continue
-        emat = Matrix.from_rows([[v[i] for v in e_basis] for i in range(n)])
-        cols = []
-        ok = True
-        for v in e_basis:
-            img = a2.apply(v)
-            sol = solve(emat, img)
-            if sol is None:
-                ok = False
-                break
-            cols.append(sol)
-        if not ok:
-            continue
-        m = len(e_basis)
-        b = Matrix.from_rows([[cols[j][i] for j in range(m)] for i in range(m)])
-        broots = rational_roots(char_poly(b))
-        if not broots:
-            continue
-        lam2 = broots[0]
-        _, w_basis = rank_kernel(b - Matrix.diagonal([lam2] * m))
-        w = w_basis[0]
-        vec = [sum((e_basis[j][i] * w[j] for j in range(m)), Fraction(0))
-               for i in range(n)]
-        return _primitive(vec), lam1, lam2
+        for lam2 in lam2s(lam1):
+            s2 = a2 - Matrix.diagonal([lam2] * n)
+            _, kernel = rank_kernel(Matrix(2 * n, n, s1.entries + s2.entries))
+            if kernel:
+                return _primitive(kernel[0])
     return None
 
 
@@ -289,25 +303,25 @@ def semisimplify(r: TorusRep) -> SemiSimpleData:
     """Simultaneously triangularize over Q; the diagonal lists the
     composition characters in filtration order.
 
-    Raises IrrationalSpectrumError when some stage has no rational
-    eigenvalue (the pair is not triangularizable over Q).
+    g1's rational spectrum is found once, and g2's on a g1-eigenspace once,
+    when a stage first reaches it.  Raises IrrationalSpectrumError when some
+    stage has no rational eigenvalue (the pair is not triangularizable).
     """
     require_valid(r)
     n = r.dim
+    lam1s = rational_roots(char_poly(r.g1)) if n > 1 else []
+    lam2s = cache(lambda lam1: _eigenspace_spectrum(r.g1, r.g2, lam1))
     basis = Matrix.identity(n)
     a1, a2 = r.g1, r.g2
     for step in range(n - 1):
         m = n - step
-        sub1 = Matrix.from_rows([[a1[(i, j)] for j in range(step, n)]
-                                 for i in range(step, n)])
-        sub2 = Matrix.from_rows([[a2[(i, j)] for j in range(step, n)]
-                                 for i in range(step, n)])
-        found = _common_eigenvector(sub1, sub2)
-        if found is None:
+        sub1, sub2 = (Matrix.from_rows([x[step:] for x in a.to_rows()[step:]])
+                      for a in (a1, a2))
+        vec = _common_eigenvector(sub1, sub2, lam1s, lam2s)
+        if vec is None:
             raise IrrationalSpectrumError(
                 "no common rational eigenvector; the pair is not "
                 "triangularizable over Q")
-        vec, _, _ = found
         p_small = _complete_basis(vec, m)
         p_step = Matrix.from_rows(
             [[Fraction(int(i == j)) if i < step or j < step
@@ -315,20 +329,12 @@ def semisimplify(r: TorusRep) -> SemiSimpleData:
               for j in range(n)] for i in range(n)])
         basis = basis * p_step
         pinv = invert(p_step)
-        a1 = pinv * a1 * p_step
-        a2 = pinv * a2 * p_step
-    characters = [(a1[(i, i)], a2[(i, i)]) for i in range(n)]
-
-    def strict(a):
-        return Matrix.from_rows(
-            [[a[(i, j)] if j > i else Fraction(0) for j in range(n)]
-             for i in range(n)])
-
-    data = SemiSimpleData(characters, strict(a1), strict(a2), basis, a1, a2)
+        a1, a2 = pinv * a1 * p_step, pinv * a2 * p_step
     # reconjugation must recover the input exactly
     binv = invert(basis)
     assert binv * r.g1 * basis == a1 and binv * r.g2 * basis == a2
-    return data
+    return SemiSimpleData([(a1[(i, i)], a2[(i, i)]) for i in range(n)],
+                          basis, a1, a2)
 
 
 # -- hom / tensor / dual -----------------------------------------------------

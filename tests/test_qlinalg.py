@@ -101,7 +101,7 @@ def test_rank_nullity_random():
         rank, kernel = rank_kernel(m)
         assert rank + len(kernel) == cols
         for vec in kernel:
-            assert all(x == 0 for x in m.apply(vec))
+            assert all(x == 0 for x in (m * Matrix.column(vec)).entries)
         if kernel:
             span = Matrix.from_rows([list(v) for v in kernel])
             span_rank, _ = rank_kernel(span)
@@ -130,12 +130,12 @@ def test_solve_random_consistency():
         cols = rng.randint(1, 6)
         a = _random_matrix(rng, rows, cols)
         x = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
-        b = a.apply(x)
+        b = (a * Matrix.column(x)).entries
         particular = solve(a, b)
         assert particular is not None
-        assert a.apply(particular) == tuple(b)
+        assert (a * Matrix.column(particular)).entries == tuple(b)
         for vec in rank_kernel(a)[1]:
-            assert all(v == 0 for v in a.apply(vec))
+            assert all(v == 0 for v in (a * Matrix.column(vec)).entries)
 
 
 def test_lattice_membership():
@@ -251,7 +251,8 @@ def test_solve_and_rank_kernel_follow_sympy_rref():
     outcomes = set()
     for a in _oracle_cases():
         if rng.random() < 0.5:
-            b = a.apply([rng.randint(-3, 3) for _ in range(a.cols)])
+            x = [rng.randint(-3, 3) for _ in range(a.cols)]
+            b = (a * Matrix.column(x)).entries
         else:
             b = [Fraction(rng.randint(-3, 3)) for _ in range(a.rows)]
         rows, pivots = _sympy_rref(sympy, a)
@@ -344,7 +345,7 @@ def test_product_and_apply_match_naive_reference():
         assert all(type(e) is Fraction for e in prod.entries)
         vec = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if
                rng.random() < 0.5 else 0 for _ in range(a.cols)]
-        assert a.apply(vec) == tuple(
+        assert (a * Matrix.column(vec)).entries == tuple(
             _naive_product(a, Matrix.column(vec)).entries)
 
 
@@ -400,7 +401,7 @@ def test_integer_product_matches_fraction_loop():
         assert all(type(e) is Fraction for e in prod.entries)
         for vec in ([entry() for _ in range(a.cols)],
                     [0] * a.cols, b.col(0) if b.cols else [0] * a.cols):
-            assert a.apply(vec) == _fraction_loop_product(
+            assert (a * Matrix.column(vec)).entries == _fraction_loop_product(
                 a, Matrix.column(vec)).entries
 
 
@@ -408,7 +409,7 @@ def test_product_shape_mismatch_raises():
     with pytest.raises(ValueError):
         Matrix.zero(2, 3) * Matrix.zero(2, 3)
     with pytest.raises(ValueError):
-        Matrix.zero(2, 3).apply([1, 2])
+        Matrix.zero(2, 3) * Matrix.column([1, 2])
 
 
 def test_scalar_product_unchanged():
@@ -734,8 +735,9 @@ def test_solve_matches_the_fraction_loop():
     for a in _kernel_cases():
         for consistent in (True, False):
             if consistent:
-                b = a.apply([Fraction(rng.randint(-5, 5), rng.randint(1, 9))
-                             for _ in range(a.cols)])
+                x = [Fraction(rng.randint(-5, 5), rng.randint(1, 9))
+                     for _ in range(a.cols)]
+                b = (a * Matrix.column(x)).entries
             else:
                 b = [Fraction(rng.randint(-5, 5), rng.randint(1, 10 ** 6))
                      for _ in range(a.rows)]

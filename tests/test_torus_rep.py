@@ -9,7 +9,7 @@ import pytest
 
 import t2mc.cochain as cochain
 import t2mc.torus_rep as torus_rep
-from t2mc.qlinalg import Matrix, det, invert, rank, rank_kernel
+from t2mc.qlinalg import Matrix, det, invert, rank, rank_kernel, solve
 from t2mc.torus_rep import (GRID_CAP, IrrationalSpectrumError, IsoResult,
                             NonCommutingError, SingularError, TorusRep,
                             _candidate_key, cellular_complex, char_poly,
@@ -62,6 +62,12 @@ def test_rational_roots_of_large_constant_terms():
     # takes 7^12, about 1.4e10, steps
     assert rational_roots(_power_of_linear(7, 1, 24)) == [Fraction(7)]
     assert rational_roots(_power_of_linear(7, 3, 20)) == [Fraction(7, 3)]
+    # the squarefree part x - p leaves one candidate pair, where the full
+    # constant term asks for about 10^9 trial divisions ((x - p)^2) or has
+    # 17^3 divisors ((x - 30)^16)
+    big = 1000000007
+    assert rational_roots(_power_of_linear(big, 1, 2)) == [Fraction(big)]
+    assert rational_roots(_power_of_linear(30, 1, 16)) == [Fraction(30)]
     for v in range(1, 400):
         assert torus_rep._divisors(v) == [
             d for d in range(1, v + 1) if v % d == 0]
@@ -71,15 +77,16 @@ def test_semisimplify_jordan_block():
     v1 = rep([[2, 3], [0, 2]])
     data = semisimplify(v1)
     assert data.characters == [(2, 1), (2, 1)]
-    assert data.n1 == Matrix.from_rows([[0, 3], [0, 0]])
-    assert data.n2.is_zero()
+    assert data.tri1 == Matrix.from_rows([[2, 3], [0, 2]])
+    assert data.tri2 == Matrix.identity(2)
     assert data.basis == Matrix.identity(2)
 
 
 def test_semisimplify_diagonal():
     v = rep([[2, 0], [0, 3]], [[5, 0], [0, 7]])
     data = semisimplify(v)
-    assert data.n1.is_zero() and data.n2.is_zero()
+    assert data.tri1 == Matrix.diagonal([2, 3])
+    assert data.tri2 == Matrix.diagonal([5, 7])
     assert sorted(data.characters) == [(2, 5), (3, 7)]
 
 
@@ -149,6 +156,183 @@ def test_semisimplify_completes_bases_without_rank(monkeypatch):
     assert calls == []
 
 
+def _jordan(lam, n):
+    return Matrix.from_rows([[lam if i == j else int(j == i + 1)
+                              for j in range(n)] for i in range(n)])
+
+
+def test_semisimplify_with_large_eigenvalues():
+    big = 1000000007
+    data = semisimplify(TorusRep(_jordan(big, 2), Matrix.identity(2)))
+    assert data.characters == [(big, 1)] * 2
+    data = semisimplify(TorusRep(_jordan(30, 16), Matrix.identity(16)))
+    assert data.characters == [(30, 1)] * 16
+    # g2's eigenvalues are found one g1-eigenspace at a time, here one
+    # prime each; g2's whole characteristic polynomial would put their
+    # product, about 10^18, in front of the divisor search
+    data = semisimplify(TorusRep.diagonal([(1, big), (2, big + 2)]))
+    assert data.characters == [(1, big), (2, big + 2)]
+    # no stage searches for the last character, nor for any of a 1-dim rep
+    prod = big * (big + 2)
+    data = semisimplify(TorusRep.diagonal([(1, 1), (2, prod)]))
+    assert data.characters == [(1, 1), (2, prod)]
+    assert semisimplify(TorusRep.diagonal([(prod, 1)])).characters == [
+        (prod, 1)]
+
+
+def _reference_common_eigenvector(a1, a2):
+    """The per-stage reference: a1's rational eigenvalues in ascending
+    order, and in the first eigenspace where a2's restriction has one, the
+    smallest; each spectrum from its own characteristic polynomial."""
+    n = a1.rows
+    for lam1 in rational_roots(char_poly(a1)):
+        _, e_basis = rank_kernel(a1 - Matrix.diagonal([lam1] * n))
+        if not e_basis:
+            continue
+        emat = Matrix.from_rows([[v[i] for v in e_basis] for i in range(n)])
+        cols = []
+        ok = True
+        for v in e_basis:
+            img = (a2 * Matrix.column(v)).entries
+            sol = solve(emat, img)
+            if sol is None:
+                ok = False
+                break
+            cols.append(sol)
+        if not ok:
+            continue
+        m = len(e_basis)
+        b = Matrix.from_rows([[cols[j][i] for j in range(m)] for i in range(m)])
+        broots = rational_roots(char_poly(b))
+        if not broots:
+            continue
+        lam2 = broots[0]
+        _, w_basis = rank_kernel(b - Matrix.diagonal([lam2] * m))
+        w = w_basis[0]
+        vec = [sum((e_basis[j][i] * w[j] for j in range(m)), Fraction(0))
+               for i in range(n)]
+        return torus_rep._primitive(vec), lam1, lam2
+    return None
+
+
+def _upper(rng, n, scalars):
+    return Matrix.from_rows(
+        [[rng.choice(scalars) if i == j
+          else (rng.choice([0, 0, 1, -1, 2]) if j > i else 0)
+          for j in range(n)] for i in range(n)])
+
+
+def _seeded_commuting_pairs(seed, count):
+    """Commuting pairs of size 1 to 6, half of them conjugated by unimodular
+    shears.  Most are an upper triangular g1 with eigenvalues from a fixed
+    set and g2 one of id, g1² + id, g1³ - 2·g1 + 5 (invertible: neither
+    polynomial has a rational root); the rest have a g2 that is no
+    polynomial in g1, so that a g1-eigenspace holds several g2-eigenvalues:
+    g1 = A ⊗ 1, g2 = 1 ⊗ B for upper triangular A, B."""
+    rng = random.Random(seed)
+    scalars = [1, 2, -1, 3, Fraction(1, 2), Fraction(-2, 3)]
+    out = []
+    for _ in range(count):
+        if rng.random() < 0.25:
+            k, l = rng.choice([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)])
+            g1 = torus_rep._kronecker(_upper(rng, k, scalars[:3]),
+                                      Matrix.identity(l))
+            g2 = torus_rep._kronecker(Matrix.identity(k),
+                                      _upper(rng, l, scalars[:3]))
+        else:
+            g1 = _upper(rng, rng.randint(1, 6), scalars)
+            ident = Matrix.identity(g1.rows)
+            g2 = rng.choice([ident, g1 * g1 + ident,
+                             g1 * g1 * g1 - g1.scale(2) + ident.scale(5)])
+        r, n = TorusRep(g1, g2), g1.rows
+        if n > 1 and rng.random() < 0.5:
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.sample(range(n), 2)
+                shear = [[int(a == b) for b in range(n)] for a in range(n)]
+                shear[i][j] = rng.choice([1, -1, 2])
+                r = r.conjugate(Matrix.from_rows(shear))
+        out.append(r)
+    return out
+
+
+def test_common_eigenvector_matches_the_per_stage_reference(monkeypatch):
+    stages = []
+    real = torus_rep._common_eigenvector
+
+    def record(a1, a2, lam1s, lam2s):
+        stages.append((a1, a2, lam1s, lam2s))
+        return real(a1, a2, lam1s, lam2s)
+
+    monkeypatch.setattr(torus_rep, "_common_eigenvector", record)
+    pairs = _seeded_commuting_pairs(37, 200)
+    for n in (8, 12):
+        pairs.append(TorusRep(_jordan(2, n), _jordan(2, n) * _jordan(2, n)))
+    for r in pairs:
+        semisimplify(r)
+    assert len(stages) >= 400
+    for a1, a2, lam1s, lam2s in stages:
+        ref = _reference_common_eigenvector(a1, a2)
+        assert real(a1, a2, lam1s, lam2s) == ref[0]
+    # the irrational summand: g1 = 2 ⊕ rotation, whose trailing block has
+    # no rational eigenvector in either computation
+    g1 = Matrix.from_rows([[2, 1, 0], [0, 0, -1], [0, 1, 0]])
+    ident = Matrix.identity(3)
+    lam1s = rational_roots(char_poly(g1))
+    assert lam1s == [2] and torus_rep._eigenspace_spectrum(g1, ident, 2) == [1]
+    rot = Matrix.from_rows([[0, -1], [1, 0]])
+    assert real(rot, Matrix.identity(2), lam1s, lambda lam1:
+                torus_rep._eigenspace_spectrum(g1, ident, lam1)) is None
+    assert _reference_common_eigenvector(rot, Matrix.identity(2)) is None
+    with pytest.raises(IrrationalSpectrumError):
+        semisimplify(TorusRep(g1, ident))
+
+
+def test_semisimplify_factors_each_spectrum_once(monkeypatch):
+    """One characteristic polynomial of g1, then one of g2 on each
+    g1-eigenspace that a stage reaches; none per stage."""
+    calls, reached = [], []
+    real_poly = torus_rep.char_poly
+    real_space = torus_rep._eigenspace_spectrum
+    monkeypatch.setattr(torus_rep, "char_poly",
+                        lambda m: calls.append(m.rows) or real_poly(m))
+    monkeypatch.setattr(
+        torus_rep, "_eigenspace_spectrum",
+        lambda g1, g2, lam1: reached.append(lam1) or real_space(g1, g2, lam1))
+
+    def run(r):
+        calls.clear()
+        reached.clear()
+        semisimplify(r)
+        return calls, reached
+
+    j16 = _jordan(2, 16)
+    assert run(TorusRep(j16, j16 * j16)) == ([16, 1], [2])
+    # the last character is never searched for
+    assert run(TorusRep.diagonal([(k, 1) for k in range(1, 9)])) == (
+        [8] + [1] * 7, list(range(1, 8)))
+    assert run(TorusRep.diagonal([(5, 1)])) == ([], [])
+    for r in _seeded_commuting_pairs(41, 40):
+        n = r.dim
+        run(r)
+        assert reached == sorted(set(reached))
+        assert calls == [n] * (n > 1) + [
+            n - rank(r.g1 - Matrix.diagonal([lam] * n)) for lam in reached]
+
+
+def test_common_eigenvector_needs_no_solve_or_char_poly(monkeypatch):
+    j = _jordan(3, 4)
+    lam1s = rational_roots(char_poly(j))
+    lam2s = {3: torus_rep._eigenspace_spectrum(j, j * j, 3)}.get
+
+    def forbidden(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(torus_rep, "solve", forbidden)
+    monkeypatch.setattr(torus_rep, "char_poly", forbidden)
+    assert torus_rep._common_eigenvector(j, j * j, lam1s, lam2s) == [
+        1, 0, 0, 0]
+
+
 def test_hom_tensor_dual_pinned():
     h = hom_rep(TorusRep.trivial(2), TorusRep.trivial(3))
     assert h.dim == 6
@@ -168,7 +352,7 @@ def test_hom_rep_action_formula():
     f = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(2)]
                           for _ in range(2)])
     vec = [f[(k, l)] for k in range(2) for l in range(2)]
-    image = h.g1.apply(vec)
+    image = (h.g1 * Matrix.column(vec)).entries
     expected = w.g1 * f * v.g_inv(1)
     assert list(image) == [expected[(k, l)] for k in range(2)
                            for l in range(2)]
