@@ -1,8 +1,9 @@
 """Finite cochain complexes with ordered bases and exact Betti numbers.
 
 A Betti number needs only ranks: b_n = dim C^n - rank D_n - rank D_{n-1}.
-Each rank is taken by `qlinalg.rank` (fraction-free elimination over Z), and
-`betti` reduces each stored D_n at most once, however many degrees use it.
+Each rank is taken by `qlinalg.rank`, the fraction-free forward phase of the
+one elimination kernel, and `betti` reduces each stored D_n at most once,
+however many degrees use it.
 """
 
 from __future__ import annotations

@@ -5,18 +5,19 @@ searches, lattice membership) reduces to the routines here.  All entries are
 `fractions.Fraction`, stored densely.  The dense kernels run on Python
 integers: a product scales each left row and each right column by the lcm of
 its denominators, accumulates integer products over the nonzeros only
-(row-wise, after Gustavson) and divides once per output entry; ranks and
-determinants (with them every invertibility test) clear each row's
-denominators and run one fraction-free Bareiss elimination over Z, whose
-divisions are exact.  Kernels, solutions and inverses come from one sparse
-elimination kernel, `_reduce`: Gauss-Jordan on primitive integer dict rows,
-fraction-free, with a column -> rows index.  Its output is the unique reduced
-row echelon form, so identical inputs always produce identical outputs.
-`Matrix.rref`, `rank_kernel`, `invert` and `solve` all reduce through it;
-`solve` also takes a `SparseMatrix`, one dict per row, so a system assembled
-sparsely is never made dense.  Over Z there is no matrix type at all:
-lattice membership is integer echelon reduction (Euclid within each column)
-on int lists.
+(row-wise, after Gustavson) and divides once per output entry.  Ranks,
+kernels, solutions and inverses come from one sparse elimination kernel,
+`_reduce`: Gauss-Jordan on primitive integer dict rows, fraction-free, with
+a column -> rows index.  Its output is the unique reduced row echelon form,
+so identical inputs always produce identical outputs.  `Matrix.rref`,
+`rank_kernel`, `invert` and `solve` all reduce through it; `rank` runs its
+forward phase alone and counts the pivots.  `solve` also takes a
+`SparseMatrix`, one dict per row, so a system assembled sparsely is never
+made dense.  Determinants alone (with them `char_poly` and the invertibility
+tests) clear each row's denominators and run a dense fraction-free Bareiss
+elimination over Z, whose divisions are exact.  Over Z there is no matrix
+type at all: lattice membership is integer echelon reduction (Euclid within
+each column) on int lists.
 """
 
 from __future__ import annotations
@@ -26,12 +27,22 @@ from math import gcd, lcm
 
 
 def frac(x) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to a Fraction."""
+    """Coerce an int, Fraction, or 'p/q' string to a Fraction.
+
+    A canonical string (an optional '-', ASCII digits, optionally '/' and
+    ASCII digits) is read with `int`; any other string goes to
+    `Fraction(x.strip())`, which accepts or rejects it as it would alone.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
+        num, slash, den = x.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if (digits.isascii() and digits.isdigit()
+                and (not slash or den.isascii() and den.isdigit())):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return Fraction(x.strip())
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
@@ -237,25 +248,51 @@ def _primitive(pairs):
     return dict(zip(row, ints if g == 1 else [v // g for v in ints]))
 
 
-def _reduce(rows, width):
-    """The elimination kernel: the reduced row echelon form of `rows`, each
-    an iterable of (column, nonzero rational) pairs below `width`.
+def _clear(rows, holders, i, prow, c, a):
+    """Clear column c of row i against the pivot row prow, whose entry there
+    is a: row i becomes (a/g)·row - (f/g)·prow, f its own entry and
+    g = gcd(a, f), divided by its content.  `holders` follows every entry
+    that appears or cancels.  Returns the new row."""
+    row = rows[i]
+    f = row[c]
+    g = gcd(a, f)
+    s, t = a // g, f // g
+    if s != 1:
+        row = {j: s * v for j, v in row.items()}
+    for j, v in prow.items():
+        x = row.get(j)
+        if x is None:
+            row[j] = -t * v
+            holders[j].add(i)
+        else:
+            x -= t * v
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+                holders[j].discard(i)
+    g = gcd(*row.values())
+    rows[i] = row = {j: v // g for j, v in row.items()} if g > 1 else row
+    return row
 
-    Returns (pivot rows, pivots): one {column: Fraction} dict per pivot, in
-    pivot-column order, holding 1 at its pivot column.
+
+def _forward(rows, width):
+    """The forward phase of the elimination kernel: an echelon form of
+    `rows`, each an iterable of (column, nonzero rational) pairs below
+    `width`.
+
+    Returns (rows, holders, done, pivots): the primitive integer rows as
+    {column: int} dicts, the column -> rows index, and the pivot rows (as
+    indices into rows) with their pivot columns, leftmost first.  The pivot
+    count is the rank.
 
     Every row is cleared of denominators and content first, so the
     elimination runs on primitive integer rows, fraction-free (after Bareiss
-    1968): against a pivot row with entry a at column c, a row with entry f
-    there becomes (a/g)·row - (f/g)·pivot row, g = gcd(a, f), and is divided
-    by its content again.  A column -> rows index, kept up to date as
-    entries appear and cancel, names the rows to clear, so no column scans
-    the rows.  Pivot columns are taken leftmost-first, the pivot row being
-    the candidate with the fewest nonzeros (ties by input order).  The other
-    rows not yet used as pivot rows are cleared on the way forward; the
-    pivot rows are cleared of each other on the way back, last pivot first.
-    The reduced row echelon form is unique, so these choices change only the
-    work.  Each pivot row is divided by its pivot once, at the end.
+    1968): see `_clear`.  The index names the rows to clear, so no column
+    scans the rows.  Pivot columns are taken leftmost-first, the pivot row
+    being the candidate with the fewest nonzeros (ties by input order); the
+    other rows not yet used as pivot rows are cleared of that column.  No
+    Fraction is built.
     """
     rows = [_primitive(r) for r in rows]
     holders = [set() for _ in range(width)]
@@ -265,31 +302,6 @@ def _reduce(rows, width):
     free = {i for i, row in enumerate(rows) if row}
     done = []
     pivots = []
-
-    def clear(i, prow, c, a):
-        row = rows[i]
-        f = row[c]
-        g = gcd(a, f)
-        s, t = a // g, f // g
-        if s != 1:
-            row = {j: s * v for j, v in row.items()}
-        for j, v in prow.items():
-            x = row.get(j)
-            if x is None:
-                row[j] = -t * v
-                holders[j].add(i)
-            else:
-                x -= t * v
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
-                    holders[j].discard(i)
-        g = gcd(*row.values())
-        rows[i] = {j: v // g for j, v in row.items()} if g > 1 else row
-        if not row:
-            free.discard(i)
-
     for c in range(width):
         if not free:
             break
@@ -302,15 +314,32 @@ def _reduce(rows, width):
         prow = rows[p]
         a = prow[c]
         for i in cands:
-            if i != p:
-                clear(i, prow, c, a)
+            if i != p and not _clear(rows, holders, i, prow, c, a):
+                free.discard(i)
         done.append(p)
         pivots.append(c)
+    return rows, holders, done, pivots
+
+
+def _reduce(rows, width):
+    """The elimination kernel: the reduced row echelon form of `rows`, each
+    an iterable of (column, nonzero rational) pairs below `width`.
+
+    Returns (pivot rows, pivots): one {column: Fraction} dict per pivot, in
+    pivot-column order, holding 1 at its pivot column.
+
+    `_forward` brings the rows to echelon form; the back phase clears the
+    pivot rows of each other, last pivot first, with the same fraction-free
+    step.  The reduced row echelon form is unique, so the pivot choices
+    change only the work.  Each pivot row is divided by its pivot once, at
+    the end.
+    """
+    rows, holders, done, pivots = _forward(rows, width)
     for p, c in zip(reversed(done), reversed(pivots)):
         prow = rows[p]
         a = prow[c]
         for i in [i for i in holders[c] if i != p]:
-            clear(i, prow, c, a)
+            _clear(rows, holders, i, prow, c, a)
     out = []
     for p, c in zip(done, pivots):
         row = rows[p]
@@ -396,7 +425,8 @@ def _integer_row(row):
 
 
 def _bareiss(rows):
-    """Fraction-free (Bareiss) echelon elimination of integer rows.
+    """Fraction-free (Bareiss) echelon elimination of integer rows, for
+    `det`.
 
     Yields (pivot, swapped) for each column in turn.  The first row with a
     nonzero entry in the column is swapped to the top (swapped is then
@@ -427,11 +457,9 @@ def _bareiss(rows):
 
 
 def rank(m: Matrix) -> int:
-    """Rank over Q, by fraction-free elimination of the matrix's rows
-    cleared of their denominators; all-zero rows are dropped first."""
-    rows = [ints for ints in (_integer_row(m.row(i))[1]
-                              for i in range(m.rows)) if any(ints)]
-    return sum(1 for p, _ in _bareiss(rows) if p)
+    """Rank over Q: the pivot count of the elimination kernel's forward
+    phase `_forward`, with no back phase and no Fraction built."""
+    return len(_forward(m.sparse_rows(), m.cols)[3])
 
 
 def det(m: Matrix) -> Fraction:

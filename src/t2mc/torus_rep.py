@@ -162,8 +162,10 @@ def char_poly(m: Matrix):
 
 def _divisors(v):
     """The positive divisors of v > 0, sorted, built from its factorization;
-    trial division divides each factor out, so it stops at the square root
-    of the largest prime factor rather than of v."""
+    trial division divides each factor out, so it stops at the larger of
+    the second-largest prime factor and the square root of the largest (the
+    largest itself when its square divides v), not at the square root of
+    v."""
     divs, p = {1}, 2
     while p * p <= v:
         while v % p == 0:
@@ -387,13 +389,12 @@ def cellular_complex(v: TorusRep) -> TwistedComplex:
     """
     require_valid(v)
     n = v.dim
-    one = Matrix.identity(n)
-    m1 = v.g1 - one
-    m2 = v.g2 - one
-    d0 = Matrix.from_rows([list(m1.row(i)) for i in range(n)]
-                          + [list(m2.row(i)) for i in range(n)])
-    d1 = Matrix.from_rows([list(m2.row(i)) + [-e for e in m1.row(i)]
-                           for i in range(n)])
+    # g - 1 changes only the diagonal; every entry is a Fraction already
+    m1, m2 = ([[e - 1 if i == j else e for j, e in enumerate(g.row(i))]
+               for i in range(n)] for g in (v.g1, v.g2))
+    d0 = Matrix._exact(2 * n, n, [e for row in m1 + m2 for e in row])
+    d1 = Matrix._exact(n, 2 * n, [e for r1, r2 in zip(m1, m2)
+                                  for e in (*r2, *(-e for e in r1))])
     basis = {
         0: [f"pt[{k}]" for k in range(n)],
         1: [f"edge1[{k}]" for k in range(n)] + [f"edge2[{k}]" for k in range(n)],
@@ -583,7 +584,8 @@ def parse_rep(text: str) -> TorusRep:
         if any(isinstance(e, bool) for row in data for e in row):
             raise ParseError("bad matrix entry: a boolean is not a number")
         try:
-            return Matrix.from_rows([[frac(e) for e in row] for row in data])
+            return Matrix._exact(dim, dim, [frac(e) for row in data
+                                            for e in row])
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad matrix entry: {exc}") from exc
 

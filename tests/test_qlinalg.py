@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -6,8 +7,11 @@ from math import gcd
 import pytest
 
 import t2mc.qlinalg as qlinalg
+from t2mc.errors import ParseError
 from t2mc.qlinalg import (Matrix, SparseMatrix, det, frac, frac_str,
                           in_lattice, invert, rank, rank_kernel, solve)
+from t2mc.torus_rep import (TorusRep, _intertwiner_equations,
+                            cellular_complex, hom_rep, parse_rep)
 
 
 def test_frac_parsing_and_printing():
@@ -17,6 +21,37 @@ def test_frac_parsing_and_printing():
     assert frac_str(Fraction(5)) == "5"
     assert frac_str(Fraction(-1, 2)) == "-1/2"
     assert frac_str(7) == "7" and frac_str(-3) == "-3"
+
+
+FRAC_CORPUS = (
+    "3/4", "-0", "007", "0/5",                   # canonical
+    " 3/4 ", "+3", "1_000", "3/ 4", "1/-2",      # not canonical
+    "1.5", "1e3", "\u0663", "\u00b2",            # decimal, non-ASCII
+    "", "-", "/3", "3/", "--3", "3/0")
+
+
+def test_frac_strings_match_fraction():
+    """A string gives what `Fraction(s.strip())` gives: the same value, or
+    the same exception with the same message; `parse_rep` turns each
+    rejected entry into a ParseError."""
+    rejected = []
+    for s in FRAC_CORPUS:
+        try:
+            expected = Fraction(s.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)) as info:
+                frac(s)
+            assert str(info.value) == str(exc)
+            rejected.append(s)
+        else:
+            got = frac(s)
+            assert type(got) is Fraction
+            assert (got.numerator, got.denominator) == (
+                expected.numerator, expected.denominator)
+    assert "3/0" in rejected and "3/4" not in rejected
+    for s in rejected:
+        with pytest.raises(ParseError):
+            parse_rep(f"1\n{json.dumps([[s]])}\n[[1]]")
 
 
 def test_frac_rejects_booleans():
@@ -512,11 +547,46 @@ def test_det_reads_integer_entries():
             Matrix(m.rows, m.cols, ints))
 
 
+def _hom_pairs():
+    """Seeded pairs (V, W) built like the dense_hom benchmark's, n = 3 to 6:
+    V has characters 1 and 2, one Jordan block each (superdiagonal 1, 2,
+    3, ... times the character), and g2 = g1²; W is V in the basis of a
+    product of 2n integer shears; each is conjugated by seeded signs."""
+    rng = random.Random(53)
+
+    def signed(r):
+        return r.conjugate(Matrix.diagonal([rng.choice((1, -1))
+                                            for _ in range(r.dim)]))
+
+    def jordan_entry(i, j, na):
+        c = 1 if i < na else 2
+        if j == i:
+            return c
+        return c * (1 + i % 3) if j == i + 1 != na else 0
+
+    pairs = []
+    for n in range(3, 7):
+        na = (n + 1) // 2
+        g1 = Matrix.from_rows([[jordan_entry(i, j, na) for j in range(n)]
+                               for i in range(n)])
+        v = TorusRep(g1, g1 * g1)
+        p = Matrix.identity(n)
+        for _ in range(2 * n):
+            shear = Matrix.identity(n).to_rows()
+            i, j = rng.sample(range(n), 2)
+            shear[i][j] = rng.choice((1, -1, 2, -2))
+            p = p * Matrix.from_rows(shear)
+        pairs.append((signed(v), signed(v.conjugate(p))))
+    return pairs
+
+
 def _rank_cases():
     """Seeded matrices for `rank`: square 0x0 to 12x12 with mixed
     denominators up to 10**6, and rectangular up to 72x36 with small ones,
     at 0-100 % density; low-rank products, zero rows and columns, and
-    duplicate and dependent rows."""
+    duplicate and dependent rows; empty shapes; and this library's own rank
+    inputs: the cellular differentials of Hom(V, W) and the intertwiner
+    systems of (V, W), (V, V) and (W, W) for the pairs of `_hom_pairs`."""
     rng = random.Random(47)
 
     def entry(big=True):
@@ -552,6 +622,13 @@ def _rank_cases():
         a, b = entry(), entry()
         rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
         cases.append(flat(len(rows), m, rows))
+    for k in (0, 1, 2, 36):
+        cases += [Matrix.zero(0, k), Matrix.zero(k, 0)]
+    for v, w in _hom_pairs():
+        cx = cellular_complex(hom_rep(v, w))
+        cases += [cx.d[0], cx.d[1]]
+        cases += [_intertwiner_equations(a, b)
+                  for a, b in ((v, w), (v, v), (w, w))]
     return cases
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import t2mc.cochain as cochain
+import t2mc.qlinalg as qlinalg
 import t2mc.torus_rep as torus_rep
 from t2mc.qlinalg import Matrix, det, invert, rank, rank_kernel, solve
 from t2mc.torus_rep import (GRID_CAP, IrrationalSpectrumError, IsoResult,
@@ -397,7 +398,7 @@ def _seeded_reps(seed, count):
 def test_hom_rep_matches_unit_product_reference(tmp_path):
     reps = _seeded_reps(53, 12)
     pairs = list(zip(reps, reps[1:]))
-    pairs.append(_bench_iso_pair(tmp_path, 1, "iso_conjugate"))
+    pairs.append(_bench_pair(tmp_path, 1, "iso_conjugate"))
     for v, w in pairs:
         for a, b in ((v, w), (w, v), (v, v)):
             h = hom_rep(a, b)
@@ -578,7 +579,7 @@ def test_hom_betti_matches_rank_kernel_route():
 
 def test_end_dim_certificate_matches_kernel(tmp_path):
     reps = _seeded_reps(67, 10)
-    reps += _bench_iso_pair(tmp_path, 2, "iso_conjugate")
+    reps += _bench_pair(tmp_path, 2, "iso_conjugate")
     reps += [TorusRep.trivial(3), TorusRep(Matrix(0, 0, []), Matrix(0, 0, []))]
     for r in reps:
         assert torus_rep._end_dim(r) == len(intertwiner_space(r, r))
@@ -786,7 +787,7 @@ def test_is_isomorphic_dimension_certificate():
     assert result.space_dim == 20
 
 
-def _bench_iso_pair(tmp_path, seed, name):
+def _bench_pair(tmp_path, seed, name):
     spec = importlib.util.spec_from_file_location("_bench_inputs",
                                                   BENCH_INPUTS)
     module = importlib.util.module_from_spec(spec)
@@ -812,14 +813,43 @@ def test_is_isomorphic_grid_determinant_count(tmp_path, monkeypatch, seed):
         return real(m)
 
     monkeypatch.setattr(torus_rep, "det", counting)
-    v, w = _bench_iso_pair(tmp_path, seed, "iso_conjugate")
+    v, w = _bench_pair(tmp_path, seed, "iso_conjugate")
     assert is_isomorphic(v, w).status == "isomorphic"
     grid = [c for c in callers if c != "validate"]
     assert 0 < len(grid) <= 160
     callers.clear()
-    v, d = _bench_iso_pair(tmp_path, seed, "iso_diagonal")
+    v, d = _bench_pair(tmp_path, seed, "iso_diagonal")
     assert is_isomorphic(v, d).status == "not_isomorphic"
     assert [c for c in callers if c != "validate"] == []
+
+
+def test_cellular_complex_count_gate(tmp_path, monkeypatch):
+    """Operation count instead of timing: on the n = 6 Hom rep of the
+    dense_hom benchmark the cellular complex subtracts 1 on the diagonal
+    only, with no `Matrix.__sub__`, and its Betti numbers take no Bareiss
+    elimination: `_bareiss` serves `det` alone (here, validation)."""
+    h = hom_rep(*_bench_pair(tmp_path, 1, "hom6"))
+    m1, m2 = (g - Matrix.identity(h.dim) for g in (h.g1, h.g2))
+    subs, callers = [], []
+    sub, bareiss = Matrix.__sub__, qlinalg._bareiss
+
+    def counting_sub(a, b):
+        subs.append((a, b))
+        return sub(a, b)
+
+    def counting_bareiss(rows):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return bareiss(rows)
+
+    monkeypatch.setattr(Matrix, "__sub__", counting_sub)
+    monkeypatch.setattr(qlinalg, "_bareiss", counting_bareiss)
+    cx = cellular_complex(h)
+    assert cx.betti(range(3)) == (6, 12, 6)
+    assert subs == []
+    assert callers and set(callers) == {"det"}
+    assert cx.d[0] == Matrix.from_rows(m1.to_rows() + m2.to_rows())
+    assert cx.d[1] == Matrix.from_rows([r2 + [-e for e in r1] for r1, r2
+                                        in zip(m1.to_rows(), m2.to_rows())])
 
 
 def test_tensor_is_kronecker_product():
