@@ -13,9 +13,10 @@ so identical inputs always produce identical outputs.  `Matrix.rref`,
 `rank_kernel`, `invert` and `solve` all reduce through it; `rank` runs its
 forward phase alone and counts the pivots.  `solve` also takes a
 `SparseMatrix`, one dict per row, so a system assembled sparsely is never
-made dense.  Determinants alone (with them `char_poly` and the invertibility
-tests) clear each row's denominators and run a dense fraction-free Bareiss
-elimination over Z, whose divisions are exact.  Over Z there is no matrix
+made dense.  Determinants alone (with them `char_poly` and the isomorphism
+grid; an invertibility test is a rank test) clear each row's denominators
+and run a dense fraction-free Bareiss elimination over Z, whose divisions
+are exact.  Over Z there is no matrix
 type at all: lattice membership is integer echelon reduction (Euclid within
 each column) on int lists.
 """

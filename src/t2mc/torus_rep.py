@@ -15,13 +15,12 @@ grid candidates).
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from .cochain import TwistedComplex
 from .errors import DomainError, ParseError
@@ -112,8 +111,11 @@ class TorusRep:
 def _diagonal_inverse(m: Matrix):
     """m^{-1}, the reciprocal diagonal, when m is diagonal with no zero on
     its diagonal, else None."""
-    diag = m.entries[::m.cols + 1]
-    if all(diag) and m == Matrix.diagonal(diag):
+    e, step = m.entries, m.cols + 1
+    diag = e[::step]
+    # the entries strictly between two diagonal ones are off the diagonal
+    if all(diag) and not any(any(e[k + 1:k + step])
+                             for k in range(0, len(e) - 1, step)):
         return Matrix.diagonal([1 / d for d in diag])
     return None
 
@@ -130,13 +132,14 @@ class ValidationReport:
 
 
 def validate(r: TorusRep) -> ValidationReport:
-    """Check commutativity and invertibility of the generator pair."""
+    """Check that the generators commute and are invertible, that is of
+    full rank (the pivot count of the elimination kernel's forward phase)."""
     problems = []
     if r.g1 * r.g2 != r.g2 * r.g1:
         problems.append("non_commuting")
-    if det(r.g1) == 0:
+    if rank(r.g1) < r.dim:
         problems.append("singular_g1")
-    if det(r.g2) == 0:
+    if rank(r.g2) < r.dim:
         problems.append("singular_g2")
     return ValidationReport(problems)
 
@@ -385,7 +388,8 @@ def cellular_complex(v: TorusRep) -> TwistedComplex:
 
     C^0 = V -> C^1 = V ⊕ V -> C^2 = V with
     d0(x) = ((g1-1)x, (g2-1)x) and d1(x1, x2) = (g2-1)x1 - (g1-1)x2;
-    d1 ∘ d0 = 0 because the generators commute.
+    d1 ∘ d0 = (g2-1)(g1-1) - (g1-1)(g2-1) = g2g1 - g1g2, so d² = 0 is the
+    commutator check that validation has just made, and is not repeated.
     """
     require_valid(v)
     n = v.dim
@@ -400,7 +404,7 @@ def cellular_complex(v: TorusRep) -> TwistedComplex:
         1: [f"edge1[{k}]" for k in range(n)] + [f"edge2[{k}]" for k in range(n)],
         2: [f"square[{k}]" for k in range(n)],
     }
-    return TwistedComplex(basis, {0: d0, 1: d1})
+    return TwistedComplex(basis, {0: d0, 1: d1}, check=False)
 
 
 # -- isomorphism testing -----------------------------------------------------
@@ -438,13 +442,15 @@ def _intertwiner_equations(v: TorusRep, w: TorusRep) -> Matrix:
     entries = []
     for i in (1, 2):
         vg, wg = v.g(i), w.g(i)
-        # (T vg - wg T)[a, b] = sum_c T[a,c] vg[c,b] - wg[a,c] T[c,b]
+        vgt, neg_wg = vg.transpose().entries, [-e for e in wg.entries]
+        # (T vg - wg T)[a, b] = sum_c T[a,c] vg[c,b] - wg[a,c] T[c,b]; the
+        # two index sets a*n + c and c*n + b meet only at a*n + b
         for a in range(n):
             for b in range(n):
                 row = [Fraction(0)] * (n * n)
-                for c in range(n):
-                    row[a * n + c] += vg[(c, b)]
-                    row[c * n + b] -= wg[(a, c)]
+                row[b::n] = neg_wg[a * n:(a + 1) * n]
+                row[a * n:(a + 1) * n] = vgt[b * n:(b + 1) * n]
+                row[a * n + b] = vg[(b, b)] - wg[(a, a)]
                 entries += row
     return Matrix._exact(2 * n * n, n * n, entries)
 
@@ -503,12 +509,12 @@ def is_isomorphic(v: TorusRep, w: TorusRep) -> IsoResult:
         return IsoResult("not_isomorphic", None, k)
     n = v.dim
     den = lcm(*(e.denominator for t in space for e in t.entries))
-    # coeffs[j]: entry j of each basis matrix, times den
-    coeffs = list(zip(*([e.numerator * (den // e.denominator)
-                         for e in t.entries] for t in space)))
+    # the entries of each basis matrix, times den
+    basis = [[e.numerator * (den // e.denominator) for e in t.entries]
+             for t in space]
 
     def candidate(lam):
-        return tuple([sum(map(mul, lam, c)) for c in coeffs])
+        return tuple([sum(map(mul, lam, c)) for c in zip(*basis)])
 
     def invertible(entries):
         return det(Matrix._exact(n, n, entries)) != 0
@@ -525,9 +531,18 @@ def is_isomorphic(v: TorusRep, w: TorusRep) -> IsoResult:
         step += 1
     values = values[:max(n + 1, 5)]
     if len(values) ** k <= GRID_CAP:
+        # scaled[d]: basis matrix d times each grid value
+        scaled = [[tuple([x * e for e in b]) for x in values] for b in basis]
+
+        def grid(d, partial):
+            # the points in itertools.product order, each the partial sum
+            # of coordinates 0..d-1 plus one scaled basis matrix
+            for s in scaled[d]:
+                point = tuple(map(add, partial, s))
+                yield from grid(d + 1, point) if d + 1 < k else (point,)
+
         best = None
-        for lam in itertools.product(values, repeat=k):
-            entries = candidate(lam)
+        for entries in grid(0, (0,) * (n * n)):
             key = _candidate_key(entries)
             if (best is None or key < best[0]) and invertible(entries):
                 best = (key, entries)
@@ -572,6 +587,9 @@ def parse_rep(text: str) -> TorusRep:
                 blocks.append(rest[start:pos + 1])
     if len(blocks) != 2:
         raise ParseError("expected exactly two matrices")
+    # each distinct entry string is read once (a Fraction is immutable, so
+    # equal ones may share it); not numbers: 1 == 1.0, but 1.0 is rejected
+    read = cache(frac)
 
     def load(block):
         try:
@@ -584,8 +602,9 @@ def parse_rep(text: str) -> TorusRep:
         if any(isinstance(e, bool) for row in data for e in row):
             raise ParseError("bad matrix entry: a boolean is not a number")
         try:
-            return Matrix._exact(dim, dim, [frac(e) for row in data
-                                            for e in row])
+            return Matrix._exact(dim, dim, [
+                read(e) if type(e) is str else frac(e)
+                for row in data for e in row])
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad matrix entry: {exc}") from exc
 

@@ -1,5 +1,8 @@
 import importlib.util
 import itertools
+import json
+import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -39,6 +42,68 @@ def test_validate_pinned():
     assert "singular_g1" in validate(singular).problems
     with pytest.raises(SingularError):
         require_valid(singular)
+
+
+def _reference_validate(r):
+    """Validation as it stood with invertibility tested by a determinant."""
+    problems = []
+    if r.g1 * r.g2 != r.g2 * r.g1:
+        problems.append("non_commuting")
+    if det(r.g1) == 0:
+        problems.append("singular_g1")
+    if det(r.g2) == 0:
+        problems.append("singular_g2")
+    return problems
+
+
+def _validation_pairs():
+    """Seeded pairs with n = 1 to 8 and entries p/q: for each n a valid pair
+    (g2 a polynomial in g1), commuting pairs with one and with two singular
+    generators, a non-commuting pair and a non-commuting pair with a
+    singular one."""
+    rng = random.Random(59)
+
+    def dense(n):
+        return Matrix.from_rows([[Fraction(rng.randint(-9, 9),
+                                           rng.choice((1, 2, 3)))
+                                  for _ in range(n)] for _ in range(n)])
+
+    def singular(n):
+        rows = dense(n).to_rows()
+        c = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+        rows[-1] = [c * e for e in rows[0]] if n > 1 else [0]
+        if n > 2:
+            rows[-1] = [x + y for x, y in zip(rows[-1], rows[1])]
+        return Matrix.from_rows(rows)
+
+    pairs = []
+    for n in range(1, 9):
+        g = dense(n)
+        pairs.append(TorusRep(g, g * g))
+        s, c = singular(n), Matrix.identity(n).scale(rng.choice((2, -3)))
+        pairs.append(TorusRep(s, s * s))
+        pairs.append(TorusRep(s, c) if n % 2 else TorusRep(c, s))
+        pairs.append(TorusRep(dense(n), dense(n)))
+        pairs.append(TorusRep(singular(n), dense(n)) if n % 2
+                     else TorusRep(dense(n), singular(n)))
+    return pairs
+
+
+def test_validate_matches_determinant_reference(monkeypatch):
+    dets = []
+    real = torus_rep.det
+    monkeypatch.setattr(torus_rep, "det",
+                        lambda m: dets.append(m) or real(m))
+    seen = set()
+    for r in _validation_pairs():
+        problems = validate(r).problems
+        assert problems == _reference_validate(r)
+        seen.add(tuple(problems))
+    assert {(), ("singular_g1",), ("singular_g2",), ("non_commuting",),
+            ("non_commuting", "singular_g1"),
+            ("non_commuting", "singular_g2")} <= seen
+    # invertibility is a rank test: validation takes no determinant
+    assert dets == []
 
 
 def test_char_poly_and_rational_roots():
@@ -152,9 +217,11 @@ def test_semisimplify_completes_bases_without_rank(monkeypatch):
     v = rep([[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 3, 1], [0, 0, 0, 3]])
     p = Matrix.from_rows([[1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 0],
                           [0, 0, 1, 2]])
-    data = semisimplify(v.conjugate(p))
+    u = v.conjugate(p)
+    data = semisimplify(u)
     assert sorted(data.characters) == [(2, 1), (2, 1), (3, 1), (3, 1)]
-    assert calls == []
+    # validation's invertibility tests are the only rank calls
+    assert len(calls) == 2 and calls[0] is u.g1 and calls[1] is u.g2
 
 
 def _jordan(lam, n):
@@ -522,6 +589,19 @@ def test_cellular_d_square_and_euler():
         assert b[0] - b[1] + b[2] == 0
 
 
+def test_cellular_d1_d0_is_the_commutator(monkeypatch):
+    """d1·d0 = g2g1 - g1g2 entrywise, commuting or not, so the commutator
+    check of validation is the d² check and the complex does not repeat it."""
+    monkeypatch.setattr(torus_rep, "require_valid", lambda r: None)
+    commuting = 0
+    for r in _validation_pairs():
+        cx = cellular_complex(r)
+        commutator = r.g2 * r.g1 - r.g1 * r.g2
+        assert cx.d[1] * cx.d[0] == commutator
+        commuting += commutator.is_zero()
+    assert 0 < commuting < len(_validation_pairs())
+
+
 def test_cellular_conjugation_invariance():
     v = rep([[1, 2, 3], [0, 1, 4], [0, 0, 2]])
     p = Matrix.from_rows([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
@@ -815,38 +895,163 @@ def test_is_isomorphic_grid_determinant_count(tmp_path, monkeypatch, seed):
     monkeypatch.setattr(torus_rep, "det", counting)
     v, w = _bench_pair(tmp_path, seed, "iso_conjugate")
     assert is_isomorphic(v, w).status == "isomorphic"
-    grid = [c for c in callers if c != "validate"]
-    assert 0 < len(grid) <= 160
+    assert 0 < len(callers) <= 160 and set(callers) == {"invertible"}
     callers.clear()
     v, d = _bench_pair(tmp_path, seed, "iso_diagonal")
     assert is_isomorphic(v, d).status == "not_isomorphic"
-    assert [c for c in callers if c != "validate"] == []
+    assert callers == []
+
+
+def _reference_intertwiner_equations(v, w):
+    """The intertwiner system built entry by entry with `+=` and `-=`."""
+    n = v.dim
+    entries = []
+    for i in (1, 2):
+        vg, wg = v.g(i), w.g(i)
+        for a in range(n):
+            for b in range(n):
+                row = [Fraction(0)] * (n * n)
+                for c in range(n):
+                    row[a * n + c] += vg[(c, b)]
+                    row[c * n + b] -= wg[(a, c)]
+                entries += row
+    return Matrix(2 * n * n, n * n, entries)
+
+
+def test_intertwiner_equations_match_reference(monkeypatch):
+    pairs = _validation_pairs()
+    pairs = [(v, w) for v, w in zip(pairs, pairs[1:]) if v.dim == w.dim]
+    refs = [_reference_intertwiner_equations(v, w) for v, w in pairs]
+    adds = []
+    add = Fraction.__add__
+    monkeypatch.setattr(Fraction, "__add__",
+                        lambda a, b: adds.append(a) or add(a, b))
+    got = [torus_rep._intertwiner_equations(v, w) for v, w in pairs]
+    monkeypatch.undo()
+    # each entry is assigned; the diagonal one is a single subtraction
+    assert adds == []
+    for g, ref in zip(got, refs):
+        assert g == ref
+        assert all(type(e) is Fraction for e in g.entries)
+
+
+def _reference_grid_is_isomorphic(v, w):
+    """is_isomorphic with every grid point a sum of products per entry, as
+    it stood before the partial sums: the result and its grid determinant
+    count."""
+    dets = []
+    if v.g1 == w.g1 and v.g2 == w.g2:
+        return IsoResult("isomorphic", Matrix.identity(v.dim), None), 0
+    space = intertwiner_space(v, w)
+    k = len(space)
+    if k == 0:
+        return IsoResult("not_isomorphic", None, 0), 0
+    if k != torus_rep._end_dim(v) or k != torus_rep._end_dim(w):
+        return IsoResult("not_isomorphic", None, k), 0
+    n = v.dim
+    den = math.lcm(*(e.denominator for t in space for e in t.entries))
+    coeffs = list(zip(*([e.numerator * (den // e.denominator)
+                         for e in t.entries] for t in space)))
+    values = [0]
+    step = 1
+    while len(values) < n + 1:
+        values.extend((step, -step))
+        step += 1
+    values = values[:max(n + 1, 5)]
+    assert len(values) ** k <= GRID_CAP
+    best = None
+    for lam in itertools.product(values, repeat=k):
+        entries = tuple([sum(map(operator.mul, lam, c)) for c in coeffs])
+        key = _candidate_key(entries)
+        if best is None or key < best[0]:
+            dets.append(lam)
+            if det(Matrix._exact(n, n, entries)) != 0:
+                best = (key, entries)
+    if best is None:
+        return IsoResult("not_isomorphic", None, k), len(dets)
+    t = Matrix(n, n, [Fraction(e, den) for e in best[1]])
+    return IsoResult("isomorphic", t, k), len(dets)
+
+
+def _grid_iso_pairs(count):
+    """Seeded pairs with n <= 4 whose grid has at most 5**4 points:
+    conjugates, diagonal parts and pairs with one perturbed entry."""
+    rng = random.Random(67)
+    pairs = []
+    while len(pairs) < count:
+        n = rng.randint(1, 4)
+        v = _random_triangular(rng, n)
+        kind = len(pairs) % 3
+        if kind == 0:
+            w = v.conjugate(_random_unimodular(rng, n))
+        elif kind == 1:
+            w = TorusRep.diagonal([(v.g1[(i, i)], v.g2[(i, i)])
+                                   for i in range(n)])
+        else:
+            rows = v.g1.to_rows()
+            i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+            rows[i][j] += rng.choice((1, -1))
+            g1 = Matrix.from_rows(rows)
+            if validate(TorusRep(g1, g1 * g1)).problems:
+                continue
+            v, w = TorusRep(v.g1, v.g1 * v.g1), TorusRep(g1, g1 * g1)
+        if 5 ** len(intertwiner_space(v, w)) <= 5 ** 4:
+            pairs.append((v, w))
+    return pairs
+
+
+def test_is_isomorphic_grid_matches_sum_of_products_reference(monkeypatch):
+    dets, muls = [], []
+    real = torus_rep.det
+    monkeypatch.setattr(torus_rep, "det",
+                        lambda m: dets.append(m) or real(m))
+    monkeypatch.setattr(torus_rep, "mul",
+                        lambda a, b: muls.append(a) or a * b)
+    statuses, grid_dets = set(), 0
+    for v, w in _grid_iso_pairs(100):
+        ref, ref_dets = _reference_grid_is_isomorphic(v, w)
+        dets.clear()
+        got = is_isomorphic(v, w)
+        assert (got.status, got.space_dim) == (ref.status, ref.space_dim)
+        assert got.conjugator == ref.conjugator
+        assert len(dets) == ref_dets
+        statuses.add(got.status)
+        grid_dets += ref_dets
+    assert statuses == {"isomorphic", "not_isomorphic"} and grid_dets > 0
+    # each grid point is a partial sum plus one scaled basis matrix
+    assert muls == []
 
 
 def test_cellular_complex_count_gate(tmp_path, monkeypatch):
     """Operation count instead of timing: on the n = 6 Hom rep of the
     dense_hom benchmark the cellular complex subtracts 1 on the diagonal
-    only, with no `Matrix.__sub__`, and its Betti numbers take no Bareiss
-    elimination: `_bareiss` serves `det` alone (here, validation)."""
+    only, with no `Matrix.__sub__`; it takes no Bareiss elimination, since
+    validation tests invertibility by rank and the Betti numbers are ranks;
+    and its only products are validation's g1·g2 and g2·g1, since d1·d0 is
+    their difference and is not formed again."""
     h = hom_rep(*_bench_pair(tmp_path, 1, "hom6"))
     m1, m2 = (g - Matrix.identity(h.dim) for g in (h.g1, h.g2))
-    subs, callers = [], []
-    sub, bareiss = Matrix.__sub__, qlinalg._bareiss
+    subs, muls, bareiss_calls = [], [], []
+    sub, mul = Matrix.__sub__, Matrix.__mul__
 
     def counting_sub(a, b):
         subs.append((a, b))
         return sub(a, b)
 
-    def counting_bareiss(rows):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return bareiss(rows)
+    def counting_mul(a, b):
+        muls.append((a, b))
+        return mul(a, b)
 
     monkeypatch.setattr(Matrix, "__sub__", counting_sub)
-    monkeypatch.setattr(qlinalg, "_bareiss", counting_bareiss)
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    monkeypatch.setattr(qlinalg, "_bareiss",
+                        lambda rows: bareiss_calls.append(rows))
     cx = cellular_complex(h)
     assert cx.betti(range(3)) == (6, 12, 6)
-    assert subs == []
-    assert callers and set(callers) == {"det"}
+    assert subs == [] and bareiss_calls == []
+    assert len(muls) == 2
+    assert muls[0][0] is h.g1 and muls[0][1] is h.g2
+    assert muls[1][0] is h.g2 and muls[1][1] is h.g1
     assert cx.d[0] == Matrix.from_rows(m1.to_rows() + m2.to_rows())
     assert cx.d[1] == Matrix.from_rows([r2 + [-e for e in r1] for r1, r2
                                         in zip(m1.to_rows(), m2.to_rows())])
@@ -894,4 +1099,32 @@ def test_parse_rep_rejects_booleans():
 
     for text in ("1\n[[true]]\n[[1]]", "1\n[[1]]\n[[false]]"):
         with pytest.raises(ParseError, match="boolean"):
+            parse_rep(text)
+
+
+def test_parse_rep_shares_each_entry_string():
+    from t2mc.errors import ParseError
+    from t2mc.qlinalg import frac
+
+    rng = random.Random(61)
+    pool = ["0", "1", "-1", "3/4", "-3/4", "6/8", " 2 ", "+5", "10/2",
+            "1.5", "-0", 2, -7, 0]
+    for n in (1, 3, 5):
+        data = [[[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+                for _ in range(2)]
+        r = parse_rep(f"{n}\n{json.dumps(data[0])}\n{json.dumps(data[1])}")
+        raw = [e for m in data for row in m for e in row]
+        got = r.g1.entries + r.g2.entries
+        assert got == tuple(frac(e) for e in raw)
+        first = {}
+        for e, x in zip(raw, got):
+            if isinstance(e, str):
+                # an equal string later in the file shares the Fraction
+                assert first.setdefault(e, x) is x
+    # numbers are not memoized: a float is rejected after an equal int or
+    # string, and a bad string is rejected each time it appears
+    for text in ("1\n[[1]]\n[[1.0]]", '1\n[["1"]]\n[[1.0]]',
+                 '2\n[["1", 1.0], [0, 1]]\n[[1, 0], [0, 1]]',
+                 '1\n[["x"]]\n[["x"]]'):
+        with pytest.raises(ParseError):
             parse_rep(text)
