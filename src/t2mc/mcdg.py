@@ -24,13 +24,13 @@ isomorphism built so far, and straighten it to a constant-coefficient
 representative supported on equal-character entry pairs.  The gauge is fixed
 by forbidding constant terms of the straightening chain on equal-character
 entries, which pins the same representative the step-by-step hand
-computation produces.
+computation produces.  Every stage is a `TorusRep.block` of that pair.
 
 The straightening, comparison and splitting-corner solves run over
 elementary unknowns E_pq·t^a.  Each unknown's image (its twisted
 differential and face-compatibility defects) is written straight from its
 one-entry support, row p and column q, into sparse coordinates: O(n) terms
-per unknown, never a full form-matrix product.
+per unknown, never a full form-matrix product, each face product once.
 
 The checks run on the same sparse coordinates, not on products: the
 cocycle and global-section conditions of a morphism are summed from those
@@ -309,7 +309,7 @@ def _defects(f: HomElement, source, target, cocycle=False):
                     raise ValueError("the twisted differential is summed "
                                      "over degree-0 0-forms only")
                 for k, v in image(p, q, key, cocycle).items():
-                    out[k] = out.get(k, _ZERO) + c * v
+                    out[k] = c * v if (o := out.get(k)) is None else o + c * v
     return {k: v for k, v in out.items() if v}
 
 
@@ -527,8 +527,10 @@ class _ChainProblem:
       G = dst.g(3-i), Ginv = src.g(3-i)^{-1}, minus the plain restriction
       at (p, q), which vanishes when the crossing exponent is nonzero.
 
-    Zero coordinates are dropped after summing, so an image equals the
-    flattened twisted differential and defects of the unit form matrix.
+    eta_src is negated once, and each (edge, p, q) forms its face products
+    once, for all monomials.  A coordinate is added to only on a collision,
+    and zeros are dropped after summing, so an image equals the flattened
+    twisted differential and defects of the unit form matrix.
     """
 
     def __init__(self, src: MCObject, dst: MCObject, bound: int):
@@ -540,7 +542,8 @@ class _ChainProblem:
         self._eta_cols = [[(r, row[p].terms)
                            for r, row in enumerate(dst.eta) if row[p].terms]
                           for p in range(dst.dim)]
-        self._eta_rows = [[(s, f.terms) for s, f in enumerate(row) if f.terms]
+        self._eta_rows = [[(s, {k: -c for k, c in f.terms.items()})
+                           for s, f in enumerate(row) if f.terms]
                           for row in src.eta]
         self._faces = []
         for i in (1, 2):
@@ -548,7 +551,7 @@ class _ChainProblem:
             g_cols = [[(r, c) for r, c in enumerate(g.col(p)) if c]
                       for p in range(g.cols)]
             self._faces.append((i, g_cols,
-                                src.base.g_inv(3 - i).sparse_rows()))
+                                src.base.g_inv(3 - i).sparse_rows(), {}))
 
     def image(self, p, q, key, eq=True):
         """Sparse image of the unit E_pq carrying the form monomial `key`
@@ -565,23 +568,26 @@ class _ChainProblem:
             for r, terms in self._eta_cols[p]:
                 for (m, f1, f2), c in terms.items():
                     k = ("eq", r, q, (m, f1 + e1, f2 + e2))
-                    img[k] = img.get(k, _ZERO) + c
+                    img[k] = c if (o := img.get(k)) is None else o + c
             for s, terms in self._eta_rows[q]:
                 for (m, f1, f2), c in terms.items():
                     k = ("eq", p, s, (m, e1 + f1, e2 + f2))
-                    img[k] = img.get(k, _ZERO) - c
-        for i, g_cols, g_inv_rows in self._faces:
+                    img[k] = c if (o := img.get(k)) is None else o + c
+        for i, g_cols, g_inv_rows, products in self._faces:
             if mask & (3 - i):
                 continue  # the crossing dt restricts to zero on both faces
             par_e, cross_e = (e1, e2) if i == 1 else (e2, e1)
             fkey = (1 if mask else 0, par_e)
             tag = ("gs", i)
-            for r, a in g_cols[p]:
-                for s, b in g_inv_rows[q]:
-                    img[(tag, r, s, fkey)] = a * b
+            face = products.get((p, q))  # [(r, s, G[r][p]·Ginv[q][s])]
+            if face is None:
+                face = products[(p, q)] = [(r, s, a * b) for r, a in g_cols[p]
+                                           for s, b in g_inv_rows[q]]
+            for r, s, v in face:
+                img[(tag, r, s, fkey)] = v
             if not cross_e:
                 k = (tag, p, q, fkey)
-                img[k] = img.get(k, _ZERO) - 1
+                img[k] = Fraction(-1) if (o := img.get(k)) is None else o - 1
         return {k: v for k, v in img.items() if v}
 
     def _add(self, kind, p, q, key, eq=True):
@@ -757,8 +763,7 @@ def realize_rep(top: TorusRep, bottom: TorusRep, f1: Matrix,
         mats.append(Matrix.from_rows(rows))
     rep = TorusRep(mats[0], mats[1])
     require_valid(rep)
-    # top, bottom and rep are validated above
-    ext = ExtensionData(_unchecked(top), _unchecked(bottom), _unchecked(rep),
+    ext = ExtensionData(top, bottom, rep,
                         HomElement.linear(f1, f2, T)).validate()
     return RealizeResult(rep, ext)
 
@@ -813,8 +818,9 @@ def rep_extension(r: TorusRep, split: int, bound: int = 4) -> ExtensionData:
     """The extension (leading block) -> r -> (trailing block) with an exact
     polynomial splitting.
 
-    The splitting corner psi is taken linear in t when the corner blocks are
-    invariant under the crossing generators (the closed form
+    top and bottom are `r.block`s (see there).  The splitting corner psi is
+    taken linear in t when the corner blocks are invariant under the
+    crossing generators (the closed form
     psi = -t1·g1_top^{-1}·n1 - t2·g2_top^{-1}·n2); otherwise it is solved for
     over polynomials of degree <= bound.
     """
@@ -822,22 +828,11 @@ def rep_extension(r: TorusRep, split: int, bound: int = 4) -> ExtensionData:
     n = r.dim
     if not 0 < split < n:
         raise ValueError("split must cut the representation properly")
-    for g in (r.g1, r.g2):
-        for i in range(split, n):
-            for j in range(split):
-                if g[(i, j)] != 0:
-                    raise DomainError("representation is not block upper "
-                                      "triangular at the split")
-    sub = lambda g, r0, r1, c0, c1: Matrix.from_rows(
-        [[g[(i, j)] for j in range(c0, c1)] for i in range(r0, r1)])
-    top = TorusRep(sub(r.g1, 0, split, 0, split), sub(r.g2, 0, split, 0, split))
-    bottom = TorusRep(sub(r.g1, split, n, split, n),
-                      sub(r.g2, split, n, split, n))
-    corners = [sub(r.g1, 0, split, split, n), sub(r.g2, 0, split, split, n)]
+    top, bottom = r.block(0, split), r.block(split, n)
+    corners = [Matrix.from_rows([g.row(i)[split:] for i in range(split)])
+               for g in (r.g1, r.g2)]
     psi = _splitting_corner(top, bottom, corners, bound)
-    # r is valid, hence so are its diagonal blocks: wrap all three unchecked
-    return ExtensionData(_unchecked(top), _unchecked(bottom), _unchecked(r),
-                         psi).validate()
+    return ExtensionData(top, bottom, r, psi).validate()
 
 
 def _splitting_corner(top: TorusRep, bottom: TorusRep, corners, bound: int):
@@ -894,7 +889,8 @@ def rep_to_mc(r: TorusRep, bound: int = 4) -> RepToMcResult:
     class of the next stage, pushforward along the isomorphism built so far,
     straightening to the constant representative.  Returns the MC object,
     the isomorphism from the input to it (a degree-0 invertible twisted
-    cocycle), and the triangularization data.
+    cocycle), and the triangularization data.  The triangular pair is
+    validated and inverted once; each stage is a `tri.block`, inheriting both.
 
     The isomorphism needs no invertibility check: every stage borders phi
     with a zero row and the constant 1 in the corner, so phi is an upper
@@ -905,19 +901,17 @@ def rep_to_mc(r: TorusRep, bound: int = 4) -> RepToMcResult:
 
     ss = semisimplify(r)
     tri = TorusRep(ss.tri1, ss.tri2)
+    require_valid(tri)
     chars = ss.characters
     n = r.dim
     if n == 0:
         return RepToMcResult(MCObject.semisimple([]),
                              HomElement.zero(0, 0), ss)
+    tri.g_inv(1), tri.g_inv(2)  # kept, so every stage takes them sliced
     eta = HomElement.zero(1, 1, 1)
     phi = HomElement.from_matrix(Matrix.identity(1))
     for m in range(1, n):
-        stage = TorusRep(
-            Matrix.from_rows([[tri.g1[(i, j)] for j in range(m + 1)]
-                              for i in range(m + 1)]),
-            Matrix.from_rows([[tri.g2[(i, j)] for j in range(m + 1)]
-                              for i in range(m + 1)]))
+        stage = tri.block(0, m + 1)
         try:
             ext = rep_extension(stage, m, bound)
             omega = extension_class(ext)
@@ -939,8 +933,7 @@ def rep_to_mc(r: TorusRep, bound: int = 4) -> RepToMcResult:
                           f"{report.failures}")
     # compose with the change of basis back to the original coordinates
     iso = phi * HomElement.from_matrix(invert(ss.basis))
-    src = _unchecked(r)  # semisimplify validated r
-    _require("pipeline isomorphism", _defects(iso, src, mc, cocycle=True))
+    _require("pipeline isomorphism", _defects(iso, r, mc, cocycle=True))
     return RepToMcResult(mc, iso, ss)
 
 

@@ -10,15 +10,15 @@ kernels, solutions and inverses come from one sparse elimination kernel,
 `_reduce`: Gauss-Jordan on primitive integer dict rows, fraction-free, with
 a column -> rows index.  Its output is the unique reduced row echelon form,
 so identical inputs always produce identical outputs.  `Matrix.rref`,
-`rank_kernel`, `invert` and `solve` all reduce through it; `rank` runs its
-forward phase alone and counts the pivots.  `solve` also takes a
-`SparseMatrix`, one dict per row, so a system assembled sparsely is never
-made dense.  Determinants alone (with them `char_poly` and the isomorphism
-grid; an invertibility test is a rank test) clear each row's denominators
-and run a dense fraction-free Bareiss elimination over Z, whose divisions
-are exact.  Over Z there is no matrix
-type at all: lattice membership is integer echelon reduction (Euclid within
-each column) on int lists.
+`rank_kernel` and `invert` reduce through it; `rank` counts the pivots of
+its forward phase, and `solve` back-substitutes on that phase.  `solve` also
+takes a `SparseMatrix`, one dict per row, so a system assembled sparsely is
+never made dense.  Determinants alone (with them `char_poly` and the
+isomorphism grid; an invertibility test is a rank test) clear each row's
+denominators and run a dense fraction-free Bareiss elimination over Z, whose
+divisions are exact.  Over Z there is no matrix type at all: lattice
+membership is integer echelon reduction (Euclid within each column) on int
+lists.
 """
 
 from __future__ import annotations
@@ -381,20 +381,24 @@ def solve(a, b):
     """Solve a·x = b exactly, for a `Matrix` or a `SparseMatrix` a.
 
     Returns one particular solution, as a tuple, or None when the system is
-    inconsistent.  It sets every free variable to 0 and is read off one
-    reduction of [a | b]; `rank_kernel` gives the kernel.
+    inconsistent; `rank_kernel` gives the kernel.  Free variables are 0, and
+    x_c = (b - sum_{j > c} a_j·x_j) / a_c over the pivots in reverse: the
+    forward phase leaves no pivot row an entry left of its pivot.
     """
     b = [frac(v) for v in b]
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
     m = a.cols
-    rows, pivots = _reduce([(*row, (m, v)) if v else row
-                            for row, v in zip(a.sparse_rows(), b)], m + 1)
+    rows, _, done, pivots = _forward(
+        [(*row, (m, v)) if v else row for row, v in zip(a.sparse_rows(), b)],
+        m + 1)
     if m in pivots:
         return None
     x = [_ZERO] * m
-    for row, pc in zip(rows, pivots):
-        x[pc] = row.get(m, _ZERO)
+    for p, c in zip(reversed(done), reversed(pivots)):
+        row = rows[p]
+        rest = sum(v * x[j] for j, v in row.items() if c < j < m and x[j])
+        x[c] = (row.get(m, 0) - rest) / Fraction(row[c])
     return tuple(x)
 
 

@@ -23,7 +23,7 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .cochain import TwistedComplex
-from .errors import DomainError, ParseError
+from .errors import CrossCheckError, DomainError, ParseError
 from .qlinalg import (Matrix, _integer_row, det, frac, frac_str, invert,
                       rank, rank_kernel, solve)
 
@@ -44,11 +44,11 @@ class TorusRep:
     """A pair of commuting invertible matrices acting on Q^dim.
 
     The rep is immutable, so each generator inverse is computed once, on
-    first use, and kept; a diagonal generator's inverse is its reciprocal
-    diagonal, found without an elimination.
+    first use, and kept, as is a passed `require_valid`; a `block` inherits
+    both.  A diagonal generator's inverse is its reciprocal diagonal.
     """
 
-    __slots__ = ("dim", "g1", "g2", "_inverses")
+    __slots__ = ("dim", "g1", "g2", "_inverses", "_valid")
 
     def __init__(self, g1: Matrix, g2: Matrix):
         if g1.rows != g1.cols or g2.rows != g2.cols or g1.rows != g2.rows:
@@ -57,6 +57,7 @@ class TorusRep:
         self.g1 = g1
         self.g2 = g2
         self._inverses = {}
+        self._valid = False
 
     @classmethod
     def trivial(cls, dim: int = 1) -> "TorusRep":
@@ -87,6 +88,24 @@ class TorusRep:
                 raise SingularError(f"g{i} is singular")
             self._inverses[i] = inv
         return inv
+
+    def block(self, lo: int, hi: int) -> "TorusRep":
+        """The diagonal block lo..hi-1 of a pair block upper triangular at
+        lo and hi (else DomainError), with the pair's validity and its cached
+        inverses sliced: g^{-1}'s diagonal blocks invert g's."""
+        if any(any(g.row(i)[:s]) for s in (lo, hi) for g in (self.g1, self.g2)
+               for i in range(s, self.dim)):
+            raise DomainError("representation is not block upper triangular "
+                              f"at {lo} and {hi}")
+
+        def cut(m):
+            return Matrix._exact(hi - lo, hi - lo, [
+                e for i in range(lo, hi) for e in m.row(i)[lo:hi]])
+
+        out = TorusRep(cut(self.g1), cut(self.g2))
+        out._inverses = {i: cut(m) for i, m in self._inverses.items()}
+        out._valid = self._valid
+        return out
 
     def is_invertible_diagonal(self) -> bool:
         """Both generators diagonal with no zero on the diagonal: such a
@@ -145,20 +164,31 @@ def validate(r: TorusRep) -> ValidationReport:
 
 
 def require_valid(r: TorusRep):
+    """Raise unless r is valid; a pass is recorded on the immutable rep."""
+    if r._valid:
+        return
     report = validate(r)
     if "non_commuting" in report.problems:
         raise NonCommutingError("generator matrices do not commute")
     if not report.ok:
         raise SingularError("generator matrix is singular")
+    r._valid = True
 
 
 # -- characteristic polynomial and rational roots ---------------------------
+
+def _shift(m: Matrix, lam) -> Matrix:
+    """m - lam·id, subtracting lam on the diagonal only."""
+    entries, step = list(m.entries), m.cols + 1
+    entries[::step] = [e - lam for e in entries[::step]]
+    return Matrix._exact(m.rows, m.cols, entries)
+
 
 def char_poly(m: Matrix):
     """Coefficients of det(xI - m), ascending, computed by interpolation."""
     n = m.rows
     points = [Fraction(k) for k in range(n + 1)]
-    values = [det(Matrix.diagonal([x] * n) - m) for x in points]
+    values = [(-1) ** n * det(_shift(m, x)) for x in points]
     vand = Matrix.from_rows([[x ** j for j in range(n + 1)] for x in points])
     return list(solve(vand, values))
 
@@ -265,7 +295,7 @@ def _eigenspace_spectrum(g1: Matrix, g2: Matrix, lam1):
     basis vector of E is 1 at its last nonzero entry and 0 at the others'
     last ones, so those rows of g2·E give g2's restriction to E."""
     n = g1.rows
-    _, e_basis = rank_kernel(g1 - Matrix.diagonal([lam1] * n))
+    _, e_basis = rank_kernel(_shift(g1, lam1))
     img = g2 * Matrix.from_rows(list(zip(*e_basis)))
     return rational_roots(char_poly(Matrix.from_rows(
         [img.row(max(i for i in range(n) if v[i])) for v in e_basis])))
@@ -283,30 +313,24 @@ def _common_eigenvector(a1: Matrix, a2: Matrix, lam1s, lam2s):
     """
     n = a1.rows
     for lam1 in lam1s:
-        s1 = a1 - Matrix.diagonal([lam1] * n)
+        s1 = _shift(a1, lam1)
         if det(s1) != 0:
             continue
         for lam2 in lam2s(lam1):
-            s2 = a2 - Matrix.diagonal([lam2] * n)
+            s2 = _shift(a2, lam2)
             _, kernel = rank_kernel(Matrix(2 * n, n, s1.entries + s2.entries))
             if kernel:
                 return _primitive(kernel[0])
     return None
 
 
-def _complete_basis(vec, n):
-    """The columns vec, then every unit vector e_j but e_L, where L indexes
-    vec's last nonzero entry: e_j lies in span(vec, e_0, ..., e_{j-1})
-    exactly when j = L, so these are the greedy completion by unit vectors."""
-    last = max(j for j in range(n) if vec[j])
-    return Matrix.from_rows(
-        [[vec[k]] + [Fraction(int(k == j)) for j in range(n) if j != last]
-         for k in range(n)])
-
-
 def semisimplify(r: TorusRep) -> SemiSimpleData:
     """Simultaneously triangularize over Q; the diagonal lists the
     composition characters in filtration order.
+
+    A step completes a common eigenvector vec of the trailing blocks A by
+    e_j, j != L, its last nonzero index: as A·vec = λ·vec, the next blocks
+    are A[j, k] - (vec_j / vec_L)·A[L, k], j, k != L, in closed form.
 
     g1's rational spectrum is found once, and g2's on a g1-eigenspace once,
     when a stage first reaches it.  Raises IrrationalSpectrumError when some
@@ -316,30 +340,32 @@ def semisimplify(r: TorusRep) -> SemiSimpleData:
     n = r.dim
     lam1s = rational_roots(char_poly(r.g1)) if n > 1 else []
     lam2s = cache(lambda lam1: _eigenspace_spectrum(r.g1, r.g2, lam1))
-    basis = Matrix.identity(n)
+    cols = Matrix.identity(n).to_rows()  # the basis columns
     a1, a2 = r.g1, r.g2
     for step in range(n - 1):
-        m = n - step
-        sub1, sub2 = (Matrix.from_rows([x[step:] for x in a.to_rows()[step:]])
-                      for a in (a1, a2))
-        vec = _common_eigenvector(sub1, sub2, lam1s, lam2s)
+        vec = _common_eigenvector(a1, a2, lam1s, lam2s)
         if vec is None:
             raise IrrationalSpectrumError(
                 "no common rational eigenvector; the pair is not "
                 "triangularizable over Q")
-        p_small = _complete_basis(vec, m)
-        p_step = Matrix.from_rows(
-            [[Fraction(int(i == j)) if i < step or j < step
-              else p_small[(i - step, j - step)]
-              for j in range(n)] for i in range(n)])
-        basis = basis * p_step
-        pinv = invert(p_step)
-        a1, a2 = pinv * a1 * p_step, pinv * a2 * p_step
-    # reconjugation must recover the input exactly
+        last = max(j for j, v in enumerate(vec) if v)
+        rest = [j for j in range(n - step) if j != last]
+        tail = cols[step:]
+        head = [sum((v * c[i] for v, c in zip(vec, tail) if v), Fraction(0))
+                for i in range(n)]
+        cols[step:] = [head] + [tail[j] for j in rest]
+        ratios = [vec[j] / vec[last] for j in rest]
+        a1, a2 = (Matrix._exact(len(rest), len(rest), [
+            a[(j, k)] - t * a[(last, k)] if t else a[(j, k)]
+            for j, t in zip(rest, ratios) for k in rest]) for a in (a1, a2))
+    basis = Matrix._exact(n, n, [c[i] for i in range(n) for c in cols])
     binv = invert(basis)
-    assert binv * r.g1 * basis == a1 and binv * r.g2 * basis == a2
-    return SemiSimpleData([(a1[(i, i)], a2[(i, i)]) for i in range(n)],
-                          basis, a1, a2)
+    tri1, tri2 = (binv * g * basis for g in (r.g1, r.g2))
+    if any(any(t.row(i)[:i]) for t in (tri1, tri2) for i in range(n)):
+        raise CrossCheckError("semisimplify: basis^-1·g_i·basis is not upper "
+                              "triangular")
+    return SemiSimpleData([(tri1[(i, i)], tri2[(i, i)]) for i in range(n)],
+                          basis, tri1, tri2)
 
 
 # -- hom / tensor / dual -----------------------------------------------------
@@ -521,7 +547,9 @@ def is_isomorphic(v: TorusRep, w: TorusRep) -> IsoResult:
 
     def found(entries):
         t = Matrix._exact(n, n, [Fraction(e, den) for e in entries])
-        assert t * v.g1 == w.g1 * t and t * v.g2 == w.g2 * t
+        if t * v.g1 != w.g1 * t or t * v.g2 != w.g2 * t:
+            raise CrossCheckError(f"is_isomorphic: T·v.g_i != w.g_i·T for "
+                                  f"the conjugator T = {t!r}")
         return IsoResult("isomorphic", t, k)
 
     values = [0]

@@ -176,6 +176,29 @@ def test_t2_cohomology_disagreement_exits_4(tmp_path, capsys, monkeypatch):
     assert "model [9, 9, 9]" in err
 
 
+def test_t2_cohomology_both_validates_the_parsed_rep_once(tmp_path,
+                                                          monkeypatch):
+    # the cellular backend validates it; semisimplify finds that recorded,
+    # and the model route validates only the triangular pair it builds
+    import t2mc.cli as cli
+    import t2mc.torus_rep as torus_rep
+
+    parsed, checked = [], []
+    real_parse, real_validate = cli.parse_rep, torus_rep.validate
+    monkeypatch.setattr(cli, "parse_rep", lambda text: parsed.append(
+        real_parse(text)) or parsed[-1])
+    monkeypatch.setattr(torus_rep, "validate", lambda r: checked.append(r)
+                        or real_validate(r))
+    path = _write(tmp_path, "a.rep", '3\n[["1","1","2"],["0","1","3"],'
+                  '["0","0","2"]]\n[["1","0","0"],["0","1","0"],'
+                  '["0","0","1"]]\n')
+    out = str(tmp_path / "a.json")
+    assert main(["t2-cohomology", path, "--backend", "both", "--out",
+                 out]) == 0
+    assert len(parsed) == 1
+    assert [r is parsed[0] for r in checked] == [True, False]
+
+
 def test_t2_cohomology_straightening_failure_names_its_system(tmp_path,
                                                               capsys):
     n = 6  # the unipotent J6 needs polynomial degree 5; the default is 4

@@ -1,5 +1,8 @@
+import hashlib
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -1122,6 +1125,56 @@ def test_chain_images_match_products_on_straighten_endpoints(monkeypatch):
         _assert_images_match(src, dst, bound, _equal_pairs(src, dst))
 
 
+def test_chain_images_form_each_face_product_once(monkeypatch):
+    # a face product depends on (edge, p, q) only, so it is formed once for
+    # all monomials; the eta_src terms are negated before any image; a
+    # coordinate is added to only when a second contribution lands on it,
+    # and on the straighten systems only the restriction at (p, q) does
+    seen = []
+    real = mcdg.straighten
+    monkeypatch.setattr(mcdg, "straighten",
+                        lambda omega, src, dst, bound=4:
+                        seen.append((src, dst, bound))
+                        or real(omega, src, dst, bound))
+    rep_to_mc(rep([[int(j in (i, i + 1)) for j in range(4)]
+                   for i in range(4)]), bound=4)
+    rep_to_mc(_seeded_mixed_pairs(47, 1)[0][0])
+    monkeypatch.undo()
+    # twisted on both ends: End of each partial normal form
+    seen += [(dst, dst, bound) for _, dst, bound in seen]
+    counts = dict.fromkeys(("mul", "add", "neg"), 0)
+    for src, dst, bound in seen:
+        allowed = _equal_pairs(src, dst)
+        problem = mcdg._ChainProblem(src, dst, bound)
+        for name, ops in (("mul", ("__mul__", "__rmul__")),
+                          ("add", ("__add__", "__radd__", "__sub__",
+                                   "__rsub__")),
+                          ("neg", ("__neg__",))):
+            for op in ops:
+                real_op = getattr(Fraction, op)
+                monkeypatch.setattr(
+                    Fraction, op,
+                    lambda a, b=None, _n=name, _f=real_op: counts.__setitem__(
+                        _n, counts[_n] + 1) or (_f(a) if b is None
+                                                else _f(a, b)))
+        problem.add_constant_dt_vars(allowed)
+        problem.add_chain_vars(skip_constant_on=frozenset(allowed))
+        monkeypatch.undo()
+        products = collisions = 0
+        for i in (1, 2):
+            g, g_inv = dst.base.g(3 - i), src.base.g_inv(3 - i)
+            products += (sum(map(bool, g.entries))
+                         * sum(map(bool, g_inv.entries)))
+            for _kind, p, q, (mask, e1, e2) in problem.vars:
+                cross_e = e2 if i == 1 else e1
+                collisions += (not mask & (3 - i) and not cross_e
+                               and bool(g[(p, p)] * g_inv[(q, q)]))
+        assert counts == {"mul": products, "add": collisions, "neg": 0}
+        counts = dict.fromkeys(counts, 0)
+    assert any(not src.eta.is_zero() for src, _, _ in seen)
+    assert len(seen) >= 5
+
+
 def _random_eta(rng, n, polynomial):
     eta = HomElement.zero(n, n, 1)
     for i in range(n):
@@ -1486,3 +1539,70 @@ def test_straightening_failure_names_bound_shape_and_stage():
     exc = info.value
     assert exc.stage is None and exc.bound == 0
     assert f"{exc.shape[0]} x 2" in str(exc)
+
+
+BENCH_INPUTS_PATH = (Path(__file__).resolve().parents[1] / "bench"
+                     / "inputs.py")
+
+
+def _bench_pairs(tmp_path):
+    """The `mixed4`, `mixed5` and `two_gen4` pairs of the benchmark's
+    `jordan_ladder` workload at seed 1, read back from the files its input
+    generator writes."""
+    from t2mc.torus_rep import parse_rep
+
+    spec = importlib.util.spec_from_file_location("_bench_inputs",
+                                                  BENCH_INPUTS_PATH)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    items = {item["name"]: item
+             for item in inputs.jordan_ladder_inputs(1, str(tmp_path))}
+    return [(parse_rep(Path(items[name]["rep"]).read_text()),
+             items[name]["bound"])
+            for name in ("mixed4", "mixed5", "two_gen4")]
+
+
+def _seeded_mixed_pairs(seed, count):
+    """Commuting pairs, n <= 5: g1 upper triangular with characters drawn
+    from {1, 2, 1/2, -1, 3}, g2 an invertible polynomial in g1, both
+    conjugated by a product of n integer shears (unimodular)."""
+    rng = random.Random(seed)
+    chars = (1, 2, Fraction(1, 2), -1, 3)
+    pairs = []
+    while len(pairs) < count:
+        n = rng.randint(2, 5)
+        diag = [rng.choice(chars) for _ in range(n)]
+        g1 = Matrix.from_rows([[diag[i] if i == j
+                                else rng.randint(-2, 2) * (j > i)
+                                for j in range(n)] for i in range(n)])
+        c = [rng.randint(-2, 2) for _ in range(3)]
+        if not all(c[0] + c[1] * lam + c[2] * lam * lam for lam in diag):
+            continue
+        g2 = (Matrix.identity(n).scale(c[0]) + g1.scale(c[1])
+              + (g1 * g1).scale(c[2]))
+        p = Matrix.identity(n)
+        for _ in range(n):
+            i, j = rng.sample(range(n), 2)
+            shear = Matrix.identity(n).to_rows()
+            shear[i][j] = rng.choice((1, -1, 2, -2))
+            p = p * Matrix.from_rows(shear)
+        p_inv = invert(p)
+        pairs.append((TorusRep(p * g1 * p_inv, p * g2 * p_inv), max(4, n - 1)))
+    return pairs
+
+
+def test_rep_to_mc_outputs_pinned(tmp_path):
+    # non-identity bases and mixed characters: every stage block, every
+    # semisimplify step and every straighten system of these pairs is
+    # fixed by this digest
+    outputs, moved = [], 0
+    for r, bound in _bench_pairs(tmp_path) + _seeded_mixed_pairs(47, 20):
+        res = rep_to_mc(r, bound=bound)
+        ss = res.ssdata
+        moved += ss.basis != Matrix.identity(r.dim)
+        outputs.append(repr((res.mc.eta.entries, res.iso.entries, ss.basis,
+                             ss.tri1, ss.tri2, ss.characters)))
+    assert moved >= 15
+    digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+    assert digest == ("1e201680caa8cf1ad2d99269973b0e2289046eae9e683ac6a9b84"
+                      "9a753a42882")

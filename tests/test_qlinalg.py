@@ -316,14 +316,18 @@ def test_solve_and_rank_kernel_follow_sympy_rref():
 
 
 def test_solve_reduces_once(monkeypatch):
+    # one forward phase on [a | b] and no back phase: back substitution
+    # reads the echelon form directly
     calls = []
-    original = qlinalg._reduce
+    forward = qlinalg._forward
 
     def counting(rows, width):
         calls.append((len(rows), width))
-        return original(rows, width)
+        return forward(rows, width)
 
-    monkeypatch.setattr(qlinalg, "_reduce", counting)
+    monkeypatch.setattr(qlinalg, "_forward", counting)
+    monkeypatch.setattr(qlinalg, "_reduce",
+                        lambda *args: calls.append("_reduce"))
     rng = random.Random(31)
     systems = [(Matrix.identity(3), [1, 2, 3]),
                (Matrix.from_rows([[0, 0]]), [1]),
@@ -334,6 +338,64 @@ def test_solve_reduces_once(monkeypatch):
         calls.clear()
         solve(a, b)
         assert calls == [(a.rows, a.cols + 1)]
+
+
+def _reduce_solve(a, b, reduce=qlinalg._reduce):
+    """The reduced-row-echelon read-out of a·x = b: free variables 0, each
+    pivot variable the reduced right-hand side of its row."""
+    m = a.cols
+    rows, pivots = reduce(
+        [(*row, (m, v)) if v else row
+         for row, v in zip(a.sparse_rows(), map(Fraction, b))], m + 1)
+    if m in pivots:
+        return None
+    x = [Fraction(0)] * m
+    for row, pc in zip(rows, pivots):
+        x[pc] = row.get(m, Fraction(0))
+    return tuple(x)
+
+
+def _inconsistent_systems(rng, count):
+    """a·x = b with b outside the column space: a random b on a matrix with
+    duplicated rows, given different right-hand sides."""
+    out = []
+    while len(out) < count:
+        a = _sparse_matrix(rng, rng.randint(2, 14), rng.randint(1, 10),
+                           rng.choice((0.2, 0.5, 1.0)))
+        rows = a.to_rows()
+        k = rng.randrange(len(rows))
+        a = Matrix.from_rows(rows + [[2 * e for e in rows[k]]])
+        x = [rng.randint(-3, 3) for _ in range(a.cols)]
+        b = list((a * Matrix.column(x)).entries)
+        b[-1] += rng.choice((1, -1, Fraction(1, 3)))
+        out.append((a, b))
+    return out
+
+
+def test_back_substitution_matches_the_reduced_read_out(monkeypatch):
+    reduced = []
+    monkeypatch.setattr(qlinalg, "_reduce",
+                        lambda *args: reduced.append(args))
+    rng = random.Random(37)
+    systems = []
+    for a in _oracle_cases():
+        for consistent in (True, False):
+            if consistent:
+                x = [rng.randint(-3, 3) for _ in range(a.cols)]
+                b = (a * Matrix.column(x)).entries
+            else:
+                b = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5)))
+                     for _ in range(a.rows)]
+            systems.append((a, b))
+    systems += _inconsistent_systems(rng, 30)
+    outcomes = []
+    for a, b in systems:
+        x = solve(a, b)
+        assert x == _reduce_solve(a, b)
+        assert x is None or all(type(v) is Fraction for v in x)
+        outcomes.append(x is None)
+    assert reduced == []
+    assert outcomes.count(True) >= 40 and outcomes.count(False) >= 40
 
 
 def _naive_product(a, b):

@@ -1,4 +1,5 @@
 import importlib.util
+import functools
 import itertools
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 import t2mc.cochain as cochain
 import t2mc.qlinalg as qlinalg
 import t2mc.torus_rep as torus_rep
+from t2mc.errors import CrossCheckError, DomainError
 from t2mc.qlinalg import Matrix, det, invert, rank, rank_kernel, solve
 from t2mc.torus_rep import (GRID_CAP, IrrationalSpectrumError, IsoResult,
                             NonCommutingError, SingularError, TorusRep,
@@ -186,27 +188,175 @@ def test_semisimplify_reconjugation_recovers_input():
                 assert data.tri2[(i, j)] == 0
 
 
-def _greedy_completion(vec, n):
-    """vec, then each unit vector in turn that raises the rank."""
-    cols = [list(vec)]
-    for i in range(n):
-        cand = [Fraction(int(j == i)) for j in range(n)]
-        test = Matrix.from_rows(
-            [[c[k] for c in cols + [cand]] for k in range(n)])
-        if rank(test) == len(cols) + 1:
-            cols.append(cand)
-    return Matrix.from_rows([[c[k] for c in cols] for k in range(n)])
+def _product_form_semisimplify(r):
+    """The product-form triangularization, as a reference: each step
+    completes the common eigenvector vec of the trailing blocks by the unit
+    vectors e_j, j != L (L indexing vec's last nonzero entry), embeds that
+    basis change P in the identity, and conjugates the whole pair by it.
+    Returns (characters, basis, tri1, tri2)."""
+    n = r.dim
+    lam1s = rational_roots(char_poly(r.g1)) if n > 1 else []
+    lam2s = functools.cache(
+        lambda lam1: torus_rep._eigenspace_spectrum(r.g1, r.g2, lam1))
+    basis = Matrix.identity(n)
+    a1, a2 = r.g1, r.g2
+    for step in range(n - 1):
+        m = n - step
+        sub1, sub2 = (Matrix.from_rows([x[step:] for x in a.to_rows()[step:]])
+                      for a in (a1, a2))
+        vec = torus_rep._common_eigenvector(sub1, sub2, lam1s, lam2s)
+        last = max(j for j in range(m) if vec[j])
+        p_small = Matrix.from_rows(
+            [[vec[k]] + [Fraction(int(k == j)) for j in range(m) if j != last]
+             for k in range(m)])
+        p_step = Matrix.from_rows(
+            [[Fraction(int(i == j)) if i < step or j < step
+              else p_small[(i - step, j - step)]
+              for j in range(n)] for i in range(n)])
+        basis = basis * p_step
+        pinv = invert(p_step)
+        a1, a2 = pinv * a1 * p_step, pinv * a2 * p_step
+    return [(a1[(i, i)], a2[(i, i)]) for i in range(n)], basis, a1, a2
 
 
-def test_complete_basis_is_the_greedy_unit_vector_completion():
-    rng = random.Random(29)
-    for _ in range(300):
-        n = rng.randint(1, 6)
-        vec = [Fraction(rng.choice([0, 0, 1, -1, 3]), rng.choice([1, 2]))
-               for _ in range(n)]
-        if any(vec):
-            assert (torus_rep._complete_basis(vec, n)
-                    == _greedy_completion(vec, n))
+def test_semisimplify_matches_the_product_form_loop(monkeypatch):
+    # each step works on the trailing blocks in closed form: the one
+    # inversion is basis^-1, for the final tri_i = basis^-1·g_i·basis
+    calls = []
+    monkeypatch.setattr(torus_rep, "invert",
+                        lambda m: calls.append(m) or invert(m))
+    pairs = _seeded_commuting_pairs(41, 60)
+    moved = 0
+    for r in pairs:
+        calls.clear()
+        data = semisimplify(r)
+        assert calls == [data.basis]
+        want = _product_form_semisimplify(r)
+        assert (data.characters, data.basis, data.tri1, data.tri2) == want
+        assert repr((data.characters, data.basis, data.tri1,
+                     data.tri2)) == repr(want)
+        moved += r.dim > 2 and data.basis != Matrix.identity(r.dim)
+    assert moved >= 10
+
+
+def test_shift_subtracts_on_the_diagonal():
+    rng = random.Random(43)
+    for _ in range(40):
+        n = rng.randint(0, 6)
+        m = Matrix.from_rows([[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                               for _ in range(n)] for _ in range(n)])
+        lam = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        shifted = torus_rep._shift(m, lam)
+        assert shifted == m - Matrix.diagonal([lam] * n)
+        assert all(type(e) is Fraction for e in shifted.entries)
+
+
+def _block_triangular_pairs(seed, count):
+    """Upper triangular pairs with random characters: block upper triangular
+    at every index."""
+    out = []
+    for r in _seeded_commuting_pairs(seed, count):
+        data = semisimplify(r)
+        out.append(TorusRep(data.tri1, data.tri2))
+    return out
+
+
+def test_block_slices_inverses_and_inherits_validity(monkeypatch):
+    pairs = [r for r in _block_triangular_pairs(53, 30) if r.dim > 1]
+    for r in pairs:
+        require_valid(r)
+        inverses = (r.g_inv(1), r.g_inv(2))
+        calls = []
+        monkeypatch.setattr(torus_rep, "invert",
+                            lambda m: calls.append(m) or invert(m))
+        monkeypatch.setattr(torus_rep, "validate",
+                            lambda v: calls.append(v) or validate(v))
+        n = r.dim
+        for lo in range(n):
+            for hi in range(lo + 1, n + 1):
+                b = r.block(lo, hi)
+                assert b.g1 == Matrix.from_rows(
+                    [row[lo:hi] for row in r.g1.to_rows()[lo:hi]])
+                assert b.g2 == Matrix.from_rows(
+                    [row[lo:hi] for row in r.g2.to_rows()[lo:hi]])
+                require_valid(b)
+                got = (b.g_inv(1), b.g_inv(2))
+                assert calls == []
+                assert got == (invert(b.g1), invert(b.g2))
+                assert got == tuple(Matrix.from_rows(
+                    [row[lo:hi] for row in g.to_rows()[lo:hi]])
+                    for g in inverses)
+                calls.clear()
+        monkeypatch.undo()
+    # a rep not yet validated hands down no validity
+    fresh = TorusRep(pairs[0].g1, pairs[0].g2)
+    calls = []
+    monkeypatch.setattr(torus_rep, "validate",
+                        lambda v: calls.append(v) or validate(v))
+    b = fresh.block(0, 1)
+    require_valid(b)
+    require_valid(b)
+    assert calls == [b]
+
+
+def test_block_requires_block_triangularity():
+    g1 = Matrix.from_rows([[1, 2, 3], [0, 1, 4], [5, 0, 1]])
+    r = TorusRep(g1, Matrix.identity(3))
+    assert r.block(0, 3) is not r and r.block(0, 3) == r
+    for lo, hi in ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)):
+        with pytest.raises(DomainError, match="block upper triangular"):
+            r.block(lo, hi)
+    g2 = Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 7, 1]])
+    r = TorusRep(Matrix.identity(3), g2)
+    r.block(0, 1)
+    with pytest.raises(DomainError):
+        r.block(0, 2)
+    with pytest.raises(DomainError):
+        r.block(2, 3)
+
+
+def test_require_valid_records_success_only(monkeypatch):
+    calls = []
+    monkeypatch.setattr(torus_rep, "validate",
+                        lambda v: calls.append(v) or validate(v))
+    good = rep([[1, 1], [0, 1]])
+    require_valid(good)
+    require_valid(good)
+    bad = rep([[1, 1], [0, 0]])
+    for _ in range(2):
+        with pytest.raises(SingularError):
+            require_valid(bad)
+    assert calls == [good, bad, bad]
+    # validate returns the report and is not cached
+    assert torus_rep.validate(good).ok and torus_rep.validate(good).ok
+    assert len(calls) == 5
+
+
+def test_semisimplify_triangularity_failure_is_a_cross_check(monkeypatch,
+                                                             tmp_path):
+    from t2mc.cli import main
+
+    r = next(r for r in _seeded_commuting_pairs(41, 60)
+             if semisimplify(r).basis != Matrix.identity(r.dim))
+    monkeypatch.setattr(torus_rep, "invert", lambda m: Matrix.identity(
+        m.rows))
+    with pytest.raises(CrossCheckError, match="not upper triangular"):
+        semisimplify(r)
+    path = tmp_path / "r.rep"
+    path.write_text(rep_to_text(r))
+    assert main(["ssify", str(path)]) == 4
+
+
+def test_is_isomorphic_wrong_conjugator_is_a_cross_check(monkeypatch):
+    v = TorusRep.diagonal([(1, 1), (2, 1)])
+    w = TorusRep.diagonal([(2, 1), (1, 1)])
+    assert is_isomorphic(v, w)
+    # End(V) in place of Hom(V, W): the same dimension, an invertible point
+    # (the identity), and no intertwiner of v with w
+    monkeypatch.setattr(torus_rep, "intertwiner_space",
+                        lambda a, b: intertwiner_space(a, a))
+    with pytest.raises(CrossCheckError, match="T·v.g_i != w.g_i·T"):
+        is_isomorphic(v, w)
 
 
 def test_semisimplify_completes_bases_without_rank(monkeypatch):
