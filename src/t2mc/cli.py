@@ -28,7 +28,8 @@ from .mcdg import (HomElement, MCObject, build_extension, extension_iso,
                    fm_dt_parts, mc_to_s, rep_extension, rep_to_mc, twisted_d)
 from .qlinalg import Matrix, frac, frac_str
 from .t2forms import Form1, build_fiber_algebra, build_local_system
-from .torus_rep import TorusRep, cellular_complex, parse_rep
+from .torus_rep import (TorusRep, cellular_complex, parse_rep,
+                        unipotent_summand)
 from .xmodel import (ParameterSpec, build_total_model, build_torus_model,
                      compare_actions, invariant_basis, nilpotent_model,
                      recover_homotopy_action, subalgebra_monomials,
@@ -121,7 +122,11 @@ def cmd_ssify(args) -> int:
 
 
 def _model_betti(rep: TorusRep, bound: int):
-    return _normal_form_betti(rep_to_mc(rep, bound=bound).mc)
+    """The model route's Betti numbers, from V_(1,1) alone: on a
+    complement V' some g_i - 1 is invertible, so the Koszul complex of
+    (g1 - 1, g2 - 1) on V' is the cone of an isomorphism, hence acyclic."""
+    summand = unipotent_summand(rep)
+    return _normal_form_betti(rep_to_mc(summand, bound=bound).mc)
 
 
 def _normal_form_betti(mc: MCObject):

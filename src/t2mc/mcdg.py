@@ -46,7 +46,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .gca import SCALAR_ALGEBRA
-from .qlinalg import Matrix, SparseMatrix, frac, invert, solve
+from .qlinalg import Matrix, SparseMatrix, frac, solve
 from .t2forms import Form2, sq
 from .torus_rep import TorusRep, require_valid
 
@@ -932,7 +932,7 @@ def rep_to_mc(r: TorusRep, bound: int = 4) -> RepToMcResult:
         raise DomainError(f"pipeline produced an invalid MC object: "
                           f"{report.failures}")
     # compose with the change of basis back to the original coordinates
-    iso = phi * HomElement.from_matrix(invert(ss.basis))
+    iso = phi * HomElement.from_matrix(ss.basis_inv)
     _require("pipeline isomorphism", _defects(iso, r, mc, cocycle=True))
     return RepToMcResult(mc, iso, ss)
 

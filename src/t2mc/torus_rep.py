@@ -175,6 +175,33 @@ def require_valid(r: TorusRep):
     r._valid = True
 
 
+def unipotent_summand(r: TorusRep) -> TorusRep:
+    """V_(1,1) = ker(g1 - 1)^N ∩ ker(g2 - 1)^N, N >= dim, the summand where
+    both generators act unipotently, as the pair A_i with g_i·B = B·A_i on
+    the `rank_kernel` basis B; r itself when B spans V.
+
+    Each basis vector is 1 at its last nonzero entry (its free column) and 0
+    at the others' ones, so A_i is g_i·B read at those rows.  The summand is
+    invariant because g1 and g2 commute, which validation has checked, and
+    A_i is unipotent, hence invertible: the summand inherits validity.
+    """
+    require_valid(r)
+    n, e = r.dim, 1
+    m1, m2 = _shift(r.g1, 1), _shift(r.g2, 1)
+    while e < n:
+        m1, m2, e = m1 * m1, m2 * m2, 2 * e
+    _, basis = rank_kernel(Matrix._exact(2 * n, n, m1.entries + m2.entries))
+    if len(basis) == n:
+        return r
+    k = len(basis)
+    free = [max(i for i, x in enumerate(v) if x) for v in basis]
+    b = Matrix._exact(n, k, [v[i] for i in range(n) for v in basis])
+    out = TorusRep(*(Matrix._exact(k, n, [e for f in free for e in g.row(f)])
+                     * b for g in (r.g1, r.g2)))
+    out._valid = True
+    return out
+
+
 # -- characteristic polynomial and rational roots ---------------------------
 
 def _shift(m: Matrix, lam) -> Matrix:
@@ -266,16 +293,17 @@ class SemiSimpleData:
     """Simultaneous triangularization data.
 
     `characters` lists the diagonal (g1-scalar, g2-scalar) pairs in filtration
-    order (sub first), `basis` is the change-of-basis matrix and
-    `tri1`/`tri2` = basis^-1 · g_i · basis are the upper triangular
-    generators, whose diagonals are the characters.
+    order (sub first), `basis` is the change-of-basis matrix, `basis_inv`
+    its inverse and `tri1`/`tri2` = basis^-1 · g_i · basis are the upper
+    triangular generators, whose diagonals are the characters.
     """
 
-    __slots__ = ("characters", "basis", "tri1", "tri2")
+    __slots__ = ("characters", "basis", "basis_inv", "tri1", "tri2")
 
-    def __init__(self, characters, basis, tri1, tri2):
+    def __init__(self, characters, basis, basis_inv, tri1, tri2):
         self.characters = characters
         self.basis = basis
+        self.basis_inv = basis_inv
         self.tri1 = tri1
         self.tri2 = tri2
 
@@ -365,7 +393,7 @@ def semisimplify(r: TorusRep) -> SemiSimpleData:
         raise CrossCheckError("semisimplify: basis^-1·g_i·basis is not upper "
                               "triangular")
     return SemiSimpleData([(tri1[(i, i)], tri2[(i, i)]) for i in range(n)],
-                          basis, tri1, tri2)
+                          basis, binv, tri1, tri2)
 
 
 # -- hom / tensor / dual -----------------------------------------------------

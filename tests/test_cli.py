@@ -218,6 +218,36 @@ def test_t2_cohomology_straightening_failure_names_its_system(tmp_path,
     assert out.read_text(encoding="utf-8") == "earlier report\n"
 
 
+J2_ROOT2 = ('4\n[["1","1","0","0"],["0","1","0","0"],["0","0","0","1"],'
+            '["0","0","2","0"]]\n[["1","0","0","0"],["0","1","0","0"],'
+            '["0","0","1","0"],["0","0","0","1"]]\n')
+
+
+def test_t2_cohomology_model_route_sees_only_the_trivial_character(
+        tmp_path, capsys, monkeypatch):
+    # J2 ⊕ [[0, 1], [2, 0]] (eigenvalues ±√2) is not triangularizable over
+    # Q, but its V_(1,1) is J2; ssify still needs all of V
+    path = _write(tmp_path, "root2.rep", J2_ROOT2)
+    assert main(["t2-cohomology", path, "--backend", "both"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["betti_cellular"] == payload["betti_model"] == [1, 2, 1]
+    assert main(["ssify", path]) == 2
+    assert "no common rational eigenvector" in capsys.readouterr().err
+    # two large prime eigenvalues: V_(1,1) = 0, so no rational spectrum is
+    # searched for
+    import t2mc.torus_rep as torus_rep
+
+    def no_divisors(v):
+        raise AssertionError("_divisors called")
+
+    monkeypatch.setattr(torus_rep, "_divisors", no_divisors)
+    path = _write(tmp_path, "primes.rep", '2\n[["1000000007","0"],'
+                  '["0","1000000009"]]\n[["1","0"],["0","1"]]\n')
+    assert main(["t2-cohomology", path, "--backend", "both"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["betti_cellular"] == payload["betti_model"] == [0, 0, 0]
+
+
 def test_verify_single_variant(capsys):
     assert main(["verify", "--variant", "s2"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -1042,7 +1043,6 @@ def test_rep_to_mc_unipotent_j5_elimination_counts(monkeypatch):
     unipotent J5 at bound 4; the generator inverses are computed once per
     representation.  Every elimination (`Matrix.rref`, `solve`,
     `rank_kernel`, `invert`) runs through the one kernel `_reduce`."""
-    import t2mc.mcdg as mcdg
     import t2mc.qlinalg as qlinalg
     import t2mc.torus_rep as torus_rep
 
@@ -1057,7 +1057,7 @@ def test_rep_to_mc_unipotent_j5_elimination_counts(monkeypatch):
         calls["reduce"] += 1
         return reduce(rows, width)
 
-    for module in (qlinalg, torus_rep, mcdg):
+    for module in (qlinalg, torus_rep):
         monkeypatch.setattr(module, "invert", counting_invert)
     monkeypatch.setattr(qlinalg, "_reduce", counting_reduce)
     n = 5
@@ -1606,3 +1606,37 @@ def test_rep_to_mc_outputs_pinned(tmp_path):
     digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
     assert digest == ("1e201680caa8cf1ad2d99269973b0e2289046eae9e683ac6a9b84"
                       "9a753a42882")
+
+
+def test_rep_to_mc_inverts_the_basis_once(monkeypatch):
+    # semisimplify's inverse of the basis is carried to the isomorphism;
+    # every t2mc module that binds `invert` is counted
+    import t2mc.qlinalg as qlinalg
+
+    calls = []
+    real = qlinalg.invert
+    for name, module in list(sys.modules.items()):
+        if name.startswith("t2mc") and hasattr(module, "invert"):
+            monkeypatch.setattr(module, "invert",
+                                lambda m: calls.append(m) or real(m))
+    for r, bound in _seeded_mixed_pairs(47, 4):
+        calls.clear()
+        res = rep_to_mc(r, bound=bound)
+        assert res.ssdata.basis != Matrix.identity(r.dim)
+        assert calls.count(res.ssdata.basis) == 1
+        assert res.ssdata.basis_inv == real(res.ssdata.basis)
+
+
+def test_rep_to_mc_whole_mixed_pairs_match_cellular(tmp_path):
+    # t2-cohomology sends only V_(1,1) through the pipeline; this keeps the
+    # nontrivial characters of whole pairs cross-checked against the
+    # cellular backend
+    from t2mc.cli import _normal_form_betti
+    from t2mc.torus_rep import cellular_complex, semisimplify
+
+    mixed = [(r, bound) for r, bound in _seeded_mixed_pairs(53, 12)
+             if len(set(semisimplify(r).characters)) > 1][:3]
+    assert len(mixed) == 3
+    for r, bound in _bench_pairs(tmp_path) + mixed:
+        betti = _normal_form_betti(rep_to_mc(r, bound=bound).mc)
+        assert betti == cellular_complex(r).betti(range(3))

@@ -22,7 +22,7 @@ from t2mc.torus_rep import (GRID_CAP, IrrationalSpectrumError, IsoResult,
                             dual_rep, hom_rep, intertwiner_space,
                             is_isomorphic, parse_rep, rational_roots,
                             rep_to_text, require_valid, semisimplify,
-                            tensor_rep, validate)
+                            tensor_rep, unipotent_summand, validate)
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
 
@@ -1278,3 +1278,109 @@ def test_parse_rep_shares_each_entry_string():
                  '1\n[["x"]]\n[["x"]]'):
         with pytest.raises(ParseError):
             parse_rep(text)
+
+
+# -- the unipotent summand V_(1,1) --------------------------------------------
+
+def _sheared(rng, r):
+    """r conjugated by a product of 2n integer shears (unimodular)."""
+    n = r.dim
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        shear = Matrix.identity(n).to_rows()
+        shear[i][j] = rng.choice((1, -1, 2, -2))
+        r = r.conjugate(Matrix.from_rows(shear))
+    return r
+
+
+def _direct_sum(a, b):
+    n = a.rows + b.rows
+    return Matrix.from_rows([
+        [a[(i, j)] if i < a.rows and j < a.rows else
+         b[(i - a.rows, j - a.rows)] if i >= a.rows and j >= a.rows else 0
+         for j in range(n)] for i in range(n)])
+
+
+def _split_pairs(seed):
+    """Seeded pairs for the split: sums of blocks (λ·U, μ·U^k), U
+    unipotent upper triangular, with λ, μ in {1, 2, 1/2, -1}, conjugated by
+    a unimodular matrix; g1 = A ⊗ 1 and g2 = 1 ⊗ B, A and B upper
+    triangular with eigenvalues from that set; J2 ⊕ [[0, 1], [2, 0]] with
+    g2 = 1, whose ±√2 eigenvalues are irrational, as given and conjugated;
+    and one conjugated unipotent pair (g1 = U, g2 = U²)."""
+    rng = random.Random(seed)
+    chars = (1, 2, Fraction(1, 2), -1)
+    pairs = []
+    for t in range(8):
+        g1 = g2 = Matrix(0, 0, [])
+        for b in range(rng.randint(2, 3)):
+            size = rng.randint(1, 2)
+            u = _upper(rng, size, [1])
+            # a (1, 1) block first in three pairs of four
+            lam, mu = (1, 1) if b == 0 < t % 4 else (rng.choice(chars),
+                                                       rng.choice(chars))
+            uk = (Matrix.identity(size), u, u * u)[rng.randint(0, 2)]
+            g1, g2 = _direct_sum(g1, u.scale(lam)), _direct_sum(
+                g2, uk.scale(mu))
+        pairs.append(_sheared(rng, TorusRep(g1, g2)))
+    for _ in range(4):
+        a, b = _upper(rng, 2, chars), _upper(rng, 2, chars)
+        pairs.append(tensor_rep(TorusRep(a, Matrix.identity(2)),
+                                TorusRep(Matrix.identity(2), b)))
+    u = _upper(rng, 3, [1])
+    pairs.append(_sheared(rng, TorusRep(u, u * u)))
+    j2_root2 = rep([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 2, 0]])
+    return pairs + [j2_root2, _sheared(rng, j2_root2)]
+
+
+def _unipotent_defect(g, k):
+    """(g - 1)^k."""
+    m = Matrix.identity(g.rows)
+    for _ in range(k):
+        m = m * (g - Matrix.identity(g.rows))
+    return m
+
+
+def test_unipotent_summand_is_the_trivial_character_part():
+    from t2mc.cli import _normal_form_betti
+    from t2mc.mcdg import rep_to_mc
+
+    sizes, irrational = set(), 0
+    for r in _split_pairs(71):
+        n = r.dim
+        s = unipotent_summand(r)
+        k = s.dim
+        sizes.add((k, n))
+        # B: the kernel of the stacked n-th powers of g_i - 1, taken here
+        # by plain powers
+        p1, p2 = (_unipotent_defect(g, n) for g in (r.g1, r.g2))
+        _, kernel = rank_kernel(Matrix(2 * n, n, p1.entries + p2.entries))
+        assert len(kernel) == k
+        if k:
+            b = Matrix.from_rows(list(zip(*kernel)))
+            for i in (1, 2):
+                assert r.g(i) * b == b * s.g(i)
+        assert validate(s).ok
+        assert all(_unipotent_defect(g, k).is_zero() for g in (s.g1, s.g2))
+        try:
+            chars = semisimplify(r).characters
+        except IrrationalSpectrumError:
+            irrational += 1
+        else:
+            assert k == chars.count((1, 1))
+        betti = _normal_form_betti(rep_to_mc(s, bound=max(4, k - 1)).mc)
+        assert betti == cellular_complex(r).betti(range(3))
+    # empty, proper and whole summands all occur
+    assert {0 < k < n for k, n in sizes} == {True, False}
+    assert any(k == 0 for k, _ in sizes) and any(k == n for k, n in sizes)
+    assert irrational == 2
+
+
+def test_unipotent_summand_of_a_unipotent_pair_is_the_pair():
+    j3 = rep([[1, 1, 0], [0, 1, 1], [0, 0, 1]], [[1, 0, 2], [0, 1, 0],
+                                                 [0, 0, 1]])
+    assert unipotent_summand(j3) is j3
+    empty = unipotent_summand(rep([[2, 1], [0, 2]], [[1, 0], [0, 1]]))
+    assert empty.dim == 0 and empty._valid
+    with pytest.raises(NonCommutingError):
+        unipotent_summand(rep([[1, 1], [0, 1]], [[0, 1], [1, 0]]))
