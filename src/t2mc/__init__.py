@@ -9,16 +9,15 @@ equivariant models of the torus and of the total space built over it.
 from .cochain import TwistedComplex
 from .gca import AlgebraPresentation, Element
 from .mcdg import (HomElement, MCObject, build_extension, extension_class,
-                   extension_iso, mc_check, mc_to_s, realize_mc, realize_rep,
-                   rep_extension, rep_to_mc, twisted_d)
+                   extension_iso, mc_check, mc_to_s, realize_mc, rep_extension,
+                   rep_to_mc, twisted_d)
 from .qlinalg import (Matrix, frac, frac_str, invert, rank, rank_kernel,
                       solve)
 from .t2forms import (Form1, Form2, LocalSystemT2, SectionCandidate,
                       build_local_system, constant_section, is_global_section,
                       section_w, section_x)
-from .torus_rep import (SemiSimpleData, TorusRep, cellular_complex, dual_rep,
-                        hom_rep, is_isomorphic, parse_rep, semisimplify,
-                        tensor_rep, validate)
+from .torus_rep import (SemiSimpleData, TorusRep, cellular_complex, hom_rep,
+                        is_isomorphic, parse_rep, semisimplify, validate)
 from .xmodel import (GENERIC, ChainMapReport, ModelPresentation,
                      ParameterSpec, build_total_model, build_torus_model,
                      compare_actions, invariant_basis, nilpotent_model,

@@ -86,8 +86,11 @@ def _parse_bound(text: str) -> int:
 def _emit(payload, out_path):
     text = json.dumps(payload, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -68,6 +68,3 @@ class TwistedComplex:
         needed = {k for n in degrees for k in (n, n - 1)}
         ranks = {k: self.rank_d(k) for k in needed}
         return tuple(self.dim(n) - ranks[n] - ranks[n - 1] for n in degrees)
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** n * self.dim(n) for n in self.degrees())

@@ -726,48 +726,6 @@ def extension_iso(e1: ExtensionData, e2: ExtensionData,
 
 # -- realization ---------------------------------------------------------------
 
-class RealizeResult:
-    __slots__ = ("rep", "extension")
-
-    def __init__(self, rep, extension):
-        self.rep = rep
-        self.extension = extension
-
-
-def realize_rep(top: TorusRep, bottom: TorusRep, f1: Matrix,
-                f2: Matrix) -> RealizeResult:
-    """The representation with extension class [f1 dt1 + f2 dt2].
-
-    Block matrices [[top.g_i, -top.g_i f_i], [0, bottom.g_i]] with the
-    splitting alpha = [id, -(t1 f1 + t2 f2)], beta = [[t1 f1 + t2 f2], [id]].
-    Requires the cross equivariance top.g_{3-i} f_i bottom.g_{3-i}^{-1} = f_i.
-    """
-    require_valid(top)
-    require_valid(bottom)
-    nt, nb = top.dim, bottom.dim
-    if f1.rows != nt or f1.cols != nb or f2.rows != nt or f2.cols != nb:
-        raise ValueError("class matrices must map bottom to top")
-    for i, f in ((1, f1), (2, f2)):
-        cross = 3 - i
-        if top.g(cross) * f * bottom.g_inv(cross) != f:
-            raise NotEquivariantError(
-                f"f{i} is not invariant under the crossing generator g{cross}")
-    mats = []
-    for i, f in ((1, f1), (2, f2)):
-        corner = top.g(i) * f
-        rows = []
-        for r in range(nt):
-            rows.append(list(top.g(i).row(r)) + [-c for c in corner.row(r)])
-        for r in range(nb):
-            rows.append([Fraction(0)] * nt + list(bottom.g(i).row(r)))
-        mats.append(Matrix.from_rows(rows))
-    rep = TorusRep(mats[0], mats[1])
-    require_valid(rep)
-    ext = ExtensionData(top, bottom, rep,
-                        HomElement.linear(f1, f2, T)).validate()
-    return RealizeResult(rep, ext)
-
-
 def _nilpotent_exp(m: Matrix) -> Matrix:
     n = m.rows
     acc = Matrix.identity(n)
@@ -890,7 +848,8 @@ def rep_to_mc(r: TorusRep, bound: int = 4) -> RepToMcResult:
     straightening to the constant representative.  Returns the MC object,
     the isomorphism from the input to it (a degree-0 invertible twisted
     cocycle), and the triangularization data.  The triangular pair is
-    validated and inverted once; each stage is a `tri.block`, inheriting both.
+    `semisimplify`'s, valid by inheritance, and is inverted once; each stage
+    is a `tri.block`, inheriting both.
 
     The isomorphism needs no invertibility check: every stage borders phi
     with a zero row and the constant 1 in the corner, so phi is an upper
@@ -900,8 +859,7 @@ def rep_to_mc(r: TorusRep, bound: int = 4) -> RepToMcResult:
     from .torus_rep import semisimplify
 
     ss = semisimplify(r)
-    tri = TorusRep(ss.tri1, ss.tri2)
-    require_valid(tri)
+    tri = ss.tri
     chars = ss.characters
     n = r.dim
     if n == 0:

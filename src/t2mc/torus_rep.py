@@ -2,15 +2,14 @@
 
 A representation is a commuting pair of invertible rational matrices (the
 images of the two generators g1, g2).  The module provides simultaneous
-triangularization over Q (semi-simplification), hom/tensor/dual
-constructions (both generators built by one Kronecker product), the 3-term
-cellular cochain complex of the torus computing H*(T^2, V), and an exact
-isomorphism test.  Its negative answers are certified three ways: the
-intertwiner space Hom(V, W) is zero, its dimension differs from dim End(V)
-or dim End(W) (each n² minus the rank of its intertwiner system), or the
-determinant vanishes on a coefficient grid large enough to show it vanishes
-identically.  Its determinants are taken over Z (`qlinalg.det`, on integer
-grid candidates).
+triangularization over Q (semi-simplification), the Hom representation (both
+generators built by one Kronecker product), the 3-term cellular cochain
+complex of the torus computing H*(T^2, V), and an exact isomorphism test.
+Its negative answers are certified three ways: the intertwiner space
+Hom(V, W) is zero, its dimension differs from dim End(V) or dim End(W) (each
+n² minus the rank of its intertwiner system), or the determinant vanishes on
+a coefficient grid large enough to show it vanishes identically.  Its
+determinants are taken over Z (`qlinalg.det`, on integer grid candidates).
 """
 
 from __future__ import annotations
@@ -177,13 +176,12 @@ def require_valid(r: TorusRep):
 
 def unipotent_summand(r: TorusRep) -> TorusRep:
     """V_(1,1) = ker(g1 - 1)^N ∩ ker(g2 - 1)^N, N >= dim, the summand where
-    both generators act unipotently, as the pair A_i with g_i·B = B·A_i on
-    the `rank_kernel` basis B; r itself when B spans V.
+    both generators act unipotently, as the pair `_restrict`ed to the
+    `rank_kernel` basis; r itself when that basis spans V.
 
-    Each basis vector is 1 at its last nonzero entry (its free column) and 0
-    at the others' ones, so A_i is g_i·B read at those rows.  The summand is
-    invariant because g1 and g2 commute, which validation has checked, and
-    A_i is unipotent, hence invertible: the summand inherits validity.
+    The summand is invariant because g1 and g2 commute, which validation has
+    checked, and each restriction is unipotent, hence invertible: the
+    summand inherits validity.
     """
     require_valid(r)
     n, e = r.dim, 1
@@ -193,13 +191,21 @@ def unipotent_summand(r: TorusRep) -> TorusRep:
     _, basis = rank_kernel(Matrix._exact(2 * n, n, m1.entries + m2.entries))
     if len(basis) == n:
         return r
-    k = len(basis)
-    free = [max(i for i, x in enumerate(v) if x) for v in basis]
-    b = Matrix._exact(n, k, [v[i] for i in range(n) for v in basis])
-    out = TorusRep(*(Matrix._exact(k, n, [e for f in free for e in g.row(f)])
-                     * b for g in (r.g1, r.g2)))
+    out = TorusRep(*_restrict(basis, r.g1, r.g2))
     out._valid = True
     return out
+
+
+def _restrict(basis, *gs):
+    """Each g restricted to the g-invariant span of the `rank_kernel` basis
+    vectors, as the A with g·B = B·A for B their columns.  Each vector is 1
+    at its last nonzero entry (its free column) and 0 at the others' ones, so
+    A is g·B read at those rows."""
+    n, k = gs[0].rows, len(basis)
+    free = [max(i for i, x in enumerate(v) if x) for v in basis]
+    b = Matrix._exact(n, k, [v[i] for i in range(n) for v in basis])
+    return [Matrix._exact(k, n, [e for f in free for e in g.row(f)]) * b
+            for g in gs]
 
 
 # -- characteristic polynomial and rational roots ---------------------------
@@ -294,18 +300,18 @@ class SemiSimpleData:
 
     `characters` lists the diagonal (g1-scalar, g2-scalar) pairs in filtration
     order (sub first), `basis` is the change-of-basis matrix, `basis_inv`
-    its inverse and `tri1`/`tri2` = basis^-1 · g_i · basis are the upper
-    triangular generators, whose diagonals are the characters.
+    its inverse and `tri` the pair basis^-1 · g_i · basis of upper triangular
+    generators, whose diagonals are the characters; it is conjugate to the
+    validated input, so it is valid by inheritance.
     """
 
-    __slots__ = ("characters", "basis", "basis_inv", "tri1", "tri2")
+    __slots__ = ("characters", "basis", "basis_inv", "tri")
 
-    def __init__(self, characters, basis, basis_inv, tri1, tri2):
+    def __init__(self, characters, basis, basis_inv, tri):
         self.characters = characters
         self.basis = basis
         self.basis_inv = basis_inv
-        self.tri1 = tri1
-        self.tri2 = tri2
+        self.tri = tri
 
 
 def _primitive(vec):
@@ -319,14 +325,9 @@ def _primitive(vec):
 
 
 def _eigenspace_spectrum(g1: Matrix, g2: Matrix, lam1):
-    """The ascending rational eigenvalues of g2 on E = ker(g1 - lam1).  Each
-    basis vector of E is 1 at its last nonzero entry and 0 at the others'
-    last ones, so those rows of g2·E give g2's restriction to E."""
-    n = g1.rows
+    """The ascending rational eigenvalues of g2 on ker(g1 - lam1)."""
     _, e_basis = rank_kernel(_shift(g1, lam1))
-    img = g2 * Matrix.from_rows(list(zip(*e_basis)))
-    return rational_roots(char_poly(Matrix.from_rows(
-        [img.row(max(i for i in range(n) if v[i])) for v in e_basis])))
+    return rational_roots(char_poly(_restrict(e_basis, g2)[0]))
 
 
 def _common_eigenvector(a1: Matrix, a2: Matrix, lam1s, lam2s):
@@ -388,15 +389,16 @@ def semisimplify(r: TorusRep) -> SemiSimpleData:
             for j, t in zip(rest, ratios) for k in rest]) for a in (a1, a2))
     basis = Matrix._exact(n, n, [c[i] for i in range(n) for c in cols])
     binv = invert(basis)
-    tri1, tri2 = (binv * g * basis for g in (r.g1, r.g2))
-    if any(any(t.row(i)[:i]) for t in (tri1, tri2) for i in range(n)):
+    tri = TorusRep(binv * r.g1 * basis, binv * r.g2 * basis)
+    if any(any(t.row(i)[:i]) for t in (tri.g1, tri.g2) for i in range(n)):
         raise CrossCheckError("semisimplify: basis^-1·g_i·basis is not upper "
                               "triangular")
-    return SemiSimpleData([(tri1[(i, i)], tri2[(i, i)]) for i in range(n)],
-                          basis, binv, tri1, tri2)
+    tri._valid = True
+    chars = [(tri.g1[(i, i)], tri.g2[(i, i)]) for i in range(n)]
+    return SemiSimpleData(chars, basis, binv, tri)
 
 
-# -- hom / tensor / dual -----------------------------------------------------
+# -- hom ---------------------------------------------------------------------
 
 def _kronecker(a: Matrix, b: Matrix) -> Matrix:
     """The Kronecker product a ⊗ b: entry a[k, kk]·b[l, ll] at row (k, l),
@@ -420,19 +422,6 @@ def hom_rep(v: TorusRep, w: TorusRep) -> TorusRep:
     require_valid(w)
     return TorusRep(*(_kronecker(w.g(i), v.g_inv(i).transpose())
                       for i in (1, 2)))
-
-
-def tensor_rep(v: TorusRep, w: TorusRep) -> TorusRep:
-    """V ⊗ W with the diagonal action; basis e_k ⊗ e_l, row-major, so the
-    generator is the Kronecker product v.g ⊗ w.g."""
-    require_valid(v)
-    require_valid(w)
-    return TorusRep(*(_kronecker(v.g(i), w.g(i)) for i in (1, 2)))
-
-
-def dual_rep(v: TorusRep) -> TorusRep:
-    """The dual representation Hom(V, trivial)."""
-    return hom_rep(v, TorusRep.trivial(1))
 
 
 # -- cellular cochain complex ------------------------------------------------

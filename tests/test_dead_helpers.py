@@ -19,15 +19,6 @@ SOURCES = sorted((ROOT / "src" / "t2mc").glob("*.py"))
 SEARCHED = ([path for path in SOURCES if path.name != "__init__.py"]
             + sorted((ROOT / "bench").glob("*.py")))
 
-# Only the tests call this one; it stays as their dimension-count check
-# (test_torus_rep.py and test_xmodel.py compare it with the Betti numbers).
-KEPT_FOR_TESTS = {"TwistedComplex.euler_characteristic"}
-
-# Documented library constructions that nothing in the program runs: the
-# paper's two-block realization of an extension and the tensor and dual
-# representations beside `hom_rep`.  The tests check each of them.
-EXPORTED_FOR_LIBRARY_USE = {"realize_rep", "tensor_rep", "dual_rep"}
-
 
 def _definitions():
     """(qualified name, bare name) of every checked definition."""
@@ -56,13 +47,11 @@ def test_every_unexported_definition_is_used():
     unused = _unused()
     exported = set(t2mc.__all__)
     dead = sorted(qualified for qualified, name in _definitions()
-                  if qualified not in exported | KEPT_FOR_TESTS
-                  and unused(name))
+                  if qualified not in exported and unused(name))
     assert not dead, f"nothing uses {dead}"
 
 
 def test_every_exported_name_is_used():
     unused = _unused()
-    dead = sorted(name for name in t2mc.__all__
-                  if name not in EXPORTED_FOR_LIBRARY_USE and unused(name))
+    dead = sorted(name for name in t2mc.__all__ if unused(name))
     assert not dead, f"nothing uses {dead}"

@@ -8,12 +8,13 @@ from pathlib import Path
 import pytest
 
 import t2mc.mcdg as mcdg
+from t2mc.errors import DomainError
 from t2mc.gca import SCALAR_ALGEBRA, AlgebraPresentation
 from t2mc.mcdg import (SALGEBRA, HomElement, MCObject, NoGammaAtBoundError,
                        NotEquivariantError, build_extension,
                        extension_class, fm_dt_parts, extension_iso, mc_check,
-                       mc_to_s, realize_mc, realize_rep, rep_extension,
-                       rep_to_mc, straighten, twisted_d)
+                       mc_to_s, realize_mc, rep_extension, rep_to_mc,
+                       straighten, twisted_d)
 from t2mc.qlinalg import Matrix, invert, rank
 from t2mc.t2forms import Form1, Form2, sq
 from t2mc.torus_rep import TorusRep, is_isomorphic
@@ -522,17 +523,15 @@ def test_build_extension_two_generator_block():
 
 
 def test_extension_class_of_split_extension():
-    top = TorusRep.character(2, 1)
-    bottom = TorusRep.character(3, 1)
-    result = realize_rep(top, bottom, Matrix.zero(1, 1), Matrix.zero(1, 1))
-    assert extension_class(result.extension).is_zero()
+    ext = rep_extension(TorusRep.diagonal([(2, 1), (3, 1)]), 1)
+    assert extension_class(ext).is_zero()
 
 
 def test_extension_class_recovers_omega_exactly():
+    # [[1, -lam], [0, 1]] is the two-block realization of lam·dt1
     lam = Fraction(5, 2)
-    result = realize_rep(TorusRep.trivial(1), TorusRep.trivial(1),
-                         Matrix.diagonal([lam]), Matrix.zero(1, 1))
-    cls = extension_class(result.extension)
+    ext = rep_extension(rep([[1, -lam], [0, 1]]), 1)
+    cls = extension_class(ext)
     assert cls.entries[0][0] == sq(lam, mask=1)
 
 
@@ -630,56 +629,62 @@ def test_extension_data_rejects_mismatched_dimensions():
 
 
 # -- realization ------------------------------------------------------------------
+# On one extension step realize_mc is the two-block realization: the constant
+# class f1·dt1 + f2·dt2 from the last character to the others gives
+# g_i = [[D_i, -D_i·f_i], [0, d_i]].
+
+def _realized(chars, twist):
+    """realize_mc of the semisimple object on `chars` twisted by the forms
+    `twist`, {(row, column): form}."""
+    eta = HomElement.zero(len(chars), len(chars), 1)
+    for (i, j), form in twist.items():
+        eta[i][j] = form
+    return realize_mc(MCObject.semisimple(chars, eta))
+
 
 def test_realize_rep_zero_class_is_block_diagonal():
-    top = rep([[2, 1], [0, 2]])
-    bottom = TorusRep.character(3, 1)
-    result = realize_rep(top, bottom, Matrix.zero(2, 1), Matrix.zero(2, 1))
-    assert result.rep.g1.to_rows() == [[2, 1, 0], [0, 2, 0], [0, 0, 3]]
+    # J2 with eigenvalue 2 (its normal form twist) under a zero class
+    r = _realized([(2, 1), (2, 1), (3, 1)],
+                  {(0, 1): sq(Fraction(-1, 2), mask=1)})
+    assert r.g1.to_rows() == [[2, 1, 0], [0, 2, 0], [0, 0, 3]]
 
 
 def test_realize_rep_trivial_with_dt1_class():
     lam = Fraction(7)
-    result = realize_rep(TorusRep.trivial(1), TorusRep.trivial(1),
-                         Matrix.diagonal([lam]), Matrix.zero(1, 1))
-    assert result.rep.g1.to_rows() == [[1, -lam], [0, 1]]
-    assert result.rep.g2 == Matrix.identity(2)
+    r = _realized([(1, 1), (1, 1)], {(0, 1): sq(lam, mask=1)})
+    assert r.g1.to_rows() == [[1, -lam], [0, 1]]
+    assert r.g2 == Matrix.identity(2)
 
 
 def test_realize_rep_degree_three_action():
     a1, b1, a2, b2 = (Fraction(x) for x in (2, 3, 5, 7))
-    top = TorusRep.diagonal([(a1, a2), (b1, b2)])
-    bottom = TorusRep.character(a1, a2)
-    f1 = Matrix.from_rows([[1], [0]])
-    result = realize_rep(top, bottom, f1, Matrix.zero(2, 1))
-    assert result.rep.g1.to_rows() == [[a1, 0, -a1], [0, b1, 0], [0, 0, a1]]
-    assert result.rep.g2.to_rows() == [[a2, 0, 0], [0, b2, 0], [0, 0, a2]]
+    r = _realized([(a1, a2), (b1, b2), (a1, a2)], {(0, 2): sq(1, mask=1)})
+    assert r.g1.to_rows() == [[a1, 0, -a1], [0, b1, 0], [0, 0, a1]]
+    assert r.g2.to_rows() == [[a2, 0, 0], [0, b2, 0], [0, 0, a2]]
 
 
 def test_realize_rep_checks_equivariance():
-    top = TorusRep.character(2, 1)
-    bottom = TorusRep.character(2, 5)
-    with pytest.raises(NotEquivariantError):
-        realize_rep(top, bottom, Matrix.diagonal([1]), Matrix.zero(1, 1))
+    # a dt1 class between characters that differ in g2
+    with pytest.raises(DomainError, match="equivariance"):
+        _realized([(2, 1), (2, 5)], {(0, 1): sq(1, mask=1)})
 
 
 def test_realized_pair_commutes_whenever_precondition_holds():
+    # f_i's entries vanish unless the characters agree in g_{3-i}
     rng = random.Random(67)
     chars = [1, -1, 2, 3, Fraction(1, 2)]
     for _ in range(15):
         n = rng.randint(1, 3)
         top_chars = [(rng.choice(chars), rng.choice(chars)) for _ in range(n)]
         bot = (rng.choice(chars), rng.choice(chars))
-        top = TorusRep.diagonal(top_chars)
-        bottom = TorusRep.character(*bot)
-        f1 = Matrix.from_rows(
-            [[rng.randint(-2, 2) if top_chars[i][1] == bot[1] else 0]
-             for i in range(n)])
-        f2 = Matrix.from_rows(
-            [[rng.randint(-2, 2) if top_chars[i][0] == bot[0] else 0]
-             for i in range(n)])
-        result = realize_rep(top, bottom, f1, f2)
-        assert result.rep.g1 * result.rep.g2 == result.rep.g2 * result.rep.g1
+        twist = {}
+        for i, (c1, c2) in enumerate(top_chars):
+            form = (sq(rng.randint(-2, 2) if c2 == bot[1] else 0, mask=1)
+                    + sq(rng.randint(-2, 2) if c1 == bot[0] else 0, mask=2))
+            if not form.is_zero():
+                twist[(i, n)] = form
+        r = _realized(top_chars + [bot], twist)
+        assert r.g1 * r.g2 == r.g2 * r.g1
 
 
 # The split-extension data (p, q, alpha, beta) of each builder, entry by
@@ -720,11 +725,11 @@ def _splitting_for(case):
     if case == "general":  # the corner needs the polynomial solve
         return rep_extension(rep([[1, 1, 1], [0, 1, 1], [0, 0, 1]],
                                  [[1, 1, 0], [0, 1, 1], [0, 0, 1]]), 2)
-    if case == "realize":
-        return realize_rep(TorusRep.trivial(2), TorusRep.trivial(1),
-                           Matrix.from_rows([[1], [2]]),
-                           Matrix.from_rows([[Fraction(-1, 2)], [3]])
-                           ).extension
+    if case == "realize":  # the two-block realization of t1·f1 + t2·f2
+        # for f1 = (1, 2) and f2 = (-1/2, 3): the corner is linear in t
+        return rep_extension(rep([[1, 0, -1], [0, 1, -2], [0, 0, 1]],
+                                 [[1, 0, Fraction(1, 2)], [0, 1, -3],
+                                  [0, 0, 1]]), 2)
     omega = HomElement([[sq(-2, mask=1), sq(-3, mask=2)]], 1)
     return build_extension(omega, MCObject.semisimple([(1, 1)]),
                            MCObject.semisimple([(1, 1), (1, 1)]))
@@ -753,9 +758,9 @@ def test_extension_validates_only_its_inputs(case, monkeypatch):
     monkeypatch.setattr(torus_rep, "validate",
                         lambda r: calls.append(r.dim) or real(r))
     ext = _splitting_for(case)
-    # rep_extension validates its input once; realize_rep its two blocks
-    # and the rep it builds.  ExtensionData wraps them without re-checking.
-    assert calls == ([3] if case != "realize" else [2, 1, 3])
+    # rep_extension validates its input once; ExtensionData wraps its blocks
+    # without re-checking them
+    assert calls == [3]
     assert ext.total.dim == 3
 
 
@@ -1601,7 +1606,7 @@ def test_rep_to_mc_outputs_pinned(tmp_path):
         ss = res.ssdata
         moved += ss.basis != Matrix.identity(r.dim)
         outputs.append(repr((res.mc.eta.entries, res.iso.entries, ss.basis,
-                             ss.tri1, ss.tri2, ss.characters)))
+                             ss.tri.g1, ss.tri.g2, ss.characters)))
     assert moved >= 15
     digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
     assert digest == ("1e201680caa8cf1ad2d99269973b0e2289046eae9e683ac6a9b84"

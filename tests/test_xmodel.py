@@ -157,7 +157,7 @@ def test_euler_characteristic_zero_for_trivial_characters():
     for rep in reps:
         mc = mc_to_s(rep_to_mc(rep).mc)
         cx = twisted_invariants_complex(build_torus_model(), mc, 2)
-        assert cx.euler_characteristic() == 0
+        assert sum((-1) ** n * cx.dim(n) for n in cx.degrees()) == 0
         assert sum((-1) ** n * b for n, b in enumerate(cx.betti(range(3)))) == 0
 
 
