@@ -443,6 +443,8 @@ def cmd_verify(args) -> int:
                  else _parse_relations(args.relations))
     variants = (args.variant,) if args.variant else ("s1", "s2")
     report = build_verification_report(values, variants, relations)
+    if args.out:  # an unwritable --out fails before any line is printed
+        _emit(report, args.out)
     for name, sec in report["sections"].items():
         status = "ok" if sec["pass"] else "FAIL"
         print(f"[{status}] {name}")
@@ -459,7 +461,8 @@ def cmd_verify(args) -> int:
                     line += f" via {sec[v]['conjugator']}"
                 print(line)
     print("overall:", "ok" if report["pass"] else "FAIL")
-    _emit(report, args.out)
+    if not args.out:
+        _emit(report, None)
     return 0 if report["pass"] else 4
 
 

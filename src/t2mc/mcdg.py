@@ -27,10 +27,10 @@ entries, which pins the same representative the step-by-step hand
 computation produces.  Every stage is a `TorusRep.block` of that pair.
 
 The straightening, comparison and splitting-corner solves run over
-elementary unknowns E_pq·t^a.  Each unknown's image (its twisted
-differential and face-compatibility defects) is written straight from its
-one-entry support, row p and column q, into sparse coordinates: O(n) terms
-per unknown, never a full form-matrix product, each face product once.
+elementary unknowns E_pq·t^a, each image (twisted differential and face
+defects) written from its one-entry support into sparse coordinates: O(n)
+terms, no form-matrix product, each face product once.  Straightening
+solves entry by entry (`_entry_block`); the others solve whole.
 
 The checks run on the same sparse coordinates, not on products: the
 cocycle and global-section conditions of a morphism are summed from those
@@ -43,10 +43,11 @@ and two extensions are compared by an isomorphism written in closed form.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError
 from .gca import SCALAR_ALGEBRA
-from .qlinalg import Matrix, SparseMatrix, frac, solve
+from .qlinalg import Matrix, SparseMatrix, _reduce, frac, solve
 from .t2forms import Form2, sq
 from .torus_rep import TorusRep, require_valid
 
@@ -474,11 +475,7 @@ def extension_class(ext: ExtensionData) -> HomElement:
 # -- linear solving over bounded polynomial forms ----------------------------
 
 def _poly_monomials(bound):
-    out = []
-    for total in range(bound + 1):
-        for e1 in range(total, -1, -1):
-            out.append((e1, total - e1))
-    return out
+    return [(e1, t - e1) for t in range(bound + 1) for e1 in range(t, -1, -1)]
 
 
 def _flatten(mat):
@@ -504,8 +501,6 @@ def _solve_sparse(images, rhs):
             rows.setdefault(k, {})[j] = v
     for k in rhs:
         rows.setdefault(k, {})
-    if not rows:
-        return tuple(Fraction(0) for _ in images)
     b = [rhs.get(k, _ZERO) for k in rows]
     return solve(SparseMatrix(len(images), list(rows.values())), b)
 
@@ -633,40 +628,82 @@ def solve_gamma(delta: HomElement, source, target, bound: int = 4):
     return problem.assemble(coeffs, "chain")
 
 
+@lru_cache(maxsize=64)
+def _entry_block(dst_char, src_char, bound):
+    """The 1 x 1 `straighten` system A between characters dst_char and
+    src_char, and the columns {coordinate: [(unknown, entry)]} of a left
+    inverse P of A: the rows of I beside A's pivots in [A | I] reduced."""
+    problem = _straightening_problem(MCObject.semisimple([src_char]),
+                                     MCObject.semisimple([dst_char]), bound)
+    m, rows = len(problem.images), {}  # coordinate -> [(unknown, entry)]
+    for j, img in enumerate(problem.images):
+        for c, v in img.items():
+            rows.setdefault(c, []).append((j, v))
+    left, _ = _reduce([(*row, (m + i, Fraction(1)))
+                       for i, row in enumerate(rows.values())], m + len(rows))
+    return problem, {c: [(j, x) for j, row in enumerate(left[:m])
+                         if (x := row.get(m + i))] for i, c in enumerate(rows)}
+
+
+def _straightening_problem(src, dst, bound):
+    allowed = [(p, q) for p in range(dst.dim) for q in range(src.dim)
+               if dst.characters[p] == src.characters[q]]
+    problem = _ChainProblem(src, dst, bound)
+    problem.add_constant_dt_vars(allowed)
+    problem.add_chain_vars(skip_constant_on=frozenset(allowed))
+    return problem
+
+
 def straighten(omega: HomElement, src: MCObject, dst: MCObject,
                bound: int = 4):
     """Write omega = k1·dt1 + k2·dt2 + d(chain) with k supported on
     equal-character entries and the chain free of constant terms there.
 
     Returns (k1, k2, chain) as (Matrix, Matrix, HomElement).  Raises
-    StraighteningFailedError when no such decomposition exists within the
-    polynomial-degree bound.
+    StraighteningFailedError, naming the whole system, when no such
+    decomposition exists within the polynomial-degree bound.  Both twists
+    must be strictly upper triangular, as at every stage of `rep_to_mc`.
 
-    The k part is unique, so the particular solution of the system fixes
-    it.  Say k1·dt1 + k2·dt2 + d(c) = 0 for k on the equal-character
-    entries and a global-section chain c with no constant term there.  When
-    eta vanishes between unequal characters and is strictly upper
-    triangular on both endpoints, as at every stage of `rep_to_mc`, the
-    twisted d keeps the equal-character entries among themselves, and the
-    diagonal bases make c periodic on them: c(t1, 1) = c(t1, 0) and
-    c(1, t2) = c(0, t2).  Take these entries (p, q) from the bottom row up,
-    left to right.  Once the entries below and to the left of (p, q)
-    vanish, d(c)_pq = dc_pq, so c_pq = -(k1_pq·t1 + k2_pq·t2): periodic
-    only for k_pq = 0, and then c_pq = 0.
+    Then the twisted d of a chain entry c_pq reaches only entries above or
+    right of (p, q), and its faces stay on it.  So entry by entry, bottom
+    row up, left to right, its block (`_entry_block`) solves for
+    omega_pq - sum_{r>p} eta_dst[p][r]·c_rq + sum_{s<q} c_ps·eta_src[s][q].
+    The blocks are injective: on equal characters d(c) + k·dt = 0 makes
+    c = -(k1·t1 + k2·t2), periodic only for k = 0; on unequal ones c is
+    constant, killed by a face of character ratio not 1.  So the solution
+    is unique, and exists iff each x = P·rhs solves its block.
     """
     if dst.characters is None or src.characters is None:
         raise DomainError("straightening needs semisimple endpoints")
-    allowed = [(p, q) for p in range(dst.dim) for q in range(src.dim)
-               if dst.characters[p] == src.characters[q]]
-    problem = _ChainProblem(src, dst, bound)
-    problem.add_constant_dt_vars(allowed)
-    problem.add_chain_vars(skip_constant_on=frozenset(allowed))
-    rhs = _flatten(omega)
-    coeffs = _solve_sparse(problem.images, rhs)
-    if coeffs is None:
-        raise problem.failure("no constant representative", rhs)
-    k1, k2 = fm_dt_parts(problem.assemble(coeffs, "k"))
-    return k1, k2, problem.assemble(coeffs, "chain")
+    if any(f.terms for eta in (dst.eta, src.eta)
+           for i, row in enumerate(eta) for f in row[:i + 1]):
+        raise DomainError("twists must be strictly upper triangular")
+    rows, cols = dst.dim, src.dim
+    k, chain = HomElement.zero(rows, cols, 1), HomElement.zero(rows, cols)
+    for p in reversed(range(rows)):
+        for q in range(cols):
+            rhs = omega[p][q] + sum(
+                [-dst.eta[p][r] * chain[r][q] for r in range(p + 1, rows)]
+                + [chain[p][s] * src.eta[s][q] for s in range(q)], sq(0))
+            block, left = _entry_block(dst.characters[p], src.characters[q],
+                                       bound)
+            residual = {("eq", 0, 0, key): v for key, v in rhs.terms.items()}
+            x = [_ZERO] * len(block.images)
+            for c, v in residual.items():
+                for j, a in left.get(c, ()):
+                    x[j] += a * v
+            for xj, img in zip(x, block.images):
+                if xj:
+                    for c, v in img.items():
+                        residual[c] = residual.get(c, _ZERO) - xj * v
+            if any(residual.values()):
+                raise _straightening_problem(src, dst, bound).failure(
+                    "no constant representative", _flatten(omega))
+            for kind, out in (("k", k), ("chain", chain)):
+                out[p][q] = Form2(SCALAR_ALGEBRA, {
+                    key: xj for xj, (v, _, _, key) in zip(x, block.vars)
+                    if v == kind})
+    return (*fm_dt_parts(k), chain)
 
 
 # -- comparing two split extensions of the same pair -------------------------

@@ -361,6 +361,24 @@ def test_unwritable_out_is_a_parse_error(command, tmp_path, monkeypatch,
     assert "Traceback" not in err
 
 
+def test_verify_checks_out_before_printing(tmp_path, monkeypatch, capsys):
+    # an unwritable --out fails before any section line claims success;
+    # a writable one leaves stdout as it is without --out, less the JSON
+    import t2mc.cli as cli
+
+    report = {"sections": {"betti_oracle": {"pass": True}}, "pass": True}
+    monkeypatch.setattr(cli, "build_verification_report",
+                        lambda *args: report)
+    missing = tmp_path / "missing" / "report.json"
+    assert main(["verify", "--out", str(missing)]) == 3
+    assert capsys.readouterr().out == ""
+    assert main(["verify", "--out", str(tmp_path / "report.json")]) == 0
+    lines = "[ok] betti_oracle\noverall: ok\n"
+    assert capsys.readouterr().out == lines
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out.startswith(lines + "{")
+
+
 def test_malformed_bound_is_a_parse_error(tmp_path, capsys):
     path = _write(tmp_path, "j3.rep", JORDAN3_FILE)
     for argv in (["t2-cohomology", path, "--bound", "abc"],

@@ -15,7 +15,7 @@ from t2mc.mcdg import (SALGEBRA, HomElement, MCObject, NoGammaAtBoundError,
                        extension_class, fm_dt_parts, extension_iso, mc_check,
                        mc_to_s, realize_mc, rep_extension, rep_to_mc,
                        straighten, twisted_d)
-from t2mc.qlinalg import Matrix, invert, rank
+from t2mc.qlinalg import Matrix, invert, rank, rank_kernel
 from t2mc.t2forms import Form1, Form2, sq
 from t2mc.torus_rep import TorusRep, is_isomorphic
 
@@ -832,46 +832,32 @@ def _random_triangular_pair(rng, n):
 
 
 def test_straighten_constant_part_is_unique(monkeypatch):
-    # the argument in straighten's docstring, on the systems rep_to_mc
-    # solves: the k columns are independent modulo the chain columns, so
-    # no kernel vector touches them
-    problems, systems = [], []
-    real_init = mcdg._ChainProblem.__init__
-    monkeypatch.setattr(mcdg._ChainProblem, "__init__",
-                        lambda self, *a: problems.append(self)
-                        or real_init(self, *a))
-    real_solve = mcdg._solve_sparse
-
-    def capture(images, rhs):
-        problem = next(p for p in problems if p.images is images)
-        systems.append((problem.vars, images))
-        return real_solve(images, rhs)
-
-    monkeypatch.setattr(mcdg, "_solve_sparse", capture)
+    # the fact straighten's entry-by-entry order rests on, on every block
+    # rep_to_mc meets: each entry's unknowns (k and the chain without its
+    # constant term on equal characters, the whole chain otherwise) have
+    # independent images, so k and the chain are unique, and the cached P
+    # is a left inverse
+    keys = set()
+    real = mcdg._entry_block
+    monkeypatch.setattr(mcdg, "_entry_block",
+                        lambda *key: keys.add(key) or real(*key))
     rng = random.Random(5)
     for _ in range(12):
         rep_to_mc(_random_triangular_pair(rng, rng.randint(2, 5)))
     rep_to_mc(rep([[int(j in (i, i + 1)) for j in range(5)]
                    for i in range(5)]))
-    checked = 0
-    for variables, images in systems:
-        k_cols = [j for j, v in enumerate(variables) if v[0] == "k"]
-        if not k_cols:
-            continue  # a splitting-corner system
-        coords = {c: i for i, c in enumerate(set().union(*images))}
-
-        def columns(cols):
-            rows = [[0] * len(cols) for _ in coords]
-            for col, j in enumerate(cols):
-                for c, v in images[j].items():
-                    rows[coords[c]][col] = v
-            return Matrix.from_rows(rows)
-
-        chain_cols = [j for j, v in enumerate(variables) if v[0] == "chain"]
-        assert (rank(columns(range(len(images))))
-                == rank(columns(chain_cols)) + len(k_cols))
-        checked += 1
-    assert checked >= 20
+    unequal = 0
+    for key in keys:
+        problem, columns = real.__wrapped__(*key)
+        coords = list(columns)
+        a = Matrix.from_rows([[img.get(c, 0) for img in problem.images]
+                              for c in coords])
+        assert rank(a) == a.cols == len(problem.vars)
+        p = Matrix.from_rows([[dict(columns[c]).get(j, 0) for c in coords]
+                              for j in range(a.cols)])
+        assert p * a == Matrix.identity(a.cols)
+        unequal += key[0] != key[1]
+    assert len(keys) >= 16 and unequal >= 6
 
 
 def test_rep_to_mc_semisimple_input():
@@ -1645,3 +1631,179 @@ def test_rep_to_mc_whole_mixed_pairs_match_cellular(tmp_path):
     for r, bound in _bench_pairs(tmp_path) + mixed:
         betti = _normal_form_betti(rep_to_mc(r, bound=bound).mc)
         assert betti == cellular_complex(r).betti(range(3))
+
+
+# -- straighten against the global solve it replaced --------------------------
+
+def _global_straighten(omega, src, dst, bound=4):
+    """The reference: straighten as one sparse system over the unknowns of
+    every entry at once, reduced by `solve`, whose particular solution is
+    the unique one."""
+    allowed = [(p, q) for p in range(dst.dim) for q in range(src.dim)
+               if dst.characters[p] == src.characters[q]]
+    problem = mcdg._ChainProblem(src, dst, bound)
+    problem.add_constant_dt_vars(allowed)
+    problem.add_chain_vars(skip_constant_on=frozenset(allowed))
+    rhs = mcdg._flatten(omega)
+    coeffs = mcdg._solve_sparse(problem.images, rhs)
+    if coeffs is None:
+        raise problem.failure("no constant representative", rhs)
+    k1, k2 = fm_dt_parts(problem.assemble(coeffs, "k"))
+    return k1, k2, problem.assemble(coeffs, "chain")
+
+
+def _beside_the_global_solve(monkeypatch):
+    """Run the global reference beside every straighten of rep_to_mc: equal
+    results are counted, and each failure is recorded as (message, shape)
+    under both, before it propagates."""
+    from t2mc.mcdg import StraighteningFailedError
+
+    seen = {"equal": 0, "failures": []}
+    real = mcdg.straighten
+
+    def both(*args):
+        try:
+            ours = real(*args)
+        except StraighteningFailedError as exc:
+            with pytest.raises(StraighteningFailedError) as info:
+                _global_straighten(*args)
+            seen["failures"].append(((str(exc), exc.shape),
+                                     (str(info.value), info.value.shape)))
+            raise
+        assert ours == _global_straighten(*args)
+        seen["equal"] += 1
+        return ours
+
+    monkeypatch.setattr(mcdg, "straighten", both)
+    return seen
+
+
+def _jordan(n, square):
+    g1 = Matrix.from_rows([[int(j in (i, i + 1)) for j in range(n)]
+                           for i in range(n)])
+    return TorusRep(g1, g1 * g1 if square else Matrix.identity(n))
+
+
+def test_straighten_matches_the_global_solve(tmp_path, monkeypatch):
+    seen = _beside_the_global_solve(monkeypatch)
+    pairs = [(_jordan(n, square), n - 1)
+             for n in range(4, 11) for square in (False, True)]
+    for r, bound in pairs + _bench_pairs(tmp_path) + _seeded_mixed_pairs(
+            61, 20):
+        rep_to_mc(r, bound=bound)
+    assert seen["failures"] == []
+    assert seen["equal"] >= 2 * sum(range(3, 10)) + 40
+
+
+def _straightened(fn, *args):
+    from t2mc.mcdg import StraighteningFailedError
+
+    try:
+        return fn(*args)
+    except StraighteningFailedError as exc:
+        return str(exc), exc.shape
+
+
+def test_straighten_matches_the_global_solve_off_the_pipeline():
+    # what rep_to_mc never passes: both endpoints twisted, several columns;
+    # omega = k·dt + d(c) for a random global-section chain c (a combination
+    # of the kernel of its face conditions), then with one random term
+    # added, which may leave no solution
+    rng = random.Random(67)
+    chars = [(1, 1), (2, 1), (1, Fraction(1, 2))]
+    bound, solved, failed = 2, 0, 0
+    for _ in range(16):
+        ends = []
+        for n in (rng.randint(1, 3), rng.randint(2, 3)):
+            eta = HomElement.zero(n, n, 1)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    eta[i][j] = (sq(rng.randint(-2, 2), mask=1)
+                                 + sq(rng.randint(-2, 2), mask=2))
+            ends.append(MCObject.semisimple(
+                [rng.choice(chars) for _ in range(n)], eta))
+        dst, src = ends
+        allowed = frozenset(_equal_pairs(src, dst))
+        faces = mcdg._ChainProblem(src, dst, bound)
+        faces.add_chain_vars(skip_constant_on=allowed, eq=False)
+        coords = sorted(set().union(*faces.images), key=repr)
+        _, kernel = rank_kernel(Matrix.from_rows(
+            [[img.get(x, 0) for img in faces.images] for x in coords]))
+        weights = [rng.randint(-2, 2) for _ in kernel]
+        c = faces.assemble([sum(w * v[j] for w, v in zip(weights, kernel))
+                            for j in range(len(faces.images))], "chain")
+        k = HomElement.zero(dst.dim, src.dim, 1)
+        for p, q in allowed:
+            k[p][q] = (sq(rng.randint(-2, 2), mask=1)
+                       + sq(rng.randint(-2, 2), mask=2))
+        omega = twisted_d(c, src, dst) + k
+        p, q = rng.randrange(dst.dim), rng.randrange(src.dim)
+        stray = HomElement.zero(dst.dim, src.dim, 1)
+        stray[p][q] = sq(1, rng.randint(0, 2), 0, rng.choice((1, 2)))
+        for args in ((omega, src, dst, bound),
+                     (omega + stray, src, dst, bound)):
+            ours = _straightened(straighten, *args)
+            assert ours == _straightened(_global_straighten, *args)
+            solved += len(ours) == 3
+            failed += len(ours) == 2
+    assert solved >= 20 and failed >= 10
+
+
+def test_straighten_fails_as_the_global_solve(monkeypatch):
+    from t2mc.mcdg import StraighteningFailedError
+
+    seen = _beside_the_global_solve(monkeypatch)
+    with pytest.raises(StraighteningFailedError, match="stage 5"):
+        rep_to_mc(_jordan(6, False), bound=4)
+    [(ours, oracle)] = seen["failures"]
+    assert ours == oracle
+    assert "160 x 80" in ours[0] and ours[1] == (160, 80)
+
+
+def test_rep_to_mc_j8_reduces_one_entry_block(monkeypatch):
+    # J8 has the one character (1, 1): its 28 straighten entries share one
+    # block, reduced once, and straighten hands nothing to `solve`
+    counts = {"_reduce": 0, "solve": 0}
+    inside = []
+
+    def counting(name):
+        real = getattr(mcdg, name)
+
+        def wrapper(*args):
+            counts[name] += bool(inside)
+            return real(*args)
+        return wrapper
+
+    def straighten(*args):
+        inside.append(True)
+        try:
+            return real_straighten(*args)
+        finally:
+            inside.pop()
+
+    real_straighten = mcdg.straighten
+    for name in counts:
+        monkeypatch.setattr(mcdg, name, counting(name))
+    monkeypatch.setattr(mcdg, "straighten", straighten)
+    mcdg._entry_block.cache_clear()
+    rep_to_mc(_jordan(8, True), bound=7)
+    assert counts == {"_reduce": 1, "solve": 0}
+    info = mcdg._entry_block.cache_info()
+    assert (info.misses, info.hits) == (1, 27)
+
+
+def test_straighten_needs_strictly_upper_triangular_twists():
+    one = MCObject.semisimple([(1, 1)])
+    for r, c in ((0, 0), (1, 0), (0, 1)):
+        eta = HomElement.zero(2, 2, 1)
+        eta[r][c] = sq(1, mask=1)
+        two = MCObject.semisimple([(1, 1)] * 2, eta)
+        if r < c:
+            straighten(HomElement.zero(2, 1, 1), one, two)
+            continue
+        for omega, src, dst in ((HomElement.zero(2, 1, 1), one, two),
+                                (HomElement.zero(1, 2, 1), two, one)):
+            with pytest.raises(DomainError,
+                               match="strictly upper triangular") as info:
+                straighten(omega, src, dst)
+            assert type(info.value) is DomainError

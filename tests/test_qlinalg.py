@@ -895,32 +895,43 @@ def test_kernel_rref_matches_sympy():
 
 
 def _pipeline_systems(monkeypatch):
-    """The straighten and splitting-corner systems rep_to_mc solves on the
+    """The straighten and splitting-corner systems of rep_to_mc on the
     unipotent J4-J8 at bound n-1, with g2 = 1 and with g2 = g1^2, as
-    (stage, a, b) with a a `SparseMatrix`."""
+    (stage, a, b) with a a `SparseMatrix`.  The splitting-corner systems are
+    the only ones it hands to `solve`; `straighten` solves entry by entry,
+    so its whole system is assembled here from `_ChainProblem`, row by row
+    in first-seen coordinate order."""
     import t2mc.mcdg as mcdg
     from t2mc.mcdg import rep_to_mc
     from t2mc.torus_rep import TorusRep
 
-    systems, stage = [], []
-    solve_ = mcdg.solve
+    systems = []
+    solve_, straighten_ = mcdg.solve, mcdg.straighten
 
     def capture(a, b):
-        systems.append((stage[-1], a, list(b)))
+        systems.append(("_splitting_corner", a, list(b)))
         return solve_(a, b)
 
-    def staged(name, fn):
-        def wrapper(*args, **kwargs):
-            stage.append(name)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                stage.pop()
-        return wrapper
+    def straighten(omega, src, dst, bound=4):
+        allowed = [(p, q) for p in range(dst.dim) for q in range(src.dim)
+                   if dst.characters[p] == src.characters[q]]
+        problem = mcdg._ChainProblem(src, dst, bound)
+        problem.add_constant_dt_vars(allowed)
+        problem.add_chain_vars(skip_constant_on=frozenset(allowed))
+        rhs = mcdg._flatten(omega)
+        rows = {}
+        for j, img in enumerate(problem.images):
+            for k, v in img.items():
+                rows.setdefault(k, {})[j] = v
+        for k in rhs:
+            rows.setdefault(k, {})
+        systems.append(("straighten",
+                        SparseMatrix(len(problem.images), list(rows.values())),
+                        [rhs.get(k, Fraction(0)) for k in rows]))
+        return straighten_(omega, src, dst, bound)
 
     monkeypatch.setattr(mcdg, "solve", capture)
-    for name in ("straighten", "_splitting_corner"):
-        monkeypatch.setattr(mcdg, name, staged(name, getattr(mcdg, name)))
+    monkeypatch.setattr(mcdg, "straighten", straighten)
     for n in range(4, 9):
         g1 = Matrix.from_rows([[int(j in (i, i + 1)) for j in range(n)]
                                for i in range(n)])
