@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .cochain import TwistedComplex
 from .qlinalg import Matrix, frac, frac_str
 
 # character exponent vectors: (exp a1, exp b1, exp a2, exp b2)
@@ -335,16 +336,13 @@ class AlgebraPresentation:
             len(dst), len(src), [])
 
     def check_d_square(self, max_degree=None):
-        """d_{n+1}·d_n as matrices; returns the degrees where it fails."""
+        """d_{n+1}·d_n as matrices for n <= max_degree, each d_n built once;
+        returns the degrees where it fails."""
         if max_degree is None:
             max_degree = self.bound - 2
-        bad = []
-        for n in range(max_degree + 1):
-            a = self.differential_matrix(n + 1)
-            b = self.differential_matrix(n)
-            if a.cols and b.cols and not (a * b).is_zero():
-                bad.append(n)
-        return bad
+        basis = {n: self.enumerate_basis(n) for n in range(max_degree + 3)}
+        d = {n: self.differential_matrix(n) for n in range(max_degree + 2)}
+        return TwistedComplex(basis, d, check=False).d_square_failures()
 
     # -- printing ----------------------------------------------------------
 

@@ -35,9 +35,10 @@ solves entry by entry (`_entry_block`); the others solve whole.
 The checks run on the same sparse coordinates, not on products: the
 cocycle and global-section conditions of a morphism are summed from those
 images over its terms (`_defects`).  Every split extension is a block
-splitting, built by `ExtensionData` from its corner; its inclusion and
-projection are validated entry by entry against the blocks of the extension,
-and two extensions are compared by an isomorphism written in closed form.
+splitting, stored by `ExtensionData` as its corner psi; its inclusion and
+projection are validated entry by entry against the blocks of the extension
+and its splitting by one face check, and its class and the isomorphism
+comparing two extensions are written in closed form.
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ SALGEBRA = "salgebra"
 # A form matrix is a `HomElement`: rows of scalar Form2s with a homological
 # degree.  Rational matrices enter through `HomElement.from_matrix` (constant
 # 0-forms) and `HomElement.linear`, the pair m1·u1 + m2·u2 over the units
-# DT = (dt1, dt2) or T = (t1, t2).  Every split extension is assembled by
-# `ExtensionData` from its blocks and corner.
+# DT = (dt1, dt2) or T = (t1, t2).  Every split extension is stored by
+# `ExtensionData` as its blocks and corner.
 
 DT = ({"mask": 1}, {"mask": 2})
 T = ({"e1": 1}, {"e2": 1})
@@ -371,45 +372,39 @@ def mc_check(o: MCObject) -> McReport:
 # -- extensions and splittings ------------------------------------------------
 
 class ExtensionData:
-    """A split extension top -> total -> bottom with the block splitting of
-    its nt x nb corner psi, a form matrix.
-
-    p = [id; 0] and q = [0, id] are the constant inclusion and projection,
-    alpha = [id, -psi] and beta = [psi; id].  For every psi these satisfy
-    alpha·p = id, q·beta = id, alpha·beta = 0 and p·alpha + beta·q = id, so
-    only the cocycle and global-section conditions need checking.
+    """A split extension top -> total -> bottom, stored as the nt x nb
+    corner psi (a form matrix) of its block splitting: the constant
+    inclusion p = [id; 0] and projection q = [0, id], alpha = [id, -psi]
+    and beta = [psi; id].  For every psi, alpha·p = id, q·beta = id,
+    alpha·beta = 0 and p·alpha + beta·q = id, so `validate` checks only
+    cocycles and global sections.  Once p and q pass, total's g_i are
+    [[A, N], [0, B]], and on each edge the face defects of alpha and beta
+    are [0, E] and [-E; 0] for E = psi_r - (A·psi_f + N)·B⁻¹ (psi at the
+    restriction and on the face): they vanish together.
     """
 
-    __slots__ = ("top", "bottom", "total", "psi", "p", "q", "alpha", "beta")
+    __slots__ = ("top", "bottom", "total", "psi")
 
     def __init__(self, top, bottom, total, psi):
         self.top = as_object(top)
         self.bottom = as_object(bottom)
         self.total = as_object(total)
-        nt = self.top.dim
-        if self.total.dim != nt + self.bottom.dim:
+        if self.total.dim != self.top.dim + self.bottom.dim:
             raise ValueError("the total dimension is not the sum of the top "
                              "and bottom dimensions")
         self.psi = psi
-        eye = HomElement.from_matrix(Matrix.identity(self.total.dim))
-        self.p = HomElement([row[:nt] for row in eye], 0)
-        self.q = HomElement(eye[nt:], 0)
-        self.alpha = HomElement([row[:nt] + corner
-                                 for row, corner in zip(eye, -psi)], 0)
-        self.beta = HomElement(psi.entries + [row[nt:] for row in eye[nt:]],
-                               0)
 
     def validate(self):
         """Check that p and q are cocycles and global sections, then that
-        alpha and beta are global sections; raises on the first failure, in
-        that order.  No form-matrix product is formed.
+        alpha (hence beta) is a global section; raises on the first failure,
+        in that order.  No form-matrix product is formed.
 
         p and q are read off the blocks of total: d(p) = 0 iff the first nt
         columns of total's eta are [eta_top; 0], and then d(q) = 0 iff its
         lower-right block is eta_bottom; p is a global section iff the first
         nt columns of each g_i of total are [g_i top; 0], and q iff its last
-        nb rows are [0, g_i bottom].  The faces of alpha and beta are summed
-        on sparse coordinates (`_defects`).
+        nb rows are [0, g_i bottom].  The faces of alpha are summed on
+        sparse coordinates (`_defects`).
         """
         top, bottom, total = self.top, self.bottom, self.total
         nt, n = top.dim, total.dim
@@ -431,8 +426,10 @@ class ExtensionData:
                 raise NotACocycleError(f"{name} is not a cocycle")
             if not section:
                 raise NotEquivariantError(f"{name} is not a global section")
-        _require("alpha", _defects(self.alpha, total, top))
-        _require("beta", _defects(self.beta, bottom, total))
+        eye = HomElement.from_matrix(Matrix.identity(n))
+        alpha = HomElement([row[:nt] + corner
+                            for row, corner in zip(eye, -self.psi)], 0)
+        _require("alpha", _defects(alpha, total, top))
         return self
 
 
@@ -465,8 +462,13 @@ def build_extension(omega: HomElement, top, bottom) -> ExtensionData:
 
 
 def extension_class(ext: ExtensionData) -> HomElement:
-    """The degree-1 cocycle alpha · d(beta) classifying the extension."""
-    cls = ext.alpha * twisted_d(ext.beta, ext.bottom, ext.total)
+    """The degree-1 cocycle alpha · d(beta) classifying the extension, in
+    closed form: total's twist is [[eta_top, omega], [0, eta_bottom]], so
+    d(beta) = [D(psi) + omega; 0] for D the twisted differential from
+    bottom to top, and alpha · d(beta) = D(psi) + omega."""
+    nt = ext.top.dim
+    omega = HomElement([row[nt:] for row in ext.total.eta[:nt]], 1)
+    cls = twisted_d(ext.psi, ext.bottom, ext.top) + omega
     if not twisted_d(cls, ext.bottom, ext.top).is_zero():
         raise NotACocycleError("extension class failed the cocycle check")
     return cls
@@ -721,17 +723,15 @@ def _objects_equal(a: MCObject, b: MCObject):
             and a.eta == b.eta)
 
 
-def extension_iso(e1: ExtensionData, e2: ExtensionData,
-                  bound: int = 4) -> ExtensionIsoResult:
+def extension_iso(e1: ExtensionData, e2: ExtensionData) -> ExtensionIsoResult:
     """The isomorphism p2·alpha1 + beta2·q1 - p2·gamma·q1 between two
     extensions with the same top and bottom and equal classes.  For block
     splittings it is [[id, psi2 - psi1 - gamma], [0, id]], written here in
     that closed form.
 
-    gamma solves d(gamma) = alpha2·d(beta2) - alpha1·d(beta1), the
-    difference of the two extension classes (`extension_class`, with its
-    cocycle check), over chains of polynomial degree <= bound (the bound is
-    retried once, two degrees higher, before reporting failure with a
+    gamma solves d(gamma) = extension_class(e2) - extension_class(e1), with
+    each class's cocycle check, over chains of polynomial degree <= 4
+    (retried once at degree 6 before reporting failure with a
     class-difference certificate).  The map is unitriangular, so
     2·id - map is its inverse: [[id, C], [0, id]]·[[id, -C], [0, id]] = id.
     """
@@ -739,10 +739,10 @@ def extension_iso(e1: ExtensionData, e2: ExtensionData,
             and _objects_equal(e1.bottom, e2.bottom)):
         raise DomainError("extensions do not share their endpoints")
     delta = extension_class(e2) - extension_class(e1)
-    gamma = solve_gamma(delta, e1.bottom, e1.top, bound)
-    used_bound = bound
+    used_bound = 4
+    gamma = solve_gamma(delta, e1.bottom, e1.top, used_bound)
     if gamma is None:
-        used_bound = bound + 2
+        used_bound = 6
         gamma = solve_gamma(delta, e1.bottom, e1.top, used_bound)
     if gamma is None:
         max_poly = max((p1 + p2 for row in delta for form in row

@@ -278,10 +278,10 @@ def algebra_map_element(pres: AlgebraPresentation, images: dict, x: Element):
     return out
 
 
-def build_fiber_algebra(bound: int = 10) -> AlgebraPresentation:
+def build_fiber_algebra() -> AlgebraPresentation:
     """The fiber value algebra: generators x, y, z (degree 3, cocycles),
-    w (degree 6, cocycle), u (degree 5) with du = y*z."""
-    p = AlgebraPresentation(bound=bound)
+    w (degree 6, cocycle), u (degree 5) with du = y*z, through degree 10."""
+    p = AlgebraPresentation(bound=10)
     p.add_generator("x", 3, (1, 0, 1, 0))
     p.add_generator("y", 3, (0, 1, 0, 1))
     p.add_generator("z", 3, (1, 0, 1, 0))
@@ -402,7 +402,7 @@ class LocalSystemT2:
         return rep
 
 
-def build_local_system(a1, b1, a2, b2, bound: int = 10) -> LocalSystemT2:
+def build_local_system(a1, b1, a2, b2) -> LocalSystemT2:
     """The local system on the torus with fiber algebra Λ(x, y, z, w, u).
 
     Face twists: on sigma_1, d0 scales (x, y, z) by (a1, b1, a1), sends
@@ -411,7 +411,7 @@ def build_local_system(a1, b1, a2, b2, bound: int = 10) -> LocalSystemT2:
     faces twist by the crossing direction, with
     d_{10}(w) = a2 b2 (w - t y z - dt u) and d_{20}(w) = a1 b1 (w + x y).
     """
-    alg = build_fiber_algebra(bound)
+    alg = build_fiber_algebra()
     a1, b1, a2, b2 = frac(a1), frac(b1), frac(a2), frac(b2)
     x, y, z = alg.generator("x"), alg.generator("y"), alg.generator("z")
     w, u = alg.generator("w"), alg.generator("u")

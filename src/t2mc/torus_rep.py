@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -117,13 +118,6 @@ class TorusRep:
 
     def __repr__(self):
         return f"TorusRep(dim={self.dim}, g1={self.g1!r}, g2={self.g2!r})"
-
-    def conjugate(self, p: Matrix) -> "TorusRep":
-        """The rep p^{-1} g p in the new basis given by the columns of p."""
-        pinv = invert(p)
-        if pinv is None:
-            raise ValueError("change of basis must be invertible")
-        return TorusRep(pinv * self.g1 * p, pinv * self.g2 * p)
 
 
 def _diagonal_inverse(m: Matrix):
@@ -606,9 +600,13 @@ def is_isomorphic(v: TorusRep, w: TorusRep) -> IsoResult:
 
 # -- text format --------------------------------------------------------------
 
+_SPACE = re.compile(r"\s*")
+
+
 def parse_rep(text: str) -> TorusRep:
     """Parse the rep file format: a dimension line, then two nested arrays
-    of 'p/q' strings (bare integers also accepted)."""
+    of 'p/q' strings (bare integers also accepted).  '#' starts a comment;
+    any text other than the two arrays and whitespace is an error."""
     stripped = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     body = stripped.strip()
     if not body:
@@ -619,30 +617,25 @@ def parse_rep(text: str) -> TorusRep:
     except ValueError as exc:
         raise ParseError(f"bad dimension line {head!r}") from exc
     blocks = []
-    depth = 0
-    start = None
-    for pos, ch in enumerate(rest):
-        if ch == "[":
-            if depth == 0:
-                start = pos
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth == 0:
-                blocks.append(rest[start:pos + 1])
+    decode = json.JSONDecoder().raw_decode
+    pos = 0
+    while (pos := _SPACE.match(rest, pos).end()) < len(rest):
+        if rest[pos] != "[":
+            raise ParseError(f"unexpected text {rest[pos:pos + 20]!r}")
+        try:
+            block, pos = decode(rest, pos)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad matrix block: {exc}") from exc
+        blocks.append(block)
     if len(blocks) != 2:
         raise ParseError("expected exactly two matrices")
     # each distinct entry string is read once (a Fraction is immutable, so
     # equal ones may share it); not numbers: 1 == 1.0, but 1.0 is rejected
     read = cache(frac)
 
-    def load(block):
-        try:
-            data = json.loads(block)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad matrix block: {exc}") from exc
-        if (not isinstance(data, list) or len(data) != dim
-                or any(not isinstance(r, list) or len(r) != dim for r in data)):
+    def load(data):
+        if len(data) != dim or any(not isinstance(r, list) or len(r) != dim
+                                   for r in data):
             raise ParseError(f"matrix is not {dim}x{dim}")
         if any(isinstance(e, bool) for row in data for e in row):
             raise ParseError("bad matrix entry: a boolean is not a number")

@@ -100,19 +100,19 @@ class ModelPresentation:
         return [g for g in self.pres.generators if g.degree == n]
 
 
-def build_torus_model(pspec: ParameterSpec = GENERIC,
-                      bound: int = 10) -> ModelPresentation:
-    """The torus model: two degree-1 cocycle generators with trivial action."""
-    p = AlgebraPresentation(bound=bound)
+def build_torus_model() -> ModelPresentation:
+    """The torus model, generic, through degree 10: two degree-1 cocycle
+    generators with trivial action."""
+    p = AlgebraPresentation(bound=10)
     p.add_generator("s1", 1)
     p.add_generator("s2", 1)
     p.finalize()
-    return ModelPresentation(p, pspec, name="torus")
+    return ModelPresentation(p, GENERIC, name="torus")
 
 
-def build_total_model(pspec: ParameterSpec = GENERIC, variant: str = "s2",
-                      bound: int = 10) -> ModelPresentation:
-    """The seven-generator model of the total space.
+def build_total_model(pspec: ParameterSpec = GENERIC,
+                      variant: str = "s2") -> ModelPresentation:
+    """The seven-generator model of the total space, through degree 10.
 
     variant chooses the index in d(xb) = s?·zb.  Only the s2 choice yields
     d² = 0 (the s1 variant leaves d²(wb) = -s1 s2 yb zb, recorded in the
@@ -121,7 +121,7 @@ def build_total_model(pspec: ParameterSpec = GENERIC, variant: str = "s2",
     """
     if variant not in ("s1", "s2"):
         raise DomainError("variant must be 's1' or 's2'")
-    p = AlgebraPresentation(bound=bound)
+    p = AlgebraPresentation(bound=10)
     p.add_generator("s1", 1)
     p.add_generator("s2", 1)
     p.add_generator("xb", 3, (1, 0, 1, 0))
@@ -247,22 +247,22 @@ class NilpotentModel:
         self.bases = bases
 
 
-def nilpotent_model(pspec: ParameterSpec, bound: int = 8,
-                    variant: str = "s2") -> NilpotentModel:
+def nilpotent_model(pspec: ParameterSpec) -> NilpotentModel:
     """The invariant subalgebra of the total-space model with its cohomology.
 
-    Returns degreewise dimensions, Betti numbers through `bound`, and the
-    monomial bases.
+    Returns degreewise dimensions, Betti numbers through degree 8, and the
+    monomial bases, of the s2 variant.
     """
-    model = build_total_model(pspec, variant=variant)
+    model = build_total_model(pspec)
     trivial = [(Fraction(1), Fraction(1))]
     cx = twisted_invariants_complex(
-        model, MCObject.semisimple(trivial, ambient=SALGEBRA), bound)
-    dims = tuple(cx.dim(n) for n in range(bound + 1))
-    bettis = cx.betti(range(bound + 1))
+        model, MCObject.semisimple(trivial, ambient=SALGEBRA), 8)
+    degrees = range(9)
+    dims = tuple(cx.dim(n) for n in degrees)
+    bettis = cx.betti(degrees)
     bases = {n: [model.pres.mono_str(mono)
                  for mono, _ in invariant_basis(model, trivial, n)]
-             for n in range(bound + 1)}
+             for n in degrees}
     return NilpotentModel(model, dims, bettis, bases)
 
 

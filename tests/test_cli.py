@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -128,6 +129,10 @@ def test_verify_passes_and_is_deterministic(tmp_path, capsys):
     b1 = open(out1, "rb").read()
     b2 = open(out2, "rb").read()
     assert b1 == b2
+    # the report is pinned byte for byte: a change that alters it updates
+    # this digest and says why in CHANGES.md
+    assert hashlib.sha256(b1).hexdigest() == (
+        "98278952c54c3961b2bbfda0e34fef09f29968892eebd0a6509fd4178febbdd8")
     payload = json.loads(b1)
     assert payload["pass"] is True
     assert payload["sections"]["chain_map"]["s1"]["failing"] == ["xb"]

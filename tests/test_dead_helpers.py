@@ -1,15 +1,17 @@
 """Every library definition is used somewhere.
 
-A module-level function or class, or a public method, must be named in
-`src/t2mc` or `bench/*.py` somewhere other than its own `def`/`class` line
-(a call, a reference, or a mention in a docstring); otherwise nothing runs
-it and it is dead code.  The same holds for every name `t2mc.__all__`
-exports; the re-export in `t2mc/__init__.py` is not a use.
+A module-level function or class, or a public method, must be referenced by
+code in `src/t2mc` or `bench/*.py`: as a name, an attribute, an imported
+name or module, or a part of a dotted string constant such as
+"Matrix.rref" (how `bench/tracer.py` names what it wraps).  Prose is not a
+use: a mention in a docstring or comment keeps nothing alive, and a
+definition referenced only by tests is dead code.  The same holds for
+every name `t2mc.__all__` exports; the re-export in `t2mc/__init__.py` is
+not a use.
 """
 
 import ast
 import re
-from collections import Counter
 from pathlib import Path
 
 import t2mc
@@ -18,6 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "t2mc").glob("*.py"))
 SEARCHED = ([path for path in SOURCES if path.name != "__init__.py"]
             + sorted((ROOT / "bench").glob("*.py")))
+DOTTED = re.compile(r"\w+(\.\w+)*")
 
 
 def _definitions():
@@ -33,14 +36,28 @@ def _definitions():
                         yield f"{node.name}.{item.name}", item.name
 
 
+def _references(tree):
+    """The bare names that the code of a module refers to."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield from node.module.split(".")
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            yield from node.value.split(".")
+
+
 def _unused():
-    """Whether each bare name appears only on its own def/class lines."""
-    words, defined = Counter(), Counter()
+    """Whether nothing in the searched code refers to each bare name."""
+    refs = set()
     for path in SEARCHED:
-        text = path.read_text()
-        words.update(re.findall(r"\w+", text))
-        defined.update(re.findall(r"\b(?:def|class)\s+(\w+)", text))
-    return lambda name: words[name] == defined[name]
+        refs.update(_references(ast.parse(path.read_text())))
+    return lambda name: name not in refs
 
 
 def test_every_unexported_definition_is_used():

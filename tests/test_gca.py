@@ -77,6 +77,15 @@ def test_d_square_matrices(fiber, model_m, lam_s):
         assert pres.check_d_square(8) == []
 
 
+def test_check_d_square_builds_each_matrix_once(fiber, monkeypatch):
+    built = []
+    real = AlgebraPresentation.differential_matrix
+    monkeypatch.setattr(AlgebraPresentation, "differential_matrix",
+                        lambda self, n: built.append(n) or real(self, n))
+    assert fiber.check_d_square(8) == []
+    assert built == list(range(10))
+
+
 def test_character_pinned(model_m):
     xb_yb = next(m for m in model_m.enumerate_basis(6)
                  if model_m.mono_str(m) == "xb*yb")

@@ -20,6 +20,12 @@ from t2mc.t2forms import Form1, Form2, sq
 from t2mc.torus_rep import TorusRep, is_isomorphic
 
 
+def _conjugate(r, p):
+    """The pair p^-1·g_i·p, in the basis given by the columns of p."""
+    pinv = invert(p)
+    return TorusRep(pinv * r.g1 * p, pinv * r.g2 * p)
+
+
 def rep(rows1, rows2=None):
     g1 = Matrix.from_rows(rows1)
     g2 = Matrix.from_rows(rows2) if rows2 is not None else Matrix.identity(
@@ -582,9 +588,23 @@ def test_extension_iso_classes_differ():
     assert info.value.classes_differ
 
 
+def _splitting_maps(ext):
+    """The block splitting of ext as form matrices, built from its corner:
+    p = [id; 0], q = [0, id], alpha = [id, -psi] and beta = [psi; id]."""
+    nt = ext.top.dim
+    eye = HomElement.from_matrix(Matrix.identity(ext.total.dim))
+    p = HomElement([row[:nt] for row in eye], 0)
+    q = HomElement(eye[nt:], 0)
+    alpha = HomElement([row[:nt] + corner
+                        for row, corner in zip(eye, -ext.psi)], 0)
+    beta = HomElement(ext.psi.entries + [row[nt:] for row in eye[nt:]], 0)
+    return p, q, alpha, beta
+
+
 def _iso_by_products(e1, e2, gamma):
     """p2·alpha1 + beta2·q1 - p2·gamma·q1 by form-matrix products."""
-    p2, a1, b2, q1 = (m.entries for m in (e2.p, e1.alpha, e2.beta, e1.q))
+    p2, _, _, b2 = (m.entries for m in _splitting_maps(e2))
+    _, q1, a1, _ = (m.entries for m in _splitting_maps(e1))
     return HomElement(fm_sub(fm_add(fm_mul(p2, a1), fm_mul(b2, q1)),
                              fm_mul(fm_mul(p2, gamma.entries), q1)), 0)
 
@@ -601,7 +621,8 @@ def _iso_pairs():
     general = rep([[1, 1, 1], [0, 1, 1], [0, 0, 1]],
                   [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     shear = Matrix.from_rows([[1, 0, 2], [0, 1, -1], [0, 0, 1]])
-    yield rep_extension(general, 2), rep_extension(general.conjugate(shear), 2)
+    yield (rep_extension(general, 2),
+           rep_extension(_conjugate(general, shear), 2))
     # twisted endpoints: omega and omega + d(h) for a constant section h
     top, bottom = jordan2_object(c, e), MCObject.semisimple([(c, 1)])
     omega = HomElement([[sq(1, mask=1)], [sq(0)]], 1)
@@ -688,7 +709,8 @@ def test_realized_pair_commutes_whenever_precondition_holds():
 
 
 # The split-extension data (p, q, alpha, beta) of each builder, entry by
-# entry, as recorded before the builders were merged into one.
+# entry, as recorded before the builders were merged into one; the four
+# maps are built from the stored corner by `_splitting_maps`.
 SPLITTING_PINS = {
     "fast": {
         "p": [["(1)", "0"], ["0", "(1)"], ["0", "0"]],
@@ -742,8 +764,9 @@ def test_splitting_data_pinned(case, monkeypatch):
     monkeypatch.setattr(mcdg, "_solve_sparse",
                         lambda *a: solves.append(1) or real(*a))
     ext = _splitting_for(case)
-    got = {name: [[repr(x) for x in row] for row in getattr(ext, name).entries]
-           for name in ("p", "q", "alpha", "beta")}
+    got = {name: [[repr(x) for x in row] for row in m.entries]
+           for name, m in zip(("p", "q", "alpha", "beta"),
+                              _splitting_maps(ext))}
     assert got == SPLITTING_PINS[case]
     # only the general rep_extension case reaches the corner solve
     assert len(solves) == (case == "general")
@@ -961,7 +984,7 @@ def test_rep_to_mc_accepts_conjugated_input():
     # still realizes back to an isomorphic pair
     base = jordan3_rep(1, 1, 1, 0)
     p = Matrix.from_rows([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
-    conj = base.conjugate(p)
+    conj = _conjugate(base, p)
     assert conj.g1 != base.g1
     res = rep_to_mc(conj)
     assert mc_check(res.mc).ok
@@ -1377,21 +1400,22 @@ def _validate_by_products(ext):
     from t2mc.mcdg import NotACocycleError
 
     top, bottom, total = ext.top, ext.bottom, ext.total
-    for name, f, src, dst in (("p", ext.p, top, total),
-                              ("q", ext.q, total, bottom)):
+    p, q, alpha, beta = _splitting_maps(ext)
+    for name, f, src, dst in (("p", p, top, total),
+                              ("q", q, total, bottom)):
         if not twisted_d(f, src, dst).is_zero():
             raise NotACocycleError(f"{name} is not a cocycle")
         if _defects_by_products(f, src, dst):
             raise NotEquivariantError(f"{name} is not a global section")
-    for name, f, src, dst in (("alpha", ext.alpha, total, top),
-                              ("beta", ext.beta, bottom, total)):
+    for name, f, src, dst in (("alpha", alpha, total, top),
+                              ("beta", beta, bottom, total)):
         defects = _defects_by_products(f, src, dst)
         if defects:
             raise NotEquivariantError(f"{name} is not a global section "
                                       f"{_first_face_defect(defects)}")
     ident = [HomElement.from_matrix(Matrix.identity(o.dim)).entries
              for o in (top, bottom, total)]
-    a, b, p, q = (m.entries for m in (ext.alpha, ext.beta, ext.p, ext.q))
+    a, b, p, q = (m.entries for m in (alpha, beta, p, q))
     for label, defect in (
             ("alpha·p = id", fm_sub(fm_mul(a, p), ident[0])),
             ("q·beta = id", fm_sub(fm_mul(q, b), ident[1])),
@@ -1470,33 +1494,44 @@ def test_validate_matches_the_product_route_on_corrupted_splittings(case):
 
 
 def test_validate_forms_no_products_on_the_pipeline(monkeypatch):
-    state = {"validate": 0, "inside": False, "product": 0, "Form1": 0}
-    real_mul = mcdg.HomElement.__mul__
-    real_validate = mcdg.ExtensionData.validate
-    real_init = Form1.__init__
+    """One rep_to_mc of J5 at bound 4: each stage's validate sums the faces
+    of alpha alone, one `_defects` call, and neither validate nor
+    extension_class forms a form-matrix product or a Form1."""
+    calls = {"validate": 0, "extension_class": 0}
+    inside = {}  # (scope, what) -> calls made within that scope
+    scope = []
 
-    def count(name):
-        if state["inside"]:
-            state[name] += 1
+    def scoped(name, real):
+        def run(*args):
+            calls[name] += 1
+            scope.append(name)
+            try:
+                return real(*args)
+            finally:
+                scope.pop()
+        return run
 
-    def validate(self):
-        state["validate"] += 1
-        state["inside"] = True
-        try:
-            return real_validate(self)
-        finally:
-            state["inside"] = False
+    def counted(what, real):
+        def run(*args, **kwargs):
+            if scope:
+                key = (scope[-1], what)
+                inside[key] = inside.get(key, 0) + 1
+            return real(*args, **kwargs)
+        return run
 
+    monkeypatch.setattr(mcdg.ExtensionData, "validate",
+                        scoped("validate", mcdg.ExtensionData.validate))
+    monkeypatch.setattr(mcdg, "extension_class",
+                        scoped("extension_class", mcdg.extension_class))
+    monkeypatch.setattr(mcdg, "_defects", counted("_defects", mcdg._defects))
     monkeypatch.setattr(mcdg.HomElement, "__mul__",
-                        lambda *a: count("product") or real_mul(*a))
-    monkeypatch.setattr(Form1, "__init__",
-                        lambda self, *a: count("Form1") or real_init(self, *a))
-    monkeypatch.setattr(mcdg.ExtensionData, "validate", validate)
+                        counted("product", mcdg.HomElement.__mul__))
+    monkeypatch.setattr(Form1, "__init__", counted("Form1", Form1.__init__))
     n = 5
     rep_to_mc(rep([[int(j in (i, i + 1)) for j in range(n)]
                    for i in range(n)]), bound=4)
-    assert state == {"validate": 4, "inside": False, "product": 0,
-                     "Form1": 0}
+    assert calls == {"validate": 4, "extension_class": 4}
+    assert scope == [] and inside == {("validate", "_defects"): 4}
 
 
 def test_rep_to_mc_unipotent_j8_pinned():

@@ -27,6 +27,12 @@ from t2mc.torus_rep import (GRID_CAP, IrrationalSpectrumError, IsoResult,
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
 
 
+def _conjugate(r, p):
+    """The pair p^-1·g_i·p, in the basis given by the columns of p."""
+    pinv = invert(p)
+    return TorusRep(pinv * r.g1 * p, pinv * r.g2 * p)
+
+
 def rep(rows1, rows2=None):
     g1 = Matrix.from_rows(rows1)
     g2 = Matrix.from_rows(rows2) if rows2 is not None else Matrix.identity(
@@ -177,7 +183,7 @@ def test_semisimplify_reconjugation_recovers_input():
         p = Matrix.from_rows([[1 if i == j else (1 if (i, j) == (0, n - 1)
                                                  else 0)
                                for j in range(n)] for i in range(n)])
-        conj = v.conjugate(p)
+        conj = _conjugate(v, p)
         data = semisimplify(conj)
         binv = invert(data.basis)
         assert binv * conj.g1 * data.basis == data.tri.g1
@@ -367,7 +373,7 @@ def test_semisimplify_completes_bases_without_rank(monkeypatch):
     v = rep([[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 3, 1], [0, 0, 0, 3]])
     p = Matrix.from_rows([[1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 0],
                           [0, 0, 1, 2]])
-    u = v.conjugate(p)
+    u = _conjugate(v, p)
     data = semisimplify(u)
     assert sorted(data.characters) == [(2, 1), (2, 1), (3, 1), (3, 1)]
     # validation's invertibility tests are the only rank calls
@@ -468,7 +474,7 @@ def _seeded_commuting_pairs(seed, count):
                 i, j = rng.sample(range(n), 2)
                 shear = [[int(a == b) for b in range(n)] for a in range(n)]
                 shear[i][j] = rng.choice([1, -1, 2])
-                r = r.conjugate(Matrix.from_rows(shear))
+                r = _conjugate(r, Matrix.from_rows(shear))
         out.append(r)
     return out
 
@@ -757,7 +763,7 @@ def test_cellular_d1_d0_is_the_commutator(monkeypatch):
 def test_cellular_conjugation_invariance():
     v = rep([[1, 2, 3], [0, 1, 4], [0, 0, 2]])
     p = Matrix.from_rows([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
-    w = v.conjugate(p)
+    w = _conjugate(v, p)
     assert (cellular_complex(v).betti(range(3))
             == cellular_complex(w).betti(range(3)))
 
@@ -858,7 +864,7 @@ def test_is_isomorphic_certified_negative_with_nonzero_space():
 def test_is_isomorphic_conjugate_pair():
     v = rep([[1, 5, 2], [0, 2, 1], [0, 0, 1]])
     p = Matrix.from_rows([[1, 0, 2], [0, 1, 1], [0, 0, 1]])
-    w = v.conjugate(p)
+    w = _conjugate(v, p)
     result = is_isomorphic(v, w)
     assert result.status == "isomorphic"
     t = result.conjugator
@@ -942,7 +948,7 @@ def _iso_pairs():
         v = _random_triangular(rng, n)
         kind = len(pairs) % 3
         if kind == 0:
-            w = v.conjugate(_random_unimodular(rng, n))
+            w = _conjugate(v, _random_unimodular(rng, n))
         elif kind == 1:
             w = TorusRep.diagonal([(v.g1[(i, i)], v.g2[(i, i)])
                                    for i in range(n)])
@@ -984,8 +990,8 @@ def test_is_isomorphic_random_fallback_matches_reference():
     # End(V) has dimension 10, so 5**10 grid points exceed GRID_CAP and both
     # searches draw the same seeded random coefficients
     v = rep([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
-    w = v.conjugate(Matrix.from_rows([[1, 1, 0, 0], [0, 1, 2, 0],
-                                      [0, 0, 1, -1], [0, 0, 0, 1]]))
+    w = _conjugate(v, Matrix.from_rows([[1, 1, 0, 0], [0, 1, 2, 0],
+                                        [0, 0, 1, -1], [0, 0, 0, 1]]))
     got, ref = is_isomorphic(v, w), _reference_is_isomorphic(v, w)
     assert got.space_dim == ref.space_dim == 10
     assert got.status == ref.status == "isomorphic"
@@ -1135,7 +1141,7 @@ def _grid_iso_pairs(count):
         v = _random_triangular(rng, n)
         kind = len(pairs) % 3
         if kind == 0:
-            w = v.conjugate(_random_unimodular(rng, n))
+            w = _conjugate(v, _random_unimodular(rng, n))
         elif kind == 1:
             w = TorusRep.diagonal([(v.g1[(i, i)], v.g2[(i, i)])
                                    for i in range(n)])
@@ -1254,6 +1260,21 @@ def test_parse_rep_rejects_booleans():
             parse_rep(text)
 
 
+def test_parse_rep_rejects_stray_text():
+    from t2mc.errors import ParseError
+
+    g1, g2 = '[["1","1"],["0","1"]]', '[["1","0"],["0","1"]]'
+    assert parse_rep(f"2 # dim\n {g1} # g1\n\n\t{g2}\n") == parse_rep(
+        f"2\n{g1}\n{g2}")
+    for text in (f"2\nfoo {g1} bar\n baz {g2} qux",
+                 f"2\n{g1}\n{g2}\n]", f"2\n{g1}, {g2}", f"2\n{g1}\n{g2} 7"):
+        with pytest.raises(ParseError, match="unexpected text"):
+            parse_rep(text)
+    for text in (f"2\n{g1}", f"2\n{g1}\n{g2}\n{g2}"):
+        with pytest.raises(ParseError, match="expected exactly two matrices"):
+            parse_rep(text)
+
+
 def test_parse_rep_shares_each_entry_string():
     from t2mc.errors import ParseError
     from t2mc.qlinalg import frac
@@ -1291,7 +1312,7 @@ def _sheared(rng, r):
         i, j = rng.sample(range(n), 2)
         shear = Matrix.identity(n).to_rows()
         shear[i][j] = rng.choice((1, -1, 2, -2))
-        r = r.conjugate(Matrix.from_rows(shear))
+        r = _conjugate(r, Matrix.from_rows(shear))
     return r
 
 
