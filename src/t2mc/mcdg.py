@@ -30,7 +30,8 @@ The straightening, comparison and splitting-corner solves run over
 elementary unknowns E_pq·t^a, each image (twisted differential and face
 defects) written from its one-entry support into sparse coordinates: O(n)
 terms, no form-matrix product, each face product once.  Straightening
-solves entry by entry (`_entry_block`); the others solve whole.
+solves entry by entry, by one reduced block per character ratio
+(`_entry_block`); the others solve whole.
 
 The checks run on the same sparse coordinates, not on products: the
 cocycle and global-section conditions of a morphism are summed from those
@@ -631,12 +632,18 @@ def solve_gamma(delta: HomElement, source, target, bound: int = 4):
 
 
 @lru_cache(maxsize=64)
-def _entry_block(dst_char, src_char, bound):
-    """The 1 x 1 `straighten` system A between characters dst_char and
-    src_char, and the columns {coordinate: [(unknown, entry)]} of a left
-    inverse P of A: the rows of I beside A's pivots in [A | I] reduced."""
-    problem = _straightening_problem(MCObject.semisimple([src_char]),
-                                     MCObject.semisimple([dst_char]), bound)
+def _entry_block(ratio, bound):
+    """The 1 x 1 `straighten` system A between characters whose ratio
+    dst_i / src_i is `ratio`, and the columns {coordinate: [(unknown,
+    entry)]} of a left inverse P of A: the rows of I beside A's pivots in
+    [A | I] reduced.
+
+    A reads its characters only through the face products dst_i·src_i⁻¹ and
+    the test dst == src, so it is built from src = (1, 1) and dst = ratio:
+    every pair of characters with that ratio has the same unknowns, images
+    and P."""
+    problem = _straightening_problem(MCObject.semisimple([(1, 1)]),
+                                     MCObject.semisimple([ratio]), bound)
     m, rows = len(problem.images), {}  # coordinate -> [(unknown, entry)]
     for j, img in enumerate(problem.images):
         for c, v in img.items():
@@ -668,7 +675,8 @@ def straighten(omega: HomElement, src: MCObject, dst: MCObject,
 
     Then the twisted d of a chain entry c_pq reaches only entries above or
     right of (p, q), and its faces stay on it.  So entry by entry, bottom
-    row up, left to right, its block (`_entry_block`) solves for
+    row up, left to right, its block (`_entry_block`, one per character
+    ratio dst_p / src_q) solves for
     omega_pq - sum_{r>p} eta_dst[p][r]·c_rq + sum_{s<q} c_ps·eta_src[s][q].
     The blocks are injective: on equal characters d(c) + k·dt = 0 makes
     c = -(k1·t1 + k2·t2), periodic only for k = 0; on unequal ones c is
@@ -687,8 +695,8 @@ def straighten(omega: HomElement, src: MCObject, dst: MCObject,
             rhs = omega[p][q] + sum(
                 [-dst.eta[p][r] * chain[r][q] for r in range(p + 1, rows)]
                 + [chain[p][s] * src.eta[s][q] for s in range(q)], sq(0))
-            block, left = _entry_block(dst.characters[p], src.characters[q],
-                                       bound)
+            (a1, a2), (b1, b2) = dst.characters[p], src.characters[q]
+            block, left = _entry_block((a1 / b1, a2 / b2), bound)
             residual = {("eq", 0, 0, key): v for key, v in rhs.terms.items()}
             x = [_ZERO] * len(block.images)
             for c, v in residual.items():

@@ -309,6 +309,9 @@ class LocalSystemT2:
         self.edge_d0 = edge_d0
         self.face_d0 = face_d0
         self._validate()
+        # the chain-map generator table and section reports, built once
+        # by `xmodel.verify_chain_map`
+        self._sections = None
 
     # parameter shorthands: params = (a1, b1, a2, b2)
     def a(self, i):

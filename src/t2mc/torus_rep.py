@@ -212,9 +212,9 @@ def _shift(m: Matrix, lam) -> Matrix:
 
 
 def char_poly(m: Matrix):
-    """Coefficients of det(xI - m), ascending, computed by interpolation."""
+    """Coefficients of det(xI - m), ascending, interpolated at 0, ..., n."""
     n = m.rows
-    points = [Fraction(k) for k in range(n + 1)]
+    points = range(n + 1)
     values = [(-1) ** n * det(_shift(m, x)) for x in points]
     vand = Matrix.from_rows([[x ** j for j in range(n + 1)] for x in points])
     return list(solve(vand, values))
@@ -341,7 +341,8 @@ def _common_eigenvector(a1: Matrix, a2: Matrix, lam1s, lam2s):
             continue
         for lam2 in lam2s(lam1):
             s2 = _shift(a2, lam2)
-            _, kernel = rank_kernel(Matrix(2 * n, n, s1.entries + s2.entries))
+            _, kernel = rank_kernel(
+                Matrix._exact(2 * n, n, s1.entries + s2.entries))
             if kernel:
                 return _primitive(kernel[0])
     return None

@@ -87,7 +87,7 @@ GENERIC = ParameterSpec.generic()
 class ModelPresentation:
     """An algebra presentation together with its parameter interpretation."""
 
-    __slots__ = ("pres", "pspec", "variant", "name")
+    __slots__ = ("pres", "pspec", "variant", "name", "_bases")
 
     def __init__(self, pres: AlgebraPresentation, pspec: ParameterSpec,
                  variant=None, name=""):
@@ -95,6 +95,7 @@ class ModelPresentation:
         self.pspec = pspec
         self.variant = variant
         self.name = name
+        self._bases = {}  # (coefficient characters, degree) -> basis
 
     def degree_generators(self, n):
         return [g for g in self.pres.generators if g.degree == n]
@@ -160,15 +161,20 @@ def invariant_basis(model: ModelPresentation, coeff_chars, n: int):
 
     Coefficient characters are scalar pairs, exponent 4-vectors, or the
     INDEPENDENT marker (formally independent scalar: no invariants).  The
-    order is monomial-major in the basis enumeration order.
+    order is monomial-major in the basis enumeration order.  Each basis is
+    computed once per (characters, degree) and kept on the model; every call
+    returns a fresh list.
     """
-    out = []
-    for mono in model.pres.enumerate_basis(n):
-        mchar = model.pres.mono_character(mono)
-        for idx, coeff in enumerate(coeff_chars):
-            if _coeff_invariant(model.pspec, mchar, coeff):
-                out.append((mono, idx))
-    return out
+    key = (tuple(coeff_chars), n)
+    if key not in model._bases:
+        out = []
+        for mono in model.pres.enumerate_basis(n):
+            mchar = model.pres.mono_character(mono)
+            for idx, coeff in enumerate(coeff_chars):
+                if _coeff_invariant(model.pspec, mchar, coeff):
+                    out.append((mono, idx))
+        model._bases[key] = out
+    return list(model._bases[key])
 
 
 def _basis_label(model, mono, idx):
@@ -363,18 +369,25 @@ class ChainMapReport:
         return [v.name for v in self.verdicts if not v.ok]
 
 
-def _section_table(ls):
-    alg = ls.alg
-    unit = alg.unit()
-    return {
-        "s1": (Form2.monomial(alg, unit, mask=1), (0, 0)),
-        "s2": (Form2.monomial(alg, unit, mask=2), (0, 0)),
-        "xb": (section_x(ls).tau, (1, 0)),
-        "yb": (Form2.const(alg, alg.generator("y")), (0, 1)),
-        "zb": (Form2.const(alg, alg.generator("z")), (1, 0)),
-        "ub": (Form2.const(alg, alg.generator("u")), (1, 1)),
-        "wb": (section_w(ls).tau, (1, 1)),
-    }
+def _sections(ls):
+    """The generator table of the chain map into `ls` and the global-section
+    reports of x', w', y, z and u, built on first use and kept on `ls`: they
+    read `ls` alone, so every chain-map variant shares them."""
+    if ls._sections is None:
+        alg, unit = ls.alg, ls.alg.unit()
+        x, w = section_x(ls), section_w(ls)
+        y, z, u = (constant_section(ls, name) for name in "yzu")
+        ls._sections = ({
+            "s1": (Form2.monomial(alg, unit, mask=1), (0, 0)),
+            "s2": (Form2.monomial(alg, unit, mask=2), (0, 0)),
+            "xb": (x.tau, (1, 0)),
+            "yb": (y.tau, (0, 1)),
+            "zb": (z.tau, (1, 0)),
+            "ub": (u.tau, (1, 1)),
+            "wb": (w.tau, (1, 1)),
+        }, {name: is_global_section(ls, section) for name, section in
+            (("x_prime", x), ("w_prime", w), ("y", y), ("z", z), ("u", u))})
+    return ls._sections
 
 
 def _apply_sections(model: ModelPresentation, images, element):
@@ -410,18 +423,13 @@ def verify_chain_map(ls: LocalSystemT2,
     constant sections, wb -> w' from the total `model`, specialized at
     `ls.params`, into `ls` commutes with the differentials.
 
-    Reports per-generator verdicts plus the global-section reports for the
-    non-constant sections; the s1 variant fails exactly at xb.
+    Reports per-generator verdicts plus the global-section reports of the
+    sections x', w', y, z and u; the s1 variant fails exactly at xb.  The
+    table and the reports are built once per `ls` (`_sections`) and shared
+    by every variant.
     """
     _require_specialized_at(ls, model)
-    images = _section_table(ls)
-    section_reports = {
-        "x_prime": is_global_section(ls, section_x(ls)),
-        "w_prime": is_global_section(ls, section_w(ls)),
-        "y": is_global_section(ls, constant_section(ls, "y")),
-        "z": is_global_section(ls, constant_section(ls, "z")),
-        "u": is_global_section(ls, constant_section(ls, "u")),
-    }
+    images, section_reports = _sections(ls)
     verdicts = []
     for g in model.pres.generators:
         dg = g.differential
@@ -437,7 +445,7 @@ def verify_chain_map(ls: LocalSystemT2,
                     f"{img_twist}")
         verdicts.append(GeneratorVerdict(g.name, lhs == rhs, repr(lhs),
                                          repr(rhs)))
-    return ChainMapReport(model.variant, section_reports, verdicts)
+    return ChainMapReport(model.variant, dict(section_reports), verdicts)
 
 
 class CompareReport:

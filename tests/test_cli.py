@@ -342,11 +342,48 @@ def test_verify_builds_each_local_system_report_once(monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     cli.build_verification_report((2, 3, 5, 7))
     # one local system, shared by both chain-map variants and both action
-    # comparisons; five global-section reports per chain-map variant; one
-    # specialized total model per variant, one generic model per variant
-    # for the integrity and X-complex sections, one per nilpotent model
-    assert calls == {"build_local_system": 1, "is_global_section": 10,
+    # comparisons; its five global-section reports, shared by both chain-map
+    # variants; one specialized total model per variant, one generic model
+    # per variant for the integrity and X-complex sections, one per
+    # nilpotent model
+    assert calls == {"build_local_system": 1, "is_global_section": 5,
                      "build_total_model": 6}
+
+
+def test_verify_reduces_one_entry_block_and_each_invariant_basis_once(
+        monkeypatch):
+    import t2mc.cli as cli
+    import t2mc.gca as gca
+    import t2mc.mcdg as mcdg
+    import t2mc.xmodel as xmodel
+
+    enumerations, enumerated, models = [0], [], []
+    real_enumerate = gca.AlgebraPresentation.enumerate_basis
+    real_basis = xmodel.invariant_basis
+
+    def enumerate_basis(self, n):
+        enumerations[0] += 1
+        return real_enumerate(self, n)
+
+    def invariant_basis(model, coeff_chars, n):
+        before = enumerations[0]
+        out = real_basis(model, coeff_chars, n)
+        if enumerations[0] != before:
+            models.append(model)  # kept alive, so no id is reused
+            enumerated.append((id(model), tuple(coeff_chars), n))
+        return out
+
+    monkeypatch.setattr(gca.AlgebraPresentation, "enumerate_basis",
+                        enumerate_basis)
+    for module in (cli, xmodel):
+        monkeypatch.setattr(module, "invariant_basis", invariant_basis)
+    mcdg._entry_block.cache_clear()
+    cli.build_verification_report((2, 3, 5, 7))
+    # every straightened entry of the battery has character ratio (1, 1)
+    # at bound 4: one block, reduced once
+    assert mcdg._entry_block.cache_info().misses == 1
+    # no (model, characters, degree) invariant basis is enumerated twice
+    assert enumerated and len(set(enumerated)) == len(enumerated)
 
 
 @pytest.mark.parametrize("command", ["ssify", "t2-cohomology", "verify"])

@@ -859,13 +859,13 @@ def test_straighten_constant_part_is_unique(monkeypatch):
     # rep_to_mc meets: each entry's unknowns (k and the chain without its
     # constant term on equal characters, the whole chain otherwise) have
     # independent images, so k and the chain are unique, and the cached P
-    # is a left inverse
+    # is a left inverse; a block is keyed by (character ratio, bound)
     keys = set()
     real = mcdg._entry_block
     monkeypatch.setattr(mcdg, "_entry_block",
                         lambda *key: keys.add(key) or real(*key))
     rng = random.Random(5)
-    for _ in range(12):
+    for _ in range(40):
         rep_to_mc(_random_triangular_pair(rng, rng.randint(2, 5)))
     rep_to_mc(rep([[int(j in (i, i + 1)) for j in range(5)]
                    for i in range(5)]))
@@ -879,8 +879,52 @@ def test_straighten_constant_part_is_unique(monkeypatch):
         p = Matrix.from_rows([[dict(columns[c]).get(j, 0) for c in coords]
                               for j in range(a.cols)])
         assert p * a == Matrix.identity(a.cols)
-        unequal += key[0] != key[1]
+        unequal += key[0] != (1, 1)
     assert len(keys) >= 16 and unequal >= 6
+
+
+def _pair_block(dst_char, src_char, bound):
+    """The straighten entry block as built per character pair, before blocks
+    were keyed by the ratio: the oracle of the ratio blocks."""
+    from t2mc.qlinalg import _reduce
+
+    problem = mcdg._straightening_problem(MCObject.semisimple([src_char]),
+                                          MCObject.semisimple([dst_char]),
+                                          bound)
+    m, rows = len(problem.images), {}
+    for j, img in enumerate(problem.images):
+        for c, v in img.items():
+            rows.setdefault(c, []).append((j, v))
+    left, _ = _reduce([(*row, (m + i, Fraction(1)))
+                       for i, row in enumerate(rows.values())], m + len(rows))
+    return problem, {c: [(j, x) for j, row in enumerate(left[:m])
+                         if (x := row.get(m + i))] for i, c in enumerate(rows)}
+
+
+def test_entry_block_by_ratio_matches_the_per_pair_block():
+    # every pair of characters with ratio dst / src shares one block: the
+    # same unknowns, images and left-inverse columns, in the same order, as
+    # the block built from the pair itself
+    rng = random.Random(17)
+    values = [Fraction(v) for v in (1, -1, 2, -2, 3, "1/2", "-2/3")]
+    steps = [Fraction(v) for v in (1, 1, -1, 2, "-1/3")]
+    equal, pairs = 0, {}  # (ratio, bound) -> the pairs that met it
+    for _ in range(30):
+        src = (rng.choice(values), rng.choice(values))
+        dst = tuple(c * rng.choice(steps) for c in src)
+        bound = rng.choice((2, 4))
+        ratio = tuple(a / b for a, b in zip(dst, src))
+        block, left = mcdg._entry_block(ratio, bound)
+        oracle, oracle_left = _pair_block(dst, src, bound)
+        assert block.vars == oracle.vars
+        assert [list(img.items()) for img in block.images] == [
+            list(img.items()) for img in oracle.images]
+        assert list(left.items()) == list(oracle_left.items())
+        equal += dst == src
+        pairs.setdefault((ratio, bound), set()).add((dst, src))
+    shared = sum(len(met) > 1 for (ratio, _), met in pairs.items()
+                 if ratio != (1, 1))
+    assert equal >= 3 and 30 - equal >= 20 and shared >= 4
 
 
 def test_rep_to_mc_semisimple_input():

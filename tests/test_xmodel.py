@@ -94,6 +94,21 @@ def test_invariant_basis_vector_coefficients():
     assert "wb" in names
 
 
+def test_invariant_basis_is_kept_per_model_and_returned_fresh():
+    model = build_total_model(GENERIC, "s2")
+    chars = [(-1, -1, -1, -1), (0, 0, 0, 0)]
+    first = invariant_basis(model, chars, 6)
+    expected = list(first)
+    first.clear()
+    first.append("junk")
+    again = invariant_basis(model, chars, 6)
+    assert again == expected and again is not first
+    # another model, or other characters, get their own basis
+    other = build_total_model(ParameterSpec.generic([(1, 1, 1, 1)]), "s2")
+    assert invariant_basis(other, chars, 6) != expected
+    assert invariant_basis(model, chars[1:], 6) != expected
+
+
 def test_twisted_complex_untwisted():
     cx = twisted_invariants_complex(
         build_torus_model(), MCObject.semisimple([(1, 1)], ambient=SALGEBRA), 2)
@@ -265,6 +280,40 @@ def test_verify_chain_map_variant_s1_fails_exactly_at_xb():
     assert xb.rhs == "dt2(z)"
     # the sections themselves are fine under either variant
     assert all(r.ok for r in report.section_reports.values())
+
+
+def test_verify_chain_map_variants_share_one_local_systems_reports():
+    # both variants read one local system's section reports, built once;
+    # the s1 variant still fails exactly at xb
+    ls = build_local_system(*VALUES)
+    s1 = verify_chain_map(ls, _total_at(ls, "s1"))
+    s2 = verify_chain_map(ls, _total_at(ls, "s2"))
+    assert s1.section_reports == s2.section_reports
+    assert list(s1.section_reports) == ["x_prime", "w_prime", "y", "z", "u"]
+    assert s1.failing_generators() == ["xb"] and s2.ok
+
+
+def test_verify_chain_map_reports_belong_to_their_local_system(monkeypatch):
+    import t2mc.xmodel as xmodel
+
+    checked = []
+    real = xmodel.is_global_section
+
+    def is_global_section(ls, s):
+        checked.append(ls)
+        return real(ls, s)
+
+    monkeypatch.setattr(xmodel, "is_global_section", is_global_section)
+    first = build_local_system(*VALUES)
+    second = build_local_system(Fraction(1, 2), 3, -2, Fraction(5, 3))
+    reports = {}
+    for ls in (first, second, first, second):
+        reports[ls] = verify_chain_map(ls, _total_at(ls, "s2"))
+    # each local system's five reports are checked on it, once
+    assert checked == [first] * 5 + [second] * 5
+    one, two = (reports[ls].section_reports for ls in (first, second))
+    assert all(one[name] is not two[name] and one[name].ok and two[name].ok
+               for name in one)
 
 
 def test_verify_chain_map_w_identity_is_checked():
