@@ -493,7 +493,10 @@ def main(argv=None) -> int:
     p_chk = sub.add_parser("verify",
                            help="run the built-in verification battery")
     # parsed by cmd_verify, so a malformed value exits 3 with its message
-    p_chk.add_argument("--params", default=None, metavar="a1,b1,a2,b2")
+    p_chk.add_argument("--params", default=None, metavar="a1,b1,a2,b2",
+                       help="the four parameters; a negative first one "
+                            "needs the = form, --params=-1,2,3,4 (after a "
+                            "space it is read as an option)")
     p_chk.add_argument("--relations", default=None,
                        metavar="'(k,l,m,n);...'")
     p_chk.add_argument("--variant", choices=("s1", "s2"), default=None,

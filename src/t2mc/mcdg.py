@@ -31,15 +31,16 @@ elementary unknowns E_pq·t^a, each image (twisted differential and face
 defects) written from its one-entry support into sparse coordinates: O(n)
 terms, no form-matrix product, each face product once.  Straightening
 solves entry by entry, by one reduced block per character ratio
-(`_entry_block`); the others solve whole.
+(`_entry_block`, kept on integers); the others solve whole.
 
 The checks run on the same sparse coordinates, not on products: the
 cocycle and global-section conditions of a morphism are summed from those
-images over its terms (`_defects`).  Every split extension is a block
-splitting, stored by `ExtensionData` as its corner psi; its inclusion and
-projection are validated entry by entry against the blocks of the extension
-and its splitting by one face check, and its class and the isomorphism
-comparing two extensions are written in closed form.
+images over its terms (`_defects`), as integers over one denominator.
+Every split extension is a block splitting, stored by `ExtensionData` as
+its corner psi; its inclusion and projection are validated entry by entry
+against the blocks of the extension and its splitting by one face check of
+the corner, and its class and the isomorphism comparing two extensions are
+written in closed form.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .gca import SCALAR_ALGEBRA
-from .qlinalg import Matrix, SparseMatrix, _reduce, frac, solve
+from .qlinalg import (Matrix, SparseMatrix, _integer_row, _reduce, frac,
+                      solve)
 from .t2forms import Form2, sq
 from .torus_rep import TorusRep, require_valid
 
@@ -291,9 +293,11 @@ def _defects(f: HomElement, source, target, cocycle=False):
     `cocycle`, of its twisted differential.
 
     Summed as c·(image of the unit E_pq·t^a) over the terms c·E_pq·t^a of f,
-    by `_ChainProblem.image`, so no form-matrix product is built.  The
-    defects along edge i sit under ("gs", i), keyed (("gs", i), row, column,
-    edge key (dt, e)); the twisted differential, for a degree-0 f of
+    by `_ChainProblem.image`, so no form-matrix product is built.  The sum
+    runs on integers: the coefficients c over their lcm, the image values
+    over theirs, and a `Fraction` is built only for a nonzero coordinate.
+    The defects along edge i sit under ("gs", i), keyed (("gs", i), row,
+    column, edge key (dt, e)); the twisted differential, for a degree-0 f of
     0-forms, sits under "eq".  Entries must be scalar (`Fraction`) forms.
     """
     src = as_object(source)
@@ -301,7 +305,7 @@ def _defects(f: HomElement, source, target, cocycle=False):
     if len(f) != dst.dim or any(len(row) != src.dim for row in f):
         raise ValueError("hom element shape does not match the endpoints")
     image = _ChainProblem(src, dst, 0).image
-    out = {}
+    coeffs, images = [], []
     for p, row in enumerate(f):
         for q, form in enumerate(row):
             if form.alg is not SCALAR_ALGEBRA:
@@ -311,9 +315,15 @@ def _defects(f: HomElement, source, target, cocycle=False):
                 if cocycle and (f.degree or key[0]):
                     raise ValueError("the twisted differential is summed "
                                      "over degree-0 0-forms only")
-                for k, v in image(p, q, key, cocycle).items():
-                    out[k] = c * v if (o := out.get(k)) is None else o + c * v
-    return {k: v for k, v in out.items() if v}
+                coeffs.append(c)
+                images.append(image(p, q, key, cocycle))
+    c_den, coeffs = _integer_row(coeffs)
+    v_den, values = _integer_row([v for img in images for v in img.values()])
+    out, values = {}, iter(values)
+    for c, img in zip(coeffs, images):
+        for k, v in zip(img, values):
+            out[k] = out.get(k, 0) + c * v
+    return {k: Fraction(x, c_den * v_den) for k, x in out.items() if x}
 
 
 _CHECKS = (("eq", NotACocycleError, "a cocycle"),
@@ -404,8 +414,10 @@ class ExtensionData:
         columns of total's eta are [eta_top; 0], and then d(q) = 0 iff its
         lower-right block is eta_bottom; p is a global section iff the first
         nt columns of each g_i of total are [g_i top; 0], and q iff its last
-        nb rows are [0, g_i bottom].  The faces of alpha are summed on
-        sparse coordinates (`_defects`).
+        nb rows are [0, g_i bottom].  Then alpha's face defects are its
+        corner E = psi_r - (A·psi_f + N)·B⁻¹ alone, summed on integers as
+        `_defects(-psi, bottom, top)` less N·B⁻¹ at the constant key, with
+        its columns shifted by nt to alpha's.
         """
         top, bottom, total = self.top, self.bottom, self.total
         nt, n = top.dim, total.dim
@@ -427,10 +439,19 @@ class ExtensionData:
                 raise NotACocycleError(f"{name} is not a cocycle")
             if not section:
                 raise NotEquivariantError(f"{name} is not a global section")
-        eye = HomElement.from_matrix(Matrix.identity(n))
-        alpha = HomElement([row[:nt] + corner
-                            for row, corner in zip(eye, -self.psi)], 0)
-        _require("alpha", _defects(alpha, total, top))
+        coords = _defects(-self.psi, bottom, top)
+        for i in (1, 2):
+            g = total.base.g(3 - i)
+            corner = Matrix._exact(nt, n - nt, [x for r in range(nt)
+                                                for x in g.row(r)[nt:]])
+            n_binv = corner * bottom.base.g_inv(3 - i)
+            for r in range(nt):
+                for s, x in enumerate(n_binv.row(r)):
+                    if x:
+                        k = (("gs", i), r, s, (0, 0))
+                        coords[k] = coords.get(k, 0) - x
+        _require("alpha", {(tag, r, nt + s, key): v
+                           for (tag, r, s, key), v in coords.items() if v})
         return self
 
 
@@ -634,9 +655,11 @@ def solve_gamma(delta: HomElement, source, target, bound: int = 4):
 @lru_cache(maxsize=64)
 def _entry_block(ratio, bound):
     """The 1 x 1 `straighten` system A between characters whose ratio
-    dst_i / src_i is `ratio`, and the columns {coordinate: [(unknown,
-    entry)]} of a left inverse P of A: the rows of I beside A's pivots in
-    [A | I] reduced.
+    dst_i / src_i is `ratio`, and a left inverse P of A (the rows of I
+    beside A's pivots in [A | I] reduced), each on integers over one
+    denominator: (problem, (a_den, A's columns [(coordinate, a_den·entry)]
+    per unknown), (p_den, P's columns {coordinate: [(unknown,
+    p_den·entry)]})).
 
     A reads its characters only through the face products dst_i·src_i⁻¹ and
     the test dst == src, so it is built from src = (1, 1) and dst = ratio:
@@ -650,8 +673,16 @@ def _entry_block(ratio, bound):
             rows.setdefault(c, []).append((j, v))
     left, _ = _reduce([(*row, (m + i, Fraction(1)))
                        for i, row in enumerate(rows.values())], m + len(rows))
-    return problem, {c: [(j, x) for j, row in enumerate(left[:m])
-                         if (x := row.get(m + i))] for i, c in enumerate(rows)}
+    columns = {c: [(j, x) for j, row in enumerate(left[:m])
+                   if (x := row.get(m + i))] for i, c in enumerate(rows)}
+    a_den, ints = _integer_row([v for img in problem.images
+                                for v in img.values()])
+    ints = iter(ints)
+    images = [list(zip(img, ints)) for img in problem.images]
+    p_den, ints = _integer_row([x for col in columns.values() for _, x in col])
+    ints = iter(ints)
+    return problem, (a_den, images), (p_den, {
+        c: [(j, next(ints)) for j, _ in col] for c, col in columns.items()})
 
 
 def _straightening_problem(src, dst, bound):
@@ -681,7 +712,9 @@ def straighten(omega: HomElement, src: MCObject, dst: MCObject,
     The blocks are injective: on equal characters d(c) + k·dt = 0 makes
     c = -(k1·t1 + k2·t2), periodic only for k = 0; on unequal ones c is
     constant, killed by a face of character ratio not 1.  So the solution
-    is unique, and exists iff each x = P·rhs solves its block.
+    is unique, and exists iff each x = P·rhs solves its block.  Both x and
+    the residual rhs - A·x are computed on integers, P, A and rhs each over
+    one denominator; a `Fraction` is built only for a nonzero x_j.
     """
     if dst.characters is None or src.characters is None:
         raise DomainError("straightening needs semisimple endpoints")
@@ -696,23 +729,28 @@ def straighten(omega: HomElement, src: MCObject, dst: MCObject,
                 [-dst.eta[p][r] * chain[r][q] for r in range(p + 1, rows)]
                 + [chain[p][s] * src.eta[s][q] for s in range(q)], sq(0))
             (a1, a2), (b1, b2) = dst.characters[p], src.characters[q]
-            block, left = _entry_block((a1 / b1, a2 / b2), bound)
-            residual = {("eq", 0, 0, key): v for key, v in rhs.terms.items()}
-            x = [_ZERO] * len(block.images)
-            for c, v in residual.items():
+            block, (a_den, images), (p_den, left) = _entry_block(
+                (a1 / b1, a2 / b2), bound)
+            r_den, values = _integer_row(rhs.terms.values())
+            rhs_int = {("eq", 0, 0, key): v
+                       for key, v in zip(rhs.terms, values)}
+            x = [0] * len(images)
+            for c, v in rhs_int.items():
                 for j, a in left.get(c, ()):
                     x[j] += a * v
-            for xj, img in zip(x, block.images):
+            residual = {c: v * a_den * p_den for c, v in rhs_int.items()}
+            for xj, img in zip(x, images):
                 if xj:
-                    for c, v in img.items():
-                        residual[c] = residual.get(c, _ZERO) - xj * v
+                    for c, v in img:
+                        residual[c] = residual.get(c, 0) - xj * v
             if any(residual.values()):
                 raise _straightening_problem(src, dst, bound).failure(
                     "no constant representative", _flatten(omega))
             for kind, out in (("k", k), ("chain", chain)):
                 out[p][q] = Form2(SCALAR_ALGEBRA, {
-                    key: xj for xj, (v, _, _, key) in zip(x, block.vars)
-                    if v == kind})
+                    key: Fraction(xj, p_den * r_den)
+                    for xj, (v, _, _, key) in zip(x, block.vars)
+                    if v == kind and xj})
     return (*fm_dt_parts(k), chain)
 
 

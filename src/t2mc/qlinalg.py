@@ -5,15 +5,16 @@ searches, lattice membership) reduces to the routines here.  All entries are
 `fractions.Fraction`, stored densely.  The dense kernels run on Python
 integers: a product scales each left row and each right column by the lcm of
 its denominators, accumulates integer products over the nonzeros only
-(row-wise, after Gustavson) and divides once per output entry.  Ranks,
-kernels, solutions and inverses come from one sparse elimination kernel,
-`_reduce`: Gauss-Jordan on primitive integer dict rows, fraction-free, with
-a column -> rows index.  Its output is the unique reduced row echelon form,
-so identical inputs always produce identical outputs.  `Matrix.rref`,
-`rank_kernel` and `invert` reduce through it; `rank` counts the pivots of
-its forward phase, and `solve` back-substitutes on that phase.  `solve` also
-takes a `SparseMatrix`, one dict per row, so a system assembled sparsely is
-never made dense.  Determinants alone (with them `char_poly` and the
+(row-wise, after Gustavson) and divides once per output entry; whether two
+matrices commute is decided on those integer accumulators, cross-scaled,
+with no division at all.  Ranks, kernels, solutions and inverses come from
+one sparse elimination kernel, `_reduce`: Gauss-Jordan on primitive integer
+dict rows, fraction-free, with a column -> rows index.  Its output is the
+unique reduced row echelon form, so identical inputs always produce
+identical outputs.  `Matrix.rref`, `rank_kernel` and `invert` reduce
+through it; `rank` counts the pivots of its forward phase, and `solve`
+back-substitutes on that phase.  `solve` also takes a `SparseMatrix`, one
+dict per row, so a system assembled sparsely is never made dense.  Determinants alone (with them `char_poly` and the
 isomorphism grid; an invertibility test is a rank test) clear each row's
 denominators and run a dense fraction-free Bareiss elimination over Z, whose
 divisions are exact.  Over Z there is no matrix type at all: lattice
@@ -157,9 +158,10 @@ class Matrix:
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return self.scale(other)
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        return Matrix._exact(self.rows, other.cols, self._times(other))
+        t, rows = self._int_times(other)
+        return Matrix._exact(self.rows, other.cols, [
+            Fraction(x, s * tj) if x else _ZERO
+            for s, acc in rows for x, tj in zip(acc, t)])
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -169,14 +171,16 @@ class Matrix:
         return [[(j, e) for j, e in enumerate(self.row(i)) if e]
                 for i in range(self.rows)]
 
-    def _times(self, other):
-        """Entries of self·other, computed on integers.
+    def _int_times(self, other):
+        """self·other on integers: (t, the rows (s_i, acc_i) yielded one at
+        a time), entry (i, j) being acc_i[j] / (s_i·t[j]).
 
         Row i of self is scaled by the lcm s_i of its denominators and
         column j of other by the lcm t_j of its own; each nonzero a_ik adds
-        a_ik times row k of other, so zeros on either side are free, and
-        entry (i, j) is the integer sum over s_i·t_j.
+        a_ik times row k of other, so zeros on either side are free.
         """
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in product")
         width = other.cols
         b_rows = other.sparse_rows()
         t = [1] * width
@@ -186,17 +190,27 @@ class Matrix:
                     t[j] = lcm(t[j], b.denominator)
         b_rows = [[(j, b.numerator * (t[j] // b.denominator))
                    for j, b in b_row] for b_row in b_rows]
-        out = []
-        for i in range(self.rows):
-            s, a_row = _integer_row(self.row(i))
-            acc = [0] * width
-            for a, b_row in zip(a_row, b_rows):
-                if a:
-                    for j, b in b_row:
-                        acc[j] += a * b
-            out += [Fraction(x, s * tj) if x else _ZERO
-                    for x, tj in zip(acc, t)]
-        return out
+
+        def rows():
+            for i in range(self.rows):
+                s, a_row = _integer_row(self.row(i))
+                acc = [0] * width
+                for a, b_row in zip(a_row, b_rows):
+                    if a:
+                        for j, b in b_row:
+                            acc[j] += a * b
+                yield s, acc
+        return t, rows()
+
+    def commutes_with(self, other) -> bool:
+        """self·other == other·self, decided row by row on the integer cores
+        of the two products, each cross-multiplied by the other's scales: no
+        Fraction is built, and the first differing row ends the check."""
+        ta, ab = self._int_times(other)
+        tb, ba = other._int_times(self)
+        return all(x * sb * tbj == y * sa * taj
+                   for (sa, x_row), (sb, y_row) in zip(ab, ba)
+                   for x, y, taj, tbj in zip(x_row, y_row, ta, tb))
 
     def transpose(self) -> "Matrix":
         return Matrix._exact(self.cols, self.rows,

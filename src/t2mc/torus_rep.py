@@ -144,10 +144,11 @@ class ValidationReport:
 
 
 def validate(r: TorusRep) -> ValidationReport:
-    """Check that the generators commute and are invertible, that is of
-    full rank (the pivot count of the elimination kernel's forward phase)."""
+    """Check that the generators commute, on the integer cores of the two
+    products (`Matrix.commutes_with`), and are invertible, that is of full
+    rank (the pivot count of the elimination kernel's forward phase)."""
     problems = []
-    if r.g1 * r.g2 != r.g2 * r.g1:
+    if not r.g1.commutes_with(r.g2):
         problems.append("non_commuting")
     if rank(r.g1) < r.dim:
         problems.append("singular_g1")

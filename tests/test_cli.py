@@ -264,6 +264,15 @@ def test_verify_custom_params(capsys):
     capsys.readouterr()
 
 
+def test_verify_negative_params_take_the_equals_form(tmp_path, capsys):
+    # argparse reads "-1,2,3,4" after a space as an option, not a value;
+    # joined by "=" the negative parameter reaches the report
+    out = tmp_path / "report.json"
+    assert main(["verify", "--params=-1,2,3,4", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("overall: ok\n")
+    assert json.loads(out.read_text())["params"] == ["-1", "2", "3", "4"]
+
+
 def test_verify_declared_relations(tmp_path, capsys):
     expected = {
         "(1,1,1,1)": ([1, 2, 1, 0, 0, 1, 5, 7, 3],

@@ -859,7 +859,8 @@ def test_straighten_constant_part_is_unique(monkeypatch):
     # rep_to_mc meets: each entry's unknowns (k and the chain without its
     # constant term on equal characters, the whole chain otherwise) have
     # independent images, so k and the chain are unique, and the cached P
-    # is a left inverse; a block is keyed by (character ratio, bound)
+    # is a left inverse; a block is keyed by (character ratio, bound) and
+    # holds A and P as integer rows over one denominator each
     keys = set()
     real = mcdg._entry_block
     monkeypatch.setattr(mcdg, "_entry_block",
@@ -871,14 +872,19 @@ def test_straighten_constant_part_is_unique(monkeypatch):
                    for i in range(5)]))
     unequal = 0
     for key in keys:
-        problem, columns = real.__wrapped__(*key)
+        problem, (a_den, images), (p_den, columns) = real.__wrapped__(*key)
         coords = list(columns)
         a = Matrix.from_rows([[img.get(c, 0) for img in problem.images]
                               for c in coords])
         assert rank(a) == a.cols == len(problem.vars)
-        p = Matrix.from_rows([[dict(columns[c]).get(j, 0) for c in coords]
-                              for j in range(a.cols)])
-        assert p * a == Matrix.identity(a.cols)
+        a_int = Matrix.from_rows([[dict(img).get(c, 0) for img in images]
+                                  for c in coords])
+        assert a_int == a.scale(a_den)
+        p_int = Matrix.from_rows([[dict(columns[c]).get(j, 0)
+                                   for c in coords] for j in range(a.cols)])
+        assert all(type(x) is int for col in columns.values() for _, x in col)
+        assert all(type(x) is int for img in images for _, x in img)
+        assert p_int * a == Matrix.identity(a.cols).scale(p_den)
         unequal += key[0] != (1, 1)
     assert len(keys) >= 16 and unequal >= 6
 
@@ -904,7 +910,8 @@ def _pair_block(dst_char, src_char, bound):
 def test_entry_block_by_ratio_matches_the_per_pair_block():
     # every pair of characters with ratio dst / src shares one block: the
     # same unknowns, images and left-inverse columns, in the same order, as
-    # the block built from the pair itself
+    # the block built from the pair itself; the cached integer rows over
+    # their denominators are those images and columns exactly
     rng = random.Random(17)
     values = [Fraction(v) for v in (1, -1, 2, -2, 3, "1/2", "-2/3")]
     steps = [Fraction(v) for v in (1, 1, -1, 2, "-1/3")]
@@ -914,12 +921,17 @@ def test_entry_block_by_ratio_matches_the_per_pair_block():
         dst = tuple(c * rng.choice(steps) for c in src)
         bound = rng.choice((2, 4))
         ratio = tuple(a / b for a, b in zip(dst, src))
-        block, left = mcdg._entry_block(ratio, bound)
+        block, (a_den, images), (p_den, left) = mcdg._entry_block(ratio,
+                                                                   bound)
         oracle, oracle_left = _pair_block(dst, src, bound)
         assert block.vars == oracle.vars
         assert [list(img.items()) for img in block.images] == [
             list(img.items()) for img in oracle.images]
-        assert list(left.items()) == list(oracle_left.items())
+        assert [[(c, Fraction(v, a_den)) for c, v in img]
+                for img in images] == [list(img.items())
+                                       for img in oracle.images]
+        assert [(c, [(j, Fraction(x, p_den)) for j, x in col])
+                for c, col in left.items()] == list(oracle_left.items())
         equal += dst == src
         pairs.setdefault((ratio, bound), set()).add((dst, src))
     shared = sum(len(met) > 1 for (ratio, _), met in pairs.items()
@@ -1374,6 +1386,76 @@ def test_defects_match_the_product_route():
     assert seen["empty"] >= 4 and seen["defect"] >= 40
 
 
+def _defects_by_fraction_sums(f, src, dst, cocycle=False):
+    """`_defects` summed term by term as `Fraction` products c·v, in the
+    same order: the oracle of its integer sums."""
+    image = mcdg._ChainProblem(src, dst, 0).image
+    out = {}
+    for p, row in enumerate(f):
+        for q, form in enumerate(row):
+            for key, c in form.terms.items():
+                for k, v in image(p, q, key, cocycle).items():
+                    out[k] = c * v if (o := out.get(k)) is None else o + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _require_outcome(coords, section=True):
+    try:
+        mcdg._require("f", coords, section)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _rational_term(rng):
+    return sq(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                       rng.randint(1, 12)),
+              e1=rng.randint(0, 2), e2=rng.randint(0, 2))
+
+
+def test_defects_integer_sums_match_fraction_sums():
+    # seeded pipeline isomorphisms (rational coefficients, characters of
+    # ratio 2 and 1/2) corrupted by a rational term so that defects exist,
+    # and rational random morphisms between twisted and non-diagonal
+    # endpoints: the integer sums give the Fraction sums' coordinates, in
+    # the same order, with equal values, and `_require` the same error
+    rng = random.Random(101)
+    cases = []
+    for _ in range(12):
+        r = _random_triangular_pair(rng, rng.randint(2, 4))
+        res = rep_to_mc(r)
+        src = MCObject.from_rep(r)
+        for corrupt in (False, True, True):
+            f = HomElement([list(row) for row in res.iso], 0)
+            if corrupt:
+                p, q = rng.randrange(len(f)), rng.randrange(len(f[0]))
+                f[p][q] = f[p][q] + _rational_term(rng)
+            cases += [(f, src, res.mc, False), (f, src, res.mc, True)]
+    objects = _check_endpoints(rng)
+    for _ in range(30):
+        src, dst = rng.choice(objects), rng.choice(objects)
+        scale = Fraction(rng.randint(1, 7), rng.randint(1, 9))
+        f = HomElement([[Form2(SCALAR_ALGEBRA, {k: c * scale for k, c in
+                                                form.terms.items()})
+                         for form in row]
+                        for row in _random_hom(rng, dst.dim, src.dim, False)],
+                       1)
+        cases.append((f, src, dst, False))
+    seen = {"empty": 0, "defect": 0, "cocycle": 0}
+    for f, src, dst, cocycle in cases:
+        coords = mcdg._defects(f, src, dst, cocycle)
+        expected = _defects_by_fraction_sums(f, src, dst, cocycle)
+        assert list(coords.items()) == list(expected.items())
+        assert all(type(v) is Fraction for v in coords.values())
+        for section in (True, False):
+            assert (_require_outcome(coords, section)
+                    == _require_outcome(expected, section))
+        seen["defect" if coords else "empty"] += 1
+        seen["cocycle"] += any(k[0] == "eq" for k in coords)
+    assert seen["empty"] >= 20 and seen["defect"] >= 40
+    assert seen["cocycle"] >= 10
+
+
 def test_global_section_builds_no_interval_forms(monkeypatch):
     res = rep_to_mc(jordan3_rep(2, 3, 5, 7))
     src = MCObject.from_rep(jordan3_rep(2, 3, 5, 7))
@@ -1539,7 +1621,7 @@ def test_validate_matches_the_product_route_on_corrupted_splittings(case):
 
 def test_validate_forms_no_products_on_the_pipeline(monkeypatch):
     """One rep_to_mc of J5 at bound 4: each stage's validate sums the faces
-    of alpha alone, one `_defects` call, and neither validate nor
+    of alpha's corner alone, one `_defects` call, and neither validate nor
     extension_class forms a form-matrix product or a Form1."""
     calls = {"validate": 0, "extension_class": 0}
     inside = {}  # (scope, what) -> calls made within that scope
@@ -1589,6 +1671,26 @@ def test_rep_to_mc_unipotent_j8_pinned():
     ).hexdigest()
     assert digest == ("3164bf8c5669f97cba669a2c5588e6170cd4b0f77e2ad25845d12"
                       "aa9df267fa4")
+
+
+@pytest.mark.parametrize("n, square, digest", [
+    (10, False, "6eb27f56dc2501a11bf1d99d2755b3947b6e979ddf1970868"
+                "1ebfedca1eccae2"),
+    (10, True, "3ac9fda752fc4e6a9bfdea016a52d49912ff71f1a23d4f778f"
+               "f63c7ee037854e"),
+    (12, False, "07dcacb68b28edcc09c5c28c9aadafff6c7f1db963d28ed85"
+                "35903c308911f59"),
+    (12, True, "98bc2d160ffc9f4f98b7994a2773a01ca890badd99f2dfbc89"
+               "2c60abd5d6c5c2"),
+])
+def test_rep_to_mc_frontier_pinned(n, square, digest):
+    # unipotent J_n at bound n - 1, with g2 = 1 and g2 = g1²: the entry
+    # blocks and their integer left inverses above the bounds the other
+    # pins reach
+    res = rep_to_mc(_jordan(n, square), bound=n - 1)
+    assert hashlib.sha256(
+        (repr(res.mc.eta.entries) + repr(res.iso.entries)).encode()
+    ).hexdigest() == digest
 
 
 def test_straightening_failure_names_bound_shape_and_stage():

@@ -114,6 +114,40 @@ def test_validate_matches_determinant_reference(monkeypatch):
     assert dets == []
 
 
+def test_validate_commutator_matches_the_product_route():
+    # the commutator is decided on the integer cores of g1·g2 and g2·g1,
+    # cross-scaled: on seeded rational pairs, with row and column
+    # denominators that differ, commuting (g2 a rational polynomial in g1)
+    # and not (one entry of such a g2 moved by a small fraction, or an
+    # unrelated g2), from 0 x 0 up, it answers as the products compare
+    rng = random.Random(61)
+
+    def dense(n):
+        return Matrix.from_rows([[Fraction(rng.randint(-9, 9),
+                                           rng.choice((1, 2, 3, 5, 7)))
+                                  for _ in range(n)] for _ in range(n)])
+
+    seen = set()
+    for n in [0, 0, 1, 1, 1] + [rng.randint(2, 6) for _ in range(12)]:
+        g1 = dense(n)
+        c = [Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+             for _ in range(3)]
+        poly = (Matrix.identity(n).scale(c[0]) + g1.scale(c[1])
+                + (g1 * g1).scale(c[2]))
+        moved = poly.to_rows()
+        if n:
+            moved[rng.randrange(n)][rng.randrange(n)] += Fraction(
+                1, rng.choice((97, 101, 1024)))
+        for g2 in (poly, Matrix.from_rows(moved) if n else poly, dense(n)):
+            for a, b in ((g1, g2), (g2, g1)):
+                commute = a * b == b * a
+                assert a.commutes_with(b) is commute
+                problems = validate(TorusRep(a, b)).problems
+                assert ("non_commuting" in problems) is not commute
+                seen.add((n > 1, commute))
+    assert seen == {(False, True), (True, True), (True, False)}
+
+
 def test_char_poly_and_rational_roots():
     m = Matrix.from_rows([[2, 1], [0, 3]])
     coeffs = char_poly(m)  # x^2 - 5x + 6
@@ -1185,12 +1219,13 @@ def test_cellular_complex_count_gate(tmp_path, monkeypatch):
     dense_hom benchmark the cellular complex subtracts 1 on the diagonal
     only, with no `Matrix.__sub__`; it takes no Bareiss elimination, since
     validation tests invertibility by rank and the Betti numbers are ranks;
-    and its only products are validation's g1·g2 and g2·g1, since d1·d0 is
-    their difference and is not formed again."""
+    it forms no `Matrix` product, since validation decides g1·g2 = g2·g1 on
+    the integer cores of the two products, g1·g2 and g2·g1 only, and d1·d0
+    is their difference and is not formed again."""
     h = hom_rep(*_bench_pair(tmp_path, 1, "hom6"))
     m1, m2 = (g - Matrix.identity(h.dim) for g in (h.g1, h.g2))
-    subs, muls, bareiss_calls = [], [], []
-    sub, mul = Matrix.__sub__, Matrix.__mul__
+    subs, muls, cores, bareiss_calls = [], [], [], []
+    sub, mul, core = Matrix.__sub__, Matrix.__mul__, Matrix._int_times
 
     def counting_sub(a, b):
         subs.append((a, b))
@@ -1200,16 +1235,22 @@ def test_cellular_complex_count_gate(tmp_path, monkeypatch):
         muls.append((a, b))
         return mul(a, b)
 
+    def counting_core(a, b):
+        cores.append((a, b))
+        return core(a, b)
+
     monkeypatch.setattr(Matrix, "__sub__", counting_sub)
     monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    monkeypatch.setattr(Matrix, "_int_times", counting_core)
     monkeypatch.setattr(qlinalg, "_bareiss",
                         lambda rows: bareiss_calls.append(rows))
     cx = cellular_complex(h)
     assert cx.betti(range(3)) == (6, 12, 6)
     assert subs == [] and bareiss_calls == []
-    assert len(muls) == 2
-    assert muls[0][0] is h.g1 and muls[0][1] is h.g2
-    assert muls[1][0] is h.g2 and muls[1][1] is h.g1
+    assert muls == []
+    assert len(cores) == 2
+    assert cores[0][0] is h.g1 and cores[0][1] is h.g2
+    assert cores[1][0] is h.g2 and cores[1][1] is h.g1
     assert cx.d[0] == Matrix.from_rows(m1.to_rows() + m2.to_rows())
     assert cx.d[1] == Matrix.from_rows([r2 + [-e for e in r1] for r1, r2
                                         in zip(m1.to_rows(), m2.to_rows())])
