@@ -13,11 +13,15 @@ Three subcommands:
 All output is deterministic: fixed key order, fixed basis orders, rationals
 as 'p/q' strings.  Exit codes: 0 ok, 2 input-domain error, 3 parse error,
 4 internal cross-check mismatch.
+
+``main`` builds its argument parser once per process, on the first call,
+and can be called repeatedly in process; each call only parses its argv.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -363,10 +367,10 @@ def _x_complex_section(one_gen_mc, two_gen_mc, model):
         entry = {"tuple": [frac_str(frac(t)) for t in (c, e, f, h)],
                  "d_squared_zero": not cx.d_square_failures()}
         if frac(c) == 1:
-            entry["betti_0_2"] = list(cx.betti(range(3)))
+            betti = cx.betti(range(3))
+            entry["betti_0_2"] = list(betti)
             cell = cellular_complex(_jordan3_rep(c, e, f, h))
-            entry["oracle_agree"] = (cx.betti(range(3))
-                                     == cell.betti(range(3)))
+            entry["oracle_agree"] = betti == cell.betti(range(3))
         rows.append(entry)
     two_gen_rows = []
     for (c1, e1, c2, e2) in TWO_GEN_TUPLES:
@@ -466,7 +470,9 @@ def cmd_verify(args) -> int:
     return 0 if report["pass"] else 4
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built on the first `main` call; `parse_args` keeps no state."""
     parser = argparse.ArgumentParser(
         prog="t2mc",
         description="Exact computations with local systems on the torus")
@@ -503,8 +509,11 @@ def main(argv=None) -> int:
                        help="restrict informational sections to one variant")
     p_chk.add_argument("--out", default=None)
     p_chk.set_defaults(func=cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:

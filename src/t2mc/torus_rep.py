@@ -606,9 +606,10 @@ _SPACE = re.compile(r"\s*")
 
 
 def parse_rep(text: str) -> TorusRep:
-    """Parse the rep file format: a dimension line, then two nested arrays
-    of 'p/q' strings (bare integers also accepted).  '#' starts a comment;
-    any text other than the two arrays and whitespace is an error."""
+    """Parse the rep file format: a dimension line (an integer n >= 0), then
+    two nested arrays of 'p/q' strings (bare integers also accepted).  '#'
+    starts a comment; any text other than the two arrays and whitespace is
+    an error."""
     stripped = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     body = stripped.strip()
     if not body:
@@ -616,6 +617,8 @@ def parse_rep(text: str) -> TorusRep:
     head, _, rest = body.partition("\n")
     try:
         dim = int(head.strip())
+        if dim < 0:
+            raise ValueError("negative dimension")
     except ValueError as exc:
         raise ParseError(f"bad dimension line {head!r}") from exc
     blocks = []

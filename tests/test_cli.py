@@ -440,3 +440,92 @@ def test_malformed_bound_is_a_parse_error(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith(
             "error: --bound needs a nonnegative integer, not ")
+
+
+# -- the parser is built once per process -------------------------------------
+
+def test_parser_is_built_on_the_first_call_only(tmp_path, capsys,
+                                                monkeypatch):
+    import argparse
+    import importlib.util
+
+    import t2mc.cli as cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    # a second copy of the module, imported as a new process would
+    spec = importlib.util.spec_from_file_location("t2mc._cli_fresh",
+                                                  cli.__file__)
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert built == []  # importing builds nothing
+    path = _write(tmp_path, "triv.rep", '1\n[["1"]]\n[["1"]]\n')
+    argv = ["t2-cohomology", path, "--backend", "cellular"]
+    assert fresh.main(argv) == 0
+    after_one = len(built)
+    assert after_one == 4  # the parser and its three subparsers
+    assert fresh.main(argv) == 0
+    assert len(built) == after_one
+    capsys.readouterr()
+
+
+def test_reused_parser_applies_each_calls_defaults(tmp_path, capsys):
+    path = _write(tmp_path, "triv.rep", '1\n[["1"]]\n[["1"]]\n')
+    assert main(["t2-cohomology", path, "--backend", "cellular",
+                 "--bound", "2"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert first["backend"] == "cellular" and "betti_model" not in first
+    assert main(["t2-cohomology", path]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert second["backend"] == "both"
+    assert second["betti_model"] == [1, 2, 1] and second["agree"] is True
+
+
+def test_usage_error_leaves_the_parser_as_a_fresh_process_has_it(tmp_path,
+                                                                 capsys):
+    import os
+    import subprocess
+    import sys
+
+    import t2mc.cli as cli
+    path = _write(tmp_path, "j3.rep", JORDAN3_FILE)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    fresh = subprocess.run([sys.executable, "-m", "t2mc.cli", "ssify", path],
+                           capture_output=True, text=True, env=env,
+                           timeout=120)
+    assert fresh.returncode == 0
+    for bad in (["nosuch"], ["ssify", path, "--backend", "both"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: t2mc")
+    assert main(["ssify", path]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr)
+
+
+def test_helper_patched_after_the_parser_is_built_takes_effect(
+        tmp_path, capsys, monkeypatch):
+    import t2mc.cli as cli
+    path = _write(tmp_path, "triv.rep", '1\n[["1"]]\n[["1"]]\n')
+    assert main(["t2-cohomology", path]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_model_betti", lambda rep, bound: (7, 7, 7))
+    assert main(["t2-cohomology", path]) == 4
+    assert "model [7, 7, 7]" in capsys.readouterr().err
+
+
+def test_negative_dimension_is_a_bad_dimension_line(tmp_path, capsys):
+    path = _write(tmp_path, "neg.rep", '-1\n[]\n[]\n')
+    for argv in (["ssify", path], ["t2-cohomology", path]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad dimension line '-1'\n"
