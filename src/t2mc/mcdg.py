@@ -26,12 +26,11 @@ by forbidding constant terms of the straightening chain on equal-character
 entries, which pins the same representative the step-by-step hand
 computation produces.  Every stage is a `TorusRep.block` of that pair.
 
-The straightening, comparison and splitting-corner solves run over
-elementary unknowns E_pq·t^a, each image (twisted differential and face
-defects) written from its one-entry support into sparse coordinates: O(n)
-terms, no form-matrix product, each face product once.  Straightening
-solves entry by entry, by one reduced block per character ratio
-(`_entry_block`, kept on integers); the others solve whole.
+The comparison and splitting-corner solves run over elementary unknowns
+E_pq·t^a, each image (twisted differential and face defects) written from
+its one-entry support into sparse coordinates: O(n) terms, no form-matrix
+product, each face product once.  Straightening solves no system: it
+integrates each entry in closed form, on integers (`_entry_primitive`).
 
 The checks run on the same sparse coordinates, not on products: the
 cocycle and global-section conditions of a morphism are summed from those
@@ -46,12 +45,11 @@ written in closed form.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from math import lcm
 
 from .errors import DomainError
 from .gca import SCALAR_ALGEBRA
-from .qlinalg import (Matrix, SparseMatrix, _integer_row, _reduce, frac,
-                      solve)
+from .qlinalg import Matrix, SparseMatrix, _integer_row, frac, solve
 from .t2forms import Form2, sq
 from .torus_rep import TorusRep, require_valid
 
@@ -652,39 +650,6 @@ def solve_gamma(delta: HomElement, source, target, bound: int = 4):
     return problem.assemble(coeffs, "chain")
 
 
-@lru_cache(maxsize=64)
-def _entry_block(ratio, bound):
-    """The 1 x 1 `straighten` system A between characters whose ratio
-    dst_i / src_i is `ratio`, and a left inverse P of A (the rows of I
-    beside A's pivots in [A | I] reduced), each on integers over one
-    denominator: (problem, (a_den, A's columns [(coordinate, a_den·entry)]
-    per unknown), (p_den, P's columns {coordinate: [(unknown,
-    p_den·entry)]})).
-
-    A reads its characters only through the face products dst_i·src_i⁻¹ and
-    the test dst == src, so it is built from src = (1, 1) and dst = ratio:
-    every pair of characters with that ratio has the same unknowns, images
-    and P."""
-    problem = _straightening_problem(MCObject.semisimple([(1, 1)]),
-                                     MCObject.semisimple([ratio]), bound)
-    m, rows = len(problem.images), {}  # coordinate -> [(unknown, entry)]
-    for j, img in enumerate(problem.images):
-        for c, v in img.items():
-            rows.setdefault(c, []).append((j, v))
-    left, _ = _reduce([(*row, (m + i, Fraction(1)))
-                       for i, row in enumerate(rows.values())], m + len(rows))
-    columns = {c: [(j, x) for j, row in enumerate(left[:m])
-                   if (x := row.get(m + i))] for i, c in enumerate(rows)}
-    a_den, ints = _integer_row([v for img in problem.images
-                                for v in img.values()])
-    ints = iter(ints)
-    images = [list(zip(img, ints)) for img in problem.images]
-    p_den, ints = _integer_row([x for col in columns.values() for _, x in col])
-    ints = iter(ints)
-    return problem, (a_den, images), (p_den, {
-        c: [(j, next(ints)) for j, _ in col] for c, col in columns.items()})
-
-
 def _straightening_problem(src, dst, bound):
     allowed = [(p, q) for p in range(dst.dim) for q in range(src.dim)
                if dst.characters[p] == src.characters[q]]
@@ -692,6 +657,59 @@ def _straightening_problem(src, dst, bound):
     problem.add_constant_dt_vars(allowed)
     problem.add_chain_vars(skip_constant_on=frozenset(allowed))
     return problem
+
+
+def _entry_primitive(terms, ratio, bound):
+    """The one (k1, k2, c) of a `straighten` entry of character ratio
+    rho = dst/src and right side `terms` = a·dt1 + b·dt2, or None.
+
+    P = ∫₀^t1 a(s, 0) ds + ∫₀^t2 b(t1, s) ds has dP = a·dt1 + b·dt2 iff
+    ∂a/∂t2 = ∂b/∂t1 (the polynomial Poincaré lemma).  On rho = (1, 1),
+    k = (P(1, 0), P(0, 1)) and c = P - k1·t1 - k2·t2; else k = 0 and
+    c = P + rho2·P(0, 1)/(1 - rho2), or + rho1·P(1, 0)/(1 - rho1) if
+    rho2 = 1.  It is kept iff deg c <= bound and rho2·c(t1, 1) = c(t1, 0),
+    rho1·c(1, t2) = c(0, t2).  It runs on integers over one denominator.
+    """
+    den, values = _integer_row(terms.values())
+    a, b = {}, {}
+    for (mask, e1, e2), v in zip(terms, values):
+        if mask not in (1, 2):
+            return None
+        (a if mask == 1 else b)[e1, e2] = v
+    if (any(e2 and v * e2 != b.get((e1 + 1, e2 - 1), 0) * (e1 + 1)
+            for (e1, e2), v in a.items())
+            or any(e1 and v * e1 != a.get((e1 - 1, e2 + 1), 0) * (e2 + 1)
+                   for (e1, e2), v in b.items())):
+        return None
+    scale = lcm(*(e1 + 1 for e1, e2 in a if not e2), *(e2 + 1 for _, e2 in b))
+    c = {(e1 + 1, 0): v * (scale // (e1 + 1))
+         for (e1, e2), v in a.items() if not e2}
+    c.update({(e1, e2 + 1): v * (scale // (e2 + 1))
+              for (e1, e2), v in b.items()})
+    den *= scale
+    (n1, d1), (n2, d2) = [(r.numerator, r.denominator) for r in ratio]
+    # P(1, 0) and P(0, 1): the sums over t2 = 0 and over t1 = 0
+    ends = [sum(v for e, v in c.items() if not e[i]) for i in (1, 0)]
+    if n1 == d1 and n2 == d2:
+        ks = ends
+        c[1, 0], c[0, 1] = c.get((1, 0), 0) - ks[0], c.get((0, 1), 0) - ks[1]
+    else:
+        ks, (n, d, end) = (0, 0), ((n2, d2, ends[1]) if n2 != d2
+                                   else (n1, d1, ends[0]))
+        c = {key: v * (d - n) for key, v in c.items()}
+        c[0, 0] = n * end
+        den *= d - n
+    face = {}  # d2·(rho2·c(t1, 1) - c(t1, 0)), d1·(rho1·c(1, t2) - c(0, t2))
+    for (e1, e2), v in c.items():
+        if v and e1 + e2 > bound:
+            return None
+        face[1, e1] = face.get((1, e1), 0) + n2 * v - (0 if e2 else d2 * v)
+        face[2, e2] = face.get((2, e2), 0) + n1 * v - (0 if e1 else d1 * v)
+    if any(face.values()):
+        return None
+    return (*(Fraction(x, den) if x else _ZERO for x in ks),
+            Form2(SCALAR_ALGEBRA, {(0, *e): Fraction(v, den)
+                                   for e, v in c.items() if v}))
 
 
 def straighten(omega: HomElement, src: MCObject, dst: MCObject,
@@ -706,15 +724,11 @@ def straighten(omega: HomElement, src: MCObject, dst: MCObject,
 
     Then the twisted d of a chain entry c_pq reaches only entries above or
     right of (p, q), and its faces stay on it.  So entry by entry, bottom
-    row up, left to right, its block (`_entry_block`, one per character
-    ratio dst_p / src_q) solves for
+    row up, left to right, `_entry_primitive` integrates
     omega_pq - sum_{r>p} eta_dst[p][r]·c_rq + sum_{s<q} c_ps·eta_src[s][q].
-    The blocks are injective: on equal characters d(c) + k·dt = 0 makes
+    Each entry is unique: on equal characters d(c) + k·dt = 0 makes
     c = -(k1·t1 + k2·t2), periodic only for k = 0; on unequal ones c is
-    constant, killed by a face of character ratio not 1.  So the solution
-    is unique, and exists iff each x = P·rhs solves its block.  Both x and
-    the residual rhs - A·x are computed on integers, P, A and rhs each over
-    one denominator; a `Fraction` is built only for a nonzero x_j.
+    constant, killed by a face of character ratio not 1.
     """
     if dst.characters is None or src.characters is None:
         raise DomainError("straightening needs semisimple endpoints")
@@ -722,36 +736,22 @@ def straighten(omega: HomElement, src: MCObject, dst: MCObject,
            for i, row in enumerate(eta) for f in row[:i + 1]):
         raise DomainError("twists must be strictly upper triangular")
     rows, cols = dst.dim, src.dim
-    k, chain = HomElement.zero(rows, cols, 1), HomElement.zero(rows, cols)
+    k1, k2 = [_ZERO] * (rows * cols), [_ZERO] * (rows * cols)
+    chain = HomElement.zero(rows, cols)
     for p in reversed(range(rows)):
         for q in range(cols):
-            rhs = omega[p][q] + sum(
-                [-dst.eta[p][r] * chain[r][q] for r in range(p + 1, rows)]
-                + [chain[p][s] * src.eta[s][q] for s in range(q)], sq(0))
+            # the twists are strictly upper triangular: only r > p, s < q
+            rhs = sum([-x * c[q] for x, c in zip(dst.eta[p], chain)
+                       if x.terms and c[q].terms]
+                      + [c * y[q] for c, y in zip(chain[p], src.eta)
+                         if c.terms and y[q].terms], omega[p][q])
             (a1, a2), (b1, b2) = dst.characters[p], src.characters[q]
-            block, (a_den, images), (p_den, left) = _entry_block(
-                (a1 / b1, a2 / b2), bound)
-            r_den, values = _integer_row(rhs.terms.values())
-            rhs_int = {("eq", 0, 0, key): v
-                       for key, v in zip(rhs.terms, values)}
-            x = [0] * len(images)
-            for c, v in rhs_int.items():
-                for j, a in left.get(c, ()):
-                    x[j] += a * v
-            residual = {c: v * a_den * p_den for c, v in rhs_int.items()}
-            for xj, img in zip(x, images):
-                if xj:
-                    for c, v in img:
-                        residual[c] = residual.get(c, 0) - xj * v
-            if any(residual.values()):
+            entry = _entry_primitive(rhs.terms, (a1 / b1, a2 / b2), bound)
+            if entry is None:
                 raise _straightening_problem(src, dst, bound).failure(
                     "no constant representative", _flatten(omega))
-            for kind, out in (("k", k), ("chain", chain)):
-                out[p][q] = Form2(SCALAR_ALGEBRA, {
-                    key: Fraction(xj, p_den * r_den)
-                    for xj, (v, _, _, key) in zip(x, block.vars)
-                    if v == kind and xj})
-    return (*fm_dt_parts(k), chain)
+            k1[p * cols + q], k2[p * cols + q], chain[p][q] = entry
+    return Matrix._exact(rows, cols, k1), Matrix._exact(rows, cols, k2), chain
 
 
 # -- comparing two split extensions of the same pair -------------------------

@@ -364,9 +364,25 @@ def test_verify_reduces_one_entry_block_and_each_invariant_basis_once(
     import t2mc.cli as cli
     import t2mc.gca as gca
     import t2mc.mcdg as mcdg
+    import t2mc.qlinalg as qlinalg
     import t2mc.xmodel as xmodel
 
     enumerations, enumerated, models = [0], [], []
+    eliminations, straightened, inside = [0], [0], []
+    real_forward, real_straighten = qlinalg._forward, mcdg.straighten
+
+    def forward(*args):
+        eliminations[0] += bool(inside)
+        return real_forward(*args)
+
+    def straighten(*args):
+        straightened[0] += 1
+        inside.append(True)
+        try:
+            return real_straighten(*args)
+        finally:
+            inside.pop()
+
     real_enumerate = gca.AlgebraPresentation.enumerate_basis
     real_basis = xmodel.invariant_basis
 
@@ -386,13 +402,29 @@ def test_verify_reduces_one_entry_block_and_each_invariant_basis_once(
                         enumerate_basis)
     for module in (cli, xmodel):
         monkeypatch.setattr(module, "invariant_basis", invariant_basis)
-    mcdg._entry_block.cache_clear()
+    monkeypatch.setattr(qlinalg, "_forward", forward)
+    monkeypatch.setattr(mcdg, "straighten", straighten)
     cli.build_verification_report((2, 3, 5, 7))
-    # every straightened entry of the battery has character ratio (1, 1)
-    # at bound 4: one block, reduced once
-    assert mcdg._entry_block.cache_info().misses == 1
+    # the battery's straightenings integrate in closed form: no elimination
+    # (`_reduce`, `rank` and `solve` all start in `_forward`) runs inside them
+    assert straightened[0] >= 20 and eliminations[0] == 0
     # no (model, characters, degree) invariant basis is enumerated twice
     assert enumerated and len(set(enumerated)) == len(enumerated)
+
+
+def test_ssify_at_a_huge_bound_matches_the_default(tmp_path, capsys):
+    # straighten has no system sized by the bound, so a 2 x 2 Jordan block
+    # at --bound 300 answers at once, as at --bound 4
+    path = _write(tmp_path, "j2.rep", """2
+[["1","1"],["0","1"]]
+[["1","0"],["0","1"]]
+""")
+    outputs = []
+    for bound in ("4", "300"):
+        assert main(["ssify", path, "--bound", bound]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["eta_dt1"] == [["0", "-1"], ["0", "0"]]
 
 
 @pytest.mark.parametrize("command", ["ssify", "t2-cohomology", "verify"])

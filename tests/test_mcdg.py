@@ -854,44 +854,54 @@ def _random_triangular_pair(rng, n):
     return TorusRep(p * g1 * p_inv, p * g2 * p_inv)
 
 
+def _entry_solution(problem, x):
+    """(k1, k2, chain form) of a 1 x 1 straighten block's solution x."""
+    k1, k2 = fm_dt_parts(problem.assemble(x, "k"))
+    return k1[(0, 0)], k2[(0, 0)], problem.assemble(x, "chain")[0][0]
+
+
 def test_straighten_constant_part_is_unique(monkeypatch):
     # the fact straighten's entry-by-entry order rests on, on every block
     # rep_to_mc meets: each entry's unknowns (k and the chain without its
     # constant term on equal characters, the whole chain otherwise) have
-    # independent images, so k and the chain are unique, and the cached P
-    # is a left inverse; a block is keyed by (character ratio, bound) and
-    # holds A and P as integer rows over one denominator each
-    keys = set()
-    real = mcdg._entry_block
-    monkeypatch.setattr(mcdg, "_entry_block",
-                        lambda *key: keys.add(key) or real(*key))
+    # independent images, so k and the chain are unique, and the closed
+    # form is the block's one solution on every right side met; a block
+    # depends only on (character ratio, bound)
+    met = {}  # (ratio, bound) -> the right sides straightened
+    real = mcdg._entry_primitive
+
+    def primitive(terms, ratio, bound):
+        met.setdefault((ratio, bound), []).append(dict(terms))
+        return real(terms, ratio, bound)
+
+    monkeypatch.setattr(mcdg, "_entry_primitive", primitive)
     rng = random.Random(5)
     for _ in range(40):
         rep_to_mc(_random_triangular_pair(rng, rng.randint(2, 5)))
     rep_to_mc(rep([[int(j in (i, i + 1)) for j in range(5)]
                    for i in range(5)]))
     unequal = 0
-    for key in keys:
-        problem, (a_den, images), (p_den, columns) = real.__wrapped__(*key)
-        coords = list(columns)
+    for (ratio, bound), sides in met.items():
+        problem = mcdg._straightening_problem(
+            MCObject.semisimple([(1, 1)]), MCObject.semisimple([ratio]),
+            bound)
+        coords = sorted(set().union(*problem.images), key=repr)
         a = Matrix.from_rows([[img.get(c, 0) for img in problem.images]
                               for c in coords])
         assert rank(a) == a.cols == len(problem.vars)
-        a_int = Matrix.from_rows([[dict(img).get(c, 0) for img in images]
-                                  for c in coords])
-        assert a_int == a.scale(a_den)
-        p_int = Matrix.from_rows([[dict(columns[c]).get(j, 0)
-                                   for c in coords] for j in range(a.cols)])
-        assert all(type(x) is int for col in columns.values() for _, x in col)
-        assert all(type(x) is int for img in images for _, x in img)
-        assert p_int * a == Matrix.identity(a.cols).scale(p_den)
-        unequal += key[0] != (1, 1)
-    assert len(keys) >= 16 and unequal >= 6
+        for terms in sides:
+            x = mcdg._solve_sparse(problem.images, {
+                ("eq", 0, 0, key): v for key, v in terms.items()})
+            assert x is not None
+            assert real(terms, ratio, bound) == _entry_solution(problem, x)
+        unequal += ratio != (1, 1)
+    assert len(met) >= 16 and unequal >= 6
 
 
 def _pair_block(dst_char, src_char, bound):
-    """The straighten entry block as built per character pair, before blocks
-    were keyed by the ratio: the oracle of the ratio blocks."""
+    """The straighten entry block as built per character pair, and the
+    columns of a left inverse P of it (the rows of I beside its pivots in
+    [A | I] reduced): the oracle of the closed form."""
     from t2mc.qlinalg import _reduce
 
     problem = mcdg._straightening_problem(MCObject.semisimple([src_char]),
@@ -907,36 +917,66 @@ def _pair_block(dst_char, src_char, bound):
                          if (x := row.get(m + i))] for i, c in enumerate(rows)}
 
 
+def _solvable_side(problem, rng):
+    """The twisted differential part of A·x for a seeded x whose face
+    defects vanish: a right side the 1 x 1 block `problem` solves."""
+    coords = sorted({c for img in problem.images for c in img
+                     if c[0] != "eq"}, key=repr)
+    _, kernel = rank_kernel(Matrix.from_rows(
+        [[img.get(c, 0) for img in problem.images] for c in coords]))
+    weights = [rng.randint(-2, 2) for _ in kernel]
+    x = [sum(w * v[j] for w, v in zip(weights, kernel))
+         for j in range(len(problem.images))]
+    side = {}
+    for xj, img in zip(x, problem.images):
+        for (tag, _, _, key), v in img.items():
+            if tag == "eq":
+                side[key] = side.get(key, 0) + xj * v
+    return Form2(SCALAR_ALGEBRA, side)
+
+
 def test_entry_block_by_ratio_matches_the_per_pair_block():
-    # every pair of characters with ratio dst / src shares one block: the
-    # same unknowns, images and left-inverse columns, in the same order, as
-    # the block built from the pair itself; the cached integer rows over
-    # their denominators are those images and columns exactly
-    rng = random.Random(17)
+    # every pair of characters with ratio dst / src straightens alike: on a
+    # right side its block solves, straighten on that 1 x 1 pair returns
+    # x = P·rhs of the pair's own block, which solves it, and every pair
+    # sharing the ratio returns the same (k, c) on the same right side
+    rng, weights = random.Random(17), random.Random(19)
     values = [Fraction(v) for v in (1, -1, 2, -2, 3, "1/2", "-2/3")]
     steps = [Fraction(v) for v in (1, 1, -1, 2, "-1/3")]
-    equal, pairs = 0, {}  # (ratio, bound) -> the pairs that met it
+    equal, pairs, sides = 0, {}, {}  # (ratio, bound) -> pairs, (rhs, out)
     for _ in range(30):
         src = (rng.choice(values), rng.choice(values))
         dst = tuple(c * rng.choice(steps) for c in src)
         bound = rng.choice((2, 4))
         ratio = tuple(a / b for a, b in zip(dst, src))
-        block, (a_den, images), (p_den, left) = mcdg._entry_block(ratio,
-                                                                   bound)
-        oracle, oracle_left = _pair_block(dst, src, bound)
-        assert block.vars == oracle.vars
-        assert [list(img.items()) for img in block.images] == [
-            list(img.items()) for img in oracle.images]
-        assert [[(c, Fraction(v, a_den)) for c, v in img]
-                for img in images] == [list(img.items())
-                                       for img in oracle.images]
-        assert [(c, [(j, Fraction(x, p_den)) for j, x in col])
-                for c, col in left.items()] == list(oracle_left.items())
+        problem, left = _pair_block(dst, src, bound)
+        key = (ratio, bound)
+        if key not in sides:
+            sides[key] = (_solvable_side(problem, weights), None)
+        rhs, shared = sides[key]
+        x = [0] * len(problem.images)
+        for k, v in rhs.terms.items():
+            for j, a in left.get(("eq", 0, 0, k), ()):
+                x[j] += a * v
+        image = {}
+        for xj, img in zip(x, problem.images):
+            for c, v in img.items():
+                image[c] = image.get(c, 0) + xj * v
+        assert {c: v for c, v in image.items() if v} == {
+            ("eq", 0, 0, k): v for k, v in rhs.terms.items()}
+        k1, k2, chain = straighten(HomElement([[rhs]], 1),
+                                   MCObject.semisimple([src]),
+                                   MCObject.semisimple([dst]), bound)
+        out = (k1[(0, 0)], k2[(0, 0)], chain[0][0])
+        assert out == _entry_solution(problem, x)
+        assert shared in (None, out)
+        sides[key] = (rhs, out)
         equal += dst == src
-        pairs.setdefault((ratio, bound), set()).add((dst, src))
+        pairs.setdefault(key, set()).add((dst, src))
     shared = sum(len(met) > 1 for (ratio, _), met in pairs.items()
                  if ratio != (1, 1))
     assert equal >= 3 and 30 - equal >= 20 and shared >= 4
+    assert sum(bool(rhs.terms) for rhs, _ in sides.values()) >= len(sides) - 2
 
 
 def test_rep_to_mc_semisimple_input():
@@ -1885,6 +1925,36 @@ def _straightened(fn, *args):
         return str(exc), exc.shape
 
 
+def _seeded_straighten_args(rng, chars, bound):
+    """(src, dst, omega) with both endpoints twisted, of seeded characters
+    from `chars`, and omega = k·dt + d(c) for a seeded global-section chain
+    c (a combination of the kernel of its face conditions)."""
+    ends = []
+    for n in (rng.randint(1, 3), rng.randint(2, 3)):
+        eta = HomElement.zero(n, n, 1)
+        for i in range(n):
+            for j in range(i + 1, n):
+                eta[i][j] = (sq(rng.randint(-2, 2), mask=1)
+                             + sq(rng.randint(-2, 2), mask=2))
+        ends.append(MCObject.semisimple(
+            [rng.choice(chars) for _ in range(n)], eta))
+    dst, src = ends
+    allowed = frozenset(_equal_pairs(src, dst))
+    faces = mcdg._ChainProblem(src, dst, bound)
+    faces.add_chain_vars(skip_constant_on=allowed, eq=False)
+    coords = sorted(set().union(*faces.images), key=repr)
+    _, kernel = rank_kernel(Matrix.from_rows(
+        [[img.get(x, 0) for img in faces.images] for x in coords]))
+    weights = [rng.randint(-2, 2) for _ in kernel]
+    c = faces.assemble([sum(w * v[j] for w, v in zip(weights, kernel))
+                        for j in range(len(faces.images))], "chain")
+    k = HomElement.zero(dst.dim, src.dim, 1)
+    for p, q in allowed:
+        k[p][q] = (sq(rng.randint(-2, 2), mask=1)
+                   + sq(rng.randint(-2, 2), mask=2))
+    return src, dst, twisted_d(c, src, dst) + k
+
+
 def test_straighten_matches_the_global_solve_off_the_pipeline():
     # what rep_to_mc never passes: both endpoints twisted, several columns;
     # omega = k·dt + d(c) for a random global-section chain c (a combination
@@ -1894,30 +1964,7 @@ def test_straighten_matches_the_global_solve_off_the_pipeline():
     chars = [(1, 1), (2, 1), (1, Fraction(1, 2))]
     bound, solved, failed = 2, 0, 0
     for _ in range(16):
-        ends = []
-        for n in (rng.randint(1, 3), rng.randint(2, 3)):
-            eta = HomElement.zero(n, n, 1)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    eta[i][j] = (sq(rng.randint(-2, 2), mask=1)
-                                 + sq(rng.randint(-2, 2), mask=2))
-            ends.append(MCObject.semisimple(
-                [rng.choice(chars) for _ in range(n)], eta))
-        dst, src = ends
-        allowed = frozenset(_equal_pairs(src, dst))
-        faces = mcdg._ChainProblem(src, dst, bound)
-        faces.add_chain_vars(skip_constant_on=allowed, eq=False)
-        coords = sorted(set().union(*faces.images), key=repr)
-        _, kernel = rank_kernel(Matrix.from_rows(
-            [[img.get(x, 0) for img in faces.images] for x in coords]))
-        weights = [rng.randint(-2, 2) for _ in kernel]
-        c = faces.assemble([sum(w * v[j] for w, v in zip(weights, kernel))
-                            for j in range(len(faces.images))], "chain")
-        k = HomElement.zero(dst.dim, src.dim, 1)
-        for p, q in allowed:
-            k[p][q] = (sq(rng.randint(-2, 2), mask=1)
-                       + sq(rng.randint(-2, 2), mask=2))
-        omega = twisted_d(c, src, dst) + k
+        src, dst, omega = _seeded_straighten_args(rng, chars, bound)
         p, q = rng.randrange(dst.dim), rng.randrange(src.dim)
         stray = HomElement.zero(dst.dim, src.dim, 1)
         stray[p][q] = sq(1, rng.randint(0, 2), 0, rng.choice((1, 2)))
@@ -1942,18 +1989,21 @@ def test_straighten_fails_as_the_global_solve(monkeypatch):
 
 
 def test_rep_to_mc_j8_reduces_one_entry_block(monkeypatch):
-    # J8 has the one character (1, 1): its 28 straighten entries share one
-    # block, reduced once, and straighten hands nothing to `solve`
-    counts = {"_reduce": 0, "solve": 0}
+    # J8 has the one character (1, 1): straighten integrates its 28 entries
+    # in closed form, and reduces, solves and assembles no system
+    import t2mc.qlinalg as qlinalg
+
+    counts = {"_reduce": 0, "solve": 0, "_ChainProblem": 0,
+              "_entry_primitive": 0}
     inside = []
 
-    def counting(name):
-        real = getattr(mcdg, name)
+    def counting(module, name):
+        real = getattr(module, name)
 
         def wrapper(*args):
             counts[name] += bool(inside)
             return real(*args)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
     def straighten(*args):
         inside.append(True)
@@ -1963,14 +2013,71 @@ def test_rep_to_mc_j8_reduces_one_entry_block(monkeypatch):
             inside.pop()
 
     real_straighten = mcdg.straighten
-    for name in counts:
-        monkeypatch.setattr(mcdg, name, counting(name))
+    counting(qlinalg, "_reduce")
+    for name in ("solve", "_ChainProblem", "_entry_primitive"):
+        counting(mcdg, name)
     monkeypatch.setattr(mcdg, "straighten", straighten)
-    mcdg._entry_block.cache_clear()
     rep_to_mc(_jordan(8, True), bound=7)
-    assert counts == {"_reduce": 1, "solve": 0}
-    info = mcdg._entry_block.cache_info()
-    assert (info.misses, info.hits) == (1, 27)
+    assert counts == {"_reduce": 0, "solve": 0, "_ChainProblem": 0,
+                      "_entry_primitive": 28}
+
+
+def test_straighten_closed_form_matches_the_global_solve_on_every_ratio(
+        monkeypatch):
+    # seeded systems whose entries meet each kind of character ratio:
+    # rho1 != 1 only, rho2 != 1 only, both, and (1, 1); each straightens
+    # as the global solve does, or fails as it does
+    rng = random.Random(71)
+    chars = [(1, 1), (3, 1), (1, Fraction(-1, 2)), (2, 2)]
+    kinds, solved, failed = set(), 0, 0
+    for _ in range(24):
+        src, dst, omega = _seeded_straighten_args(rng, chars, 2)
+        ratios = {(a1 / b1 != 1, a2 / b2 != 1)
+                  for a1, a2 in dst.characters for b1, b2 in src.characters}
+        p, q = rng.randrange(dst.dim), rng.randrange(src.dim)
+        stray = HomElement.zero(dst.dim, src.dim, 1)
+        stray[p][q] = sq(1, 0, rng.randint(0, 2), rng.choice((1, 2)))
+        for args in ((omega, src, dst, 2), (omega + stray, src, dst, 2)):
+            ours = _straightened(straighten, *args)
+            assert ours == _straightened(_global_straighten, *args)
+            solved += len(ours) == 3
+            failed += len(ours) == 2
+            if len(ours) == 3:
+                kinds |= ratios
+    assert kinds == {(False, False), (True, False), (False, True),
+                     (True, True)}
+    assert solved >= 20 and failed >= 10
+    # unipotent J_n fails one bound short of its nilpotency index, with the
+    # global solve's message and shape
+    from t2mc.mcdg import StraighteningFailedError
+
+    seen = _beside_the_global_solve(monkeypatch)
+    for n in range(4, 8):
+        with pytest.raises(StraighteningFailedError,
+                           match=f"stage {n - 1}:"):
+            rep_to_mc(_jordan(n, False), bound=n - 2)
+    assert len(seen["failures"]) == 4
+    assert all(ours == oracle for ours, oracle in seen["failures"])
+
+
+def test_rep_to_mc_needs_no_system_at_a_huge_bound(monkeypatch):
+    # the closed form has no system sized by the bound: a 2 x 2 Jordan
+    # block at bound 10**9 gives its bound-4 result, and the only chain
+    # problems built are the bound-0 image helpers of the exact checks
+    r = rep([[1, 1], [0, 1]])
+    small = rep_to_mc(r, bound=4)
+    built, calls = [], []
+    real = mcdg._ChainProblem
+    for name in ("add_chain_vars", "add_constant_dt_vars"):
+        monkeypatch.setattr(real, name,
+                            lambda self, *a, name=name: calls.append(name))
+    monkeypatch.setattr(mcdg, "_ChainProblem",
+                        lambda *args: built.append(args[2]) or real(*args))
+    huge = rep_to_mc(r, bound=10**9)
+    assert built and set(built) == {0} and calls == []
+    assert huge.mc.characters == small.mc.characters
+    assert (huge.mc.eta, huge.iso) == (small.mc.eta, small.iso)
+    assert not small.mc.eta.is_zero()
 
 
 def test_straighten_needs_strictly_upper_triangular_twists():
