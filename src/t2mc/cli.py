@@ -220,7 +220,7 @@ def _normal_form_section(one_gen_mc, two_gen_mc):
 def _iso_section():
     c, e = Fraction(2), Fraction(3)
     jordan = TorusRep(Matrix.from_rows([[c, e], [0, c]]), Matrix.identity(2))
-    ext1 = rep_extension(jordan, 1)
+    ext1 = rep_extension(jordan)
     mc = rep_to_mc(jordan).mc
     omega = HomElement([[mc.eta[0][1]]], 1)
     ext2 = build_extension(omega, MCObject.semisimple([(c, 1)]),
@@ -482,8 +482,9 @@ def _parser() -> argparse.ArgumentParser:
                                            "Maurer-Cartan normal form")
     p_ssify.add_argument("rep_file")
     # --bound is parsed by the commands, so a malformed value exits 3
-    p_ssify.add_argument("--bound", default="4",
-                         help="polynomial degree bound for the chain solves")
+    bound_help = ("polynomial degree bound for the straightening chains "
+                  "(default 4)")
+    p_ssify.add_argument("--bound", default="4", help=bound_help)
     p_ssify.add_argument("--out", default=None)
     p_ssify.set_defaults(func=cmd_ssify)
 
@@ -492,7 +493,7 @@ def _parser() -> argparse.ArgumentParser:
     p_coh.add_argument("rep_file")
     p_coh.add_argument("--backend", choices=("cellular", "model", "both"),
                        default="both")
-    p_coh.add_argument("--bound", default="4")
+    p_coh.add_argument("--bound", default="4", help=bound_help)
     p_coh.add_argument("--out", default=None)
     p_coh.set_defaults(func=cmd_t2_cohomology)
 

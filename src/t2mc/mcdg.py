@@ -18,19 +18,20 @@ twisted differential is d f = d_forms f + eta' f - (-1)^{|f|} f eta.
 `mc_check` checks a twist of either ambient on its square forms.
 
 The pipeline `rep_to_mc` peels an upper-triangular pair one diagonal entry at
-a time: build the splitting of the next extension (corner polynomial solved
-exactly), read off the extension-class cocycle, push it forward along the
+a time: build the splitting of the next extension (its corner in closed
+form), read off the extension-class cocycle, push it forward along the
 isomorphism built so far, and straighten it to a constant-coefficient
 representative supported on equal-character entry pairs.  The gauge is fixed
 by forbidding constant terms of the straightening chain on equal-character
 entries, which pins the same representative the step-by-step hand
 computation produces.  Every stage is a `TorusRep.block` of that pair.
 
-The comparison and splitting-corner solves run over elementary unknowns
-E_pq·t^a, each image (twisted differential and face defects) written from
-its one-entry support into sparse coordinates: O(n) terms, no form-matrix
-product, each face product once.  Straightening solves no system: it
-integrates each entry in closed form, on integers (`_entry_primitive`).
+The comparison solve, the one whole system solved, runs over elementary
+unknowns E_pq·t^a, each image (twisted differential and face defects)
+written from its one-entry support into sparse coordinates: O(n) terms, no
+form-matrix product, each face product once.  Straightening integrates each
+entry in closed form, on integers (`_entry_primitive`), and the splitting
+corner is written entry by entry from its face equations (`_corner_entry`).
 
 The checks run on the same sparse coordinates, not on products: the
 cocycle and global-section conditions of a morphism are summed from those
@@ -73,9 +74,9 @@ class NonConstantCoefficientsError(DomainError):
 
 
 class StraighteningFailedError(DomainError):
-    """No straightening chain or splitting corner within the polynomial
-    degree bound; names the bound, the (rows, columns) shape of the
-    unsolvable system and, from `rep_to_mc`, the stage m."""
+    """No straightening chain within the polynomial degree bound; names
+    the bound, the (rows, columns) shape of the unsolvable system and,
+    from `rep_to_mc`, the stage m."""
 
     def __init__(self, what, bound, shape, stage=None):
         self.what, self.bound, self.shape = what, bound, shape
@@ -106,12 +107,9 @@ SALGEBRA = "salgebra"
 #
 # A form matrix is a `HomElement`: rows of scalar Form2s with a homological
 # degree.  Rational matrices enter through `HomElement.from_matrix` (constant
-# 0-forms) and `HomElement.linear`, the pair m1·u1 + m2·u2 over the units
-# DT = (dt1, dt2) or T = (t1, t2).  Every split extension is stored by
-# `ExtensionData` as its blocks and corner.
-
-DT = ({"mask": 1}, {"mask": 2})
-T = ({"e1": 1}, {"e2": 1})
+# 0-forms) and `HomElement.linear` (the constant 1-forms m1·dt1 + m2·dt2).
+# Every split extension is stored by `ExtensionData` as its blocks and
+# corner.
 
 
 class HomElement:
@@ -139,13 +137,10 @@ class HomElement:
                     for i in range(m.rows)], 0)
 
     @classmethod
-    def linear(cls, m1: Matrix, m2: Matrix, units=DT):
-        """m1·u1 + m2·u2 for units (u1, u2): DT gives the constant 1-forms
-        m1 dt1 + m2 dt2, T the linear 0-forms m1 t1 + m2 t2."""
-        u1, u2 = units
-        return cls([[sq(m1[(i, j)], **u1) + sq(m2[(i, j)], **u2)
-                     for j in range(m1.cols)] for i in range(m1.rows)],
-                   int(units is DT))
+    def linear(cls, m1: Matrix, m2: Matrix):
+        """The constant 1-forms m1 dt1 + m2 dt2."""
+        return cls([[sq(m1[(i, j)], mask=1) + sq(m2[(i, j)], mask=2)
+                     for j in range(m1.cols)] for i in range(m1.rows)], 1)
 
     def __getitem__(self, i):
         return self.entries[i]
@@ -264,12 +259,6 @@ def as_object(x) -> MCObject:
     raise TypeError(f"expected a representation or MC object, got {x!r}")
 
 
-def _unchecked(rep: TorusRep) -> MCObject:
-    """An untwisted object on a rep the caller has already validated, wrapped
-    without re-validating it."""
-    return MCObject(FORMS, rep, HomElement.zero(rep.dim, rep.dim, 1))
-
-
 def twisted_d(f: HomElement, source, target) -> HomElement:
     """d f = d_forms f + eta_target · f - (-1)^{|f|} f · eta_source."""
     src = as_object(source)
@@ -372,7 +361,8 @@ def mc_check(o: MCObject) -> McReport:
         failures.append("mc_equation")
     if not o.base.is_invertible_diagonal():
         require_valid(o.base)
-    base = _unchecked(o.base)
+    # the base is valid: wrap it untwisted, without re-validating it
+    base = MCObject(FORMS, o.base, HomElement.zero(o.dim, o.dim, 1))
     if _defects(eta, base, base):
         failures.append("equivariance")
     return McReport(failures)
@@ -528,7 +518,7 @@ def _solve_sparse(images, rhs):
 
 
 class _ChainProblem:
-    """Shared assembly for the gamma-, straightening and splitting solves.
+    """Shared assembly for the gamma and straightening solves.
 
     Unknowns are elementary degree-0 chains E_pq·t^a (entry position times
     t-monomial) plus, optionally, constant dt1/dt2 unknowns on selected
@@ -855,56 +845,67 @@ def realize_mc(o: MCObject) -> TorusRep:
 
 # -- the representation -> MC pipeline ----------------------------------------
 
-def rep_extension(r: TorusRep, split: int, bound: int = 4) -> ExtensionData:
-    """The extension (leading block) -> r -> (trailing block) with an exact
-    polynomial splitting.
+def rep_extension(r: TorusRep) -> ExtensionData:
+    """The extension (leading block) -> r -> (last diagonal entry) of an
+    upper triangular pair, with an exact polynomial splitting.
 
-    top and bottom are `r.block`s (see there).  The splitting corner psi is
-    taken linear in t when the corner blocks are invariant under the
-    crossing generators (the closed form
-    psi = -t1·g1_top^{-1}·n1 - t2·g2_top^{-1}·n2); otherwise it is solved for
-    over polynomials of degree <= bound.
+    top and bottom are `r.block`s (see there).  With g_c = [[A_c, N_c],
+    [0, b_c]], the corner psi solves psi|t_c=0 = (A_c·psi|t_c=1 + N_c)/b_c
+    for c = 1, 2; A_c is upper triangular, so each entry needs only those
+    below it, and `_corner_entry` writes it in closed form, bottom row up.
     """
     require_valid(r)
     n = r.dim
-    if not 0 < split < n:
-        raise ValueError("split must cut the representation properly")
-    top, bottom = r.block(0, split), r.block(split, n)
-    corners = [Matrix.from_rows([g.row(i)[split:] for i in range(split)])
-               for g in (r.g1, r.g2)]
-    psi = _splitting_corner(top, bottom, corners, bound)
-    return ExtensionData(top, bottom, r, psi).validate()
+    if n < 2:
+        raise ValueError("a splitting needs dimension at least 2")
+    if any(any(g.row(i)[:i]) for g in (r.g1, r.g2) for i in range(n)):
+        raise DomainError("representation is not upper triangular")
+    last = n - 1
+    psi = [None] * last
+    for p in reversed(range(last)):
+        faces = []
+        for c, g in ((1, r.g1), (2, r.g2)):
+            row, b = g.row(p), g[(last, last)]
+            face = {0: row[last]}  # N_c[p] + A_c[p, u]·psi_u|t_c=1, u > p
+            for a, entry in zip(row[p + 1:last], psi[p + 1:]):
+                for (_, *e), v in entry.terms.items():
+                    face[e[2 - c]] = face.get(e[2 - c], 0) + a * v
+            faces.append(({e: v / b for e, v in face.items() if v},
+                          row[p] / b))
+        psi[p] = Form2(SCALAR_ALGEBRA, {(0, *e): v for e, v
+                                        in _corner_entry(*faces).items()})
+    return ExtensionData(r.block(0, last), r.block(last, n), r,
+                         HomElement([[f] for f in psi], 0)).validate()
 
 
-def _splitting_corner(top: TorusRep, bottom: TorusRep, corners, bound: int):
-    """Solve the face-compatibility conditions for the splitting corner."""
-    h = [(top.g_inv(i) * corners[i - 1]).scale(-1) for i in (1, 2)]
-    fast = True
-    for i in (1, 2):
-        cross = 3 - i
-        if top.g(cross) * h[i - 1] * bottom.g_inv(cross) != h[i - 1]:
-            fast = False
-            break
-    if fast:
-        return HomElement.linear(h[0], h[1], T)
-    # general case: linear solve for a polynomial corner; each unknown's
-    # image is its pair of face-compatibility defects
-    nt = top.dim
-    # the diagonal blocks of a valid pair are valid: wrap them unchecked
-    problem = _ChainProblem(_unchecked(bottom), _unchecked(top), bound)
-    problem.add_chain_vars(eq=False)
-    # the constant corner's twisted restriction, moved to the right side
-    rhs = {}
-    for i in (1, 2):
-        const = corners[2 - i] * bottom.g_inv(3 - i)
-        for p in range(nt):
-            for s, c in enumerate(const.row(p)):
-                if c:
-                    rhs[(("gs", i), p, s, (0, 0))] = -c
-    coeffs = _solve_sparse(problem.images, rhs)
-    if coeffs is None:
-        raise problem.failure("no polynomial splitting", rhs)
-    return problem.assemble(coeffs, "chain")
+def _corner_entry(face1, face2):
+    """The f(t1, t2), as {(e1, e2): coefficient}, with
+    f|t_c=0 - rho_c·f|t_c=1 = g_c(t_other) for each face (g_c, rho_c),
+    c = 1, 2; g_c maps an exponent of t_other to its coefficient.  The pair
+    commutes, so the two equations agree at the vertex.
+
+    On rho = (1, 1), f = -t1·g1(t2) - t2·g2(t1) + t1·t2·(g1(1) - g1(0)).
+    Otherwise, say rho1 != 1 (else t1 and t2 swap): f = sum_k t1^k·u_k(t2)
+    with u_k = g2_k/(1 - rho2), or -t2·g2_k on rho2 = 1, for k >= 1, and
+    u_0 = (g1 + rho1·sum_{k>=1} u_k)/(1 - rho1).
+    """
+    (g1, rho1), (g2, rho2) = face1, face2
+    if rho1 == rho2 == 1:
+        f = {(1, e): -v for e, v in g1.items()}
+        for e, v in g2.items():
+            f[e, 1] = f.get((e, 1), 0) - v
+        f[1, 1] = f.get((1, 1), 0) + sum(g1.values()) - g1.get(0, 0)
+        return f
+    if rho1 == 1:
+        return {(e2, e1): v
+                for (e1, e2), v in _corner_entry(face2, face1).items()}
+    e2, scale = (1, -1) if rho2 == 1 else (0, 1 / (1 - rho2))
+    f = {(k, e2): v * scale for k, v in g2.items() if k}
+    u0 = dict(g1)
+    for (_, e), v in f.items():
+        u0[e] = u0.get(e, 0) + rho1 * v
+    f.update({(0, e): v / (1 - rho1) for e, v in u0.items()})
+    return f
 
 
 def _bordered(a, column, corner):
@@ -931,8 +932,8 @@ def rep_to_mc(r: TorusRep, bound: int = 4) -> RepToMcResult:
     straightening to the constant representative.  Returns the MC object,
     the isomorphism from the input to it (a degree-0 invertible twisted
     cocycle), and the triangularization data.  The triangular pair is
-    `semisimplify`'s, valid by inheritance, and is inverted once; each stage
-    is a `tri.block`, inheriting both.
+    `semisimplify`'s, valid by inheritance, and each stage is a
+    `tri.block`, inheriting that.
 
     The isomorphism needs no invertibility check: every stage borders phi
     with a zero row and the constant 1 in the corner, so phi is an upper
@@ -948,13 +949,12 @@ def rep_to_mc(r: TorusRep, bound: int = 4) -> RepToMcResult:
     if n == 0:
         return RepToMcResult(MCObject.semisimple([]),
                              HomElement.zero(0, 0), ss)
-    tri.g_inv(1), tri.g_inv(2)  # kept, so every stage takes them sliced
     eta = HomElement.zero(1, 1, 1)
     phi = HomElement.from_matrix(Matrix.identity(1))
     for m in range(1, n):
         stage = tri.block(0, m + 1)
         try:
-            ext = rep_extension(stage, m, bound)
+            ext = rep_extension(stage)
             omega = extension_class(ext)
             pushed = phi * omega
             partial = MCObject.semisimple(chars[:m], eta)

@@ -91,8 +91,7 @@ class TorusRep:
 
     def block(self, lo: int, hi: int) -> "TorusRep":
         """The diagonal block lo..hi-1 of a pair block upper triangular at
-        lo and hi (else DomainError), with the pair's validity and its cached
-        inverses sliced: g^{-1}'s diagonal blocks invert g's."""
+        lo and hi (else DomainError), inheriting the pair's validity."""
         if any(any(g.row(i)[:s]) for s in (lo, hi) for g in (self.g1, self.g2)
                for i in range(s, self.dim)):
             raise DomainError("representation is not block upper triangular "
@@ -103,7 +102,6 @@ class TorusRep:
                 e for i in range(lo, hi) for e in m.row(i)[lo:hi]])
 
         out = TorusRep(cut(self.g1), cut(self.g2))
-        out._inverses = {i: cut(m) for i, m in self._inverses.items()}
         out._valid = self._valid
         return out
 

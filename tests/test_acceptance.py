@@ -122,7 +122,7 @@ def test_criterion_1_example_reproduction():
     # the extension isomorphism [[1, (e/c) t1], [0, 1]]
     c, e = Fraction(2), Fraction(3)
     v1 = _rep([[c, e], [0, c]])
-    ext1 = rep_extension(v1, 1)
+    ext1 = rep_extension(v1)
     mc = rep_to_mc(v1).mc
     omega = HomElement([[mc.eta[0][1]]], 1)
     chi = MCObject.semisimple([(c, 1)])

@@ -412,19 +412,59 @@ def test_verify_reduces_one_entry_block_and_each_invariant_basis_once(
     assert enumerated and len(set(enumerated)) == len(enumerated)
 
 
-def test_ssify_at_a_huge_bound_matches_the_default(tmp_path, capsys):
-    # straighten has no system sized by the bound, so a 2 x 2 Jordan block
-    # at --bound 300 answers at once, as at --bound 4
-    path = _write(tmp_path, "j2.rep", """2
+def test_ssify_at_a_huge_bound_matches_the_default(tmp_path, capsys,
+                                                   monkeypatch):
+    # neither straighten nor the splitting corner has a system sized by the
+    # bound, so a 2 x 2 Jordan block, and J3 with g2 = g1² (whose last
+    # corner is not linear in t), answer at --bound 300 as at --bound 4
+    import t2mc.mcdg as mcdg
+    solves = []
+    real = mcdg._solve_sparse
+    monkeypatch.setattr(mcdg, "_solve_sparse",
+                        lambda *a: solves.append(1) or real(*a))
+    j2 = _write(tmp_path, "j2.rep", """2
 [["1","1"],["0","1"]]
 [["1","0"],["0","1"]]
 """)
+    j3_squared = _write(tmp_path, "j3sq.rep", """3
+[["1","1","0"],["0","1","1"],["0","0","1"]]
+[["1","2","1"],["0","1","2"],["0","0","1"]]
+""")
+    etas = []
+    for path in (j2, j3_squared):
+        outputs = []
+        for bound in ("4", "300"):
+            assert main(["ssify", path, "--bound", bound]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        etas.append(json.loads(outputs[0])["eta_dt1"])
+    assert etas == [[["0", "-1"], ["0", "0"]],
+                    [["0", "-1", "1/2"], ["0", "0", "-1"], ["0", "0", "0"]]]
+    assert solves == []
+
+
+def test_ssify_at_bound_0_on_two_characters(tmp_path, capsys):
+    # characters (1/2, 1) and (2, 1): the splitting corner is the constant
+    # -4/3, so the class is already constant and bound 0 answers as bound 4
+    path = _write(tmp_path, "two_chars.rep", """2
+[["1/2","-2"],["0","2"]]
+[["1","0"],["0","1"]]
+""")
     outputs = []
-    for bound in ("4", "300"):
+    for bound in ("4", "0"):
         assert main(["ssify", path, "--bound", bound]) == 0
-        outputs.append(capsys.readouterr().out)
+        outputs.append(capsys.readouterr())
     assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0])["eta_dt1"] == [["0", "-1"], ["0", "0"]]
+
+
+def test_bound_help_names_the_straightening_chains(capsys):
+    for command in ("ssify", "t2-cohomology"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("--bound BOUND polynomial degree bound for the straightening "
+                "chains (default 4)") in text
 
 
 @pytest.mark.parametrize("command", ["ssify", "t2-cohomology", "verify"])

@@ -1,11 +1,12 @@
 """Every library definition is used somewhere.
 
-A module-level function or class, or a public method, must be referenced by
-code in `src/t2mc` or `bench/*.py`: as a name, an attribute, an imported
-name or module, or a part of a dotted string constant such as
-"Matrix.rref" (how `bench/tracer.py` names what it wraps).  Prose is not a
-use: a mention in a docstring or comment keeps nothing alive, and a
-definition referenced only by tests is dead code.  The same holds for
+A module-level function, class or name bound by assignment (all but
+`__all__`), or a public method, must be referenced by code in `src/t2mc` or
+`bench/*.py`: as a name read, an attribute, an imported name or module, or
+a part of a dotted string constant such as "Matrix.rref" (how
+`bench/tracer.py` names what it wraps).  Binding a name is not a use, and
+neither is prose: a mention in a docstring or comment keeps nothing alive,
+and a definition referenced only by tests is dead code.  The same holds for
 every name `t2mc.__all__` exports; the re-export in `t2mc/__init__.py` is
 not a use.
 """
@@ -29,6 +30,11 @@ def _definitions():
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 yield node.name, node.name
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                for name in ast.walk(ast.Tuple(targets)):
+                    if isinstance(name, ast.Name) and name.id != "__all__":
+                        yield name.id, name.id
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if (isinstance(item, ast.FunctionDef)
@@ -39,7 +45,8 @@ def _definitions():
 def _references(tree):
     """The bare names that the code of a module refers to."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                         ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr

@@ -529,21 +529,21 @@ def test_build_extension_two_generator_block():
 
 
 def test_extension_class_of_split_extension():
-    ext = rep_extension(TorusRep.diagonal([(2, 1), (3, 1)]), 1)
+    ext = rep_extension(TorusRep.diagonal([(2, 1), (3, 1)]))
     assert extension_class(ext).is_zero()
 
 
 def test_extension_class_recovers_omega_exactly():
     # [[1, -lam], [0, 1]] is the two-block realization of lam·dt1
     lam = Fraction(5, 2)
-    ext = rep_extension(rep([[1, -lam], [0, 1]]), 1)
+    ext = rep_extension(rep([[1, -lam], [0, 1]]))
     cls = extension_class(ext)
     assert cls.entries[0][0] == sq(lam, mask=1)
 
 
 def test_extension_class_jordan3_over_jordan2():
     c, e, f, h = (Fraction(x) for x in (2, 3, 5, 7))
-    ext = rep_extension(jordan3_rep(c, e, f, h), 2)
+    ext = rep_extension(jordan3_rep(c, e, f, h))
     cls = extension_class(ext)
     s = -1 / c ** 2
     assert cls.entries[0][0] == sq(s * (c * h - e * f), mask=1)
@@ -554,7 +554,7 @@ def test_extension_class_jordan3_over_jordan2():
 
 def test_extension_iso_identical_extensions_give_identity():
     c, e = Fraction(2), Fraction(3)
-    ext = rep_extension(jordan2_rep(c, e), 1)
+    ext = rep_extension(jordan2_rep(c, e))
     result = extension_iso(ext, ext)
     assert result.map.entries[0][0] == sq(1)
     assert result.map.entries[1][1] == sq(1)
@@ -565,7 +565,7 @@ def test_extension_iso_identical_extensions_give_identity():
 
 def test_extension_iso_jordan2_to_normal_form():
     c, e = Fraction(2), Fraction(3)
-    ext1 = rep_extension(jordan2_rep(c, e), 1)
+    ext1 = rep_extension(jordan2_rep(c, e))
     mc = rep_to_mc(jordan2_rep(c, e)).mc
     omega = HomElement([[mc.eta[0][1]]], 1)
     chi = MCObject.semisimple([(c, 1)])
@@ -614,15 +614,15 @@ def _iso_pairs():
     # the pair of the verify report: J2 against its normal form
     mc = rep_to_mc(jordan2_rep(c, e)).mc
     chi = MCObject.semisimple([(c, 1)])
-    yield (rep_extension(jordan2_rep(c, e), 1),
+    yield (rep_extension(jordan2_rep(c, e)),
            build_extension(HomElement([[mc.eta[0][1]]], 1), chi, chi))
-    # corners from the polynomial solve: a pair and its conjugate by a
+    # corners that are not linear in t: a pair and its conjugate by a
     # block unipotent, which moves the class by a coboundary
     general = rep([[1, 1, 1], [0, 1, 1], [0, 0, 1]],
                   [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     shear = Matrix.from_rows([[1, 0, 2], [0, 1, -1], [0, 0, 1]])
-    yield (rep_extension(general, 2),
-           rep_extension(_conjugate(general, shear), 2))
+    yield (rep_extension(general),
+           rep_extension(_conjugate(general, shear)))
     # twisted endpoints: omega and omega + d(h) for a constant section h
     top, bottom = jordan2_object(c, e), MCObject.semisimple([(c, 1)])
     omega = HomElement([[sq(1, mask=1)], [sq(0)]], 1)
@@ -743,15 +743,15 @@ SPLITTING_PINS = {
 
 def _splitting_for(case):
     if case == "fast":  # unipotent J3: the corner is linear in t
-        return rep_extension(rep([[1, 1, 0], [0, 1, 1], [0, 0, 1]]), 2)
-    if case == "general":  # the corner needs the polynomial solve
+        return rep_extension(rep([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+    if case == "general":  # the corner is not linear in t
         return rep_extension(rep([[1, 1, 1], [0, 1, 1], [0, 0, 1]],
-                                 [[1, 1, 0], [0, 1, 1], [0, 0, 1]]), 2)
+                                 [[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
     if case == "realize":  # the two-block realization of t1·f1 + t2·f2
         # for f1 = (1, 2) and f2 = (-1/2, 3): the corner is linear in t
         return rep_extension(rep([[1, 0, -1], [0, 1, -2], [0, 0, 1]],
                                  [[1, 0, Fraction(1, 2)], [0, 1, -3],
-                                  [0, 0, 1]]), 2)
+                                  [0, 0, 1]]))
     omega = HomElement([[sq(-2, mask=1), sq(-3, mask=2)]], 1)
     return build_extension(omega, MCObject.semisimple([(1, 1)]),
                            MCObject.semisimple([(1, 1), (1, 1)]))
@@ -768,8 +768,8 @@ def test_splitting_data_pinned(case, monkeypatch):
            for name, m in zip(("p", "q", "alpha", "beta"),
                               _splitting_maps(ext))}
     assert got == SPLITTING_PINS[case]
-    # only the general rep_extension case reaches the corner solve
-    assert len(solves) == (case == "general")
+    # every corner is written in closed form: no case solves a system
+    assert solves == []
 
 
 @pytest.mark.parametrize("case", ["fast", "general", "realize"])
@@ -787,22 +787,85 @@ def test_extension_validates_only_its_inputs(case, monkeypatch):
     assert ext.total.dim == 3
 
 
-def test_splitting_corner_does_not_revalidate_blocks(monkeypatch):
-    import t2mc.torus_rep as torus_rep
+CORNER_CHARACTERS = ((1, 1), (2, 1), (Fraction(1, 2), 3), (-1, -2))
 
-    calls = []
-    real = torus_rep.validate
-    monkeypatch.setattr(torus_rep, "validate",
-                        lambda r: calls.append(r) or real(r))
-    # the diagonal blocks and corners of the general case above
-    top = rep([[1, 1], [0, 1]], [[1, 1], [0, 1]])
-    bottom = TorusRep.trivial(1)
-    corners = [Matrix.from_rows([[1], [1]]), Matrix.from_rows([[0], [1]])]
-    psi = mcdg._splitting_corner(top, bottom, corners, 4)
-    assert calls == []
-    # beta = [psi; id]: its top rows are the pinned corner
-    assert ([[repr(x) for x in row] for row in psi]
-            == SPLITTING_PINS["general"]["beta"][:2])
+
+def _seeded_triangular_pairs(seed, count):
+    """Seeded upper triangular commuting pairs of dimension 2-7.  g1 has
+    seeded integers above a diagonal of first components a of
+    CORNER_CHARACTERS, one a throughout in about a third of them, and
+    g2 = s·g1^k, k <= 3, s = 1 or a seeded scale, times p(g1) in about
+    half of them, for p the cubic with p(a) = b on every character (a, b)."""
+    rng = random.Random(seed)
+    xs = [Fraction(a) for a, _ in CORNER_CHARACTERS]
+    for _ in range(count):
+        n = rng.randint(2, 7)
+        diag = ([rng.choice(xs)] * n if rng.random() < 1 / 3
+                else [rng.choice(xs) for _ in range(n)])
+        g1 = Matrix.from_rows([[diag[i] if i == j else rng.randint(-2, 2)
+                                * (j > i) for j in range(n)]
+                               for i in range(n)])
+        eye = Matrix.identity(n)
+        g2 = eye.scale(rng.choice([1, 1, 2, Fraction(-1, 3)]))
+        for _ in range(rng.randint(0, 3)):
+            g2 = g2 * g1
+        if rng.random() < 1 / 2:
+            p = Matrix.zero(n, n)
+            for a, b in CORNER_CHARACTERS:
+                term = eye.scale(b)
+                for x in xs:
+                    if x != a:
+                        term = term * (g1 - eye.scale(x)).scale(1 / (a - x))
+                p = p + term
+            g2 = g2 * p
+        yield TorusRep(g1, g2)
+
+
+def _linear_corner(r):
+    """-t1·A1^-1·N1 - t2·A2^-1·N2 for g_c = [[A_c, N_c], [0, b_c]], the
+    corner the fast path of earlier versions returned, when it applied:
+    when A_c'·A_c^-1·N_c = b_c'·A_c^-1·N_c for c' the other generator (the
+    corner is then a splitting); else None."""
+    last = r.dim - 1
+    blocks = [Matrix.from_rows([g.row(i)[:last] for i in range(last)])
+              for g in (r.g1, r.g2)]
+    h = [invert(a) * Matrix.from_rows([[g[(i, last)]] for i in range(last)])
+         for a, g in zip(blocks, (r.g1, r.g2))]
+    for c in (0, 1):
+        if blocks[1 - c] * h[c] != h[c].scale(r.g(2 - c)[(last, last)]):
+            return None
+    return HomElement([[sq(-h[0][(p, 0)], e1=1) + sq(-h[1][(p, 0)], e2=1)]
+                       for p in range(last)], 0)
+
+
+def test_rep_extension_writes_every_corner_in_closed_form(monkeypatch):
+    def no_system(*args):
+        raise AssertionError("the splitting solved a linear system")
+
+    monkeypatch.setattr(mcdg, "_solve_sparse", no_system)
+    monkeypatch.setattr(mcdg, "solve", no_system)
+    linear = one_character = 0
+    for r in _seeded_triangular_pairs(71, 80):
+        ext = rep_extension(r)  # validated: p, q and alpha pass
+        assert (ext.top.dim, ext.bottom.dim) == (r.dim - 1, 1)
+        if len({(r.g1[(i, i)], r.g2[(i, i)]) for i in range(r.dim)}) == 1:
+            one_character += 1
+            # one character: the corner is unique up to a constant, and
+            # neither form has one
+            expected = _linear_corner(r)
+            if expected is not None:
+                assert ext.psi == expected
+                linear += 1
+    assert one_character >= 20 and linear >= 10
+
+
+def test_rep_extension_needs_an_upper_triangular_pair():
+    # block upper triangular at the last entry, but not upper triangular
+    with pytest.raises(DomainError, match="not upper triangular"):
+        rep_extension(rep([[1, 1, 1], [1, 2, 0], [0, 0, 1]]))
+    with pytest.raises(ValueError) as info:
+        rep_extension(rep([[2]]))
+    assert not isinstance(info.value, DomainError)
 
 
 # -- the pipeline -------------------------------------------------------------------
@@ -1112,8 +1175,10 @@ def test_scalar_form_matrices_carry_fraction_coefficients():
     j4 = rep([[int(j in (i, i + 1)) for j in range(4)] for i in range(4)])
     res = rep_to_mc(j4, bound=4)
     m = Matrix.from_rows([[1, Fraction(-2, 3)], [0, 5]])
-    matrices = (res.mc.eta, res.iso, HomElement.linear(m, m * m),
-                HomElement.linear(m, m, mcdg.T), HomElement.from_matrix(m))
+    t_linear = HomElement([[sq(x, e1=1) + sq(x, e2=1) for x in m.row(i)]
+                           for i in range(m.rows)], 0)
+    matrices = (res.mc.eta, res.iso, HomElement.linear(m, m * m), t_linear,
+                HomElement.from_matrix(m))
     coeffs = [c for h in matrices for row in h for f in row
               for c in f.terms.values()]
     assert len(coeffs) > 20
@@ -1315,7 +1380,7 @@ def test_chain_images_match_products_with_twisted_endpoints():
 
 
 def test_chain_images_match_products_on_non_diagonal_bases():
-    # the endpoints of solve_gamma and of the general splitting corner
+    # non-diagonal endpoints, as solve_gamma and the `_defects` checks meet
     bottom = MCObject.from_rep(jordan2_rep(2, 3))
     top = MCObject.from_rep(rep([[1, 1, 1], [0, 1, 1], [0, 0, 1]],
                                 [[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
@@ -1743,14 +1808,6 @@ def test_straightening_failure_names_bound_shape_and_stage():
     exc = info.value
     assert (exc.stage, exc.bound, exc.shape) == (5, 4, (160, 80))
     assert "stage 5" in str(exc) and "160 x 80" in str(exc)
-    # the general splitting corner at bound 0 has no solution
-    top = rep([[1, 1], [0, 1]], [[1, 1], [0, 1]])
-    corners = [Matrix.from_rows([[1], [1]]), Matrix.from_rows([[0], [1]])]
-    with pytest.raises(StraighteningFailedError) as info:
-        mcdg._splitting_corner(top, TorusRep.trivial(1), corners, 0)
-    exc = info.value
-    assert exc.stage is None and exc.bound == 0
-    assert f"{exc.shape[0]} x 2" in str(exc)
 
 
 BENCH_INPUTS_PATH = (Path(__file__).resolve().parents[1] / "bench"

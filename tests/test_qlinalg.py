@@ -901,12 +901,13 @@ def test_kernel_rref_matches_sympy():
 
 
 def _pipeline_systems(monkeypatch):
-    """The straighten and splitting-corner systems of rep_to_mc on the
-    unipotent J4-J8 at bound n-1, with g2 = 1 and with g2 = g1^2, as
-    (stage, a, b) with a a `SparseMatrix`.  The splitting-corner systems are
-    the only ones it hands to `solve`; `straighten` solves entry by entry,
-    so its whole system is assembled here from `_ChainProblem`, row by row
-    in first-seen coordinate order."""
+    """The straighten systems of rep_to_mc on the unipotent J4-J8 at bound
+    n-1, with g2 = 1 and with g2 = g1^2, as (stage, a, b) with a a
+    `SparseMatrix`, and under the stage "solve" every system it hands to
+    `solve` (there are none: the splitting corner is written in closed
+    form).  `straighten` solves entry by entry, so its whole system is
+    assembled here from `_ChainProblem`, row by row in first-seen
+    coordinate order."""
     import t2mc.mcdg as mcdg
     from t2mc.mcdg import rep_to_mc
     from t2mc.torus_rep import TorusRep
@@ -915,7 +916,7 @@ def _pipeline_systems(monkeypatch):
     solve_, straighten_ = mcdg.solve, mcdg.straighten
 
     def capture(a, b):
-        systems.append(("_splitting_corner", a, list(b)))
+        systems.append(("solve", a, list(b)))
         return solve_(a, b)
 
     def straighten(omega, src, dst, bound=4):
@@ -949,8 +950,7 @@ def _pipeline_systems(monkeypatch):
 def test_pipeline_systems_match_the_fraction_loop(monkeypatch):
     systems = _pipeline_systems(monkeypatch)
     monkeypatch.undo()
-    assert {name for name, _, _ in systems} == {"straighten",
-                                                "_splitting_corner"}
+    assert {name for name, _, _ in systems} == {"straighten"}
     assert max(a.rows for _, a, _ in systems) >= 500
     for _, a, b in systems:
         expected = _oracle_solve(a.data, a.cols, b)

@@ -301,14 +301,11 @@ def _block_triangular_pairs(seed, count):
     return out
 
 
-def test_block_slices_inverses_and_inherits_validity(monkeypatch):
+def test_block_inherits_validity(monkeypatch):
     pairs = [r for r in _block_triangular_pairs(53, 30) if r.dim > 1]
     for r in pairs:
         require_valid(r)
-        inverses = (r.g_inv(1), r.g_inv(2))
         calls = []
-        monkeypatch.setattr(torus_rep, "invert",
-                            lambda m: calls.append(m) or invert(m))
         monkeypatch.setattr(torus_rep, "validate",
                             lambda v: calls.append(v) or validate(v))
         n = r.dim
@@ -320,13 +317,7 @@ def test_block_slices_inverses_and_inherits_validity(monkeypatch):
                 assert b.g2 == Matrix.from_rows(
                     [row[lo:hi] for row in r.g2.to_rows()[lo:hi]])
                 require_valid(b)
-                got = (b.g_inv(1), b.g_inv(2))
                 assert calls == []
-                assert got == (invert(b.g1), invert(b.g2))
-                assert got == tuple(Matrix.from_rows(
-                    [row[lo:hi] for row in g.to_rows()[lo:hi]])
-                    for g in inverses)
-                calls.clear()
         monkeypatch.undo()
     # a rep not yet validated hands down no validity
     fresh = TorusRep(pairs[0].g1, pairs[0].g2)
