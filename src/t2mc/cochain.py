@@ -26,6 +26,7 @@ class TwistedComplex:
     def __init__(self, basis: dict, d: dict, check: bool = True):
         self.basis = {n: list(labels) for n, labels in basis.items()}
         self.d = dict(d)
+        self._d_square = None
         for n, mat in self.d.items():
             if mat.cols != len(self.basis.get(n, ())):
                 raise ComplexError(f"D_{n} has {mat.cols} columns, expected "
@@ -45,14 +46,13 @@ class TwistedComplex:
         return sorted(self.basis)
 
     def d_square_failures(self):
-        bad = []
-        for n, dn in sorted(self.d.items()):
-            dn1 = self.d.get(n + 1)
-            if dn1 is None or dn1.cols == 0 or dn.cols == 0:
-                continue
-            if not (dn1 * dn).is_zero():
-                bad.append(n)
-        return bad
+        """The degrees n where D_{n+1}·D_n != 0, multiplied out once."""
+        if self._d_square is None:
+            self._d_square = [
+                n for n, dn in sorted(self.d.items())
+                if (dn1 := self.d.get(n + 1)) is not None and dn1.cols
+                and dn.cols and not (dn1 * dn).is_zero()]
+        return list(self._d_square)
 
     def rank_d(self, n: int) -> int:
         mat = self.d.get(n)

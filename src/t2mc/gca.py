@@ -154,7 +154,8 @@ class AlgebraPresentation:
     Generators are declared first (fixing the global order), differentials
     are assigned afterwards, and `finalize()` verifies that d is
     character-preserving and that d∘d vanishes on every generator.  Basis
-    enumeration is cached per degree up to `bound`.
+    enumeration is cached per degree up to `bound`; once finalized, with its
+    differentials fixed, the presentation keeps each monomial's differential.
     """
 
     def __init__(self, bound: int = 10):
@@ -162,6 +163,7 @@ class AlgebraPresentation:
         self.generators: list[GeneratorSpec] = []
         self._by_name: dict[str, GeneratorSpec] = {}
         self._basis_cache: dict[int, list[tuple]] = {}
+        self._d_cache: dict[tuple, Element] = {}
         self.d_square_defects: list[tuple[str, "Element"]] = []
         self._finalized = False
 
@@ -178,6 +180,8 @@ class AlgebraPresentation:
         return self.generator(name)
 
     def set_differential(self, name, value):
+        if self._finalized:
+            raise ValueError("presentation already finalized")
         g = self._by_name[name]
         value = self.coerce(value)
         if not value.is_zero():
@@ -304,6 +308,10 @@ class AlgebraPresentation:
         return out
 
     def _d_mono(self, m) -> Element:
+        """d of one monomial; kept once the presentation is finalized.  The
+        result is shared: callers read it and never change it."""
+        if m in self._d_cache:
+            return self._d_cache[m]
         out = self.zero()
         prefix_deg = 0
         for k, g in enumerate(self.generators):
@@ -317,6 +325,8 @@ class AlgebraPresentation:
                         * self.mono_element(right))
                 out = out + term.scale(sign * e)
             prefix_deg += e * g.degree
+        if self._finalized:
+            self._d_cache[m] = out
         return out
 
     def differential_matrix(self, n: int) -> Matrix:

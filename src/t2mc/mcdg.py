@@ -222,16 +222,18 @@ class MCObject:
     `characters` lists the diagonal (g1, g2) scalars when the base is
     diagonal; `base` is the underlying representation.  `eta` is a degree-1
     `HomElement` in either ambient; a ``salgebra`` twist has constant
-    coefficients, m1·dt1 + m2·dt2 standing for m1·s1 + m2·s2.
+    coefficients, m1·dt1 + m2·dt2 standing for m1·s1 + m2·s2.  A passed
+    `mc_check` is recorded with the `base` and a copy of the `eta` it read.
     """
 
-    __slots__ = ("ambient", "characters", "base", "eta")
+    __slots__ = ("ambient", "characters", "base", "eta", "_passed")
 
     def __init__(self, ambient, base: TorusRep, eta, characters=None):
         self.ambient = ambient
         self.base = base
         self.eta = eta
         self.characters = characters
+        self._passed = None
 
     @classmethod
     def semisimple(cls, characters, eta=None, ambient=FORMS):
@@ -350,7 +352,9 @@ def mc_check(o: MCObject) -> McReport:
     forms of `o.eta`, whichever its ambient: s_i is read as dt_i, and the
     exterior product of s1 and s2 as the wedge product of dt1 and dt2.  An
     s-algebra twist must also have constant coefficients
-    ("constant_coefficients"), or it has no reading as m1·s1 + m2·s2."""
+    ("constant_coefficients"), or it has no reading as m1·s1 + m2·s2.
+    A pass is recorded on `o`, tied to its `base` and to a copy of its
+    `eta`'s rows: it no longer covers a twist whose entries have changed."""
     if o.ambient not in (FORMS, SALGEBRA):
         raise AmbientMismatchError(f"unknown ambient {o.ambient!r}")
     eta = o.eta
@@ -365,6 +369,8 @@ def mc_check(o: MCObject) -> McReport:
     base = MCObject(FORMS, o.base, HomElement.zero(o.dim, o.dim, 1))
     if _defects(eta, base, base):
         failures.append("equivariance")
+    o._passed = None if failures else (
+        o.base, HomElement([list(row) for row in eta], eta.degree))
     return McReport(failures)
 
 
@@ -597,17 +603,17 @@ class _ChainProblem:
                 img[k] = Fraction(-1) if (o := img.get(k)) is None else o - 1
         return {k: v for k, v in img.items() if v}
 
-    def _add(self, kind, p, q, key, eq=True):
+    def _add(self, kind, p, q, key):
         self.vars.append((kind, p, q, key))
-        self.images.append(self.image(p, q, key, eq))
+        self.images.append(self.image(p, q, key))
 
-    def add_chain_vars(self, skip_constant_on=frozenset(), eq=True):
+    def add_chain_vars(self, skip_constant_on=frozenset()):
         for p in range(self.dst.dim):
             for q in range(self.src.dim):
                 for e1, e2 in _poly_monomials(self.bound):
                     if (e1, e2) == (0, 0) and (p, q) in skip_constant_on:
                         continue
-                    self._add("chain", p, q, (0, e1, e2), eq)
+                    self._add("chain", p, q, (0, e1, e2))
 
     def add_constant_dt_vars(self, allowed):
         for axis in (1, 2):
@@ -980,7 +986,9 @@ def rep_to_mc(r: TorusRep, bound: int = 4) -> RepToMcResult:
 
 def mc_to_s(o: MCObject) -> MCObject:
     """Relabel a constant-coefficient forms twist into the s-algebra ambient
-    (dt_i read as s_i); the MC equation and equivariance are re-verified."""
+    (dt_i read as s_i).  The result shares eta and the base with `o`, so a
+    pass `mc_check` recorded on `o` for them carries over; without one, the
+    MC equation and equivariance are verified again."""
     if o.ambient != FORMS:
         raise AmbientMismatchError("mc_to_s expects the forms ambient")
     if o.characters is None:
@@ -989,7 +997,9 @@ def mc_to_s(o: MCObject) -> MCObject:
         raise NonConstantCoefficientsError(
             "twist entries must be constant-coefficient 1-forms")
     out = MCObject(SALGEBRA, o.base, o.eta, o.characters)
-    report = mc_check(out)
-    if not report.ok:
-        raise DomainError(f"translated twist fails checks: {report.failures}")
+    passed = o._passed
+    if not (passed and passed[0] is o.base and passed[1] == o.eta):
+        failures = mc_check(out).failures
+        if failures:
+            raise DomainError(f"translated twist fails checks: {failures}")
     return out

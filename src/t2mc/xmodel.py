@@ -16,6 +16,7 @@ exponent vectors, so "generic" can never be accidentally resonant.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .cochain import ComplexError, TwistedComplex
 from .errors import DomainError
@@ -101,30 +102,15 @@ class ModelPresentation:
         return [g for g in self.pres.generators if g.degree == n]
 
 
-def build_torus_model() -> ModelPresentation:
-    """The torus model, generic, through degree 10: two degree-1 cocycle
-    generators with trivial action."""
+@cache
+def _presentation(variant):
+    """The finalized presentation of the torus model (variant None) or of
+    one variant of the total model, built once per process."""
     p = AlgebraPresentation(bound=10)
     p.add_generator("s1", 1)
     p.add_generator("s2", 1)
-    p.finalize()
-    return ModelPresentation(p, GENERIC, name="torus")
-
-
-def build_total_model(pspec: ParameterSpec = GENERIC,
-                      variant: str = "s2") -> ModelPresentation:
-    """The seven-generator model of the total space, through degree 10.
-
-    variant chooses the index in d(xb) = s?·zb.  Only the s2 choice yields
-    d² = 0 (the s1 variant leaves d²(wb) = -s1 s2 yb zb, recorded in the
-    presentation's defect list rather than raised, so the variant can still
-    be inspected degree by degree).
-    """
-    if variant not in ("s1", "s2"):
-        raise DomainError("variant must be 's1' or 's2'")
-    p = AlgebraPresentation(bound=10)
-    p.add_generator("s1", 1)
-    p.add_generator("s2", 1)
+    if variant is None:
+        return p.finalize()
     p.add_generator("xb", 3, (1, 0, 1, 0))
     p.add_generator("yb", 3, (0, 1, 0, 1))
     p.add_generator("zb", 3, (1, 0, 1, 0))
@@ -136,8 +122,29 @@ def build_total_model(pspec: ParameterSpec = GENERIC,
     p.set_differential("xb", (s1 if variant == "s1" else s2) * zb)
     p.set_differential("ub", yb * zb)
     p.set_differential("wb", s1 * xb * yb - s1 * s2 * ub)
-    p.finalize(strict_d2=False)
-    return ModelPresentation(p, pspec, variant=variant, name="total")
+    return p.finalize(strict_d2=False)
+
+
+def build_torus_model() -> ModelPresentation:
+    """The torus model, generic, through degree 10: two degree-1 cocycle
+    generators with trivial action."""
+    return ModelPresentation(_presentation(None), GENERIC, name="torus")
+
+
+def build_total_model(pspec: ParameterSpec = GENERIC,
+                      variant: str = "s2") -> ModelPresentation:
+    """The seven-generator model of the total space, through degree 10.
+
+    variant chooses the index in d(xb) = s?·zb.  Only the s2 choice yields
+    d² = 0 (the s1 variant leaves d²(wb) = -s1 s2 yb zb, recorded in the
+    presentation's defect list rather than raised, so the variant can still
+    be inspected degree by degree).  Every model of a variant, whatever its
+    parameters, shares that variant's presentation and what it caches.
+    """
+    if variant not in ("s1", "s2"):
+        raise DomainError("variant must be 's1' or 's2'")
+    return ModelPresentation(_presentation(variant), pspec, variant=variant,
+                             name="total")
 
 
 # -- invariant bases -----------------------------------------------------------
@@ -162,16 +169,18 @@ def invariant_basis(model: ModelPresentation, coeff_chars, n: int):
     Coefficient characters are scalar pairs, exponent 4-vectors, or the
     INDEPENDENT marker (formally independent scalar: no invariants).  The
     order is monomial-major in the basis enumeration order.  Each basis is
-    computed once per (characters, degree) and kept on the model; every call
-    returns a fresh list.
+    computed once per (characters, degree) and kept on the model, deciding
+    invariance once per (monomial character, coefficient character); every
+    call returns a fresh list.
     """
     key = (tuple(coeff_chars), n)
     if key not in model._bases:
         out = []
+        invariant = cache(lambda c, v: _coeff_invariant(model.pspec, c, v))
         for mono in model.pres.enumerate_basis(n):
             mchar = model.pres.mono_character(mono)
             for idx, coeff in enumerate(coeff_chars):
-                if _coeff_invariant(model.pspec, mchar, coeff):
+                if invariant(mchar, coeff):
                     out.append((mono, idx))
         model._bases[key] = out
     return list(model._bases[key])
@@ -187,9 +196,11 @@ def twisted_invariants_complex(model: ModelPresentation, o: MCObject,
 
     D(mono ⊗ e_q) = d(mono) ⊗ e_q + sum_p (eta[p][q] · mono) ⊗ e_p, with the
     twist m1·dt1 + m2·dt2 written in the model's own s-generators as
-    m1·s1 + m2·s2 and multiplied from the left.  D² = 0 is verified; a term
-    leaving the invariant span signals a non-equivariant twist and raises
-    MCInconsistentError.
+    m1·s1 + m2·s2 and multiplied from the left: d(mono), s1·mono and s2·mono
+    are formed once per monomial, and each column adds m1[p][q]·(s1·mono) +
+    m2[p][q]·(s2·mono) over its nonzero twist entries.  D² = 0 is verified;
+    a term leaving the invariant span signals a non-equivariant twist and
+    raises MCInconsistentError.
     """
     if o.ambient != SALGEBRA:
         raise DomainError("the invariants complex takes an s-algebra twist")
@@ -198,33 +209,31 @@ def twisted_invariants_complex(model: ModelPresentation, o: MCObject,
         raise NonConstantCoefficientsError(
             "the invariants complex takes a constant-coefficient twist")
     m1, m2 = parts
+    twist_cols = [[(p, m1[(p, q)], m2[(p, q)]) for p in range(o.dim)
+                   if m1[(p, q)] or m2[(p, q)]] for q in range(o.dim)]
     coeff_chars = list(o.characters)
     pres = model.pres
     s1 = pres.generator("s1")
     s2 = pres.generator("s2")
-    eta_model = [[s1.scale(m1[(i, j)]) + s2.scale(m2[(i, j)])
-                  for j in range(o.dim)] for i in range(o.dim)]
     bases = {}
     index = {}
     for n in range(bound + 2):
         bases[n] = invariant_basis(model, coeff_chars, n)
         index[n] = {key: pos for pos, key in enumerate(bases[n])}
-    mats = {}
+    mats, products = {}, {}
     for n in range(bound + 1):
         rows = [[Fraction(0)] * len(bases[n]) for _ in bases[n + 1]]
         for col, (mono, q) in enumerate(bases[n]):
-            image = {}
-            dmono = pres._d_mono(mono)
-            for mm, c in dmono.coeffs.items():
-                image[(mm, q)] = image.get((mm, q), Fraction(0)) + c
-            mono_el = pres.mono_element(mono)
-            for p in range(o.dim):
-                entry = eta_model[p][q]
-                if entry.is_zero():
-                    continue
-                prod = entry * mono_el
-                for mm, c in prod.coeffs.items():
-                    image[(mm, p)] = image.get((mm, p), Fraction(0)) + c
+            if mono not in products:
+                mono_el = pres.mono_element(mono)
+                products[mono] = (pres._d_mono(mono), s1 * mono_el,
+                                  s2 * mono_el)
+            dmono, s1_mono, s2_mono = products[mono]
+            image = {(mm, q): c for mm, c in dmono.coeffs.items()}
+            for p, a1, a2 in twist_cols[q]:
+                for a, prod in ((a1, s1_mono), (a2, s2_mono)):
+                    for mm, c in (prod.coeffs.items() if a else ()):
+                        image[mm, p] = image.get((mm, p), Fraction(0)) + a * c
             for key, c in image.items():
                 if c == 0:
                     continue

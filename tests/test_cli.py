@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,8 @@ TWOGEN_S1_S2_FILE = """3
 [["1","-1","0"],["0","1","0"],["0","0","1"]]
 [["1","-1","1"],["0","1","0"],["0","0","1"]]
 """
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
 
 NONCOMMUTING = """2
 [["1","1"],["0","1"]]
@@ -410,6 +414,92 @@ def test_verify_reduces_one_entry_block_and_each_invariant_basis_once(
     assert straightened[0] >= 20 and eliminations[0] == 0
     # no (model, characters, degree) invariant basis is enumerated twice
     assert enumerated and len(set(enumerated)) == len(enumerated)
+
+
+def _model_side_counts(monkeypatch):
+    """From here on count `mc_check` calls and Matrix products and, per
+    `twisted_invariants_complex` call, the element products it forms itself
+    (those inside a monomial differential not included) and the distinct
+    monomials of its column bases."""
+    import t2mc.cli as cli
+    import t2mc.gca as gca
+    import t2mc.mcdg as mcdg
+    import t2mc.qlinalg as qlinalg
+    import t2mc.xmodel as xmodel
+
+    counts = {"mc_check": 0, "matmul": 0, "products": 0}
+    complexes, in_d = [], [0]
+    real_check, real_matmul = mcdg.mc_check, qlinalg.Matrix.__mul__
+    real_mul = gca.Element.__mul__
+    real_d_mono = gca.AlgebraPresentation._d_mono
+    real_complex = xmodel.twisted_invariants_complex
+
+    def mc_check(o):
+        counts["mc_check"] += 1
+        return real_check(o)
+
+    def matmul(a, b):
+        counts["matmul"] += isinstance(b, qlinalg.Matrix)
+        return real_matmul(a, b)
+
+    def mul(a, b):
+        counts["products"] += not in_d[0]
+        return real_mul(a, b)
+
+    def d_mono(pres, m):
+        in_d[0] += 1
+        try:
+            return real_d_mono(pres, m)
+        finally:
+            in_d[0] -= 1
+
+    def twisted_invariants_complex(model, o, bound):
+        before = counts["products"]
+        cx = real_complex(model, o, bound)
+        monos = {label.split("@")[0] for n in range(bound + 1)
+                 for label in cx.basis[n]}
+        complexes.append((counts["products"] - before, len(monos)))
+        return cx
+
+    monkeypatch.setattr(mcdg, "mc_check", mc_check)
+    monkeypatch.setattr(qlinalg.Matrix, "__mul__", matmul)
+    monkeypatch.setattr(gca.Element, "__mul__", mul)
+    monkeypatch.setattr(gca.AlgebraPresentation, "_d_mono", d_mono)
+    for module in (cli, xmodel):
+        monkeypatch.setattr(module, "twisted_invariants_complex",
+                            twisted_invariants_complex)
+    return counts, complexes
+
+
+def test_verify_forms_each_model_side_fact_once(tmp_path, capsys,
+                                               monkeypatch):
+    # mc_to_s inherits rep_to_mc's check, each complex keeps its D² verdict,
+    # and each complex forms s1·mono and s2·mono once per basis monomial
+    counts, complexes = _model_side_counts(monkeypatch)
+    assert main(["verify", "--out", str(tmp_path / "v.json")]) == 0
+    capsys.readouterr()
+    assert (counts["mc_check"], counts["matmul"]) == (17, 177)
+    assert len(complexes) == 15
+    assert all(products <= 2 * monos for products, monos in complexes)
+
+
+def test_jordan_ladder_checks_each_normal_form_once(tmp_path, capsys,
+                                                    monkeypatch):
+    spec = importlib.util.spec_from_file_location("_bench_inputs",
+                                                  BENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    items = inputs.jordan_ladder_inputs(1, str(tmp_path))
+    assert len(items) == 6
+    counts, complexes = _model_side_counts(monkeypatch)
+    for item in items:
+        assert main(["t2-cohomology", item["rep"], "--backend", "both",
+                     "--bound", str(item["bound"]), "--out",
+                     item["out"]]) == 0
+    capsys.readouterr()
+    assert counts["mc_check"] == 6
+    assert len(complexes) == 6
+    assert all(products <= 2 * monos for products, monos in complexes)
 
 
 def test_ssify_at_a_huge_bound_matches_the_default(tmp_path, capsys,

@@ -210,7 +210,11 @@ def _three_generators():
      r"d\(x\) must have degree 4"),
     (lambda p: p.set_differential("x", p.generator("s") * p.generator("y")),
      r"d\(x\) must have character \(1, 0, 1, 0\)"),
-], ids=["duplicate", "degree_0", "degree_-2", "d_degree", "d_character"])
+    (lambda p: p.finalize().set_differential(
+        "x", p.generator("s") * p.generator("x")),
+     "presentation already finalized"),
+], ids=["duplicate", "degree_0", "degree_-2", "d_degree", "d_character",
+        "d_after_finalize"])
 def test_presentation_validation_errors(step, message):
     with pytest.raises(ValueError, match=message):
         step(_three_generators())

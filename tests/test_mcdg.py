@@ -1126,6 +1126,48 @@ def test_mc_to_s_rejects_polynomial_entries():
         mc_to_s(o)
 
 
+def _count_mc_checks(monkeypatch):
+    calls, real = [], mcdg.mc_check
+    monkeypatch.setattr(mcdg, "mc_check", lambda o: calls.append(o) or real(o))
+    return calls
+
+
+def test_mc_to_s_inherits_the_pipelines_check(monkeypatch):
+    mc = rep_to_mc(jordan3_rep(2, 3, 5, 7)).mc
+    calls = _count_mc_checks(monkeypatch)
+    out = mc_to_s(mc)
+    assert calls == [] and (out.eta, out.base) == (mc.eta, mc.base)
+    # the pass covers the twist's value: an equal new twist keeps it, an
+    # entry written in place (dt2 beside dt1 breaks the MC equation) does not
+    mc.eta = HomElement([list(row) for row in mc.eta], 1)
+    assert mc_to_s(mc).eta is mc.eta and calls == []
+    mc.eta[1][2] = sq(1, mask=2)
+    with pytest.raises(DomainError, match="mc_equation"):
+        mc_to_s(mc)
+    assert len(calls) == 1
+
+
+def test_mc_to_s_checks_what_no_recorded_pass_covers(monkeypatch):
+    # dt1 between the characters (2, 3) and (2, 5) breaks equivariance;
+    # E01·dt1 + E12·dt2 between equal characters breaks the MC equation
+    eta = HomElement.zero(2, 2, 1)
+    eta[0][1] = sq(1, mask=1)
+    never_checked = MCObject.semisimple([(2, 3), (2, 5)], eta)
+    failed = MCObject.semisimple([(2, 3), (2, 5)], eta)
+    assert mc_check(failed).failures == ["equivariance"]
+    replaced = rep_to_mc(jordan3_rep(2, 3, 5, 7)).mc
+    replaced.eta = HomElement.linear(
+        Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+        Matrix.from_rows([[0, 0, 0], [0, 0, 1], [0, 0, 0]]))
+    calls = _count_mc_checks(monkeypatch)
+    for o, failure in ((never_checked, "equivariance"),
+                       (failed, "equivariance"),
+                       (replaced, "mc_equation")):
+        with pytest.raises(DomainError, match=failure):
+            mc_to_s(o)
+    assert len(calls) == 3
+
+
 def test_realize_roundtrip_both_generators_twisted():
     # both generators carry nilpotent parts that interact
     g1 = Matrix.from_rows([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
@@ -1268,12 +1310,19 @@ def _image_by_products(src, dst, p, q, key, eq=True):
     return img
 
 
+def _face_images(problem):
+    """The face-only images of the unknowns of `problem`."""
+    return [problem.image(p, q, key, eq=False)
+            for _kind, p, q, key in problem.vars]
+
+
 def _assert_images_match(src, dst, bound, allowed=(), eq=True):
     problem = mcdg._ChainProblem(src, dst, bound)
     problem.add_constant_dt_vars(allowed)
-    problem.add_chain_vars(skip_constant_on=frozenset(allowed), eq=eq)
-    assert len(problem.vars) == len(problem.images) > 0
-    for (_kind, p, q, key), img in zip(problem.vars, problem.images):
+    problem.add_chain_vars(skip_constant_on=frozenset(allowed))
+    images = problem.images if eq else _face_images(problem)
+    assert len(problem.vars) == len(images) > 0
+    for (_kind, p, q, key), img in zip(problem.vars, images):
         assert img == _image_by_products(src, dst, p, q, key, eq)
         assert all(type(v) is Fraction and v for v in img.values())
 
@@ -1998,13 +2047,14 @@ def _seeded_straighten_args(rng, chars, bound):
     dst, src = ends
     allowed = frozenset(_equal_pairs(src, dst))
     faces = mcdg._ChainProblem(src, dst, bound)
-    faces.add_chain_vars(skip_constant_on=allowed, eq=False)
-    coords = sorted(set().union(*faces.images), key=repr)
+    faces.add_chain_vars(skip_constant_on=allowed)
+    images = _face_images(faces)
+    coords = sorted(set().union(*images), key=repr)
     _, kernel = rank_kernel(Matrix.from_rows(
-        [[img.get(x, 0) for img in faces.images] for x in coords]))
+        [[img.get(x, 0) for img in images] for x in coords]))
     weights = [rng.randint(-2, 2) for _ in kernel]
     c = faces.assemble([sum(w * v[j] for w, v in zip(weights, kernel))
-                        for j in range(len(faces.images))], "chain")
+                        for j in range(len(images))], "chain")
     k = HomElement.zero(dst.dim, src.dim, 1)
     for p, q in allowed:
         k[p][q] = (sq(rng.randint(-2, 2), mask=1)

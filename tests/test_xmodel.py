@@ -1,15 +1,19 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from t2mc.cochain import TwistedComplex
+import t2mc.xmodel as xmodel
+from t2mc.cochain import ComplexError, TwistedComplex
 from t2mc.errors import DomainError
 from t2mc.mcdg import (HomElement, MCObject, NonConstantCoefficientsError,
-                       SALGEBRA, mc_to_s, rep_to_mc)
+                       SALGEBRA, fm_dt_parts, mc_to_s, rep_to_mc)
 from t2mc.qlinalg import Matrix, in_lattice, invert
 from t2mc.t2forms import build_local_system, sq
-from t2mc.torus_rep import TorusRep, cellular_complex
+from t2mc.torus_rep import (TorusRep, cellular_complex, parse_rep,
+                            unipotent_summand)
 from t2mc.xmodel import (GENERIC, INDEPENDENT, MCInconsistentError,
                          ParameterSpec, build_total_model, build_torus_model, compare_actions,
                          invariant_basis, nilpotent_model,
@@ -410,3 +414,196 @@ def test_oracle_equivalence_small_suite():
         cx = twisted_invariants_complex(model, mc, 2)
         assert cx.betti(range(3)) == cell
         assert cx.d_square_failures() == []
+
+
+# -- oracles for the model side: the direct constructions it replaced ---------
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+
+
+def _reference_basis(model, coeff_chars, n):
+    """Invariance decided afresh for every (monomial, coefficient)."""
+    out = []
+    for mono in model.pres.enumerate_basis(n):
+        mchar = model.pres.mono_character(mono)
+        for idx, coeff in enumerate(coeff_chars):
+            if xmodel._coeff_invariant(model.pspec, mchar, coeff):
+                out.append((mono, idx))
+    return out
+
+
+def _reference_complex(model, o, bound):
+    """The twist as a matrix of model elements m1·s1 + m2·s2, one element
+    product per (column, nonzero entry), d(mono) formed for every column."""
+    m1, m2 = fm_dt_parts(o.eta)
+    coeff_chars = list(o.characters)
+    pres = model.pres
+    s1, s2 = pres.generator("s1"), pres.generator("s2")
+    eta_model = [[s1.scale(m1[(i, j)]) + s2.scale(m2[(i, j)])
+                  for j in range(o.dim)] for i in range(o.dim)]
+    bases = {n: _reference_basis(model, coeff_chars, n)
+             for n in range(bound + 2)}
+    index = {n: {key: pos for pos, key in enumerate(bases[n])}
+             for n in bases}
+    mats = {}
+    for n in range(bound + 1):
+        rows = [[Fraction(0)] * len(bases[n]) for _ in bases[n + 1]]
+        for col, (mono, q) in enumerate(bases[n]):
+            image = {}
+            dmono = pres._d_mono(mono)
+            for mm, c in dmono.coeffs.items():
+                image[(mm, q)] = image.get((mm, q), Fraction(0)) + c
+            mono_el = pres.mono_element(mono)
+            for p in range(o.dim):
+                entry = eta_model[p][q]
+                if entry.is_zero():
+                    continue
+                for mm, c in (entry * mono_el).coeffs.items():
+                    image[(mm, p)] = image.get((mm, p), Fraction(0)) + c
+            for key, c in image.items():
+                if c == 0:
+                    continue
+                if key not in index[n + 1]:
+                    raise MCInconsistentError(
+                        f"differential leaves the invariant span at degree "
+                        f"{n}: {key}")
+                rows[index[n + 1][key]][col] = c
+        mats[n] = (Matrix.from_rows(rows) if rows and rows[0] else
+                   Matrix(len(bases[n + 1]), len(bases[n]), []))
+    labels = {n: [f"{pres.mono_str(mono)}@{idx}" for mono, idx in bases[n]]
+              for n in bases}
+    return labels, mats
+
+
+def _outcome(build):
+    """The labels and matrices of a complex, or the error it raised."""
+    try:
+        return build()
+    except (MCInconsistentError, ComplexError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_matches_reference(model, o, bound):
+    def ours():
+        cx = twisted_invariants_complex(model, o, bound)
+        return cx.basis, cx.d
+
+    def reference():
+        labels, mats = _reference_complex(model, o, bound)
+        TwistedComplex(labels, mats)  # the D² check the constructor makes
+        return labels, mats
+
+    got = _outcome(ours)
+    want = _outcome(reference)
+    if isinstance(want[0], type):
+        assert got == (MCInconsistentError, want[1])
+    else:
+        assert got == want
+    for n in range(bound + 2):
+        assert (invariant_basis(model, list(o.characters), n)
+                == _reference_basis(model, list(o.characters), n))
+
+
+def _jordan_ladder_reps(tmp_path):
+    spec = importlib.util.spec_from_file_location("_bench_inputs",
+                                                  BENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [(parse_rep(Path(item["rep"]).read_text()), item["bound"])
+            for item in inputs.jordan_ladder_inputs(1, str(tmp_path))]
+
+
+def test_torus_complexes_match_the_reference_on_jordan_ladder(tmp_path):
+    model = build_torus_model()
+    reps = _jordan_ladder_reps(tmp_path)
+    assert len(reps) == 6
+    for rep, bound in reps:
+        for r in (rep, unipotent_summand(rep)):
+            _assert_matches_reference(model, mc_to_s(
+                rep_to_mc(r, bound=bound).mc), 2)
+
+
+def test_torus_complexes_match_the_reference_on_seeded_twists():
+    # constant nilpotent twists, m2 a polynomial in m1 so the pair commutes,
+    # entries only between equal characters
+    rng = random.Random(83)
+    model = build_torus_model()
+    for n in range(1, 7):
+        for _ in range(3):
+            chars = [rng.choice([(1, 1), (1, 1), (2, 1)]) for _ in range(n)]
+            m1 = Matrix.from_rows(
+                [[rng.randint(-3, 3) if j > i and chars[i] == chars[j] else 0
+                  for j in range(n)] for i in range(n)])
+            m2 = m1.scale(rng.randint(-2, 2)) + (m1 * m1).scale(
+                rng.randint(-1, 1))
+            o = MCObject.semisimple(chars, HomElement.linear(m1, m2),
+                                    ambient=SALGEBRA)
+            _assert_matches_reference(model, o, 2)
+    # a twist entry between different characters leaves the invariant span
+    eta = HomElement.linear(Matrix.from_rows([[0, 0], [1, 0]]),
+                            Matrix.zero(2, 2))
+    bad = MCObject(SALGEBRA, TorusRep.diagonal([(1, 1), (2, 1)]), eta,
+                   [(Fraction(1), Fraction(1)), (Fraction(2), Fraction(1))])
+    _assert_matches_reference(model, bad, 2)
+
+
+def test_total_complexes_match_the_reference_on_the_battery():
+    from t2mc import cli
+
+    mcs = [mc_to_s(rep_to_mc(cli._jordan3_rep(*t)).mc)
+           for t in cli.ONE_GEN_TUPLES]
+    mcs += [mc_to_s(rep_to_mc(cli._two_gen_rep(*t)).mc)
+            for t in cli.TWO_GEN_TUPLES]
+    assert len(mcs) == 10
+    for pspec in (GENERIC, ParameterSpec.specialized(*VALUES)):
+        for variant in ("s1", "s2"):
+            model = build_total_model(pspec, variant)
+            for mc in mcs:
+                _assert_matches_reference(model, mc, 3)
+
+
+def test_trivial_twist_matches_the_reference_at_bound_eight():
+    trivial = MCObject.semisimple([(1, 1)], ambient=SALGEBRA)
+    for pspec in (GENERIC, ParameterSpec.specialized(
+            2, Fraction(1, 2), 3, Fraction(1, 3))):
+        _assert_matches_reference(build_total_model(pspec), trivial, 8)
+
+
+def test_models_of_a_kind_share_one_presentation():
+    s2 = build_total_model(GENERIC, "s2").pres
+    assert s2 is build_total_model(ParameterSpec.specialized(*VALUES),
+                                   "s2").pres
+    assert s2 is not build_total_model(GENERIC, "s1").pres
+    assert build_torus_model().pres is build_torus_model().pres
+
+
+def test_shared_differentials_match_a_fresh_presentation():
+    for variant in (None, "s1", "s2"):
+        shared = xmodel._presentation(variant)
+        fresh = xmodel._presentation.__wrapped__(variant)
+        assert fresh is not shared
+        shared.check_d_square(8)
+        for n in range(10):
+            for m in shared.enumerate_basis(n):
+                assert shared._d_mono(m) is shared._d_mono(m)
+                assert shared._d_mono(m).coeffs == fresh._d_mono(m).coeffs
+
+
+# -- each check once per object -----------------------------------------------
+
+def test_a_second_d_square_check_multiplies_nothing(monkeypatch):
+    mc = mc_to_s(rep_to_mc(_jordan3_rep(1, 1, 1, 0)).mc)
+    cx = twisted_invariants_complex(build_total_model(GENERIC, "s2"), mc, 3)
+    products = []
+    real = Matrix.__mul__
+    monkeypatch.setattr(Matrix, "__mul__",
+                        lambda a, b: products.append(1) or real(a, b))
+    first = cx.d_square_failures()
+    assert first == [] and products == []
+    first.append(0)  # a fresh list each time
+    assert cx.d_square_failures() == [] and products == []
+    # an unchecked complex multiplies its differentials on the first call
+    unchecked = TwistedComplex(cx.basis, cx.d, check=False)
+    assert unchecked.d_square_failures() == [] and products
+    count = len(products)
+    assert unchecked.d_square_failures() == [] and len(products) == count
